@@ -30,6 +30,7 @@ from .realizer import (
     ClassifiedInstance,
     PairClass,
     Realizer,
+    SignatureRows,
     build_instance,
     classify_pair,
     classify_pairs,

@@ -46,6 +46,13 @@ def _fail_usage(exc):
     sys.exit(2)
 
 
+def _witness_lines(exc):
+    "The witness cycle and the signature of a ``ReversibilityViolation``, as JSON lines."
+    signature = None if exc.signature is None else exc.signature.to_json()
+    return ["witness: %s" % json.dumps([list(pair) for pair in exc.cycle]),
+            "signature: %s" % json.dumps(signature)]
+
+
 def _read_text(poset_file):
     if poset_file is not None:
         with open(poset_file, "r", encoding="utf-8") as fh:
@@ -122,6 +129,8 @@ def realize(poset_file):
         _fail_usage(exc)
     except ReversibilityViolation as exc:
         click.echo("error: %s" % exc, err=True)
+        for line in _witness_lines(exc):
+            click.echo(line, err=True)
         sys.exit(1)
     click.echo(posetio.dumps(p), nl=False)
     click.echo(dumps_realizer(r), nl=False)
@@ -154,7 +163,7 @@ def verify(poset_file, realizer_file):
             click.echo("violation: %s" % line, err=True)
         sys.exit(1)
     click.echo("verified: %d extension(s), %d incomparable pairs"
-               % (len(r), len(p.incomparable_pairs())))
+               % (len(r), p.incomparable_count()))
 
 
 @main.command()
@@ -206,7 +215,7 @@ def check_claims(poset_file):
         for violation in report:
             click.echo("violation: %s" % violation, err=True)
         sys.exit(1)
-    click.echo("no violations (%d pairs checked)" % len(instance.classification))
+    click.echo("no violations (%d pairs checked)" % p.incomparable_count())
 
 
 @main.command()
@@ -237,13 +246,15 @@ def batch(family, n, count, seed, jobs, oracle_cap):
         click.echo("max exact dimension observed: %d" % max(dims))
     for r in failures:
         click.echo("failed seed %d: %s" % (r["seed"], r["error"]), err=True)
+        for line in r["witness"]:
+            click.echo("  %s" % line, err=True)
     if failures:
         sys.exit(1)
 
 
 def _batch_one(task):
     family, n, seed, oracle_cap = task
-    out = {"seed": seed, "error": None, "extensions": 0, "dimension": None}
+    out = {"seed": seed, "error": None, "extensions": 0, "dimension": None, "witness": []}
     try:
         p = generators.generate(family, n, seed)
         r = realize_tw2(p)
@@ -252,8 +263,11 @@ def _batch_one(task):
             out["error"] = "more than 12 extensions"
         elif not p.verify_realizer(r.orders()):
             out["error"] = "realizer does not verify"
-        elif oracle_cap and len(p.incomparable_pairs()) <= oracle_cap:
+        elif oracle_cap and p.incomparable_count() <= oracle_cap:
             out["dimension"] = exactdim.dimension_exact(p, cap=oracle_cap).dimension
+    except ReversibilityViolation as exc:
+        out["error"] = str(exc)
+        out["witness"] = _witness_lines(exc)
     except SpdimError as exc:
         out["error"] = str(exc)
     return out

@@ -81,7 +81,7 @@ class Poset:
         for i in range(n):
             implied = 0
             row = above[i]
-            for k in _bits(row):
+            for k in bits(row):
                 implied |= above[k]
             cover_up[i] = row & ~implied
         self.elements = elements
@@ -102,11 +102,11 @@ class Poset:
         cover_up = [0] * n
         for i in range(n):
             row = above[i]
-            for j in _bits(row):
+            for j in bits(row):
                 below[j] |= 1 << i
         for i in range(n):
             implied = 0
-            for k in _bits(above[i]):
+            for k in bits(above[i]):
                 implied |= above[k]
             cover_up[i] = above[i] & ~implied
         p.elements = tuple(elements)
@@ -163,22 +163,22 @@ class Poset:
         return self._below[i] | (1 << i)
 
     def upset(self, x):
-        return {self.elements[j] for j in _bits(self.upset_mask(x))}
+        return {self.elements[j] for j in bits(self.upset_mask(x))}
 
     def downset(self, x):
-        return {self.elements[j] for j in _bits(self.downset_mask(x))}
+        return {self.elements[j] for j in bits(self.downset_mask(x))}
 
     def covers(self):
         "All cover relations (x, y) with y covering x, in canonical order."
         out = []
         for i, row in enumerate(self._cover_up):
-            for j in _bits(row):
+            for j in bits(row):
                 out.append((self.elements[i], self.elements[j]))
         return out
 
     def cover_edges(self):
         return frozenset((self.elements[i], self.elements[j])
-                         for i, row in enumerate(self._cover_up) for j in _bits(row))
+                         for i, row in enumerate(self._cover_up) for j in bits(row))
 
     def cover_graph(self):
         return Graph(self.elements, self.covers())
@@ -210,6 +210,16 @@ class Poset:
                     out.append((self.elements[i], self.elements[j]))
         return out
 
+    def incomparable_masks(self):
+        "Per element index i, the bitmask of the elements incomparable to element i."
+        full = (1 << len(self.elements)) - 1
+        return [full & ~(above | below | 1 << i)
+                for i, (above, below) in enumerate(zip(self._above, self._below))]
+
+    def incomparable_count(self):
+        "Number of ordered incomparable pairs, by popcount."
+        return sum(row.bit_count() for row in self.incomparable_masks())
+
     def dual(self):
         "The poset with all comparabilities flipped; same cover graph."
         return Poset._from_masks(self.elements, self._below)
@@ -239,24 +249,65 @@ class Poset:
                 raise PairNotIncomparable("(%r, %r) is not an incomparable pair" % (x, y))
         return pairs
 
-    def linear_extension_reversing(self, pairs):
+    def linear_extension_reversing(self, pairs=(), rows=None):
         """A linear extension placing y before x for every pair (x, y).
 
+        The pairs may be given instead as ``rows``: one bitmask per element
+        index i, holding the index of y for every pair (element i, y).
         Topological order of the cover digraph plus the arcs y -> x, with
         ties broken by canonical element order.  Raises ``NotReversible``
         (carrying a witness strict alternating cycle) when impossible.
         """
-        pairs = self._check_pairs(pairs)
         n = len(self.elements)
-        succ = [list(_bits(row)) for row in self._cover_up]
+        if rows is None:
+            pairs = self._check_pairs(pairs)
+            rows = [0] * n
+            for x, y in pairs:
+                rows[self._index[x]] |= 1 << self._index[y]
+        else:
+            self._check_rows(rows)
+        order = self._topological_order(rows)
+        if len(order) != n:
+            if not pairs:
+                pairs = self.pairs_of_rows(rows)
+            raise NotReversible("pair set is not reversible", self._witness_cycle(pairs))
+        return [self.elements[i] for i in order]
+
+    def _check_rows(self, rows):
+        n = len(self.elements)
+        if len(rows) != n:
+            raise ValueError("expected %d rows, got %d" % (n, len(rows)))
+        for i, row in enumerate(rows):
+            clash = row & (self._above[i] | self._below[i] | 1 << i)
+            if clash:
+                j = _low_bit(clash)
+                raise PairNotIncomparable("(%r, %r) is not an incomparable pair"
+                                          % (self.elements[i], self.elements[j]))
+            if row >> n:
+                raise UnknownElement("row %d names element index %d" % (i, row.bit_length() - 1))
+
+    def pairs_of_rows(self, rows):
+        "The pairs (element i, element j) for every bit j of rows[i], in canonical order."
+        names = self.elements
+        return [(names[i], names[j]) for i, row in enumerate(rows) for j in bits(row)]
+
+    def _topological_order(self, rows):
+        # Kahn's algorithm with a min-heap: the lexicographically least
+        # topological order of the cover arcs plus an arc j -> i for every
+        # bit j of rows[i].  Shorter than n when those arcs close a cycle.
+        n = len(self.elements)
+        succ = [list(bits(row)) for row in self._cover_up]
         indeg = [0] * n
         for i in range(n):
             for j in succ[i]:
                 indeg[j] += 1
-        for x, y in pairs:
-            i, j = self._index[y], self._index[x]
-            succ[i].append(j)
-            indeg[j] += 1
+        for i, row in enumerate(rows):
+            if row:
+                indeg[i] += row.bit_count()
+                while row:
+                    low = row & -row
+                    succ[low.bit_length() - 1].append(i)
+                    row ^= low
         ready = [i for i in range(n) if indeg[i] == 0]
         heapq.heapify(ready)
         order = []
@@ -267,9 +318,7 @@ class Poset:
                 indeg[j] -= 1
                 if indeg[j] == 0:
                     heapq.heappush(ready, j)
-        if len(order) != n:
-            raise NotReversible("pair set is not reversible", self._witness_cycle(pairs))
-        return [self.elements[i] for i in order]
+        return order
 
     def is_reversible(self, pairs):
         "True iff one linear extension can reverse every pair at once."
@@ -296,7 +345,7 @@ class Poset:
         # arc y -> x closes a cycle with any x ->* y path of order arcs and
         # further reversal arcs; BFS from x to y over both arc kinds.
         n = len(self.elements)
-        succ = [list(_bits(row)) for row in self._cover_up]
+        succ = [list(bits(row)) for row in self._cover_up]
         arc_pair = {}
         for x, y in pairs:
             i, j = self._index[y], self._index[x]
@@ -385,19 +434,29 @@ class Poset:
     # -- realizer checking --------------------------------------------------
 
     def realizer_violations(self, extensions):
-        "Diagnostics explaining why the extensions are not a realizer."
+        """Diagnostics explaining why the extensions are not a realizer.
+
+        Each linear extension L contributes, for every element x, the mask of
+        the elements placed before x; an incomparable pair (x, y) is reversed
+        iff y lies in the union of those masks for x.
+        """
         problems = []
-        positions = []
+        reversed_by = [0] * len(self.elements)
         for k, ext in enumerate(extensions):
             ext = list(ext)
             if not self.is_linear_extension(ext):
                 problems.append("order %d is not a linear extension of the poset" % k)
-                positions.append(None)
-            else:
-                positions.append({e: p for p, e in enumerate(ext)})
-        for x, y in self.incomparable_pairs():
-            if not any(pos is not None and pos[y] < pos[x] for pos in positions):
-                problems.append("incomparable pair (%s, %s) is reversed by no extension" % (x, y))
+                continue
+            before = 0
+            for e in ext:
+                i = self._index[e]
+                reversed_by[i] |= before
+                before |= 1 << i
+        names = self.elements
+        for i, row in enumerate(self.incomparable_masks()):
+            for j in bits(row & ~reversed_by[i]):
+                problems.append("incomparable pair (%s, %s) is reversed by no extension"
+                                % (names[i], names[j]))
         return problems
 
     def verify_realizer(self, extensions):
@@ -406,7 +465,8 @@ class Poset:
         return not self.realizer_violations(extensions)
 
 
-def _bits(mask):
+def bits(mask):
+    "Indices of the set bits of ``mask``, ascending."
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -440,6 +500,7 @@ def loads(text):
             if elements is not None:
                 raise ParseError("duplicate elements line", lineno)
             elements = line[len("elements:"):].split()
+            known = set(elements)
             continue
         if elements is None:
             raise ParseError("expected an 'elements:' line first", lineno)
@@ -447,7 +508,6 @@ def loads(text):
         if len(tokens) != 3 or tokens[1] != "<":
             raise ParseError("expected a cover relation 'x < y'", lineno)
         x, _, y = tokens
-        known = set(elements)
         if x not in known:
             raise ParseError("unknown element %r" % (x,), lineno)
         if y not in known:
@@ -455,6 +515,6 @@ def loads(text):
         relations.append((x, y))
     if elements is None:
         raise ParseError("missing 'elements:' line", 1)
-    if len(set(elements)) != len(elements):
+    if len(known) != len(elements):
         raise ParseError("duplicate identifiers in elements line", 1)
     return Poset(elements, relations)

@@ -17,13 +17,21 @@ Signature fields (values are 1 or 2 so that transformations flip v -> 3-v):
 * ``gate``  -- kind 2 only, for size-2 meeting bags: 1 if the meeting node's
   source sits in the upset of x (and its sink in the downset of y), 2 for the
   mirrored case; equal to ``order`` when the meeting bag has size 3.
+
+Every field depends on x and the meeting node alone, or on y and the meeting
+node alone.  So the classes are built row by row: for each element x and each
+ancestor a of x's least node, the elements y meeting x at a form one bitmask,
+which a few per-node masks split into the 12 class rows.  No per-pair object
+is made, and each class is certified and emitted by a single sort.
 """
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import MalformedInstance, NotIncomparable, NotTreewidth2, ReversibilityViolation
-from .spembed import augment_with_fresh_terminals, embed_into_sp, has_treewidth_at_most_2
+from .errors import MalformedInstance, NotIncomparable, NotReversible, ReversibilityViolation
+from .poset import bits
+from .spembed import augment_with_fresh_terminals, embed_into_sp
 from .stdecomp import build_st_decomposition
 
 
@@ -36,11 +44,13 @@ class PairClass:
     gate: int | None = None
 
     def __post_init__(self):
-        assert self.kind in (1, 2) and self.order in (1, 2)
         if self.kind == 1:
-            assert self.up in (1, 2) and self.span is None and self.gate is None
+            ok = self.up in (1, 2) and self.span is None and self.gate is None
         else:
-            assert self.up is None and self.span in (1, 2) and self.gate in (1, 2)
+            ok = self.kind == 2 and self.up is None and self.span in (1, 2) and self.gate in (1, 2)
+        if not (ok and self.order in (1, 2)):
+            raise ValueError("invalid signature kind=%r order=%r up=%r span=%r gate=%r"
+                             % (self.kind, self.order, self.up, self.span, self.gate))
 
     def __str__(self):
         if self.kind == 1:
@@ -63,122 +73,234 @@ ALL_CLASSES = tuple(
     [PairClass(1, o, up=u) for o in (1, 2) for u in (1, 2)]
     + [PairClass(2, o, span=sp, gate=g) for o in (1, 2) for sp in (1, 2) for g in (1, 2)]
 )
+CLASS_INDEX = {cls: k for k, cls in enumerate(ALL_CLASSES)}
 
 
-class _Classifier:
-    """Precomputed tables for classifying all pairs of one (poset, decomposition)."""
+def _kind1(order, up):
+    return 2 * order + up - 3
+
+
+def _kind2(order, span, gate):
+    return 4 * order + 2 * span + gate - 3
+
+
+class SignatureRows:
+    """The 12 signature classes of one (poset, decomposition), as bitmask rows.
+
+    ``rows[k][i]`` holds bit j iff (element i, element j) is an incomparable
+    pair with signature ``ALL_CLASSES[k]``; ``home[i]`` is element i's least
+    node.  Per-node masks (each over element indices):
+
+    * ``sub[a]``     -- elements whose least node lies in a's subtree;
+    * ``under[a]``   -- elements below some bag member (upset of x meets the bag);
+    * ``over[a]``    -- elements above some bag member (downset of y meets the bag);
+    * ``span_up[a]`` -- elements x such that some ancestor-or-self of a has both
+      terminals in the upset of x.
+    """
 
     def __init__(self, poset, decomp):
         self.poset = poset
         self.decomp = decomp
-        index = poset._index
         nodes = decomp.nodes
-        self.home = {}
-        for x in poset.elements:
+        self.home = []
+        at = [0] * len(nodes)
+        for i, x in enumerate(poset.elements):
             w = decomp.least_node(x)
             node = nodes[w]
             if len(node.bag) != 3 or node.middle != x:
                 raise MalformedInstance(
                     "least node of %r does not carry it as its middle vertex" % (x,))
-            self.home[x] = w
-        self.bagmask = []
-        self.s_idx = []
-        self.t_idx = []
-        for node in nodes:
-            mask = 0
-            for v in node.bag:
-                i = index.get(v)
-                if i is not None:
-                    mask |= 1 << i
-            self.bagmask.append(mask)
-            self.s_idx.append(index.get(node.s))
-            self.t_idx.append(index.get(node.t))
-        # For every element, the set of nodes u such that some ancestor-or-self
-        # of u has both terminals inside the up/down set of the element.
-        self.up_span = {}
-        self.down_span = {}
-        for x in poset.elements:
-            self.up_span[x] = self._span_mask(poset.upset_mask(x))
-            self.down_span[x] = self._span_mask(poset.downset_mask(x))
+            self.home.append(w)
+            at[w] |= 1 << i
 
-    def _span_mask(self, member_mask):
-        decomp = self.decomp
-        out = 0
-        stack = [(decomp.root, False)]
-        while stack:
-            nid, flag = stack.pop()
-            si, ti = self.s_idx[nid], self.t_idx[nid]
-            if (si is not None and member_mask >> si & 1
-                    and ti is not None and member_mask >> ti & 1):
-                flag = True
-            if flag:
-                out |= 1 << nid
-            node = decomp.nodes[nid]
+        def mask(v, of):
+            return of(v) if v in poset else 0
+
+        up, down = poset.upset_mask, poset.downset_mask
+        self._up_s = [mask(node.s, up) for node in nodes]
+        self._up_t = [mask(node.t, up) for node in nodes]
+        self._down_s = [mask(node.s, down) for node in nodes]
+        self._down_t = [mask(node.t, down) for node in nodes]
+        self._under = []
+        self._over = []
+        for node in nodes:
+            under = over = 0
+            for v in node.bag:
+                if v in poset:
+                    under |= down(v)
+                    over |= up(v)
+            self._under.append(under)
+            self._over.append(over)
+        self._preorder = preorder = [node.id for node in decomp.preorder()]
+        self._span_up = _top_down(nodes, preorder, self._down_s, self._down_t)
+        sub = list(at)
+        for nid in reversed(preorder):
+            node = nodes[nid]
             if node.left is not None:
-                stack.append((node.left, flag))
-                stack.append((node.right, flag))
+                sub[nid] |= sub[node.left] | sub[node.right]
+        self._sub = sub
+        self._at = at
+        self.rows = self._classify(poset.incomparable_masks())
+
+    def _meetings(self, inc):
+        """Yield (x, a, ys, order) for every element index x and node a where
+        ys, the mask of the elements incomparable to x whose least node meets
+        x's least node at a, is not empty; ``order`` is the pairs' order field."""
+        nodes = self.decomp.nodes
+        sub, at = self._sub, self._at
+        for x, h in enumerate(self.home):
+            row = inc[x]
+            if not row:
+                continue
+            if row & at[h]:
+                raise MalformedInstance("incomparable elements share a least node")
+            node = nodes[h]
+            if node.left is not None:
+                ys = row & sub[node.right]
+                if ys:
+                    yield x, h, ys, 1
+                ys = row & sub[node.left]
+                if ys:
+                    yield x, h, ys, 2
+            child, a = h, node.parent
+            while a is not None:
+                node = nodes[a]
+                ys = row & (sub[a] ^ sub[child])
+                if ys:
+                    yield x, a, ys, 1 if node.left == child else 2
+                child, a = a, node.parent
+
+    def _classify(self, inc):
+        n = len(inc)
+        rows = [[0] * n for _ in ALL_CLASSES]
+        nodes = self.decomp.nodes
+        under, over, span_up = self._under, self._over, self._span_up
+        up_s, up_t, down_s, down_t = self._up_s, self._up_t, self._down_s, self._down_t
+        stray = {}
+        for x, a, ys, order in self._meetings(inc):
+            bit = 1 << x
+            if not under[a] & bit:
+                rows[_kind1(order, 1)][x] |= ys
+                continue
+            hit = ys & over[a]
+            if hit != ys:
+                rows[_kind1(order, 2)][x] |= ys ^ hit
+            if not hit:
+                continue
+            span = 2 if span_up[a] & bit else 1
+            if len(nodes[a].bag) == 3:
+                gate = order
+            else:
+                # Size-2 bag {s, t}: x must reach exactly one terminal and y
+                # lie above exactly the other one.
+                s_up, t_up = down_s[a] & bit, down_t[a] & bit
+                if s_up and not t_up:
+                    gate, split = 1, up_t[a] & ~up_s[a]
+                elif t_up and not s_up:
+                    gate, split = 2, up_s[a] & ~up_t[a]
+                else:
+                    gate, split = 1, 0
+                bad = hit & ~split
+                if bad:
+                    stray[x] = stray.get(x, 0) | bad
+            rows[_kind2(order, span, gate)][x] |= hit
+        if stray:
+            x = min(stray)
+            y = (stray[x] & -stray[x]).bit_length() - 1
+            names = self.poset.elements
+            raise MalformedInstance("meeting bag of (%r, %r) is not split between upset and downset"
+                                    % (names[x], names[y]))
+        return rows
+
+    def census(self):
+        "Pair count per class, in ``ALL_CLASSES`` order."
+        return [sum(row.bit_count() for row in rows) for rows in self.rows]
+
+    def classification(self):
+        "Signature of every incomparable ordered pair, in canonical pair order."
+        names = self.poset.elements
+        return {(names[x], names[y]): self.class_of(x, y)
+                for x, row in enumerate(self.poset.incomparable_masks()) for y in bits(row)}
+
+    def class_of(self, x, y):
+        "The class of the pair (element x, element y), or None."
+        for cls, rows in zip(ALL_CLASSES, self.rows):
+            if rows[x] >> y & 1:
+                return cls
+        return None
+
+    def extension(self, k):
+        """The linear extension reversing class k, which certifies the class:
+        a class that no extension reverses raises ``ReversibilityViolation``
+        with the witness cycle."""
+        try:
+            return self.poset.linear_extension_reversing(rows=self.rows[k])
+        except NotReversible as exc:
+            cls = ALL_CLASSES[k]
+            raise ReversibilityViolation(
+                "signature class %s is not reversible" % (cls,), exc.cycle, cls) from None
+
+    def transposed(self):
+        "Per class, the mask of the x of every pair (x, element j), indexed by j."
+        cols = [[0] * len(rows) for rows in self.rows]
+        for k, rows in enumerate(self.rows):
+            col = cols[k]
+            for x, ys in enumerate(rows):
+                for y in bits(ys):
+                    col[y] |= 1 << x
+        return cols
+
+    def terminal_pair_conflicts(self):
+        """Pairs (x, y) for which some ancestor-or-self of the meeting node has
+        both terminals in the upset of x and some has both in the downset of
+        y, as (x, ys) masks; the construction guarantees there are none."""
+        nodes = self.decomp.nodes
+        span_down = _top_down(nodes, self._preorder, self._up_s, self._up_t)
+        out = []
+        for x, a, ys, _ in self._meetings(self.poset.incomparable_masks()):
+            if self._span_up[a] >> x & 1 and ys & span_down[a]:
+                out.append((x, ys & span_down[a]))
         return out
 
-    def classify(self, x, y):
-        poset = self.poset
-        decomp = self.decomp
-        wx, wy = self.home[x], self.home[y]
-        if wx == wy:
-            raise MalformedInstance("incomparable elements share a least node")
-        meet = decomp.lca(wx, wy)
-        up_mask = poset.upset_mask(x)
-        down_mask = poset.downset_mask(y)
-        up_hits = up_mask & self.bagmask[meet]
-        down_hits = down_mask & self.bagmask[meet]
-        order = 1 if decomp.in_order_less(wx, wy) else 2
-        if not up_hits or not down_hits:
-            return PairClass(1, order, up=(1 if not up_hits else 2))
-        span = 2 if self.up_span[x] >> meet & 1 else 1
-        if len(decomp.nodes[meet].bag) == 3:
-            gate = order
-        else:
-            si, ti = self.s_idx[meet], self.t_idx[meet]
-            s_up = si is not None and bool(up_mask >> si & 1)
-            t_up = ti is not None and bool(up_mask >> ti & 1)
-            s_down = si is not None and bool(down_mask >> si & 1)
-            t_down = ti is not None and bool(down_mask >> ti & 1)
-            if s_up and t_down and not (t_up or s_down):
-                gate = 1
-            elif t_up and s_down and not (s_up or t_down):
-                gate = 2
-            else:
-                raise MalformedInstance(
-                    "meeting bag of (%r, %r) is not split between upset and downset" % (x, y))
-        return PairClass(2, order, span=span, gate=gate)
+
+def _top_down(nodes, preorder, a_masks, b_masks):
+    "Per node, the union of a_masks[u] & b_masks[u] over its ancestors-or-self u."
+    out = [0] * len(nodes)
+    for nid in preorder:
+        parent = nodes[nid].parent
+        out[nid] = (out[parent] if parent is not None else 0) | a_masks[nid] & b_masks[nid]
+    return out
 
 
 def classify_pairs(poset, decomp):
     "Signature of every incomparable ordered pair under one decomposition."
-    classifier = _Classifier(poset, decomp)
-    return {(x, y): classifier.classify(x, y) for x, y in poset.incomparable_pairs()}
+    return SignatureRows(poset, decomp).classification()
+
+
+def _decompose(poset):
+    "Embed the cover graph (testing its treewidth once), add fresh outer terminals, decompose."
+    embedding = augment_with_fresh_terminals(embed_into_sp(poset.cover_graph()))
+    return embedding, build_st_decomposition(embedding.sp, embedding.host)
 
 
 class ClassifiedInstance:
-    """A poset together with its embedding, decomposition and classification."""
+    """A poset together with its embedding, decomposition and class rows."""
 
     def __init__(self, poset, embedding, decomp):
         self.poset = poset
         self.embedding = embedding
         self.decomp = decomp
-        classifier = _Classifier(poset, decomp)
-        self.home = classifier.home
-        self.classification = {(x, y): classifier.classify(x, y)
-                               for x, y in poset.incomparable_pairs()}
+        self.rows = SignatureRows(poset, decomp)
+        self.home = dict(zip(poset.elements, self.rows.home))
+
+    @cached_property
+    def classification(self):
+        return self.rows.classification()
 
 
 def build_instance(poset):
     "Embed the cover graph, add fresh outer terminals, decompose, classify."
-    cover = poset.cover_graph()
-    if not has_treewidth_at_most_2(cover):
-        raise NotTreewidth2("cover graph has treewidth greater than 2")
-    embedding = augment_with_fresh_terminals(embed_into_sp(cover))
-    decomp = build_st_decomposition(embedding.sp, embedding.host)
-    return ClassifiedInstance(poset, embedding, decomp)
+    return ClassifiedInstance(poset, *_decompose(poset))
 
 
 def classify_pair(instance, x, y):
@@ -192,24 +314,18 @@ def partition_inc_pairs(instance):
     """Group the incomparable pairs by signature and certify that every class
     is reversible.  A failure would be an implementation bug; it raises
     ``ReversibilityViolation`` carrying the witness cycle."""
+    rows = instance.rows
     parts = {}
-    for pair, cls in instance.classification.items():
-        parts.setdefault(cls, []).append(pair)
-    poset = instance.poset
-    for cls, pairs in sorted(parts.items()):
-        witness = poset.find_strict_alternating_cycle(pairs)
-        if witness is not None:
-            raise ReversibilityViolation(
-                "signature class %s is not reversible" % (cls,), witness, cls)
+    for k, cls in enumerate(ALL_CLASSES):
+        if any(rows.rows[k]):
+            rows.extension(k)
+            parts[cls] = instance.poset.pairs_of_rows(rows.rows[k])
     return parts
 
 
 def signature_census(instance):
     "Pair count per signature, zeros included (sums to |Inc|)."
-    census = {cls: 0 for cls in ALL_CLASSES}
-    for cls in instance.classification.values():
-        census[cls] += 1
-    return census
+    return dict(zip(ALL_CLASSES, instance.rows.census()))
 
 
 @dataclass(frozen=True)
@@ -234,20 +350,14 @@ def realize_tw2(poset):
     """End-to-end realizer construction for treewidth-<=2 cover graphs.
 
     At most 12 linear extensions are produced (one per nonempty signature
-    class); their intersection is exactly the input order.
+    class); their intersection is exactly the input order.  A poset without
+    incomparable pairs is a chain, whose cover graph is a path.
     """
-    if not has_treewidth_at_most_2(poset.cover_graph()):
-        raise NotTreewidth2("cover graph has treewidth greater than 2")
-    if not poset.incomparable_pairs():
+    if not poset.incomparable_count():
         return Realizer(((None, tuple(poset.canonical_extension())),))
-    instance = build_instance(poset)
-    parts = partition_inc_pairs(instance)
-    out = []
-    for cls in ALL_CLASSES:
-        if cls in parts:
-            ext = poset.linear_extension_reversing(parts[cls])
-            out.append((cls, tuple(ext)))
-    return Realizer(tuple(out))
+    rows = SignatureRows(poset, _decompose(poset)[1])
+    return Realizer(tuple((cls, tuple(rows.extension(k)))
+                          for k, cls in enumerate(ALL_CLASSES) if any(rows.rows[k])))
 
 
 # -- consistency transformations ---------------------------------------------
@@ -263,6 +373,35 @@ class Violation:
         return "%s: pair %s expected %s, got %s" % (self.check, self.pair, self.expected, self.actual)
 
 
+def _relabel_violations(check, base, other, relabel):
+    """Violations for the pairs of each base class ``cls`` that ``other`` does
+    not put in class ``relabel(cls)`` (classes relabelled to None are not
+    checked), in canonical pair order."""
+    found = []
+    for k, cls in enumerate(ALL_CLASSES):
+        want = relabel(cls)
+        if want is None:
+            continue
+        target = other.rows[CLASS_INDEX[want]]
+        for x, ys in enumerate(base.rows[k]):
+            found.extend((x, y, want) for y in bits(ys & ~target[x]))
+    names = base.poset.elements
+    return [Violation(check, (names[x], names[y]), want, other.class_of(x, y))
+            for x, y, want in sorted(found, key=lambda f: f[:2])]
+
+
+def _reversed_class(cls):
+    if cls.kind == 1:
+        return PairClass(1, 3 - cls.order, up=cls.up)
+    return PairClass(2, 3 - cls.order, span=cls.span, gate=3 - cls.gate)
+
+
+def _swapped_class(cls):
+    if cls.kind == 2 and cls.order == 2 and cls.gate == 1:
+        return PairClass(2, 1, span=cls.span, gate=cls.gate)
+    return None
+
+
 def metamorphic_check(instance):
     """Re-classify all pairs under the dual poset, the reversed decomposition
     and the size-2 child swap, and compare against the signature relabelings
@@ -270,51 +409,44 @@ def metamorphic_check(instance):
     violations (empty on a correct implementation)."""
     poset = instance.poset
     decomp = instance.decomp
-    base = instance.classification
+    base = instance.rows
+    names = poset.elements
     report = []
 
-    dual_cls = classify_pairs(poset.dual(), decomp)
-    for (x, y), cls in base.items():
-        got = dual_cls[(y, x)]
+    # The dual poset under the same decomposition: (x, y) maps to (y, x).
+    dual = SignatureRows(poset.dual(), decomp)
+    dual_cols = dual.transposed()
+    found = []
+    for k, cls in enumerate(ALL_CLASSES):
         if cls.kind == 1:
-            if cls.up == 2:
-                want = PairClass(1, 3 - cls.order, up=1)
-                if got != want:
-                    report.append(Violation("dual/kind1", (x, y), want, got))
+            if cls.up == 1:
+                continue
+            check = "dual/kind1"
+            expected = PairClass(1, 3 - cls.order, up=1)
+            allowed = [dual_cols[CLASS_INDEX[expected]]]
         else:
-            ok = (got.kind == 2 and got.order == 3 - cls.order and got.gate == 3 - cls.gate)
-            if ok and cls.span == 2:
-                ok = got.span == 1
-            if not ok:
-                report.append(Violation("dual/kind2", (x, y),
-                                        "kind=2 order=%d gate=%d%s" % (3 - cls.order, 3 - cls.gate,
-                                                                       " span=1" if cls.span == 2 else ""),
-                                        got))
+            check = "dual/kind2"
+            expected = "kind=2 order=%d gate=%d%s" % (
+                3 - cls.order, 3 - cls.gate, " span=1" if cls.span == 2 else "")
+            spans = (1,) if cls.span == 2 else (1, 2)
+            allowed = [dual_cols[_kind2(3 - cls.order, sp, 3 - cls.gate)] for sp in spans]
+        for x, ys in enumerate(base.rows[k]):
+            for col in allowed:
+                ys &= ~col[x]
+            found.extend((x, y, check, expected) for y in bits(ys))
+    report.extend(Violation(check, (names[x], names[y]), expected, dual.class_of(y, x))
+                  for x, y, check, expected in sorted(found, key=lambda f: f[:2]))
 
-    rev_cls = classify_pairs(poset, decomp.reverse())
-    for (x, y), cls in base.items():
-        got = rev_cls[(x, y)]
-        if cls.kind == 1:
-            want = PairClass(1, 3 - cls.order, up=cls.up)
-        else:
-            want = PairClass(2, 3 - cls.order, span=cls.span, gate=3 - cls.gate)
-        if got != want:
-            report.append(Violation("reversed", (x, y), want, got))
+    report.extend(_relabel_violations("reversed", base, SignatureRows(poset, decomp.reverse()),
+                                      _reversed_class))
+    report.extend(_relabel_violations("child-swap", base,
+                                      SignatureRows(poset, decomp.swap_size2_children()),
+                                      _swapped_class))
 
-    swap_cls = classify_pairs(poset, decomp.swap_size2_children())
-    for (x, y), cls in base.items():
-        if cls.kind == 2 and cls.order == 2 and cls.gate == 1:
-            got = swap_cls[(x, y)]
-            want = PairClass(2, 1, span=cls.span, gate=cls.gate)
-            if got != want:
-                report.append(Violation("child-swap", (x, y), want, got))
-
-    classifier = _Classifier(poset, decomp)
-    for (x, y) in base:
-        meet = decomp.lca(classifier.home[x], classifier.home[y])
-        if (classifier.up_span[x] >> meet & 1) and (classifier.down_span[y] >> meet & 1):
-            report.append(Violation("terminal-pair-exclusion", (x, y),
-                                    "at most one of upset/downset spans an ancestor", "both"))
+    found = sorted((x, y) for x, ys in base.terminal_pair_conflicts() for y in bits(ys))
+    report.extend(Violation("terminal-pair-exclusion", (names[x], names[y]),
+                            "at most one of upset/downset spans an ancestor", "both")
+                  for x, y in found)
     return report
 
 

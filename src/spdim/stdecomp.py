@@ -30,9 +30,11 @@ class DecompNode:
     @property
     def middle(self):
         "The bag member that is neither source nor sink (size-3 bags only)."
-        assert len(self.bag) == 3
-        (m,) = [v for v in self.bag if v != self.s and v != self.t]
-        return m
+        rest = [v for v in self.bag if v != self.s and v != self.t]
+        if len(self.bag) != 3 or len(rest) != 1:
+            raise PreconditionViolated("node %d has no middle vertex: bag %r, terminals (%r, %r)"
+                                       % (self.id, self.bag, self.s, self.t))
+        return rest[0]
 
     @property
     def is_leaf(self):
@@ -47,7 +49,7 @@ class STDecomposition:
         self.root = root
         self.graph = graph
         self._depth = [0] * len(self.nodes)
-        for node in self._preorder():
+        for node in self.preorder():
             if node.parent is not None:
                 self._depth[node.id] = self._depth[node.parent] + 1
         self._inorder_pos = [0] * len(self.nodes)
@@ -71,7 +73,8 @@ class STDecomposition:
     def __len__(self):
         return len(self.nodes)
 
-    def _preorder(self):
+    def preorder(self):
+        "Nodes in pre-order (node, left subtree, right subtree)."
         stack = [self.root]
         while stack:
             node = self.nodes[stack.pop()]

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and structurally unrelated to the
 implementations under test: reversibility by trying every permutation,
-K4 minors via explicit subdivisions, covering chains by path enumeration.
+K4 minors via explicit subdivisions, covering chains by path enumeration,
+signatures by one lowest-common-ancestor walk per pair.
 """
 
 from itertools import permutations
@@ -142,3 +143,160 @@ def all_labeled_graphs(n, graph_cls):
     for mask in range(1 << len(slots)):
         edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
         yield graph_cls(verts, edges)
+
+
+class ReferenceClassifier:
+    """Per-pair signature classification, one ``lca`` walk per pair.
+
+    This is the classifier the row-wise ``SignatureRows`` replaced, kept as
+    an independent reference: every field is computed for the pair itself,
+    and the span test uses one top-down tree walk per element.
+    """
+
+    def __init__(self, poset, decomp):
+        from spdim.errors import MalformedInstance
+
+        self.poset = poset
+        self.decomp = decomp
+        index = poset._index
+        nodes = decomp.nodes
+        self.home = {}
+        for x in poset.elements:
+            w = decomp.least_node(x)
+            node = nodes[w]
+            if len(node.bag) != 3 or node.middle != x:
+                raise MalformedInstance(
+                    "least node of %r does not carry it as its middle vertex" % (x,))
+            self.home[x] = w
+        self.bagmask = []
+        self.s_idx = []
+        self.t_idx = []
+        for node in nodes:
+            mask = 0
+            for v in node.bag:
+                i = index.get(v)
+                if i is not None:
+                    mask |= 1 << i
+            self.bagmask.append(mask)
+            self.s_idx.append(index.get(node.s))
+            self.t_idx.append(index.get(node.t))
+        # For every element, the set of nodes u such that some ancestor-or-self
+        # of u has both terminals inside the up/down set of the element.
+        self.up_span = {}
+        self.down_span = {}
+        for x in poset.elements:
+            self.up_span[x] = self._span_mask(poset.upset_mask(x))
+            self.down_span[x] = self._span_mask(poset.downset_mask(x))
+
+    def _span_mask(self, member_mask):
+        decomp = self.decomp
+        out = 0
+        stack = [(decomp.root, False)]
+        while stack:
+            nid, flag = stack.pop()
+            si, ti = self.s_idx[nid], self.t_idx[nid]
+            if (si is not None and member_mask >> si & 1
+                    and ti is not None and member_mask >> ti & 1):
+                flag = True
+            if flag:
+                out |= 1 << nid
+            node = decomp.nodes[nid]
+            if node.left is not None:
+                stack.append((node.left, flag))
+                stack.append((node.right, flag))
+        return out
+
+    def classify(self, x, y):
+        from spdim.errors import MalformedInstance
+        from spdim.realizer import PairClass
+
+        poset = self.poset
+        decomp = self.decomp
+        wx, wy = self.home[x], self.home[y]
+        if wx == wy:
+            raise MalformedInstance("incomparable elements share a least node")
+        meet = decomp.lca(wx, wy)
+        up_mask = poset.upset_mask(x)
+        down_mask = poset.downset_mask(y)
+        up_hits = up_mask & self.bagmask[meet]
+        down_hits = down_mask & self.bagmask[meet]
+        order = 1 if decomp.in_order_less(wx, wy) else 2
+        if not up_hits or not down_hits:
+            return PairClass(1, order, up=(1 if not up_hits else 2))
+        span = 2 if self.up_span[x] >> meet & 1 else 1
+        if len(decomp.nodes[meet].bag) == 3:
+            gate = order
+        else:
+            si, ti = self.s_idx[meet], self.t_idx[meet]
+            s_up = si is not None and bool(up_mask >> si & 1)
+            t_up = ti is not None and bool(up_mask >> ti & 1)
+            s_down = si is not None and bool(down_mask >> si & 1)
+            t_down = ti is not None and bool(down_mask >> ti & 1)
+            if s_up and t_down and not (t_up or s_down):
+                gate = 1
+            elif t_up and s_down and not (s_up or t_down):
+                gate = 2
+            else:
+                raise MalformedInstance(
+                    "meeting bag of (%r, %r) is not split between upset and downset" % (x, y))
+        return PairClass(2, order, span=span, gate=gate)
+
+    def terminal_pair_conflict(self, x, y):
+        "Both the upset of x and the downset of y span an ancestor of the meet."
+        meet = self.decomp.lca(self.home[x], self.home[y])
+        return bool(self.up_span[x] >> meet & 1 and self.down_span[y] >> meet & 1)
+
+
+def reference_classification(poset, decomp):
+    "Signature of every incomparable ordered pair, by the per-pair reference."
+    classifier = ReferenceClassifier(poset, decomp)
+    return {(x, y): classifier.classify(x, y) for x, y in poset.incomparable_pairs()}
+
+
+def reference_metamorphic_check(poset, decomp, base):
+    """The transform checks pair by pair, against the classification dict
+    ``base``: the report ``spdim.realizer.metamorphic_check`` must match."""
+    from spdim.realizer import PairClass, Violation
+
+    report = []
+    dual_cls = reference_classification(poset.dual(), decomp)
+    for (x, y), cls in base.items():
+        got = dual_cls[(y, x)]
+        if cls.kind == 1:
+            if cls.up == 2:
+                want = PairClass(1, 3 - cls.order, up=1)
+                if got != want:
+                    report.append(Violation("dual/kind1", (x, y), want, got))
+        else:
+            ok = got.kind == 2 and got.order == 3 - cls.order and got.gate == 3 - cls.gate
+            if ok and cls.span == 2:
+                ok = got.span == 1
+            if not ok:
+                want = "kind=2 order=%d gate=%d%s" % (3 - cls.order, 3 - cls.gate,
+                                                      " span=1" if cls.span == 2 else "")
+                report.append(Violation("dual/kind2", (x, y), want, got))
+
+    rev_cls = reference_classification(poset, decomp.reverse())
+    for (x, y), cls in base.items():
+        got = rev_cls[(x, y)]
+        if cls.kind == 1:
+            want = PairClass(1, 3 - cls.order, up=cls.up)
+        else:
+            want = PairClass(2, 3 - cls.order, span=cls.span, gate=3 - cls.gate)
+        if got != want:
+            report.append(Violation("reversed", (x, y), want, got))
+
+    swap_cls = reference_classification(poset, decomp.swap_size2_children())
+    for (x, y), cls in base.items():
+        if cls.kind == 2 and cls.order == 2 and cls.gate == 1:
+            got = swap_cls[(x, y)]
+            want = PairClass(2, 1, span=cls.span, gate=cls.gate)
+            if got != want:
+                report.append(Violation("child-swap", (x, y), want, got))
+
+    classifier = ReferenceClassifier(poset, decomp)
+    for (x, y) in base:
+        if classifier.terminal_pair_conflict(x, y):
+            report.append(Violation("terminal-pair-exclusion", (x, y),
+                                    "at most one of upset/downset spans an ancestor", "both"))
+    return report

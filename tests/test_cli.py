@@ -2,10 +2,13 @@ import json
 
 from click.testing import CliRunner
 
+import pytest
+
+from spdim import realizer
 from spdim.cli import main
 from spdim.generators import standard_example
 from spdim.poset import dumps as dumps_poset
-from spdim.realizer import dumps_realizer, realize_tw2
+from spdim.realizer import ALL_CLASSES, SignatureRows, dumps_realizer, realize_tw2
 
 
 def run(args, stdin=None):
@@ -84,6 +87,45 @@ class TestRealizeVerify:
     def test_realize_rejects_treewidth_3_exit_2(self):
         res = run(["realize"], stdin=gen_text("kelly", 3))
         assert res.exit_code == 2
+
+
+@pytest.fixture
+def one_class(monkeypatch):
+    "Put every incomparable pair into the first signature class."
+
+    class OneClass(SignatureRows):
+        def _classify(self, inc):
+            return [list(inc)] + [[0] * len(inc) for _ in ALL_CLASSES[1:]]
+
+    monkeypatch.setattr(realizer, "SignatureRows", OneClass)
+
+
+def printed_witness(stderr):
+    "The cycle and signature a failed realize printed, parsed back."
+    lines = dict(line.strip().split(": ", 1) for line in stderr.splitlines()
+                 if line.strip().startswith(("witness:", "signature:")))
+    cycle = [tuple(pair) for pair in json.loads(lines["witness"])]
+    return cycle, json.loads(lines["signature"])
+
+
+class TestReversibilityFailure:
+    def test_realize_prints_witness(self, one_class):
+        res = run(["realize"], stdin=gen_text("standard_example", 2))
+        assert res.exit_code == 1
+        assert "Traceback" not in res.output + res.stderr
+        assert res.stdout == ""
+        cycle, signature = printed_witness(res.stderr)
+        assert standard_example(2).is_strict_alternating_cycle(cycle)
+        assert signature == ALL_CLASSES[0].to_json()
+
+    def test_batch_prints_witness(self, one_class):
+        res = run(["batch", "--family", "standard_example", "--n", "2", "--count", "1"])
+        assert res.exit_code == 1
+        assert "Traceback" not in res.output + res.stderr
+        assert "failed seed 0: signature class" in res.stderr
+        cycle, signature = printed_witness(res.stderr)
+        assert standard_example(2).is_strict_alternating_cycle(cycle)
+        assert signature == ALL_CLASSES[0].to_json()
 
 
 class TestDecomposeClassify:

@@ -241,7 +241,66 @@ class TestLinearExtensionReversing:
             assert set(witness) <= set(pairs)
 
 
+class TestExtensionFromRows:
+    @settings(max_examples=40, deadline=None)
+    @given(small_posets(max_n=6), st.data())
+    def test_rows_match_pairs(self, p, data):
+        inc = p.incomparable_pairs()
+        if not inc:
+            return
+        pairs = data.draw(st.lists(st.sampled_from(inc), max_size=6, unique=True))
+        rows = [0] * len(p)
+        for x, y in pairs:
+            rows[p.index(x)] |= 1 << p.index(y)
+        assert p.pairs_of_rows(rows) == sorted(pairs, key=lambda q: (p.index(q[0]), p.index(q[1])))
+        try:
+            want = p.linear_extension_reversing(pairs)
+        except NotReversible:
+            with pytest.raises(NotReversible) as err:
+                p.linear_extension_reversing(rows=rows)
+            assert p.is_strict_alternating_cycle(err.value.cycle)
+            assert set(err.value.cycle) <= set(pairs)
+        else:
+            assert p.linear_extension_reversing(rows=rows) == want
+
+    def test_rows_reject_comparable_pair(self):
+        with pytest.raises(PairNotIncomparable):
+            chain(3).linear_extension_reversing(rows=[0b010, 0, 0])
+        with pytest.raises(PairNotIncomparable):
+            chain(3).linear_extension_reversing(rows=[0b001, 0, 0])
+
+    def test_rows_reject_bad_shape(self):
+        with pytest.raises(ValueError):
+            antichain(2).linear_extension_reversing(rows=[0])
+        with pytest.raises(UnknownElement):
+            antichain(2).linear_extension_reversing(rows=[0b100, 0])
+
+
+class TestIncomparableMasks:
+    @settings(max_examples=40, deadline=None)
+    @given(small_posets())
+    def test_masks_match_pairs(self, p):
+        pairs = p.incomparable_pairs()
+        assert p.pairs_of_rows(p.incomparable_masks()) == pairs
+        assert p.incomparable_count() == len(pairs)
+
+
 class TestVerifyRealizer:
+    @settings(max_examples=60, deadline=None)
+    @given(small_posets(max_n=6), st.data())
+    def test_matches_per_pair_check(self, p, data):
+        # Prefix masks against the definition, pair by pair, on random
+        # permutations (some not linear extensions) plus one extension.
+        exts = data.draw(st.lists(st.permutations(p.elements), max_size=4))
+        exts.append(list(reversed(p.dual().canonical_extension())))
+        valid = [ext for ext in exts if p.is_linear_extension(ext)]
+        missing = [(x, y) for x, y in p.incomparable_pairs()
+                   if not any(ext.index(y) < ext.index(x) for ext in valid)]
+        want = ["order %d is not a linear extension of the poset" % k
+                for k, ext in enumerate(exts) if not p.is_linear_extension(ext)]
+        want += ["incomparable pair (%s, %s) is reversed by no extension" % pair for pair in missing]
+        assert p.realizer_violations(exts) == want
+
     def test_chain_single(self):
         c = chain(3)
         assert c.verify_realizer([list(c.elements)])
@@ -345,6 +404,13 @@ class TestTextFormat:
     def test_missing_elements_line(self):
         with pytest.raises(ParseError):
             loads("a < b\n")
+
+    def test_duplicate_identifiers(self):
+        with pytest.raises(ParseError, match="duplicate identifiers"):
+            loads("elements: a b a\na < b\n")
+        with pytest.raises(ParseError) as err:
+            loads("elements: a b a\na < b\nb < z\n")
+        assert err.value.line == 3  # an unknown element is reported first
 
     def test_cli_cycle_is_cycle_error(self):
         with pytest.raises(CycleError):

@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdim.errors import NotIncomparable, NotTreewidth2
-from spdim.generators import chain, kelly, random_tw2_poset, standard_example
-from spdim.poset import Poset
+from spdim import spembed
+from spdim.errors import MalformedInstance, NotIncomparable, NotTreewidth2
+from spdim.generators import chain, forest_poset, generate, kelly, random_tw2_poset, standard_example
+from spdim.poset import Poset, bits
 from spdim.realizer import (
     ALL_CLASSES,
+    ClassifiedInstance,
     PairClass,
+    SignatureRows,
     build_instance,
     classify_pair,
     classify_pairs,
@@ -17,6 +24,10 @@ from spdim.realizer import (
     realize_tw2,
     signature_census,
 )
+from spdim.stdecomp import DecompNode, STDecomposition
+
+from oracles import ReferenceClassifier, reference_classification, reference_metamorphic_check
+from test_acceptance import CORPUS
 
 
 def instance_for(seed, n):
@@ -34,10 +45,32 @@ class TestSignatureSpace:
         assert sum(1 for cls in ALL_CLASSES if cls.kind == 2) == 8
 
     def test_field_domains(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             PairClass(1, 1)  # kind 1 needs the up component
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             PairClass(2, 1, up=1)
+        for fields in (dict(kind=1, order=1, up=1, span=1), dict(kind=1, order=1, up=1, gate=2),
+                       dict(kind=1, order=3, up=1), dict(kind=1, order=1, up=0),
+                       dict(kind=2, order=1, span=1), dict(kind=2, order=1, span=3, gate=1),
+                       dict(kind=2, order=0, span=1, gate=1), dict(kind=3, order=1, up=1),
+                       dict(kind=0, order=1, span=1, gate=1)):
+            with pytest.raises(ValueError):
+                PairClass(**fields)
+
+    def test_checks_survive_optimized_mode(self):
+        # Under python -O every assert is stripped; the field and middle
+        # checks must still raise.
+        code = ("from spdim.realizer import PairClass\n"
+                "from spdim.stdecomp import DecompNode\n"
+                "from spdim.errors import PreconditionViolated\n"
+                "try:\n    PairClass(1, 1)\nexcept ValueError:\n    pass\n"
+                "else:\n    raise SystemExit('PairClass accepted kind 1 without up')\n"
+                "try:\n    DecompNode(0, None, None, None, ('a', 'b'), 'a', 'b').middle\n"
+                "except PreconditionViolated:\n    pass\n"
+                "else:\n    raise SystemExit('middle of a size-2 bag')\n")
+        res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert res.returncode == 0, res.stderr + res.stdout
 
     def test_json_round_trip(self):
         for cls in ALL_CLASSES:
@@ -85,6 +118,129 @@ class TestClassification:
         assert set(inst.classification) == inc
         for (x, y), cls in inst.classification.items():
             assert cls.order == 3 - inst.classification[(y, x)].order
+
+
+def _all_pairs_incomparable(self):
+    "Stand-in for Poset.incomparable_masks that lists every ordered pair x != y."
+    n = len(self.elements)
+    return [((1 << n) - 1) & ~(1 << i) for i in range(n)]
+
+
+def _reference_outcome(poset, decomp, pairs):
+    "The reference's classes of ``pairs``, or the message of its first failure."
+    classifier = ReferenceClassifier(poset, decomp)
+    out = {}
+    for x, y in pairs:
+        try:
+            out[(x, y)] = classifier.classify(x, y)
+        except MalformedInstance as exc:
+            return str(exc)
+    return out
+
+
+class TestRowsMatchReference:
+    """The 12 class rows against the per-pair reference classifier."""
+
+    def test_acceptance_corpus(self):
+        for seed, n in CORPUS:
+            p = random_tw2_poset(n, seed)
+            inst = build_instance(p)
+            assert inst.classification == reference_classification(p, inst.decomp), (seed, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["random_tw2", "forest"]), st.integers(min_value=2, max_value=60),
+           st.integers(min_value=0, max_value=10**6))
+    def test_families_transforms_and_duals(self, family, n, seed):
+        p = generate(family, n, seed)
+        decomp = build_instance(p).decomp
+        for d in (decomp, decomp.reverse(), decomp.swap_size2_children()):
+            for q in (p, p.dual()):
+                assert classify_pairs(q, d) == reference_classification(q, d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6),
+           st.integers(min_value=0, max_value=10**6))
+    def test_foreign_decomposition(self, n, seed_a, seed_b):
+        # One poset classified against another's decomposition of the same
+        # ground set: classes and terminal-pair conflicts still agree.
+        q = forest_poset(n, seed_b) if seed_b % 2 else random_tw2_poset(n, seed_b)
+        d = build_instance(random_tw2_poset(n, seed_a)).decomp
+        rows = SignatureRows(q, d)
+        assert rows.classification() == reference_classification(q, d)
+        ref = ReferenceClassifier(q, d)
+        got = {(q.elements[x], q.elements[y])
+               for x, ys in rows.terminal_pair_conflicts() for y in bits(ys)}
+        assert got == {(x, y) for x, y in q.incomparable_pairs()
+                       if ref.terminal_pair_conflict(x, y)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=20), st.integers(min_value=0, max_value=10**6))
+    def test_malformed_checks_match(self, n, seed):
+        # The gate check cannot fail on incomparable pairs, so classify every
+        # ordered pair x != y: the row classifier must raise on the same
+        # first pair as the reference, or agree with it on all pairs.
+        p = random_tw2_poset(n, seed)
+        d = build_instance(p).decomp
+        pairs = [(x, y) for x in p.elements for y in p.elements if x != y]
+        want = _reference_outcome(p, d, pairs)
+        mp = pytest.MonkeyPatch()
+        mp.setattr(Poset, "incomparable_masks", _all_pairs_incomparable)
+        try:
+            got = SignatureRows(p, d).classification()
+        except MalformedInstance as exc:
+            got = str(exc)
+        finally:
+            mp.undo()
+        assert got == want
+
+    def test_least_node_without_middle(self):
+        # a's least node is a size-2 leaf: both classifiers refuse it.
+        p = Poset("ab", [])
+        d = STDecomposition([DecompNode(0, None, None, None, ("a", "b"), "a", "b")], 0, None)
+        with pytest.raises(MalformedInstance, match="middle vertex"):
+            SignatureRows(p, d)
+        with pytest.raises(MalformedInstance, match="middle vertex"):
+            ReferenceClassifier(p, d)
+
+
+class TestRealizePath:
+    def test_no_per_pair_work(self, monkeypatch):
+        # The realize path walks rows: no lca call and no ClassifiedInstance.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-pair step on the realize path")
+
+        monkeypatch.setattr(STDecomposition, "lca", forbidden)
+        monkeypatch.setattr(ClassifiedInstance, "__init__", forbidden)
+        p = forest_poset(60, 4)
+        r = realize_tw2(p)
+        assert p.verify_realizer(r.orders())
+
+    def test_treewidth_tested_once(self, monkeypatch):
+        calls = []
+        original = spembed.has_treewidth_at_most_2
+
+        def counted(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(spembed, "has_treewidth_at_most_2", counted)
+        realize_tw2(random_tw2_poset(30, 5))
+        assert len(calls) == 1
+        with pytest.raises(NotTreewidth2):
+            realize_tw2(kelly(3))
+        assert len(calls) == 2
+
+    def test_one_sort_per_class(self, monkeypatch):
+        calls = []
+        original = Poset.linear_extension_reversing
+
+        def counted(self, *args, **kwargs):
+            calls.append(kwargs.get("rows") is not None)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Poset, "linear_extension_reversing", counted)
+        r = realize_tw2(random_tw2_poset(40, 2))
+        assert calls == [True] * len(r)
 
 
 class TestPartition:
@@ -246,6 +402,30 @@ class TestMetamorphic:
         if inst is None:
             return
         assert metamorphic_check(inst) == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6),
+           st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=0, max_value=11)),
+                    max_size=6))
+    def test_reports_match_reference(self, n, seed, moves):
+        # Move a few pairs to other classes, then compare the whole report,
+        # order and wording included, with the per-pair reference check.
+        inst = instance_for(seed, n)
+        if inst is None:
+            return
+        rows = inst.rows.rows
+        names = inst.poset.elements
+        pairs = inst.poset.incomparable_pairs()
+        for pick, k in moves:
+            x, y = (inst.poset.index(e) for e in pairs[pick % len(pairs)])
+            for row in rows:
+                row[x] &= ~(1 << y)
+            rows[k][x] |= 1 << y
+        base = {(names[x], names[y]): ALL_CLASSES[k] for k, row in enumerate(rows)
+                for x, ys in enumerate(row) for y in bits(ys)}
+        base = {pair: base[pair] for pair in pairs}
+        want = reference_metamorphic_check(inst.poset, inst.decomp, base)
+        assert metamorphic_check(inst) == want
 
     def test_standard_examples_zero_violations(self):
         for n in (2, 3):

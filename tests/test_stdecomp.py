@@ -44,6 +44,16 @@ class TestBuild:
         kids = [d.nodes[root.left], d.nodes[root.right]]
         assert {frozenset(k.bag) for k in kids} == {frozenset("ab"), frozenset("bc")}
 
+    @pytest.mark.parametrize("bag, s, t", [
+        (("a", "b"), "a", "b"),              # size 2: no middle
+        (("a", "b", "c", "d"), "a", "d"),    # size 4
+        (("a", "b", "c"), "a", "z"),         # sink outside the bag
+        (("a", "b", "c"), "a", "a"),         # source equals sink
+    ])
+    def test_middle_rejects_invalid_fields(self, bag, s, t):
+        with pytest.raises(PreconditionViolated):
+            DecompNode(0, None, None, None, bag, s, t).middle
+
     def test_four_cycle_shape(self):
         verts = ["v%d" % i for i in range(4)]
         g = Graph(verts, list(zip(verts, verts[1:])) + [(verts[-1], verts[0])])
