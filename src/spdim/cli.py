@@ -41,8 +41,15 @@ INPUT_ERRORS = (ParseError, CycleError, UnknownElement, BadParameter,
                 NotTreewidth2, TooLarge, json.JSONDecodeError)
 
 
+def _echo(message, err=False, nl=True):
+    """``click.echo`` to the stream it would pick, named: click's own choice caches the stream
+    for good, so in-process callers (``CliRunner``) would keep every call's output."""
+    stream = click.get_text_stream("stderr" if err else "stdout", errors=None)
+    click.echo(message, file=stream, nl=nl)
+
+
 def _fail_usage(exc):
-    click.echo("error: %s" % exc, err=True)
+    _echo("error: %s" % exc, err=True)
     sys.exit(2)
 
 
@@ -97,7 +104,7 @@ def gen(family, n, seed):
         p = generators.generate(family, n, seed)
     except BadParameter as exc:
         _fail_usage(exc)
-    click.echo(posetio.dumps(p), nl=False)
+    _echo(posetio.dumps(p), nl=False)
 
 
 @main.command()
@@ -113,9 +120,9 @@ def dim(poset_file, max_d, cap):
     except TooLarge as exc:
         _fail_usage(exc)
     except Exceeded as exc:
-        click.echo("dimension exceeds %d" % exc.max_d, err=True)
+        _echo("dimension exceeds %d" % exc.max_d, err=True)
         sys.exit(1)
-    click.echo(str(result.dimension))
+    _echo(str(result.dimension))
 
 
 @main.command()
@@ -128,12 +135,12 @@ def realize(poset_file):
     except NotTreewidth2 as exc:
         _fail_usage(exc)
     except ReversibilityViolation as exc:
-        click.echo("error: %s" % exc, err=True)
+        _echo("error: %s" % exc, err=True)
         for line in _witness_lines(exc):
-            click.echo(line, err=True)
+            _echo(line, err=True)
         sys.exit(1)
-    click.echo(posetio.dumps(p), nl=False)
-    click.echo(dumps_realizer(r), nl=False)
+    _echo(posetio.dumps(p), nl=False)
+    _echo(dumps_realizer(r), nl=False)
 
 
 @main.command()
@@ -160,10 +167,9 @@ def verify(poset_file, realizer_file):
         problems.append("realizer uses %d extensions (more than 12)" % len(r))
     if problems:
         for line in problems:
-            click.echo("violation: %s" % line, err=True)
+            _echo("violation: %s" % line, err=True)
         sys.exit(1)
-    click.echo("verified: %d extension(s), %d incomparable pairs"
-               % (len(r), p.incomparable_count()))
+    _echo("verified: %d extension(s), %d incomparable pairs" % (len(r), p.incomparable_count()))
 
 
 @main.command()
@@ -180,10 +186,10 @@ def decompose(poset_file, as_json, as_dot):
     except NotTreewidth2 as exc:
         _fail_usage(exc)
     if as_dot:
-        click.echo(dumps_dot(embedding.host, embedding.added_edges), nl=False)
+        _echo(dumps_dot(embedding.host, embedding.added_edges), nl=False)
         return
     decomp = stdecomp.build_st_decomposition(embedding.sp, embedding.host)
-    click.echo(stdecomp.dumps_decomposition(decomp), nl=False)
+    _echo(stdecomp.dumps_decomposition(decomp), nl=False)
 
 
 @main.command()
@@ -197,8 +203,8 @@ def classify(poset_file):
         _fail_usage(exc)
     census = signature_census(instance)
     for cls in ALL_CLASSES:
-        click.echo("%-28s %d" % (cls, census[cls]))
-    click.echo("%-28s %d" % ("total", sum(census.values())))
+        _echo("%-28s %d" % (cls, census[cls]))
+    _echo("%-28s %d" % ("total", sum(census.values())))
 
 
 @main.command("check-claims")
@@ -213,9 +219,9 @@ def check_claims(poset_file):
     report = metamorphic_check(instance)
     if report:
         for violation in report:
-            click.echo("violation: %s" % violation, err=True)
+            _echo("violation: %s" % violation, err=True)
         sys.exit(1)
-    click.echo("no violations (%d pairs checked)" % p.incomparable_count())
+    _echo("no violations (%d pairs checked)" % p.incomparable_count())
 
 
 @main.command()
@@ -240,14 +246,14 @@ def batch(family, n, count, seed, jobs, oracle_cap):
     failures = [r for r in results if r["error"]]
     max_ext = max((r["extensions"] for r in results if r["extensions"]), default=0)
     dims = [r["dimension"] for r in results if r["dimension"]]
-    click.echo("instances: %d  failures: %d  max extensions: %d"
-               % (len(results), len(failures), max_ext))
+    _echo("instances: %d  failures: %d  max extensions: %d"
+          % (len(results), len(failures), max_ext))
     if dims:
-        click.echo("max exact dimension observed: %d" % max(dims))
+        _echo("max exact dimension observed: %d" % max(dims))
     for r in failures:
-        click.echo("failed seed %d: %s" % (r["seed"], r["error"]), err=True)
+        _echo("failed seed %d: %s" % (r["seed"], r["error"]), err=True)
         for line in r["witness"]:
-            click.echo("  %s" % line, err=True)
+            _echo("  %s" % line, err=True)
     if failures:
         sys.exit(1)
 

@@ -146,6 +146,7 @@ def loads(text):
             if vertices is not None:
                 raise ParseError("duplicate vertices line", lineno)
             vertices = line[len("vertices:"):].split()
+            known = set(vertices)
             continue
         if vertices is None:
             raise ParseError("expected a 'vertices:' line first", lineno)
@@ -153,7 +154,6 @@ def loads(text):
         if len(tokens) != 3 or tokens[1] != "--":
             raise ParseError("expected an edge 'u -- v'", lineno)
         u, _, v = tokens
-        known = set(vertices)
         if u not in known:
             raise ParseError("unknown vertex %r" % (u,), lineno)
         if v not in known:

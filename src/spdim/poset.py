@@ -35,8 +35,10 @@ class Poset:
 
     ``relations`` may be any set of ordered pairs (x, y) meaning x < y; the
     transitive closure is taken and pairs implied by transitivity are absorbed
-    when the cover relation is recomputed.  Construction fails with
-    ``CycleError`` if the closure would make any element below itself.
+    when the cover relation is recomputed.  Construction does linear work: one
+    topological order of the relation arcs, then two bigint ORs per arc for
+    the upsets and one per cover for the downsets.  It fails with ``CycleError``,
+    naming the lowest-index element below itself, if the relation has a cycle.
     """
 
     __slots__ = ("elements", "_index", "_above", "_below", "_cover_up")
@@ -49,72 +51,44 @@ class Poset:
                 raise UnknownElement("duplicate element %r" % (e,))
             index[e] = len(index)
         n = len(elements)
-        above = [0] * n
+        succ = [[] for _ in range(n)]
+        indeg = [0] * n
         for x, y in relations:
-            if x not in index:
-                raise UnknownElement("unknown element %r" % (x,))
-            if y not in index:
-                raise UnknownElement("unknown element %r" % (y,))
-            above[index[x]] |= 1 << index[y]
-        # Warshall closure over bitmask rows.
-        for k in range(n):
-            bit = 1 << k
-            row = above[k]
-            for i in range(n):
-                if above[i] & bit:
-                    above[i] |= row
-        for i in range(n):
-            if above[i] & (1 << i):
-                raise CycleError("relation has a directed cycle through %r" % (elements[i],))
-        below = [0] * n
-        for i in range(n):
-            row = above[i]
-            j = 0
-            while row:
-                if row & 1:
-                    below[j] |= 1 << i
-                row >>= 1
-                j += 1
-        # Cover relation = transitive reduction: j covers i iff i < j and no
-        # k with i < k < j.  Implied bits are the union of rows above i.
+            if x not in index or y not in index:
+                raise UnknownElement("unknown element %r" % (x if x not in index else y,))
+            succ[index[x]].append(index[y])
+            indeg[index[y]] += 1
+        # Kahn's algorithm; the arcs left over hold a cycle.
+        order = [i for i in range(n) if indeg[i] == 0]
+        for i in order:
+            for j in succ[i]:
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    order.append(j)
+        if len(order) != n:
+            raise CycleError("relation has a directed cycle through %r" % (elements[_on_cycle(succ)],))
+        # In reverse topological order every successor's upset is final: the
+        # upset of i is its successors and their upsets, and j covers i iff j
+        # is a successor that lies in no successor's upset.
+        above = [0] * n
         cover_up = [0] * n
-        for i in range(n):
-            implied = 0
-            row = above[i]
-            for k in bits(row):
-                implied |= above[k]
-            cover_up[i] = row & ~implied
+        for i in reversed(order):
+            direct = implied = 0
+            for j in succ[i]:
+                direct |= 1 << j
+                implied |= above[j]
+            above[i] = direct | implied
+            cover_up[i] = direct & ~implied
+        below = [0] * n
+        for i in order:
+            down = below[i] | 1 << i
+            for j in bits(cover_up[i]):
+                below[j] |= down
         self.elements = elements
         self._index = index
         self._above = tuple(above)
         self._below = tuple(below)
         self._cover_up = tuple(cover_up)
-
-    @classmethod
-    def from_cover_relations(cls, elements, covers):
-        return cls(elements, covers)
-
-    @classmethod
-    def _from_masks(cls, elements, above):
-        p = cls.__new__(cls)
-        n = len(elements)
-        below = [0] * n
-        cover_up = [0] * n
-        for i in range(n):
-            row = above[i]
-            for j in bits(row):
-                below[j] |= 1 << i
-        for i in range(n):
-            implied = 0
-            for k in bits(above[i]):
-                implied |= above[k]
-            cover_up[i] = above[i] & ~implied
-        p.elements = tuple(elements)
-        p._index = {e: i for i, e in enumerate(elements)}
-        p._above = tuple(above)
-        p._below = tuple(below)
-        p._cover_up = tuple(cover_up)
-        return p
 
     # -- basic queries -----------------------------------------------------
 
@@ -222,7 +196,14 @@ class Poset:
 
     def dual(self):
         "The poset with all comparabilities flipped; same cover graph."
-        return Poset._from_masks(self.elements, self._below)
+        cover_down = [0] * len(self.elements)
+        for i, row in enumerate(self._cover_up):
+            for j in bits(row):
+                cover_down[j] |= 1 << i
+        p = Poset.__new__(Poset)
+        p.elements, p._index = self.elements, self._index
+        p._above, p._below, p._cover_up = self._below, self._above, tuple(cover_down)
+        return p
 
     # -- linear extensions and reversibility -------------------------------
 
@@ -471,6 +452,37 @@ def bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _on_cycle(succ):
+    "The lowest index on a cycle of the arcs ``succ``, by Tarjan's strong components."
+    number, low, stack, best, done = {}, {}, [], len(succ), len(succ)
+    for root in range(len(succ)):
+        if root in number:
+            continue
+        number[root] = low[root] = len(number)
+        work = [(root, iter(succ[root]), len(stack))]
+        stack.append(root)
+        while work:
+            v, arcs, height = work[-1]
+            w = next(arcs, None)
+            if w is None:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == number[v]:
+                    component = stack[height:]
+                    del stack[height:]
+                    if len(component) > 1 or v in succ[v]:
+                        best = min(best, *component)
+                    number.update(dict.fromkeys(component, done))
+            elif w not in number:
+                number[w] = low[w] = len(number)
+                work.append((w, iter(succ[w]), len(stack)))
+                stack.append(w)
+            else:
+                low[v] = min(low[v], number[w])
+    return best
 
 
 def _low_bit(mask):

@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import MalformedInstance, NotIncomparable, NotReversible, ReversibilityViolation
+from .errors import MalformedInstance, NotIncomparable, NotReversible, ParseError, ReversibilityViolation
 from .poset import bits
 from .spembed import augment_with_fresh_terminals, embed_into_sp
 from .stdecomp import build_st_decomposition
@@ -64,9 +64,14 @@ class PairClass:
 
     @classmethod
     def from_json(cls, obj):
-        if obj["kind"] == 1:
-            return cls(1, obj["order"], up=obj["up"])
-        return cls(2, obj["order"], span=obj["span"], gate=obj["gate"])
+        "The signature of a JSON object; ``ParseError`` if a field is missing or invalid."
+        if not isinstance(obj, dict) or obj.get("kind") not in (1, 2):
+            raise ParseError("signature needs kind 1 or 2: %s" % (json.dumps(obj),), 1)
+        fields = ("order", "up") if obj["kind"] == 1 else ("order", "span", "gate")
+        try:
+            return cls(obj["kind"], **{f: obj[f] for f in fields})
+        except (KeyError, ValueError):
+            raise ParseError("invalid signature %s" % (json.dumps(obj),), 1) from None
 
 
 ALL_CLASSES = tuple(
@@ -462,9 +467,16 @@ def dumps_realizer(realizer):
 
 
 def loads_realizer(text):
+    "Parse realizer JSON; ``ParseError`` unless it is a list of well-formed entries."
     data = json.loads(text)
+    if not isinstance(data, list):
+        raise ParseError("realizer JSON must be a list of objects", 1)
     out = []
-    for entry in data:
+    for k, entry in enumerate(data):
+        if not (isinstance(entry, dict) and "signature" in entry
+                and isinstance(entry.get("extension"), list)
+                and all(isinstance(e, str) for e in entry["extension"])):
+            raise ParseError("realizer entry %d needs a signature and a string list extension" % k, 1)
         sig = entry["signature"]
         cls = None if sig is None else PairClass.from_json(sig)
         out.append((cls, tuple(entry["extension"])))

@@ -11,7 +11,9 @@ original graph is untouched: missing structure is added as fresh *fill* edges
 and fresh connector vertices, never by identifying existing vertices.
 """
 
+import heapq
 from dataclasses import dataclass
+from itertools import chain, combinations, islice
 
 from .errors import InvalidSPTree, NotTreewidth2
 from .graphs import Graph
@@ -222,31 +224,34 @@ def _tw2_with_extra_edge(comp, comp_edges, s, t):
 
 
 def _terminal_candidates(graph, comp, comp_edges):
-    """Terminal pairs to try, best first.
+    """Terminal pairs to try, best first, generated lazily.
 
     A pair (s, t) admits a series-parallel host containing the component iff
     the component plus the edge st still has treewidth <= 2 (any host would
     tolerate a parallel st edge, and with it contains component + st as a
-    subgraph).  Low-degree pairs are preferred so that paths keep their ends
-    as terminals and fills stay rare; an existing edge always qualifies, so
-    the candidate list is never exhausted for treewidth-<=2 inputs.
+    subgraph).  Pairs of vertices of degree <= 2 come first, by degree sum,
+    then canonical index, so that paths keep their ends as terminals and
+    fills stay rare; then the edges with an endpoint of higher degree (an
+    edge always qualifies).  ``comp`` is a whole component: degrees are the graph's.
     """
-    idx = graph.index
-    degree = {v: 0 for v in comp}
-    for u, v in comp_edges:
-        degree[u] += 1
-        degree[v] += 1
-    lows = [v for v in comp if degree[v] <= 2]
-    pairs = sorted(((lows[i], lows[j]) for i in range(len(lows))
-                    for j in range(i + 1, len(lows))),
-                   key=lambda p: (degree[p[0]] + degree[p[1]], idx(p[0]), idx(p[1])))
-    seen = set(map(frozenset, pairs))
-    for u, v in comp_edges:
-        if frozenset((u, v)) not in seen:
-            pairs.append((u, v))
-    for s, t in pairs:
+    ones = [v for v in comp if graph.degree(v) == 1]
+    twos = [v for v in comp if graph.degree(v) == 2]
+    for s, t in chain(combinations(ones, 2), _mixed_pairs(graph, comp, ones, twos),
+                      combinations(twos, 2),
+                      ((u, v) for u, v in comp_edges
+                       if graph.degree(u) > 2 or graph.degree(v) > 2)):
         if _tw2_with_extra_edge(comp, comp_edges, s, t):
             yield s, t
+
+
+def _mixed_pairs(graph, comp, ones, twos):
+    "Pairs of one degree-1 and one degree-2 vertex, in canonical order."
+    seen = {1: 0, 2: 0}  # vertices of each degree up to u
+    for u in comp:
+        d = graph.degree(u)
+        if d <= 2:
+            seen[d] += 1
+            yield from ((u, v) for v in islice((twos, ones)[d - 1], seen[3 - d], None))
 
 
 def _reduce_component(graph, comp, comp_edges, s, t):
@@ -283,19 +288,23 @@ def _reduce_component(graph, comp, comp_edges, s, t):
             adj[u].add(v)
             adj[v].add(u)
 
+    def reducible(v):
+        return v != s and v != t and v in adj and len(adj[v]) <= 2
+
+    # The first reducible vertex in canonical order: a min-heap of indices
+    # (comp is sorted, so the list starts as a heap), re-checked when popped
+    # and pushed again when a degree drops.
+    ready = [idx(v) for v in comp if reducible(v)]
     while len(adj) > 2:
-        pick = None
-        for v in comp:
-            if v in adj and v != s and v != t and len(adj[v]) <= 2:
-                pick = v
-                break
-        if pick is None:
+        while ready and not reducible(graph.vertices[ready[0]]):
+            heapq.heappop(ready)
+        if not ready:
             return None
+        pick = graph.vertices[heapq.heappop(ready)]
         if len(adj[pick]) == 1:
             (u,) = adj[pick]
-            partners = sorted((w for w in adj[u] if w != pick), key=idx)
-            assert partners, "dangling vertex with no fill partner"
-            w = partners[0]
+            w = min((w for w in adj[u] if w != pick), key=idx, default=None)
+            assert w is not None, "dangling vertex with no fill partner"
             fills.append(canonical_pair(pick, w))
             put_bundle(pick, w, edge_node(*canonical_pair(pick, w)))
         u, w = sorted(adj[pick], key=idx)
@@ -305,6 +314,9 @@ def _reduce_component(graph, comp, comp_edges, s, t):
         adj[w].discard(pick)
         del adj[pick]
         put_bundle(u, w, series(left, right))
+        for v in (u, w):
+            if reducible(v):
+                heapq.heappush(ready, idx(v))
 
     assert set(adj) == {s, t} and len(bundles) == 1
     return _oriented(bundles[frozenset((s, t))], s, t), fills
@@ -325,7 +337,12 @@ def embed_into_sp(graph):
     added_edges = []
     added_vertices = []
     trees = []
-    for k, comp in enumerate(graph.connected_components()):
+    comps = graph.connected_components()
+    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
+    edges_of = [[] for _ in comps]
+    for e in graph.sorted_edges():
+        edges_of[comp_of[e[0]]].append(e)
+    for k, (comp, comp_edges) in enumerate(zip(comps, edges_of)):
         if len(comp) == 1:
             v = comp[0]
             c = names.make("+c%d" % k)
@@ -333,8 +350,6 @@ def embed_into_sp(graph):
             added_edges.append((v, c))
             trees.append(edge_node(v, c))
             continue
-        comp_set = set(comp)
-        comp_edges = [e for e in graph.sorted_edges() if e[0] in comp_set]
         result = None
         for s, t in _terminal_candidates(graph, comp, comp_edges):
             result = _reduce_component(graph, comp, comp_edges, s, t)

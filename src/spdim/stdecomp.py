@@ -230,51 +230,6 @@ class STDecomposition:
     def validate(self, graph, source, sink):
         return not self.validation_errors(graph, source, sink)
 
-    # -- separation properties ---------------------------------------------
-
-    def separation_hits(self, u1, u2, tree_edge, subgraph_vertices):
-        """Whether a connected host subgraph meeting both end bags also meets
-        the separator of an edge on the tree path between them.  Always true;
-        exposed as a predicate so the guarantee itself can be property-tested."""
-        H = set(subgraph_vertices)
-        if not self.graph.is_connected_set(H):
-            raise PreconditionViolated("subgraph is not connected")
-        if not (H & set(self.nodes[u1].bag)) or not (H & set(self.nodes[u2].bag)):
-            raise PreconditionViolated("subgraph misses an end bag")
-        if u1 == u2:
-            return True  # no edge separates a node from itself
-        path = self.tree_path(u1, u2)
-        v1, v2 = tree_edge
-        on_path = any((path[i], path[i + 1]) in ((v1, v2), (v2, v1))
-                      for i in range(len(path) - 1))
-        if not on_path:
-            raise PreconditionViolated("edge is not on the tree path")
-        return bool(H & (set(self.nodes[v1].bag) & set(self.nodes[v2].bag)))
-
-    def st_subset_witness(self, u1, u2, subgraph_vertices):
-        """A node v on the tree path between comparable u1, u2 whose source and
-        sink both lie in the given connected subgraph (which must contain the
-        source of u1 and the sink of u2)."""
-        H = set(subgraph_vertices)
-        if not self.graph.is_connected_set(H):
-            raise PreconditionViolated("subgraph is not connected")
-        if self.nodes[u1].s not in H or self.nodes[u2].t not in H:
-            raise PreconditionViolated("subgraph misses a required terminal")
-        if self.is_ancestor(u1, u2):
-            # Deepest node on the path whose source is in the subgraph; the
-            # separation property then forces its sink into the subgraph too.
-            witness = None
-            for v in self.tree_path(u1, u2):
-                if self.nodes[v].s in H:
-                    witness = v
-            assert witness is not None
-            node = self.nodes[witness]
-            assert node.t in H, "separation property violated"
-            return witness
-        if self.is_ancestor(u2, u1):
-            return self.reverse().st_subset_witness(u2, u1, H)
-        raise PreconditionViolated("nodes are not comparable in the tree")
-
 
 def build_st_decomposition(sp_root, graph=None):
     """Decomposition mirroring a series-parallel tree node for node.

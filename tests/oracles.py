@@ -3,7 +3,9 @@
 Everything here is deliberately naive and structurally unrelated to the
 implementations under test: reversibility by trying every permutation,
 K4 minors via explicit subdivisions, covering chains by path enumeration,
-signatures by one lowest-common-ancestor walk per pair.
+signatures by one lowest-common-ancestor walk per pair, the closure by
+Warshall's loop, terminal candidates by sorting every pair.  The separation
+predicates of s-t decompositions live here too: only tests need them.
 """
 
 from itertools import permutations
@@ -300,3 +302,113 @@ def reference_metamorphic_check(poset, decomp, base):
             report.append(Violation("terminal-pair-exclusion", (x, y),
                                     "at most one of upset/downset spans an ancestor", "both"))
     return report
+
+
+def reference_closure(elements, relations):
+    """Warshall's closure over bitmask rows, one step per element pair.
+
+    Returns the rows ``(above, below, cover_up)`` that ``spdim.poset.Poset``
+    stores, or the element the ``CycleError`` must name: the lowest-index
+    element below itself.
+    """
+    from spdim.poset import bits
+
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    above = [0] * n
+    for x, y in relations:
+        above[index[x]] |= 1 << index[y]
+    for k in range(n):
+        bit = 1 << k
+        row = above[k]
+        for i in range(n):
+            if above[i] & bit:
+                above[i] |= row
+    for i in range(n):
+        if above[i] & (1 << i):
+            return elements[i]
+    below = [0] * n
+    for i in range(n):
+        for j in bits(above[i]):
+            below[j] |= 1 << i
+    cover_up = [0] * n
+    for i in range(n):
+        implied = 0
+        for k in bits(above[i]):
+            implied |= above[k]
+        cover_up[i] = above[i] & ~implied
+    return tuple(above), tuple(below), tuple(cover_up)
+
+
+def reference_terminal_candidates(graph, comp, comp_edges):
+    """The terminal pairs ``spdim.spembed._terminal_candidates`` must yield, in
+    order: every pair of vertices of degree <= 2, sorted by degree sum and
+    then by canonical index, then each remaining edge; each kept only when
+    ``_tw2_with_extra_edge`` accepts it."""
+    from spdim import spembed
+
+    idx = graph.index
+    degree = {v: 0 for v in comp}
+    for u, v in comp_edges:
+        degree[u] += 1
+        degree[v] += 1
+    lows = [v for v in comp if degree[v] <= 2]
+    pairs = sorted(((lows[i], lows[j]) for i in range(len(lows))
+                    for j in range(i + 1, len(lows))),
+                   key=lambda p: (degree[p[0]] + degree[p[1]], idx(p[0]), idx(p[1])))
+    seen = set(map(frozenset, pairs))
+    for u, v in comp_edges:
+        if frozenset((u, v)) not in seen:
+            pairs.append((u, v))
+    for s, t in pairs:
+        if spembed._tw2_with_extra_edge(comp, comp_edges, s, t):
+            yield s, t
+
+
+def separation_hits(decomp, u1, u2, tree_edge, subgraph_vertices):
+    """Whether a connected host subgraph meeting both end bags also meets
+    the separator of an edge on the tree path between them.  Always true;
+    a predicate so that the guarantee itself can be property-tested."""
+    from spdim.errors import PreconditionViolated
+
+    H = set(subgraph_vertices)
+    if not decomp.graph.is_connected_set(H):
+        raise PreconditionViolated("subgraph is not connected")
+    if not (H & set(decomp.nodes[u1].bag)) or not (H & set(decomp.nodes[u2].bag)):
+        raise PreconditionViolated("subgraph misses an end bag")
+    if u1 == u2:
+        return True  # no edge separates a node from itself
+    path = decomp.tree_path(u1, u2)
+    v1, v2 = tree_edge
+    on_path = any((path[i], path[i + 1]) in ((v1, v2), (v2, v1))
+                  for i in range(len(path) - 1))
+    if not on_path:
+        raise PreconditionViolated("edge is not on the tree path")
+    return bool(H & (set(decomp.nodes[v1].bag) & set(decomp.nodes[v2].bag)))
+
+
+def st_subset_witness(decomp, u1, u2, subgraph_vertices):
+    """A node v on the tree path between comparable u1, u2 whose source and
+    sink both lie in the given connected subgraph (which must contain the
+    source of u1 and the sink of u2)."""
+    from spdim.errors import PreconditionViolated
+
+    H = set(subgraph_vertices)
+    if not decomp.graph.is_connected_set(H):
+        raise PreconditionViolated("subgraph is not connected")
+    if decomp.nodes[u1].s not in H or decomp.nodes[u2].t not in H:
+        raise PreconditionViolated("subgraph misses a required terminal")
+    if decomp.is_ancestor(u1, u2):
+        # Deepest node on the path whose source is in the subgraph; the
+        # separation property then forces its sink into the subgraph too.
+        witness = None
+        for v in decomp.tree_path(u1, u2):
+            if decomp.nodes[v].s in H:
+                witness = v
+        assert witness is not None
+        node = decomp.nodes[witness]
+        assert node.t in H, "separation property violated"
+        return witness
+    if decomp.is_ancestor(u2, u1):
+        return st_subset_witness(decomp.reverse(), u2, u1, H)
+    raise PreconditionViolated("nodes are not comparable in the tree")

@@ -18,7 +18,7 @@ from spdim.realizer import build_instance, metamorphic_check, realize_tw2
 from spdim.spembed import augment_with_fresh_terminals, embed_into_sp, has_treewidth_at_most_2
 from spdim.stdecomp import build_st_decomposition
 
-from oracles import all_labeled_graphs, has_k4_minor
+from oracles import all_labeled_graphs, has_k4_minor, separation_hits, st_subset_witness
 
 CORPUS = [(seed, 1 + (seed * 7919) % 60) for seed in range(1000)]
 SMALL_CORPUS = [(seed, 1 + seed % 9) for seed in range(300)]
@@ -165,14 +165,14 @@ def test_criterion_09_separation_witness_trials():
             start = rng.choice(sorted(d.nodes[u1].bag, key=g.index))
             goal = rng.choice(sorted(d.nodes[u2].bag, key=g.index))
             H = _grow_connected(g, rng, start, goal)
-            if not d.separation_hits(u1, u2, (path[k], path[k + 1]), H):
+            if not separation_hits(d, u1, u2, (path[k], path[k + 1]), H):
                 failures += 1
             sep_trials += 1
         else:
             if not (d.is_ancestor(u1, u2) or d.is_ancestor(u2, u1)):
                 continue
             H = _grow_connected(g, rng, d.nodes[u1].s, d.nodes[u2].t)
-            v = d.st_subset_witness(u1, u2, H)
+            v = st_subset_witness(d, u1, u2, H)
             if not (v in d.tree_path(u1, u2) and d.nodes[v].s in H and d.nodes[v].t in H):
                 failures += 1
             wit_trials += 1

@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 
 from click.testing import CliRunner
 
@@ -83,6 +85,24 @@ class TestRealizeVerify:
         res = run(["verify", "--realizer", str(realizer_path)], stdin=dumps_poset(p))
         assert res.exit_code == 1
         assert "violation" in res.stderr
+
+    @pytest.mark.parametrize("entries", [
+        [1],
+        [{"signature": None}],
+        [{"signature": {"kind": 7, "order": 1, "up": 1}, "extension": ["a1"]}],
+        [{"signature": {"kind": 2, "order": 1, "up": 1}, "extension": ["a1"]}],
+        [{"signature": {"kind": 1, "order": 3, "up": 1}, "extension": ["a1"]}],
+        [{"signature": None, "extension": [1, 2]}],
+        {"signature": None, "extension": []},
+    ], ids=["not-an-object", "no-extension", "kind-7", "kind-1-as-kind-2",
+            "bad-order", "non-string-extension", "not-a-list"])
+    def test_malformed_realizer_json_exit_2(self, entries):
+        text = dumps_poset(standard_example(2)) + json.dumps(entries) + "\n"
+        res = CliRunner().invoke(main, ["verify"], input=text)
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert res.stderr.startswith("error: line 1:")
 
     def test_realize_rejects_treewidth_3_exit_2(self):
         res = run(["realize"], stdin=gen_text("kelly", 3))
@@ -175,6 +195,27 @@ class TestBatch:
         res = run(["batch", "--family", "random_tw2", "--n", "10", "--count", "6",
                    "--jobs", "2"])
         assert res.exit_code == 0
+
+
+class TestRepeatedInvocation:
+    def test_output_of_earlier_calls_is_released(self):
+        # Click caches a wrapper per output stream it picks itself, and the
+        # cache keeps each CliRunner stream, with the whole output, alive.
+        text = gen_text("chain", 300)
+        bundle = run(["realize"], stdin=text).output
+        size = len(run(["decompose"], stdin=text).output)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(5):
+                run(["decompose"], stdin=text)
+                run(["verify"], stdin=bundle)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < size
 
 
 class TestRoundTrips:

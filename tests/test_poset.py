@@ -12,7 +12,12 @@ from spdim.errors import (
 from spdim.generators import antichain, chain, standard_example
 from spdim.poset import Poset, dumps, loads
 
-from oracles import brute_covering_chains, brute_is_reversible, brute_strict_alternating_cycles
+from oracles import (
+    brute_covering_chains,
+    brute_is_reversible,
+    brute_strict_alternating_cycles,
+    reference_closure,
+)
 
 
 def small_posets(max_n=6):
@@ -28,6 +33,73 @@ def small_posets(max_n=6):
                     rels.append((names[i], names[j]))
         return Poset(names, rels)
     return build()
+
+
+@st.composite
+def acyclic_relations(draw, max_n=9):
+    """Elements and relation pairs consistent with a random order, with
+    duplicate pairs and pairs implied by transitivity mixed in."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    names = ["e%d" % i for i in range(n)]
+    rank = draw(st.permutations(range(n)))
+    slots = [(names[i], names[j]) for i in range(n) for j in range(n) if rank[i] < rank[j]]
+    rels = draw(st.lists(st.sampled_from(slots), max_size=3 * n)) if slots else []
+    implied = [(x, z) for x, y in rels for y2, z in rels if y == y2]
+    rels += draw(st.lists(st.sampled_from(implied), max_size=n)) if implied else []
+    rels += draw(st.lists(st.sampled_from(rels), max_size=n)) if rels else []
+    return names, draw(st.permutations(rels))
+
+
+@st.composite
+def any_relations(draw, max_n=7):
+    "Elements and arbitrary relation pairs, self-loops and cycles included."
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    names = ["e%d" % i for i in range(n)]
+    return names, draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                                max_size=2 * n))
+
+
+def closure_rows(p):
+    return p._above, p._below, p._cover_up
+
+
+class TestClosureAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(acyclic_relations())
+    def test_rows_match_warshall(self, case):
+        names, rels = case
+        assert closure_rows(Poset(names, rels)) == reference_closure(names, rels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(acyclic_relations())
+    def test_dual_rows_match_warshall(self, case):
+        names, rels = case
+        assert closure_rows(Poset(names, rels).dual()) == reference_closure(
+            names, [(y, x) for x, y in rels])
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_relations())
+    def test_cycle_error_names_the_same_element(self, case):
+        names, rels = case
+        want = reference_closure(names, rels)
+        if isinstance(want, tuple):
+            assert closure_rows(Poset(names, rels)) == want
+        else:
+            with pytest.raises(CycleError) as info:
+                Poset(names, rels)
+            assert str(info.value) == "relation has a directed cycle through %r" % (want,)
+
+    @pytest.mark.parametrize("elements, rels, culprit", [
+        ("abc", [("a", "b"), ("c", "c")], "c"),
+        ("abcd", [("a", "b"), ("c", "d"), ("d", "c")], "c"),
+        ("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "b")], "b"),
+        ("abcd", [("d", "a"), ("c", "d"), ("d", "c")], "c"),
+        ("abcde", [("b", "c"), ("c", "b"), ("b", "a"), ("a", "d"), ("d", "e"), ("e", "d")], "b"),
+    ], ids=["self-loop", "two-cycle", "tail-below", "tail-above", "between-two-cycles"])
+    def test_cycle_error_examples(self, elements, rels, culprit):
+        assert reference_closure(elements, rels) == culprit
+        with pytest.raises(CycleError, match="through %r" % (culprit,)):
+            Poset(elements, rels)
 
 
 class TestConstruction:

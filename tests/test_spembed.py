@@ -1,6 +1,9 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spdim import spembed
 from spdim.errors import InvalidSPTree, NotTreewidth2
 from spdim.generators import kelly, random_tw2_poset
 from spdim.graphs import Graph, dumps, dumps_dot, loads
@@ -19,7 +22,7 @@ from spdim.spembed import (
     validate_sp_tree,
 )
 
-from oracles import all_labeled_graphs, has_k4_minor
+from oracles import all_labeled_graphs, has_k4_minor, reference_terminal_candidates
 
 
 def k4():
@@ -161,6 +164,53 @@ class TestEmbedding:
                     assert validate_sp_tree(emb.sp)
                     assert g.edges <= emb.host.edges
                     assert has_treewidth_at_most_2(emb.host)
+
+
+def candidates(graph, comp):
+    comp_set = set(comp)
+    comp_edges = [e for e in graph.sorted_edges() if e[0] in comp_set]
+    return (list(spembed._terminal_candidates(graph, comp, comp_edges)),
+            list(reference_terminal_candidates(graph, comp, comp_edges)))
+
+
+class TestTerminalCandidates:
+    def test_order_matches_reference_on_small_graphs(self, monkeypatch):
+        # Accepting every pair compares the whole order, not just the kept pairs.
+        monkeypatch.setattr(spembed, "_tw2_with_extra_edge", lambda *args: True)
+        for n in range(2, 7):
+            for g in all_labeled_graphs(n, Graph):
+                comps = g.connected_components()
+                if len(comps) == 1 and has_treewidth_at_most_2(g):
+                    got, want = candidates(g, comps[0])
+                    assert got == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6))
+    def test_matches_reference_on_random_cover_graphs(self, n, seed):
+        g = random_partial_2tree(n, seed)
+        for comp in g.connected_components():
+            if len(comp) > 1:
+                got, want = candidates(g, comp)
+                assert got == want
+
+    def test_first_candidate_of_a_long_path_is_cheap(self, monkeypatch):
+        # A guard against quadratic work that does not depend on timing: the
+        # ends of a path come first, found with one treewidth test and no list
+        # of all 2 * 10**8 low-degree pairs.
+        verts = ["v%d" % i for i in range(20000)]
+        g = Graph(verts, list(zip(verts, verts[1:])))
+        comp_edges = g.sorted_edges()
+        calls = []
+        monkeypatch.setattr(spembed, "_tw2_with_extra_edge", lambda *args: calls.append(args[2:]) or True)
+        tracemalloc.start()
+        try:
+            first = next(spembed._terminal_candidates(g, verts, comp_edges))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == ("v0", "v19999")
+        assert calls == [first]
+        assert peak < 2 * 10**6
 
 
 class TestAugment:

@@ -9,6 +9,8 @@ from spdim.graphs import Graph
 from spdim.spembed import augment_with_fresh_terminals, edge_node, embed_into_sp
 from spdim.stdecomp import DecompNode, STDecomposition, build_st_decomposition, decomposition_to_json
 
+from oracles import separation_hits, st_subset_witness
+
 
 def decompose_graph(g):
     emb = augment_with_fresh_terminals(embed_into_sp(g))
@@ -255,24 +257,24 @@ class TestSeparationHits:
     def test_degenerate_single_node_path_vacuously_true(self):
         emb, d = path_decomposition()
         root = d.nodes[d.root]
-        assert d.separation_hits(d.root, d.root, (d.root, root.left), {"a"})
+        assert separation_hits(d, d.root, d.root, (d.root, root.left), {"a"})
 
     def test_edge_off_path_rejected(self):
         emb, d = path_decomposition()
         root = d.nodes[d.root]
         with pytest.raises(PreconditionViolated):
-            d.separation_hits(root.left, d.root, (d.root, root.right), {"a"})
+            separation_hits(d, root.left, d.root, (d.root, root.right), {"a"})
 
     def test_single_shared_vertex(self):
         emb, d = path_decomposition()
         root = d.nodes[d.root]
-        assert d.separation_hits(root.left, root.right, (d.root, root.right), {"b"})
+        assert separation_hits(d, root.left, root.right, (d.root, root.right), {"b"})
 
     def test_disconnected_subgraph_rejected(self):
         emb, d = path_decomposition()
         root = d.nodes[d.root]
         with pytest.raises(PreconditionViolated):
-            d.separation_hits(root.left, root.right, (d.root, root.right), {"a", "c"})
+            separation_hits(d, root.left, root.right, (d.root, root.right), {"a", "c"})
 
     def test_randomized_never_false(self):
         rng = random.Random(0)
@@ -291,7 +293,7 @@ class TestSeparationHits:
                 start = rng.choice(sorted(d.nodes[u1].bag, key=g.index))
                 goal = rng.choice(sorted(d.nodes[u2].bag, key=g.index))
                 H = grow_connected_subset(g, rng, start, [goal])
-                assert d.separation_hits(u1, u2, edge, H)
+                assert separation_hits(d, u1, u2, edge, H)
                 trials += 1
         assert trials > 500
 
@@ -299,19 +301,19 @@ class TestSeparationHits:
 class TestSTSubsetWitness:
     def test_same_node_with_both_terminals(self):
         emb, d = path_decomposition()
-        assert d.st_subset_witness(d.root, d.root, {"a", "b", "c"}) == d.root
+        assert st_subset_witness(d, d.root, d.root, {"a", "b", "c"}) == d.root
 
     def test_whole_vertex_set(self):
         emb, d = random_decomposition(12, 13)
         leafish = max((n.id for n in d.nodes), key=lambda u: d.depth(u))
-        v = d.st_subset_witness(d.root, leafish, set(emb.host.vertices))
+        v = st_subset_witness(d, d.root, leafish, set(emb.host.vertices))
         assert v in d.tree_path(d.root, leafish)
 
     def test_incomparable_nodes_rejected(self):
         _, d = path_decomposition()
         root = d.nodes[d.root]
         with pytest.raises(PreconditionViolated):
-            d.st_subset_witness(root.left, root.right, {"a", "b", "c"})
+            st_subset_witness(d, root.left, root.right, {"a", "b", "c"})
 
     def test_randomized_against_path_scan(self):
         rng = random.Random(1)
@@ -326,7 +328,7 @@ class TestSTSubsetWitness:
                     continue
                 s1, t2 = d.nodes[u1].s, d.nodes[u2].t
                 H = grow_connected_subset(g, rng, s1, [t2])
-                v = d.st_subset_witness(u1, u2, H)
+                v = st_subset_witness(d, u1, u2, H)
                 path = d.tree_path(u1, u2)
                 assert v in path
                 assert d.nodes[v].s in H and d.nodes[v].t in H
