@@ -7,7 +7,6 @@ from .errors import (
     InvalidSPTree,
     MalformedInstance,
     NotComparable,
-    NotIncomparable,
     NotReversible,
     NotTreewidth2,
     PairNotIncomparable,

@@ -21,10 +21,6 @@ class PairNotIncomparable(SpdimError):
     pass
 
 
-class NotIncomparable(PairNotIncomparable):
-    pass
-
-
 class NotReversible(SpdimError):
     """Raised when a pair set cannot be reversed by any linear extension.
 

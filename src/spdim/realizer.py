@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import MalformedInstance, NotIncomparable, NotReversible, ParseError, ReversibilityViolation
+from .errors import MalformedInstance, NotReversible, PairNotIncomparable, ParseError, ReversibilityViolation
 from .poset import bits
 from .spembed import augment_with_fresh_terminals, embed_into_sp
 from .stdecomp import build_st_decomposition
@@ -312,7 +312,7 @@ def classify_pair(instance, x, y):
     try:
         return instance.classification[(x, y)]
     except KeyError:
-        raise NotIncomparable("(%r, %r) is not an incomparable pair" % (x, y)) from None
+        raise PairNotIncomparable("(%r, %r) is not an incomparable pair" % (x, y)) from None
 
 
 def partition_inc_pairs(instance):

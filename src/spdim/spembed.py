@@ -2,8 +2,10 @@
 
 An ``SPNode`` is one node of a binary composition tree: leaves are single
 edges with a fixed source and sink; internal nodes are series or parallel
-compositions of their children.  The subgraph, source and sink of every node
-are precomputed, so validation and decomposition building are table lookups.
+compositions of their children.  A node stores only its shape and its two
+terminals; the subgraph of a node is the set of its leaves' edges, and the
+composition rules are checked once for a whole tree, in linear time, by
+``sp_tree_violations``.
 
 ``embed_into_sp`` turns any treewidth-<=2 graph into a supergraph that is
 two-terminal series-parallel, together with its composition tree.  The
@@ -24,21 +26,27 @@ EDGE = "edge"
 
 
 class SPNode:
-    """One node of a series-parallel composition tree (immutable)."""
+    """One node of a series-parallel composition tree (immutable).
 
-    __slots__ = ("kind", "left", "right", "source", "sink", "vertices", "edges")
+    A leaf (kind ``EDGE``) is the edge source-sink; a series node glues its
+    left child's sink onto its right child's source; a parallel node
+    identifies both terminals of its children.  The constructors below check
+    only the terminals of the two children; whether the children's subgraphs
+    meet exactly where they should is a property of the whole tree, checked
+    by ``sp_tree_violations``.
+    """
 
-    def __init__(self, kind, left, right, source, sink, vertices, edges):
+    __slots__ = ("kind", "left", "right", "source", "sink")
+
+    def __init__(self, kind, left, right, source, sink):
         self.kind = kind
         self.left = left
         self.right = right
         self.source = source
         self.sink = sink
-        self.vertices = vertices
-        self.edges = edges
 
     def __repr__(self):
-        return "SPNode(%s, %s->%s, %d edges)" % (self.kind, self.source, self.sink, len(self.edges))
+        return "SPNode(%s, %s->%s)" % (self.kind, self.source, self.sink)
 
     def leaves(self):
         return sum(1 for node in walk_postorder(self) if node.kind == EDGE)
@@ -47,31 +55,21 @@ class SPNode:
 def edge_node(u, v):
     if u == v:
         raise InvalidSPTree("loop edge %r" % (u,))
-    return SPNode(EDGE, None, None, u, v, frozenset((u, v)), frozenset((frozenset((u, v)),)))
+    return SPNode(EDGE, None, None, u, v)
 
 
 def series(a, b):
     "Series composition: glue a's sink onto b's source."
     if a.sink != b.source:
         raise InvalidSPTree("series children do not share a terminal")
-    if a.vertices & b.vertices != {a.sink}:
-        raise InvalidSPTree("series children overlap beyond the shared terminal")
-    if a.edges & b.edges:
-        raise InvalidSPTree("series children share edges")
-    return SPNode(SERIES, a, b, a.source, b.sink,
-                  a.vertices | b.vertices, a.edges | b.edges)
+    return SPNode(SERIES, a, b, a.source, b.sink)
 
 
 def parallel(a, b):
     "Parallel composition: identify both terminals."
     if a.source != b.source or a.sink != b.sink:
         raise InvalidSPTree("parallel children disagree on terminals")
-    if a.vertices & b.vertices != {a.source, a.sink}:
-        raise InvalidSPTree("parallel children overlap beyond the terminals")
-    if a.edges & b.edges:
-        raise InvalidSPTree("parallel children share edges")
-    return SPNode(PARALLEL, a, b, a.source, a.sink,
-                  a.vertices | b.vertices, a.edges | b.edges)
+    return SPNode(PARALLEL, a, b, a.source, a.sink)
 
 
 def walk_postorder(root):
@@ -101,45 +99,51 @@ def mirror(root):
 
 
 def sp_tree_violations(root):
-    "Re-derive every node's subgraph bottom-up and check the composition rules."
+    """Check the composition rules in one top-down pass; node numbers are
+    pre-order positions.
+
+    Under the terminal rules, a subtree's vertices are its two terminals and
+    the shared vertices of the series nodes inside it, and every terminal is
+    an outer terminal or the shared vertex of an ancestor.  The children of
+    every node then meet exactly where they should iff no node has equal
+    terminals, no shared vertex is an outer terminal or shared twice, and no
+    edge lies in two leaves.
+    """
     problems = []
-    derived = {}
-    for pos, node in enumerate(walk_postorder(root)):
+    shared = {root.source, root.sink}
+    edges = set()
+    stack = [root]
+    pos = -1
+    while stack:
+        node = stack.pop()
+        pos += 1
+        s, t = node.source, node.sink
+        if s == t:
+            problems.append("node %d: source equals sink" % pos)
         if node.kind == EDGE:
-            if node.source == node.sink:
-                problems.append("node %d: loop edge" % pos)
-                derived[id(node)] = (frozenset((node.source,)), frozenset())
-                continue
-            derived[id(node)] = (frozenset((node.source, node.sink)),
-                                 frozenset((frozenset((node.source, node.sink)),)))
-        elif node.kind in (SERIES, PARALLEL):
-            lv, le = derived[id(node.left)]
-            rv, re = derived[id(node.right)]
-            if le & re:
-                problems.append("node %d: children share edges" % pos)
-            if node.kind == SERIES:
-                if node.left.sink != node.right.source:
-                    problems.append("node %d: series children do not share a terminal" % pos)
-                elif lv & rv != {node.left.sink}:
-                    problems.append("node %d: series children overlap beyond the shared vertex" % pos)
-                if (node.source, node.sink) != (node.left.source, node.right.sink):
-                    problems.append("node %d: series terminals mismatch" % pos)
-            else:
-                if (node.left.source, node.left.sink) != (node.right.source, node.right.sink):
-                    problems.append("node %d: parallel children disagree on terminals" % pos)
-                elif lv & rv != {node.source, node.sink}:
-                    problems.append("node %d: parallel children overlap beyond the terminals" % pos)
-                if (node.source, node.sink) != (node.left.source, node.left.sink):
-                    problems.append("node %d: parallel terminals mismatch" % pos)
-            derived[id(node)] = (lv | rv, le | re)
+            edge = frozenset((s, t))
+            if edge in edges:
+                problems.append("node %d: edge %r-%r is in two leaves" % (pos, s, t))
+            edges.add(edge)
+            continue
+        left, right = node.left, node.right
+        if node.kind == SERIES:
+            if left.sink != right.source:
+                problems.append("node %d: series children do not share a terminal" % pos)
+            if (s, t) != (left.source, right.sink):
+                problems.append("node %d: series terminals mismatch" % pos)
+            if left.sink in shared:
+                problems.append("node %d: shared vertex %r is an outer terminal or shared twice"
+                                % (pos, left.sink))
+            shared.add(left.sink)
+        elif node.kind == PARALLEL:
+            if not ((s, t) == (left.source, left.sink) == (right.source, right.sink)):
+                problems.append("node %d: parallel children disagree on terminals" % pos)
         else:
             problems.append("node %d: unknown kind %r" % (pos, node.kind))
-            derived[id(node)] = (frozenset(), frozenset())
-        dv, de = derived[id(node)]
-        if (dv, de) != (node.vertices, node.edges):
-            problems.append("node %d: cached subgraph disagrees with children" % pos)
-        if node.source not in dv or node.sink not in dv:
-            problems.append("node %d: terminals outside the subgraph" % pos)
+            continue
+        stack.append(right)
+        stack.append(left)
     return problems
 
 
@@ -151,8 +155,9 @@ def validate_sp_tree(root):
 class Embedding:
     """A graph embedded in a two-terminal series-parallel host.
 
-    ``host`` is the root subgraph of ``sp``; the input graph is a subgraph of
-    it.  ``added_edges`` and ``added_vertices`` are the fresh fill material.
+    ``host`` is the graph of the leaf edges of ``sp``; the input graph is a
+    subgraph of it.  ``added_edges`` and ``added_vertices`` are the fresh fill
+    material.
     """
 
     sp: SPNode
@@ -371,9 +376,9 @@ def embed_into_sp(graph):
         bridge = (root.sink, tree.source)
         added_edges.append(bridge)
         root = series(root, series(edge_node(*bridge), tree))
-    host = Graph(tuple(graph.vertices) + tuple(added_vertices),
-                 [tuple(e) for e in root.edges])
-    assert root.vertices == set(host.vertices)
+    edges = [(node.source, node.sink) for node in walk_postorder(root) if node.kind == EDGE]
+    host = Graph(tuple(graph.vertices) + tuple(added_vertices), edges)
+    assert set(chain.from_iterable(edges)) == set(host.vertices), "a host vertex is in no leaf"
     return Embedding(sp=root, host=host,
                      added_edges=frozenset(host.edge(u, v) for u, v in added_edges),
                      added_vertices=frozenset(added_vertices),
@@ -389,7 +394,7 @@ def augment_with_fresh_terminals(embedding):
     tree = series(edge_node(s_new, embedding.source),
                   series(embedding.sp, edge_node(embedding.sink, t_new)))
     host = Graph(tuple(embedding.host.vertices) + (s_new, t_new),
-                 [tuple(e) for e in tree.edges])
+                 chain(embedding.host.edges, ((s_new, embedding.source), (embedding.sink, t_new))))
     extra = {host.edge(s_new, embedding.source), host.edge(embedding.sink, t_new)}
     return Embedding(sp=tree, host=host,
                      added_edges=embedding.added_edges | extra,

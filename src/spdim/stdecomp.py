@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvalidSPTree, PreconditionViolated, VertexNotInDecomposition
-from .spembed import EDGE, validate_sp_tree
+from .spembed import EDGE, SERIES, validate_sp_tree
 
 
 @dataclass(frozen=True)
@@ -231,25 +231,21 @@ class STDecomposition:
         return not self.validation_errors(graph, source, sink)
 
 
-def build_st_decomposition(sp_root, graph=None):
+def build_st_decomposition(sp_root, graph):
     """Decomposition mirroring a series-parallel tree node for node.
 
     Leaf -> bag {source, sink}; parallel -> bag {source, sink}; series ->
     the size-3 bag {source, shared vertex, sink}.  Node ids are assigned in
-    pre-order of the composition tree.
+    pre-order of the composition tree; ``graph`` is the host it decomposes.
     """
     if not validate_sp_tree(sp_root):
         raise InvalidSPTree("refusing to decompose an invalid composition tree")
-    if graph is None:
-        from .graphs import Graph
-        order = sorted(sp_root.vertices)
-        graph = Graph(order, [tuple(e) for e in sp_root.edges])
     nodes = []
     stack = [(sp_root, None, None)]
     while stack:
         sp, parent, side = stack.pop()
         nid = len(nodes)
-        if sp.kind == "series":
+        if sp.kind == SERIES:
             bag = (sp.source, sp.left.sink, sp.sink)
         else:
             bag = (sp.source, sp.sink)

@@ -4,8 +4,9 @@ Everything here is deliberately naive and structurally unrelated to the
 implementations under test: reversibility by trying every permutation,
 K4 minors via explicit subdivisions, covering chains by path enumeration,
 signatures by one lowest-common-ancestor walk per pair, the closure by
-Warshall's loop, terminal candidates by sorting every pair.  The separation
-predicates of s-t decompositions live here too: only tests need them.
+Warshall's loop, terminal candidates by sorting every pair, composition
+trees by re-deriving every node's subgraph.  The separation predicates of
+s-t decompositions live here too: only tests need them.
 """
 
 from itertools import permutations
@@ -363,6 +364,51 @@ def reference_terminal_candidates(graph, comp, comp_edges):
     for s, t in pairs:
         if spembed._tw2_with_extra_edge(comp, comp_edges, s, t):
             yield s, t
+
+
+def reference_sp_tree_violations(root):
+    """The composition rules checked by re-deriving every node's vertex and
+    edge sets bottom-up and intersecting the children's sets (quadratic on
+    deep trees): ``spdim.spembed.sp_tree_violations`` must report some
+    violation exactly when this does."""
+    from spdim.spembed import EDGE, PARALLEL, SERIES, walk_postorder
+
+    problems = []
+    derived = {}
+    for pos, node in enumerate(walk_postorder(root)):
+        if node.kind == EDGE:
+            if node.source == node.sink:
+                problems.append("node %d: loop edge" % pos)
+                derived[id(node)] = (frozenset((node.source,)), frozenset())
+                continue
+            derived[id(node)] = (frozenset((node.source, node.sink)),
+                                 frozenset((frozenset((node.source, node.sink)),)))
+        elif node.kind in (SERIES, PARALLEL):
+            lv, le = derived[id(node.left)]
+            rv, re = derived[id(node.right)]
+            if le & re:
+                problems.append("node %d: children share edges" % pos)
+            if node.kind == SERIES:
+                if node.left.sink != node.right.source:
+                    problems.append("node %d: series children do not share a terminal" % pos)
+                elif lv & rv != {node.left.sink}:
+                    problems.append("node %d: series children overlap beyond the shared vertex" % pos)
+                if (node.source, node.sink) != (node.left.source, node.right.sink):
+                    problems.append("node %d: series terminals mismatch" % pos)
+            else:
+                if (node.left.source, node.left.sink) != (node.right.source, node.right.sink):
+                    problems.append("node %d: parallel children disagree on terminals" % pos)
+                elif lv & rv != {node.source, node.sink}:
+                    problems.append("node %d: parallel children overlap beyond the terminals" % pos)
+                if (node.source, node.sink) != (node.left.source, node.left.sink):
+                    problems.append("node %d: parallel terminals mismatch" % pos)
+            derived[id(node)] = (lv | rv, le | re)
+        else:
+            problems.append("node %d: unknown kind %r" % (pos, node.kind))
+            derived[id(node)] = (frozenset(), frozenset())
+        if node.source not in derived[id(node)][0] or node.sink not in derived[id(node)][0]:
+            problems.append("node %d: terminals outside the subgraph" % pos)
+    return problems
 
 
 def separation_hits(decomp, u1, u2, tree_edge, subgraph_vertices):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdim import spembed
-from spdim.errors import MalformedInstance, NotIncomparable, NotTreewidth2
+from spdim.errors import MalformedInstance, NotTreewidth2, PairNotIncomparable
 from spdim.generators import chain, forest_poset, generate, kelly, random_tw2_poset, standard_example
 from spdim.poset import Poset, bits
 from spdim.realizer import (
@@ -98,7 +98,7 @@ class TestClassification:
 
     def test_classify_pair_raises_on_comparable(self):
         inst = build_instance(standard_example(2))
-        with pytest.raises(NotIncomparable):
+        with pytest.raises(PairNotIncomparable):
             classify_pair(inst, "a1", "b2")
 
     def test_home_nodes_are_middles(self):

@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from spdim import spembed
 from spdim.errors import InvalidSPTree, NotTreewidth2
-from spdim.generators import kelly, random_tw2_poset
+from spdim.generators import forest_poset, kelly, random_tw2_poset
 from spdim.graphs import Graph, dumps, dumps_dot, loads
 from spdim.spembed import (
     EDGE,
     PARALLEL,
     SERIES,
+    SPNode,
     augment_with_fresh_terminals,
     edge_node,
     embed_into_sp,
@@ -20,9 +21,16 @@ from spdim.spembed import (
     series,
     sp_tree_violations,
     validate_sp_tree,
+    walk_postorder,
 )
+from spdim.stdecomp import build_st_decomposition
 
-from oracles import all_labeled_graphs, has_k4_minor, reference_terminal_candidates
+from oracles import (
+    all_labeled_graphs,
+    has_k4_minor,
+    reference_sp_tree_violations,
+    reference_terminal_candidates,
+)
 
 
 def k4():
@@ -37,6 +45,10 @@ def cycle_graph(n):
 
 def random_partial_2tree(n, seed):
     return random_tw2_poset(n, seed).cover_graph()
+
+
+def leaf_edge_set(tree):
+    return {frozenset((n.source, n.sink)) for n in walk_postorder(tree) if n.kind == EDGE}
 
 
 class TestRecognition:
@@ -76,12 +88,15 @@ class TestSPTreeAlgebra:
     def test_parallel_extra_shared_vertex_invalid(self):
         left = series(edge_node("a", "m"), edge_node("m", "b"))
         right = series(edge_node("a", "m"), edge_node("m", "b"))
+        bad = parallel(left, right)
+        assert sp_tree_violations(bad)
+        host = Graph("amb", [("a", "m"), ("m", "b")])
         with pytest.raises(InvalidSPTree):
-            parallel(left, right)
+            build_st_decomposition(bad, host)
 
     def test_violations_reported_on_forged_node(self):
         left = series(edge_node("a", "m"), edge_node("m", "b"))
-        bad = type(left)(PARALLEL, left, left, "a", "b", left.vertices, left.edges)
+        bad = type(left)(PARALLEL, left, left, "a", "b")
         assert sp_tree_violations(bad)
 
     def test_mirror_round_trip(self):
@@ -90,9 +105,102 @@ class TestSPTreeAlgebra:
         rev = mirror(tree)
         assert rev.source == "b" and rev.sink == "a"
         assert validate_sp_tree(rev)
-        assert rev.edges == tree.edges
+        assert leaf_edge_set(rev) == leaf_edge_set(tree)
         again = mirror(rev)
-        assert again.source == "a" and again.edges == tree.edges
+        assert again.source == "a" and leaf_edge_set(again) == leaf_edge_set(tree)
+
+
+def preorder_paths(root):
+    "Every node of a tree with its path from the root, in pre-order."
+    out = []
+    stack = [(root, ())]
+    while stack:
+        node, path = stack.pop()
+        out.append((node, path))
+        if node.kind != EDGE:
+            stack.append((node.right, path + ("right",)))
+            stack.append((node.left, path + ("left",)))
+    return out
+
+
+def replace_at(root, path, new):
+    "The tree with the node at ``path`` replaced; its ancestors are rebuilt raw."
+    if not path:
+        return new
+    step, rest = path[0], path[1:]
+    left = replace_at(root.left, rest, new) if step == "left" else root.left
+    right = replace_at(root.right, rest, new) if step == "right" else root.right
+    return SPNode(root.kind, left, right, root.source, root.sink)
+
+
+def relabel(node, old, new):
+    "The subtree with vertex ``old`` renamed to ``new`` at every node."
+    def name(v):
+        return new if v == old else v
+    if node.kind == EDGE:
+        return leaf(name(node.source), name(node.sink))
+    return SPNode(node.kind, relabel(node.left, old, new), relabel(node.right, old, new),
+                  name(node.source), name(node.sink))
+
+
+def leaf(u, v):
+    "A raw leaf, with none of the constructor's checks."
+    return SPNode(EDGE, None, None, u, v)
+
+
+def mutate(data, root):
+    """One raw mutation of the tree at a drawn node, on vertices drawn from
+    the tree's own and one fresh name; the result may be valid or not."""
+    nodes = preorder_paths(root)
+    verts = sorted({v for node, _ in nodes for v in (node.source, node.sink)}) + ["+fresh"]
+    vertex = st.sampled_from(verts)
+    how = data.draw(st.sampled_from(["repoint", "parallel", "swap", "relabel",
+                                     "graft-path", "graft-tail", "forge"]))
+    if how == "repoint":
+        node, path = data.draw(st.sampled_from([(n, p) for n, p in nodes if n.kind == EDGE]))
+        v = data.draw(vertex)
+        new = leaf(v, node.sink) if data.draw(st.booleans()) else leaf(node.source, v)
+    elif how == "swap":
+        serial = [(n, p) for n, p in nodes if n.kind == SERIES]
+        if not serial:
+            return root
+        node, path = data.draw(st.sampled_from(serial))
+        new = SPNode(SERIES, node.right, node.left, node.source, node.sink)
+    else:
+        node, path = data.draw(st.sampled_from(nodes))
+        s, t = node.source, node.sink
+        if how == "parallel":
+            other = data.draw(st.sampled_from(nodes))[0]
+            new = SPNode(PARALLEL, node, other, s, t)
+        elif how == "relabel":
+            new = relabel(node, data.draw(vertex), data.draw(vertex))
+        elif how == "graft-path":
+            w = data.draw(vertex)
+            new = SPNode(PARALLEL, node, SPNode(SERIES, leaf(s, w), leaf(w, t), s, t), s, t)
+        elif how == "graft-tail":
+            w = data.draw(vertex)
+            new = SPNode(SERIES, node, leaf(t, w), s, w)
+        else:
+            new = SPNode(node.kind, node.left, node.right, data.draw(vertex), t)
+    return replace_at(root, path, new)
+
+
+class TestLinearValidator:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from([random_tw2_poset, forest_poset]),
+           st.integers(min_value=1, max_value=25), st.integers(min_value=0, max_value=10**6),
+           st.booleans(), st.integers(min_value=0, max_value=2))
+    def test_agrees_with_reference_on_mutated_trees(self, data, family, n, seed, augment, k):
+        emb = embed_into_sp(family(n, seed).cover_graph())
+        if augment:
+            emb = augment_with_fresh_terminals(emb)
+        tree = emb.sp
+        for _ in range(k):
+            tree = mutate(data, tree)
+        got = sp_tree_violations(tree)
+        assert bool(got) == bool(reference_sp_tree_violations(tree)), got
+        if k == 0:
+            assert not got
 
 
 class TestEmbedding:

@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdim.errors import PreconditionViolated, VertexNotInDecomposition
-from spdim.generators import random_tw2_poset
+from spdim.generators import chain, random_tw2_poset
 from spdim.graphs import Graph
 from spdim.spembed import augment_with_fresh_terminals, edge_node, embed_into_sp
 from spdim.stdecomp import DecompNode, STDecomposition, build_st_decomposition, decomposition_to_json
@@ -70,6 +71,21 @@ class TestBuild:
         emb, d = random_decomposition(18, 5)
         sp_nodes = 2 * emb.sp.leaves() - 1
         assert len(d) == sp_nodes
+
+    def test_long_chain_stays_linear_in_memory(self):
+        # A guard against quadratic trees that does not depend on timing: a
+        # chain's composition tree is as deep as the chain is long, so any
+        # per-node copy of a subtree's vertices or edges costs ~n**2 / 2 items.
+        g = chain(3000).cover_graph()
+        tracemalloc.start()
+        try:
+            emb = augment_with_fresh_terminals(embed_into_sp(g))
+            d = build_st_decomposition(emb.sp, emb.host)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(d) == 2 * 3001 - 1
+        assert peak < 40 * 10**6
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=10**6))
