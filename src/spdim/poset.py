@@ -17,7 +17,7 @@ declares one cover relation.  ``loads``/``dumps`` round-trip exactly.
 """
 
 import heapq
-from collections import deque
+from collections import defaultdict, deque
 
 from .errors import (
     CycleError,
@@ -208,16 +208,14 @@ class Poset:
     # -- linear extensions and reversibility -------------------------------
 
     def is_linear_extension(self, order):
-        order = list(order)
-        if sorted(order, key=self._sort_key) != sorted(self.elements, key=self._sort_key):
-            return False
-        if any(e not in self._index for e in order):
-            return False
-        pos = {e: k for k, e in enumerate(order)}
-        return all(pos[x] < pos[y] for x, y in self.covers())
-
-    def _sort_key(self, e):
-        return self._index.get(e, len(self._index)), str(e)
+        "True iff ``order`` lists every element once, each after its whole downset."
+        before = 0
+        for e in order:
+            i = self._index.get(e)
+            if i is None or before >> i & 1 or self._below[i] & ~before:
+                return False
+            before |= 1 << i
+        return before == (1 << len(self.elements)) - 1
 
     def canonical_extension(self):
         "The linear extension picked by canonical-order tie-breaking."
@@ -236,7 +234,8 @@ class Poset:
         The pairs may be given instead as ``rows``: one bitmask per element
         index i, holding the index of y for every pair (element i, y).
         Topological order of the cover digraph plus the arcs y -> x, with
-        ties broken by canonical element order.  Raises ``NotReversible``
+        ties broken by canonical element order; each element waits on one
+        mask, its row and its downset, not on arcs.  Raises ``NotReversible``
         (carrying a witness strict alternating cycle) when impossible.
         """
         n = len(self.elements)
@@ -273,32 +272,33 @@ class Poset:
         return [(names[i], names[j]) for i, row in enumerate(rows) for j in bits(row)]
 
     def _topological_order(self, rows):
-        # Kahn's algorithm with a min-heap: the lexicographically least
-        # topological order of the cover arcs plus an arc j -> i for every
-        # bit j of rows[i].  Shorter than n when those arcs close a cycle.
-        n = len(self.elements)
-        succ = [list(bits(row)) for row in self._cover_up]
-        indeg = [0] * n
-        for i in range(n):
-            for j in succ[i]:
-                indeg[j] += 1
-        for i, row in enumerate(rows):
-            if row:
-                indeg[i] += row.bit_count()
-                while row:
-                    low = row & -row
-                    succ[low.bit_length() - 1].append(i)
-                    row ^= low
-        ready = [i for i in range(n) if indeg[i] == 0]
-        heapq.heapify(ready)
+        # The lexicographically least topological order of the cover arcs
+        # plus an arc j -> i for every bit j of rows[i], by a min-heap.  The
+        # placed set is always a downset, so "all of below[x] placed" holds
+        # exactly when "every cover predecessor of x placed" does: x waits
+        # for its one mask rows[x] | below[x].  A waiting x is parked on its
+        # highest unplaced bit and rechecked, with one AND, only when that
+        # element is placed.  Shorter than n when the arcs close a cycle.
+        pred = [row | below for row, below in zip(rows, self._below)]
+        parked = defaultdict(list)
+        ready = []  # built ascending, so already a heap
+        for x, mask in enumerate(pred):
+            if mask:
+                parked[mask.bit_length() - 1].append(x)
+            else:
+                ready.append(x)
+        unplaced = (1 << len(pred)) - 1
         order = []
         while ready:
             i = heapq.heappop(ready)
             order.append(i)
-            for j in succ[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    heapq.heappush(ready, j)
+            unplaced ^= 1 << i
+            for x in parked.pop(i, ()):
+                mask = pred[x] & unplaced
+                if mask:
+                    parked[mask.bit_length() - 1].append(x)
+                else:
+                    heapq.heappush(ready, x)
         return order
 
     def is_reversible(self, pairs):

@@ -5,10 +5,13 @@ implementations under test: reversibility by trying every permutation,
 K4 minors via explicit subdivisions, covering chains by path enumeration,
 signatures by one lowest-common-ancestor walk per pair, the closure by
 Warshall's loop, terminal candidates by sorting every pair, composition
-trees by re-deriving every node's subgraph.  The separation predicates of
-s-t decompositions live here too: only tests need them.
+trees by re-deriving every node's subgraph, topological orders by Kahn's
+algorithm over one arc per pair, linear extensions by sorting.  The
+separation predicates of s-t decompositions live here too: only tests need
+them.
 """
 
+import heapq
 from itertools import permutations
 
 
@@ -339,6 +342,52 @@ def reference_closure(elements, relations):
             implied |= above[k]
         cover_up[i] = above[i] & ~implied
     return tuple(above), tuple(below), tuple(cover_up)
+
+
+def reference_topological_order(poset, rows):
+    """The index order ``Poset._topological_order(rows)`` must return.
+
+    Kahn's algorithm with a min-heap over the cover arcs plus one arc j -> i
+    for every bit j of ``rows[i]``: successor lists and in-degrees, one entry
+    per arc.  Shorter than the poset when the arcs close a cycle.
+    """
+    from spdim.poset import bits
+
+    n = len(poset)
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for x, y in poset.covers():
+        succ[poset.index(x)].append(poset.index(y))
+        indeg[poset.index(y)] += 1
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            succ[j].append(i)
+            indeg[i] += 1
+    ready = [i for i in range(n) if indeg[i] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, j)
+    return order
+
+
+def reference_is_linear_extension(poset, order):
+    "Same elements as the poset (as sorted lists), and every cover in order."
+    def key(e):
+        return (poset.index(e) if e in poset else len(poset)), str(e)
+
+    order = list(order)
+    if sorted(order, key=key) != sorted(poset.elements, key=key):
+        return False
+    if any(e not in poset for e in order):
+        return False
+    pos = {e: k for k, e in enumerate(order)}
+    return all(pos[x] < pos[y] for x, y in poset.covers())
 
 
 def reference_terminal_candidates(graph, comp, comp_edges):

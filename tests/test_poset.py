@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +11,7 @@ from spdim.errors import (
     ParseError,
     UnknownElement,
 )
-from spdim.generators import antichain, chain, standard_example
+from spdim.generators import antichain, chain, forest_poset, random_tw2_poset, standard_example
 from spdim.poset import Poset, dumps, loads
 
 from oracles import (
@@ -17,6 +19,8 @@ from oracles import (
     brute_is_reversible,
     brute_strict_alternating_cycles,
     reference_closure,
+    reference_is_linear_extension,
+    reference_topological_order,
 )
 
 
@@ -348,6 +352,93 @@ class TestExtensionFromRows:
             antichain(2).linear_extension_reversing(rows=[0b100, 0])
 
 
+def tw2_posets(max_n=30):
+    "Small posets, ``random_tw2`` posets and forests."
+    sizes = st.integers(min_value=1, max_value=max_n)
+    seeds = st.integers(min_value=0, max_value=10 ** 6)
+    return st.one_of(small_posets(max_n=8),
+                     st.builds(random_tw2_poset, sizes, seeds),
+                     st.builds(forest_poset, sizes, seeds))
+
+
+def random_extension(p, data):
+    "A linear extension of ``p`` drawn one minimal element at a time."
+    order, placed = [], set()
+    while len(order) < len(p):
+        ready = [e for e in p.elements if e not in placed and p.downset(e) - {e} <= placed]
+        e = data.draw(st.sampled_from(ready))
+        order.append(e)
+        placed.add(e)
+    return order
+
+
+class TestTopologicalOrderAgainstReference:
+    "The parked-mask sort against Kahn's algorithm over one arc per pair."
+
+    def check(self, p, rows):
+        want = reference_topological_order(p, rows)
+        assert p._topological_order(rows) == want
+        if len(want) == len(p):
+            assert p.linear_extension_reversing(rows=rows) == [p.elements[i] for i in want]
+            return
+        pairs = p.pairs_of_rows(rows)
+        with pytest.raises(NotReversible) as by_rows:
+            p.linear_extension_reversing(rows=rows)
+        with pytest.raises(NotReversible) as by_pairs:
+            p.linear_extension_reversing(pairs)
+        assert by_rows.value.cycle == by_pairs.value.cycle == p._witness_cycle(pairs)
+        assert p.is_strict_alternating_cycle(by_rows.value.cycle)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tw2_posets(), st.data())
+    def test_arbitrary_rows(self, p, data):
+        # Mostly not reversible: the truncated prefix must match too.
+        masks = p.incomparable_masks()
+        rows = [mask & data.draw(st.integers(min_value=0, max_value=mask)) for mask in masks]
+        self.check(p, rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tw2_posets(), st.data())
+    def test_reversible_rows(self, p, data):
+        # Pairs (x, y) with y before x in one extension are reversible.
+        masks = p.incomparable_masks()
+        placed = 0
+        rows = [0] * len(p)
+        for e in random_extension(p, data):
+            i = p.index(e)
+            mask = masks[i] & placed
+            rows[i] = mask & data.draw(st.integers(min_value=0, max_value=mask))
+            placed |= 1 << i
+        self.check(p, rows)
+
+    def test_every_lower_index_gives_ascending_order(self):
+        a = antichain(300)
+        rows = [(1 << x) - 1 for x in range(300)]
+        assert a._topological_order(rows) == reference_topological_order(a, rows) == list(range(300))
+
+    def test_every_higher_index_gives_descending_order(self):
+        # Every element is parked again after each placement: the worst case
+        # for parking on the highest bit.
+        a = antichain(300)
+        full = (1 << 300) - 1
+        rows = [full ^ ((1 << (x + 1)) - 1) for x in range(300)]
+        assert a._topological_order(rows) == reference_topological_order(a, rows) == list(range(299, -1, -1))
+
+    def test_dense_class_allocates_nothing_per_pair(self):
+        # About two million pairs: successor lists with one entry per pair
+        # would take about 16 MB.
+        a = antichain(2000)
+        rows = [(1 << x) - 1 for x in range(2000)]
+        tracemalloc.start()
+        try:
+            order = a.linear_extension_reversing(rows=rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert order == list(a.elements)
+        assert peak < 4 * 1024 * 1024
+
+
 class TestIncomparableMasks:
     @settings(max_examples=40, deadline=None)
     @given(small_posets())
@@ -365,17 +456,41 @@ class TestVerifyRealizer:
         # permutations (some not linear extensions) plus one extension.
         exts = data.draw(st.lists(st.permutations(p.elements), max_size=4))
         exts.append(list(reversed(p.dual().canonical_extension())))
-        valid = [ext for ext in exts if p.is_linear_extension(ext)]
+        valid = [ext for ext in exts if reference_is_linear_extension(p, ext)]
         missing = [(x, y) for x, y in p.incomparable_pairs()
                    if not any(ext.index(y) < ext.index(x) for ext in valid)]
         want = ["order %d is not a linear extension of the poset" % k
-                for k, ext in enumerate(exts) if not p.is_linear_extension(ext)]
+                for k, ext in enumerate(exts) if not reference_is_linear_extension(p, ext)]
         want += ["incomparable pair (%s, %s) is reversed by no extension" % pair for pair in missing]
         assert p.realizer_violations(exts) == want
 
     def test_chain_single(self):
         c = chain(3)
         assert c.verify_realizer([list(c.elements)])
+
+    @pytest.mark.parametrize("order", [
+        ["v0", "v1", "v1", "v2"],  # duplicated element
+        ["v0", "v1", "v1"],  # duplicated element in place of a missing one
+        ["v0", "v1"],  # missing element
+        ["v0", "v1", "v2", "v3"],  # unknown name after every element
+        ["v0", "v1", "w"],  # unknown name in place of an element
+        ["v0", "v2", "v1"],  # inverted cover
+        ["v2", "v1", "v0"],  # every cover inverted
+    ])
+    def test_rejects_non_extensions(self, order):
+        c = chain(3)
+        assert not c.is_linear_extension(order)
+        assert not reference_is_linear_extension(c, order)
+        assert c.realizer_violations([list(c.elements), order]) == [
+            "order 1 is not a linear extension of the poset"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_posets(max_n=6), st.data())
+    def test_extension_check_matches_reference(self, p, data):
+        names = list(p.elements) + ["zz"]
+        order = data.draw(st.lists(st.sampled_from(names), max_size=len(p) + 2))
+        for candidate in (order, data.draw(st.permutations(p.elements))):
+            assert p.is_linear_extension(candidate) == reference_is_linear_extension(p, candidate)
 
     def test_two_antichain(self):
         a = antichain(2)
