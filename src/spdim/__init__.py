@@ -47,7 +47,6 @@ from .spembed import (
     edge_node,
     embed_into_sp,
     has_treewidth_at_most_2,
-    mirror,
     parallel,
     series,
     sp_tree_violations,

@@ -9,6 +9,7 @@ Exit codes: 0 success/verified, 1 property violated, 2 usage or input error.
 """
 
 import json
+import os
 import sys
 
 import click
@@ -235,6 +236,9 @@ def check_claims(poset_file):
               help="Also run the exact oracle when |Inc| fits under this cap.")
 def batch(family, n, count, seed, jobs, oracle_cap):
     "Generate COUNT instances, realize and verify each, print a summary."
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        _fail_usage("--jobs must be between 1 and %d (the CPU count)" % cpus)
     tasks = [(family, n, seed + k, oracle_cap) for k in range(count)]
     if jobs > 1:
         import multiprocessing

@@ -28,6 +28,7 @@ is made, and each class is certified and emitted by a single sort.
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _string
 
 from .errors import MalformedInstance, NotReversible, PairNotIncomparable, ParseError, ReversibilityViolation
 from .poset import bits
@@ -463,7 +464,14 @@ def realizer_to_json(realizer):
 
 
 def dumps_realizer(realizer):
-    return json.dumps(realizer_to_json(realizer), indent=2) + "\n"
+    "``json.dumps(realizer_to_json(realizer), indent=2)``, written from a fixed template."
+    out = []
+    for cls, ext in realizer.extensions:
+        sig = "null" if cls is None else "{\n      %s\n    }" % ",\n      ".join(
+            '"%s": %d' % item for item in cls.to_json().items())
+        ext = "[\n      %s\n    ]" % ",\n      ".join(map(_string, ext)) if ext else "[]"
+        out.append('  {\n    "signature": %s,\n    "extension": %s\n  }' % (sig, ext))
+    return "[\n%s\n]\n" % ",\n".join(out) if out else "[]\n"
 
 
 def loads_realizer(text):

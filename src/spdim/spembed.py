@@ -10,12 +10,15 @@ composition rules are checked once for a whole tree, in linear time, by
 ``embed_into_sp`` turns any treewidth-<=2 graph into a supergraph that is
 two-terminal series-parallel, together with its composition tree.  The
 original graph is untouched: missing structure is added as fresh *fill* edges
-and fresh connector vertices, never by identifying existing vertices.
+and fresh connector vertices, never by identifying existing vertices.  The
+tree is built with O(1) reversals (``FLIP`` views), which are resolved before
+it is returned, balanced by leaf weight: paths and forests get depth O(log n).
 """
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import accumulate, chain, combinations, islice
 
 from .errors import InvalidSPTree, NotTreewidth2
 from .graphs import Graph
@@ -23,17 +26,20 @@ from .graphs import Graph
 SERIES = "series"
 PARALLEL = "parallel"
 EDGE = "edge"
+FLIP = "flip"  # private: a reversed view of its left child, resolved inside embed_into_sp
 
 
 class SPNode:
-    """One node of a series-parallel composition tree (immutable).
+    """One node of a series-parallel composition tree (not changed once built
+    by ``embed_into_sp``, which rewires only the nodes of its own tree).
 
     A leaf (kind ``EDGE``) is the edge source-sink; a series node glues its
     left child's sink onto its right child's source; a parallel node
-    identifies both terminals of its children.  The constructors below check
-    only the terminals of the two children; whether the children's subgraphs
-    meet exactly where they should is a property of the whole tree, checked
-    by ``sp_tree_violations``.
+    identifies both terminals of its children.  A ``FLIP`` node exists only
+    inside ``embed_into_sp``: its left child with source and sink exchanged.
+    The constructors below check only the terminals of the two children;
+    whether the children's subgraphs meet exactly where they should is a
+    property of the whole tree, checked by ``sp_tree_violations``.
     """
 
     __slots__ = ("kind", "left", "right", "source", "sink")
@@ -83,19 +89,6 @@ def walk_postorder(root):
             stack.append(node.left)
             stack.append(node.right)
     return reversed(out)
-
-
-def mirror(root):
-    "The same graph with source and sink exchanged at every node."
-    done = {}
-    for node in walk_postorder(root):
-        if node.kind == EDGE:
-            done[id(node)] = edge_node(node.sink, node.source)
-        elif node.kind == SERIES:
-            done[id(node)] = series(done[id(node.right)], done[id(node.left)])
-        else:
-            done[id(node)] = parallel(done[id(node.left)], done[id(node.right)])
-    return done[id(root)]
 
 
 def sp_tree_violations(root):
@@ -209,12 +202,87 @@ class _Names:
         return name
 
 
-def _oriented(tree, source, sink):
-    if tree.source == source and tree.sink == sink:
+def _flipped(tree):
+    """The tree with source and sink exchanged, in O(1): a flip undone, a leaf
+    reversed in place (a leaf under construction has one parent), or a ``FLIP`` view."""
+    if tree.kind == FLIP:
+        return tree.left
+    if tree.kind == EDGE:
+        tree.source, tree.sink = tree.sink, tree.source
         return tree
-    if tree.source == sink and tree.sink == source:
-        return mirror(tree)
-    raise InvalidSPTree("cannot orient %r as (%r, %r)" % (tree, source, sink))
+    return SPNode(FLIP, tree, None, tree.sink, tree.source)
+
+
+def _one_flipped(a, b):
+    "Reverse one of two trees, one that needs no new node if there is one."
+    if a.kind in (FLIP, EDGE) or b.kind not in (FLIP, EDGE):
+        return _flipped(a), b
+    return a, _flipped(b)
+
+
+def _normalized(root):
+    """Resolve the ``FLIP`` views and re-bracket each maximal series or parallel run.
+
+    A flip parity is carried down: under odd parity leaves are reversed and
+    series operands are read right to left.  A run's operands are normalised
+    first, then joined on the run's own internal nodes at the midpoints of
+    their leaf counts.  Every node has one parent, so the pass rewires nodes
+    in place and allocates none.
+    """
+    done = []  # normalised operands with their leaf counts, in order
+    todo = [(root, 0)]  # (node, parity), or (a run's internal nodes, None) to join
+    while todo:
+        node, parity = todo.pop()
+        if parity is None:
+            k = len(done) - len(node) - 1
+            done[k:] = [_rebracket(node, done[k:])]
+            continue
+        while node.kind == FLIP:
+            node, parity = node.left, parity ^ 1
+        if node.kind == EDGE:
+            if parity:
+                node.source, node.sink = node.sink, node.source
+            done.append((node, 1))
+            continue
+        inner, ops, stack = [], [], [(node, parity)]
+        while stack:
+            run, parity = stack.pop()
+            while run.kind == FLIP:
+                run, parity = run.left, parity ^ 1
+            if run.kind != node.kind:
+                ops.append((run, parity))
+                continue
+            inner.append(run)
+            first, second = (run.right, run.left) if parity and run.kind == SERIES else (run.left, run.right)
+            stack += ((second, parity), (first, parity))
+        todo.append((inner, None))
+        todo.extend(reversed(ops))
+    return done[0][0]
+
+
+def _rebracket(inner, ops):
+    """Join (tree, leaf count) operands in order on a run's internal nodes, splitting
+    each range at the operand boundary nearest the midpoint of its leaf count."""
+    prefix = list(accumulate((w for _, w in ops), initial=0))
+    built = []
+    todo = [(0, len(ops))]
+    while todo:
+        i, j = todo.pop()
+        if i < 0:
+            node = inner.pop()
+            node.right = right = built.pop()
+            node.left = left = built.pop()
+            node.source, node.sink = left.source, (right if node.kind == SERIES else left).sink
+            built.append(node)
+        elif j - i == 1:
+            built.append(ops[i][0])
+        else:
+            twice_mid = prefix[i] + prefix[j]
+            m = bisect_left(prefix, twice_mid / 2, i + 1, j - 1)
+            if m > i + 1 and twice_mid - 2 * prefix[m - 1] <= 2 * prefix[m] - twice_mid:
+                m -= 1
+            todo += ((-1, 0), (m, j), (i, m))
+    return built[0], prefix[-1]
 
 
 def _tw2_with_extra_edge(comp, comp_edges, s, t):
@@ -284,10 +352,11 @@ def _reduce_component(graph, comp, comp_edges, s, t):
 
     def put_bundle(u, v, tree):
         key = frozenset((u, v))
-        cu, cv = canonical_pair(u, v)
-        tree = _oriented(tree, cu, cv)
         if key in bundles:
-            bundles[key] = parallel(_oriented(bundles[key], cu, cv), tree)
+            old = bundles[key]
+            if old.source != tree.source:
+                old, tree = _one_flipped(old, tree)
+            bundles[key] = parallel(old, tree)
         else:
             bundles[key] = tree
             adj[u].add(v)
@@ -313,18 +382,21 @@ def _reduce_component(graph, comp, comp_edges, s, t):
             fills.append(canonical_pair(pick, w))
             put_bundle(pick, w, edge_node(*canonical_pair(pick, w)))
         u, w = sorted(adj[pick], key=idx)
-        left = _oriented(bundles.pop(frozenset((u, pick))), u, pick)
-        right = _oriented(bundles.pop(frozenset((pick, w))), pick, w)
+        left = bundles.pop(frozenset((u, pick)))
+        right = bundles.pop(frozenset((pick, w)))
+        if (left.sink == pick) != (right.source == pick):
+            left, right = _one_flipped(left, right)
         adj[u].discard(pick)
         adj[w].discard(pick)
         del adj[pick]
-        put_bundle(u, w, series(left, right))
+        put_bundle(u, w, series(left, right) if left.sink == pick else series(right, left))
         for v in (u, w):
             if reducible(v):
                 heapq.heappush(ready, idx(v))
 
     assert set(adj) == {s, t} and len(bundles) == 1
-    return _oriented(bundles[frozenset((s, t))], s, t), fills
+    tree = bundles[frozenset((s, t))]
+    return (tree if tree.source == s else _flipped(tree)), fills
 
 
 def embed_into_sp(graph):
@@ -334,7 +406,8 @@ def embed_into_sp(graph):
     chained with fresh bridge edges (component i's sink to component i+1's
     source).  Isolated vertices are first tied to a fresh connector vertex by
     one fill edge.  An edgeless input with no vertices becomes a single fresh
-    edge so that the host is never empty.
+    edge so that the host is never empty.  The tree is returned normalised:
+    no ``FLIP`` view, and every series or parallel run balanced.
     """
     if not has_treewidth_at_most_2(graph):
         raise NotTreewidth2("input graph has treewidth greater than 2")
@@ -376,6 +449,7 @@ def embed_into_sp(graph):
         bridge = (root.sink, tree.source)
         added_edges.append(bridge)
         root = series(root, series(edge_node(*bridge), tree))
+    root = _normalized(root)
     edges = [(node.source, node.sink) for node in walk_postorder(root) if node.kind == EDGE]
     host = Graph(tuple(graph.vertices) + tuple(added_vertices), edges)
     assert set(chain.from_iterable(edges)) == set(host.vertices), "a host vertex is in no leaf"

@@ -10,8 +10,8 @@ Decomposition node ids mirror the series-parallel tree they were built from
 that nodes can be compared across transformed decompositions.
 """
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _string
 
 from .errors import InvalidSPTree, PreconditionViolated, VertexNotInDecomposition
 from .spembed import EDGE, SERIES, validate_sp_tree
@@ -52,9 +52,6 @@ class STDecomposition:
         for node in self.preorder():
             if node.parent is not None:
                 self._depth[node.id] = self._depth[node.parent] + 1
-        self._inorder_pos = [0] * len(self.nodes)
-        for pos, nid in enumerate(self.in_order()):
-            self._inorder_pos[nid] = pos
         self._least = {}
         for node in self.nodes:
             for v in node.bag:
@@ -120,9 +117,6 @@ class STDecomposition:
             v = self.nodes[v].parent
         return u
 
-    def in_order_less(self, u, v):
-        return self._inorder_pos[u] < self._inorder_pos[v]
-
     def tree_path(self, u, v):
         "Node ids along the unique tree path from u to v, inclusive."
         w = self.lca(u, v)
@@ -162,73 +156,6 @@ class STDecomposition:
                  if (not n.is_leaf and len(n.bag) == 2) else n
                  for n in self.nodes]
         return STDecomposition(nodes, self.root, self.graph)
-
-    # -- validation ---------------------------------------------------------
-
-    def validation_errors(self, graph, source, sink):
-        problems = []
-        nodes = self.nodes
-        for node in nodes:
-            if (node.left is None) != (node.right is None):
-                problems.append("node %d has exactly one child" % node.id)
-            for c in (node.left, node.right):
-                if c is not None and nodes[c].parent != node.id:
-                    problems.append("node %d: child %d has wrong parent" % (node.id, c))
-        covered = set()
-        for node in nodes:
-            covered.update(node.bag)
-            if len(node.bag) != len(set(node.bag)):
-                problems.append("node %d: repeated bag entry" % node.id)
-        if covered != set(graph.vertices):
-            problems.append("bags do not cover exactly the vertex set")
-        for u, v in graph.edges:
-            if not any(u in n.bag and v in n.bag for n in nodes):
-                problems.append("edge (%s, %s) is in no bag" % (u, v))
-        for v in covered:
-            roots = 0
-            for node in nodes:
-                if v in node.bag:
-                    p = node.parent
-                    if p is None or v not in nodes[p].bag:
-                        roots += 1
-            if roots != 1:
-                problems.append("nodes containing %r do not form a subtree" % (v,))
-        for node in nodes:
-            if len(node.bag) not in (2, 3):
-                problems.append("node %d: bag size %d" % (node.id, len(node.bag)))
-                continue
-            if node.s == node.t or node.s not in node.bag or node.t not in node.bag:
-                problems.append("node %d: bad source/sink" % node.id)
-                continue
-            if node.is_leaf:
-                if len(node.bag) != 2:
-                    problems.append("leaf %d has a bag of size %d" % (node.id, len(node.bag)))
-                continue
-            left, right = nodes[node.left], nodes[node.right]
-            if len(node.bag) == 2:
-                if not (left.s == right.s == node.s and left.t == right.t == node.t):
-                    problems.append("size-2 node %d: children do not inherit terminals" % node.id)
-            else:
-                if left.s != node.s or right.t != node.t:
-                    problems.append("size-3 node %d: outer terminals not passed down" % node.id)
-                if left.t != right.s or left.t not in node.bag:
-                    problems.append("size-3 node %d: children do not meet inside the bag" % node.id)
-        root = nodes[self.root]
-        if root.parent is not None:
-            problems.append("root has a parent")
-        if (root.s, root.t) != (source, sink):
-            problems.append("root terminals are (%s, %s), expected (%s, %s)"
-                            % (root.s, root.t, source, sink))
-        for v in covered:
-            if v in (source, sink):
-                continue
-            w = nodes[self.least_node(v)]
-            if v in (w.s, w.t):
-                problems.append("least node of %r uses it as a terminal" % (v,))
-        return problems
-
-    def validate(self, graph, source, sink):
-        return not self.validation_errors(graph, source, sink)
 
 
 def build_st_decomposition(sp_root, graph):
@@ -275,4 +202,15 @@ def decomposition_to_json(decomp):
 
 
 def dumps_decomposition(decomp):
-    return json.dumps(decomposition_to_json(decomp), indent=2) + "\n"
+    "``json.dumps(decomposition_to_json(decomp), indent=2)``, written from a fixed template."
+    out = []
+    for node in decomp.nodes:
+        parent = side = "null"
+        if node.parent is not None:
+            parent = node.parent
+            side = '"left"' if decomp.nodes[parent].left == node.id else '"right"'
+        out.append('  {\n    "id": %d,\n    "parent": %s,\n    "side": %s,\n    "bag": [\n      %s\n'
+                   '    ],\n    "s": %s,\n    "t": %s\n  }'
+                   % (node.id, parent, side, ",\n      ".join(map(_string, node.bag)),
+                      _string(node.s), _string(node.t)))
+    return "[\n%s\n]\n" % ",\n".join(out)

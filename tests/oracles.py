@@ -5,10 +5,11 @@ implementations under test: reversibility by trying every permutation,
 K4 minors via explicit subdivisions, covering chains by path enumeration,
 signatures by one lowest-common-ancestor walk per pair, the closure by
 Warshall's loop, terminal candidates by sorting every pair, composition
-trees by re-deriving every node's subgraph, topological orders by Kahn's
-algorithm over one arc per pair, linear extensions by sorting.  The
-separation predicates of s-t decompositions live here too: only tests need
-them.
+trees by re-deriving every node's subgraph, reversed composition trees by
+rebuilding every node, topological orders by Kahn's algorithm over one arc
+per pair, linear extensions by sorting.  The validation, the separation
+predicates and the in-order comparison of s-t decompositions live here too:
+only tests need them.
 """
 
 import heapq
@@ -164,6 +165,7 @@ class ReferenceClassifier:
 
         self.poset = poset
         self.decomp = decomp
+        self.in_pos = in_order_positions(decomp)
         index = poset._index
         nodes = decomp.nodes
         self.home = {}
@@ -226,7 +228,7 @@ class ReferenceClassifier:
         down_mask = poset.downset_mask(y)
         up_hits = up_mask & self.bagmask[meet]
         down_hits = down_mask & self.bagmask[meet]
-        order = 1 if decomp.in_order_less(wx, wy) else 2
+        order = 1 if self.in_pos[wx] < self.in_pos[wy] else 2
         if not up_hits or not down_hits:
             return PairClass(1, order, up=(1 if not up_hits else 2))
         span = 2 if self.up_span[x] >> meet & 1 else 1
@@ -458,6 +460,128 @@ def reference_sp_tree_violations(root):
         if node.source not in derived[id(node)][0] or node.sink not in derived[id(node)][0]:
             problems.append("node %d: terminals outside the subgraph" % pos)
     return problems
+
+
+def mirror(root):
+    "The same graph with source and sink exchanged at every node, rebuilt node by node."
+    from spdim.spembed import EDGE, SERIES, edge_node, parallel, series, walk_postorder
+
+    done = {}
+    for node in walk_postorder(root):
+        if node.kind == EDGE:
+            done[id(node)] = edge_node(node.sink, node.source)
+        elif node.kind == SERIES:
+            done[id(node)] = series(done[id(node.right)], done[id(node.left)])
+        else:
+            done[id(node)] = parallel(done[id(node.left)], done[id(node.right)])
+    return done[id(root)]
+
+
+def reference_resolve(root):
+    """The composition tree as the embedding built it before balancing: every
+    ``FLIP`` view replaced by an eager ``mirror`` of its resolved subtree, and
+    no run re-bracketed.  A drop-in for ``spdim.spembed._normalized``."""
+    from spdim.spembed import EDGE, FLIP, SERIES, parallel, series
+
+    done = {}
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if node.kind == EDGE:
+            done[id(node)] = node
+        elif not ready:
+            stack.append((node, True))
+            stack.extend((child, False) for child in (node.left, node.right) if child is not None)
+        elif node.kind == FLIP:
+            done[id(node)] = mirror(done[id(node.left)])
+        else:
+            join = series if node.kind == SERIES else parallel
+            done[id(node)] = join(done[id(node.left)], done[id(node.right)])
+    return done[id(root)]
+
+
+def in_order_positions(decomp):
+    "The position of every node id in the decomposition's in-order."
+    pos = [0] * len(decomp.nodes)
+    for k, nid in enumerate(decomp.in_order()):
+        pos[nid] = k
+    return pos
+
+
+def in_order_less(decomp, u, v):
+    "Whether node u comes before node v in the in-order."
+    pos = in_order_positions(decomp)
+    return pos[u] < pos[v]
+
+
+def validation_errors(decomp, graph, source, sink):
+    """The s-t decomposition rules checked node by node (O(|V|·|nodes|)): bags of 2 or 3,
+    each vertex in a subtree of bags, every edge in a bag, terminals passed down, and
+    no least node using its vertex as a terminal."""
+    problems = []
+    nodes = decomp.nodes
+    for node in nodes:
+        if (node.left is None) != (node.right is None):
+            problems.append("node %d has exactly one child" % node.id)
+        for c in (node.left, node.right):
+            if c is not None and nodes[c].parent != node.id:
+                problems.append("node %d: child %d has wrong parent" % (node.id, c))
+    covered = set()
+    for node in nodes:
+        covered.update(node.bag)
+        if len(node.bag) != len(set(node.bag)):
+            problems.append("node %d: repeated bag entry" % node.id)
+    if covered != set(graph.vertices):
+        problems.append("bags do not cover exactly the vertex set")
+    for u, v in graph.edges:
+        if not any(u in n.bag and v in n.bag for n in nodes):
+            problems.append("edge (%s, %s) is in no bag" % (u, v))
+    for v in covered:
+        roots = 0
+        for node in nodes:
+            if v in node.bag:
+                p = node.parent
+                if p is None or v not in nodes[p].bag:
+                    roots += 1
+        if roots != 1:
+            problems.append("nodes containing %r do not form a subtree" % (v,))
+    for node in nodes:
+        if len(node.bag) not in (2, 3):
+            problems.append("node %d: bag size %d" % (node.id, len(node.bag)))
+            continue
+        if node.s == node.t or node.s not in node.bag or node.t not in node.bag:
+            problems.append("node %d: bad source/sink" % node.id)
+            continue
+        if node.is_leaf:
+            if len(node.bag) != 2:
+                problems.append("leaf %d has a bag of size %d" % (node.id, len(node.bag)))
+            continue
+        left, right = nodes[node.left], nodes[node.right]
+        if len(node.bag) == 2:
+            if not (left.s == right.s == node.s and left.t == right.t == node.t):
+                problems.append("size-2 node %d: children do not inherit terminals" % node.id)
+        else:
+            if left.s != node.s or right.t != node.t:
+                problems.append("size-3 node %d: outer terminals not passed down" % node.id)
+            if left.t != right.s or left.t not in node.bag:
+                problems.append("size-3 node %d: children do not meet inside the bag" % node.id)
+    root = nodes[decomp.root]
+    if root.parent is not None:
+        problems.append("root has a parent")
+    if (root.s, root.t) != (source, sink):
+        problems.append("root terminals are (%s, %s), expected (%s, %s)"
+                        % (root.s, root.t, source, sink))
+    for v in covered:
+        if v in (source, sink):
+            continue
+        w = nodes[decomp.least_node(v)]
+        if v in (w.s, w.t):
+            problems.append("least node of %r uses it as a terminal" % (v,))
+    return problems
+
+
+def validate_decomposition(decomp, graph, source, sink):
+    return not validation_errors(decomp, graph, source, sink)
 
 
 def separation_hits(decomp, u1, u2, tree_edge, subgraph_vertices):

@@ -18,7 +18,13 @@ from spdim.realizer import build_instance, metamorphic_check, realize_tw2
 from spdim.spembed import augment_with_fresh_terminals, embed_into_sp, has_treewidth_at_most_2
 from spdim.stdecomp import build_st_decomposition
 
-from oracles import all_labeled_graphs, has_k4_minor, separation_hits, st_subset_witness
+from oracles import (
+    all_labeled_graphs,
+    has_k4_minor,
+    separation_hits,
+    st_subset_witness,
+    validate_decomposition,
+)
 
 CORPUS = [(seed, 1 + (seed * 7919) % 60) for seed in range(1000)]
 SMALL_CORPUS = [(seed, 1 + seed % 9) for seed in range(300)]
@@ -109,7 +115,7 @@ def test_criterion_07_structural_validators():
         p = random_tw2_poset(n, seed)
         emb = augment_with_fresh_terminals(embed_into_sp(p.cover_graph()))
         d = build_st_decomposition(emb.sp, emb.host)
-        if not d.validate(emb.host, emb.source, emb.sink):
+        if not validate_decomposition(d, emb.host, emb.source, emb.sink):
             ok = False
         for v in emb.host.vertices:
             if v in (emb.source, emb.sink):
@@ -118,11 +124,11 @@ def test_criterion_07_structural_validators():
             if len(node.bag) != 3 or node.middle != v:
                 ok = False
         rev = d.reverse()
-        if not rev.validate(emb.host, emb.sink, emb.source):
+        if not validate_decomposition(rev, emb.host, emb.sink, emb.source):
             ok = False
         if rev.in_order() != list(reversed(d.in_order())):
             ok = False
-        if not d.swap_size2_children().validate(emb.host, emb.source, emb.sink):
+        if not validate_decomposition(d.swap_size2_children(), emb.host, emb.source, emb.sink):
             ok = False
         checked += 1
     report(7, ok, "decomposition validators on %d instances "

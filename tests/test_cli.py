@@ -196,6 +196,21 @@ class TestBatch:
                    "--jobs", "2"])
         assert res.exit_code == 0
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "cpus+1", "100000"])
+    def test_batch_jobs_out_of_range(self, jobs, monkeypatch):
+        import multiprocessing
+        import os
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for --jobs %s" % jobs)
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        jobs = str(os.cpu_count() + 1) if jobs == "cpus+1" else jobs
+        res = run(["batch", "--family", "random_tw2", "--n", "8", "--count", "2", "--jobs", jobs])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: --jobs must be between 1 and")
+        assert "instances:" not in res.output
+
 
 class TestRepeatedInvocation:
     def test_output_of_earlier_calls_is_released(self):

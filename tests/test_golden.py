@@ -7,19 +7,31 @@ decomposition is deep, and a random treewidth-2 poset).  The second pins
 plus a chain and a forest at n=300.  A refactor of the closure, the embedding,
 the classifier or the extension sort must leave both unchanged; a change that
 alters the output on purpose has to say why and update the digest.
+
+The composition tree is balanced: each series or parallel run is re-bracketed
+at the midpoint of its leaf counts, which changes the decomposition and the
+signature classes.  With the balancing pass replaced by the reference
+resolver (eager mirrors, no re-bracketing), the output is the one the
+left-deep tree gave, and its earlier digests still hold.
 """
 
 import hashlib
+import json
 
+from spdim import spembed
 from spdim.generators import chain, forest_poset, random_tw2_poset
-from spdim.realizer import dumps_realizer, realize_tw2
+from spdim.poset import Poset
+from spdim.realizer import Realizer, dumps_realizer, realize_tw2, realizer_to_json
 from spdim.spembed import augment_with_fresh_terminals, embed_into_sp
-from spdim.stdecomp import build_st_decomposition, dumps_decomposition
+from spdim.stdecomp import build_st_decomposition, decomposition_to_json, dumps_decomposition
 
+from oracles import reference_resolve
 from test_acceptance import CORPUS
 
-GOLDEN_SHA256 = "917f6c5bbfafcea3a604850dc2b244688c518ddd2f4b1d42547df148e5e8e8c6"
-DECOMPOSE_SHA256 = "ff9446405028aa55f5dde0578f5f71e26ec001007c4aecef090c9091622d868d"
+GOLDEN_SHA256 = "25aa797dd2fb1137f74e6267e965f2246421f9524708705622597ab4b1e93cf7"
+DECOMPOSE_SHA256 = "3cb597a2f512647e1ca3dd484f86ca4c3d85676cdf4df79854e3159dbca2af06"
+UNBALANCED_GOLDEN_SHA256 = "917f6c5bbfafcea3a604850dc2b244688c518ddd2f4b1d42547df148e5e8e8c6"
+UNBALANCED_DECOMPOSE_SHA256 = "ff9446405028aa55f5dde0578f5f71e26ec001007c4aecef090c9091622d868d"
 
 
 def golden_instances():
@@ -40,15 +52,50 @@ def test_realizer_output_matches_golden_digest():
     assert golden_digest() == GOLDEN_SHA256
 
 
+def decomposition_of(p):
+    "The decomposition ``decompose`` prints."
+    embedding = augment_with_fresh_terminals(embed_into_sp(p.cover_graph()))
+    return build_st_decomposition(embedding.sp, embedding.host)
+
+
 def decompose_digest():
     h = hashlib.sha256()
     instances = [random_tw2_poset(n, seed) for seed, n in CORPUS]
     for p in instances + [chain(300), forest_poset(300, 1)]:
-        embedding = augment_with_fresh_terminals(embed_into_sp(p.cover_graph()))
-        decomp = build_st_decomposition(embedding.sp, embedding.host)
-        h.update(dumps_decomposition(decomp).encode("utf-8"))
+        h.update(dumps_decomposition(decomposition_of(p)).encode("utf-8"))
     return h.hexdigest()
 
 
 def test_decompose_output_matches_golden_digest():
     assert decompose_digest() == DECOMPOSE_SHA256
+
+
+def test_unbalanced_tree_keeps_earlier_realizer_digest(monkeypatch):
+    monkeypatch.setattr(spembed, "_normalized", reference_resolve)
+    assert golden_digest() == UNBALANCED_GOLDEN_SHA256
+
+
+def test_unbalanced_tree_keeps_earlier_decompose_digest(monkeypatch):
+    monkeypatch.setattr(spembed, "_normalized", reference_resolve)
+    assert decompose_digest() == UNBALANCED_DECOMPOSE_SHA256
+
+
+def relabelled(p):
+    "The poset with names that JSON must escape: quotes, backslashes, non-ASCII."
+    odd = ['q"uote', "back\\slash", "caf\u00e9", "\u65e5\u672c", "tab\there", "\U0001d11e"]
+    names = {e: "%s%d" % (odd[k % len(odd)], k) for k, e in enumerate(p.elements)}
+    return Poset([names[e] for e in p.elements], [(names[x], names[y]) for x, y in p.covers()])
+
+
+def test_writers_match_json_dumps():
+    "The hand-written writers give exactly the bytes of ``json.dumps(..., indent=2)``."
+    posets = [random_tw2_poset(n, seed) for seed, n in CORPUS]
+    posets += [relabelled(random_tw2_poset(30, 4)), relabelled(forest_poset(20, 2)),
+               Poset(["only"]), Poset([]), chain(5), relabelled(chain(4))]
+    for p in posets:
+        r = realize_tw2(p)
+        assert dumps_realizer(r) == json.dumps(realizer_to_json(r), indent=2) + "\n"
+        d = decomposition_of(p)
+        assert dumps_decomposition(d) == json.dumps(decomposition_to_json(d), indent=2) + "\n"
+    assert realize_tw2(chain(5)).extensions[0][0] is None
+    assert dumps_realizer(Realizer(())) == json.dumps([], indent=2) + "\n"

@@ -1,11 +1,14 @@
+import math
+import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdim import spembed
 from spdim.errors import InvalidSPTree, NotTreewidth2
-from spdim.generators import forest_poset, kelly, random_tw2_poset
+from spdim.generators import chain, forest_poset, kelly, random_tw2_poset
 from spdim.graphs import Graph, dumps, dumps_dot, loads
 from spdim.spembed import (
     EDGE,
@@ -16,7 +19,6 @@ from spdim.spembed import (
     edge_node,
     embed_into_sp,
     has_treewidth_at_most_2,
-    mirror,
     parallel,
     series,
     sp_tree_violations,
@@ -28,6 +30,8 @@ from spdim.stdecomp import build_st_decomposition
 from oracles import (
     all_labeled_graphs,
     has_k4_minor,
+    mirror,
+    reference_resolve,
     reference_sp_tree_violations,
     reference_terminal_candidates,
 )
@@ -201,6 +205,76 @@ class TestLinearValidator:
         assert bool(got) == bool(reference_sp_tree_violations(tree)), got
         if k == 0:
             assert not got
+
+
+def random_path(n, seed):
+    "A path on v0..v(n-1) that visits the vertices in a random order."
+    names = ["v%d" % i for i in range(n)]
+    walk = names[:]
+    random.Random(seed).shuffle(walk)
+    return Graph(names, list(zip(walk, walk[1:])))
+
+
+def all_nodes(root):
+    "Every node of a tree, including any unary FLIP view."
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(child for child in (node.left, node.right) if child is not None)
+    return out
+
+
+def leaf_sequence(tree):
+    return [(n.source, n.sink) for n in walk_postorder(tree) if n.kind == EDGE]
+
+
+class TestBalancedTree:
+    @pytest.mark.parametrize("make", [lambda: chain(4000), lambda: forest_poset(2000, 1)],
+                             ids=["chain", "forest"])
+    def test_decomposition_depth_is_logarithmic(self, make):
+        p = make()
+        emb = augment_with_fresh_terminals(embed_into_sp(p.cover_graph()))
+        d = build_st_decomposition(emb.sp, emb.host)
+        assert max(d.depth(u) for u in range(len(d))) <= 2 * math.log2(len(p)) + 8
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["random_tw2", "forest", "path"]),
+           st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=10**6))
+    def test_same_embedding_as_reference(self, family, n, seed):
+        if family == "path":
+            graph = random_path(n, seed)
+        else:
+            graph = {"random_tw2": random_tw2_poset, "forest": forest_poset}[family](n, seed).cover_graph()
+        emb = embed_into_sp(graph)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spembed, "_normalized", reference_resolve)
+            ref = embed_into_sp(graph)
+        assert all(node.kind != spembed.FLIP for node in all_nodes(emb.sp))
+        assert sp_tree_violations(emb.sp) == []
+        assert (Counter(frozenset(e) for e in leaf_sequence(emb.sp))
+                == Counter(frozenset(e) for e in leaf_sequence(ref.sp)))
+        # Re-bracketing is associativity: the oriented leaves keep their order.
+        assert leaf_sequence(emb.sp) == leaf_sequence(ref.sp)
+        assert emb.host == ref.host
+        assert emb.added_edges == ref.added_edges
+        assert emb.added_vertices == ref.added_vertices
+        assert (emb.source, emb.sink) == (ref.source, ref.sink)
+
+    def test_long_path_builds_few_nodes(self, monkeypatch):
+        made = [0]
+
+        class Counted(SPNode):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                made[0] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(spembed, "SPNode", Counted)
+        emb = embed_into_sp(random_path(3000, 5))
+        assert made[0] <= 4 * emb.sp.leaves()
 
 
 class TestEmbedding:

@@ -10,7 +10,14 @@ from spdim.graphs import Graph
 from spdim.spembed import augment_with_fresh_terminals, edge_node, embed_into_sp
 from spdim.stdecomp import DecompNode, STDecomposition, build_st_decomposition, decomposition_to_json
 
-from oracles import separation_hits, st_subset_witness
+from oracles import (
+    in_order_less,
+    in_order_positions,
+    separation_hits,
+    st_subset_witness,
+    validate_decomposition,
+    validation_errors,
+)
 
 
 def decompose_graph(g):
@@ -65,7 +72,7 @@ class TestBuild:
         root = d.nodes[d.root]
         assert len(root.bag) == 2
         assert len(d) == emb.sp.leaves() * 2 - 1
-        assert d.validate(emb.host, emb.source, emb.sink)
+        assert validate_decomposition(d, emb.host, emb.source, emb.sink)
 
     def test_node_count_matches_sp_tree(self):
         emb, d = random_decomposition(18, 5)
@@ -91,7 +98,7 @@ class TestBuild:
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=10**6))
     def test_build_validates(self, n, seed):
         emb, d = random_decomposition(n, seed)
-        assert d.validate(emb.host, emb.source, emb.sink)
+        assert validate_decomposition(d, emb.host, emb.source, emb.sink)
 
 
 class TestValidateRejections:
@@ -104,19 +111,19 @@ class TestValidateRejections:
     def test_size3_leaf_rejected(self):
         g = Graph("abc", [("a", "b"), ("b", "c")])
         d = STDecomposition([DecompNode(0, None, None, None, ("a", "b", "c"), "a", "c")], 0, g)
-        errors = d.validation_errors(g, "a", "c")
+        errors = validation_errors(d, g, "a", "c")
         assert any("leaf" in e for e in errors)
 
     def test_swapped_root_terminals_rejected(self):
         d, g = self.two_node_patch(s="b", t="a")
-        assert not d.validate(g, "a", "b")
+        assert not validate_decomposition(d, g, "a", "b")
 
     def test_missing_edge_coverage(self):
         g = Graph("abc", [("a", "b"), ("b", "c")])
         d = STDecomposition([DecompNode(0, None, None, None, ("a", "b"), "a", "b"),
                              DecompNode(1, 0, None, None, ("a", "c"), "a", "c")], 0, g)
         # node 0 has one child only, bag of (b, c) nowhere
-        errors = d.validation_errors(g, "a", "b")
+        errors = validation_errors(d, g, "a", "b")
         assert errors
 
 
@@ -129,8 +136,8 @@ class TestOrderUtilities:
     def test_in_order_root_between_children(self):
         _, d = path_decomposition()
         root = d.nodes[d.root]
-        assert d.in_order_less(root.left, d.root)
-        assert d.in_order_less(d.root, root.right)
+        assert in_order_less(d, root.left, d.root)
+        assert in_order_less(d, d.root, root.right)
 
     def test_in_order_matches_definition(self):
         _, d = random_decomposition(20, 3)
@@ -148,14 +155,15 @@ class TestOrderUtilities:
         for u in ids:
             for v in ids:
                 if u != v:
-                    assert d.in_order_less(u, v) == by_formula(u, v)
+                    assert in_order_less(d, u, v) == by_formula(u, v)
 
     def test_total_order(self):
         _, d = random_decomposition(12, 9)
-        ids = sorted((n.id for n in d.nodes), key=lambda u: d._inorder_pos[u])
+        pos = in_order_positions(d)
+        ids = sorted((n.id for n in d.nodes), key=lambda u: pos[u])
         for a, b in zip(ids, ids[1:]):
-            assert d.in_order_less(a, b)
-            assert not d.in_order_less(b, a)
+            assert in_order_less(d, a, b)
+            assert not in_order_less(d, b, a)
 
 
 class TestLeastNode:
@@ -206,7 +214,7 @@ class TestReverse:
     @given(st.integers(min_value=2, max_value=25), st.integers(min_value=0, max_value=10**6))
     def test_reversed_validates_for_swapped_terminals(self, n, seed):
         emb, d = random_decomposition(n, seed)
-        assert d.reverse().validate(emb.host, emb.sink, emb.source)
+        assert validate_decomposition(d.reverse(), emb.host, emb.sink, emb.source)
 
 
 class TestSwapSize2:
@@ -234,7 +242,7 @@ class TestSwapSize2:
     @given(st.integers(min_value=2, max_value=25), st.integers(min_value=0, max_value=10**6))
     def test_swap_still_validates_same_terminals(self, n, seed):
         emb, d = random_decomposition(n, seed)
-        assert d.swap_size2_children().validate(emb.host, emb.source, emb.sink)
+        assert validate_decomposition(d.swap_size2_children(), emb.host, emb.source, emb.sink)
 
 
 def grow_connected_subset(graph, rng, start, must_include=()):
