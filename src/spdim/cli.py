@@ -103,7 +103,7 @@ def gen(family, n, seed):
     "Generate a poset and write it in the poset text format."
     try:
         p = generators.generate(family, n, seed)
-    except BadParameter as exc:
+    except (BadParameter, TooLarge) as exc:
         _fail_usage(exc)
     _echo(posetio.dumps(p), nl=False)
 
@@ -189,7 +189,7 @@ def decompose(poset_file, as_json, as_dot):
     if as_dot:
         _echo(dumps_dot(embedding.host, embedding.added_edges), nl=False)
         return
-    decomp = stdecomp.build_st_decomposition(embedding.sp, embedding.host)
+    decomp = stdecomp.build_st_decomposition(embedding.sp, embedding.names)
     _echo(stdecomp.dumps_decomposition(decomp), nl=False)
 
 
@@ -239,6 +239,12 @@ def batch(family, n, count, seed, jobs, oracle_cap):
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         _fail_usage("--jobs must be between 1 and %d (the CPU count)" % cpus)
+    if count < 1:
+        _fail_usage("--count must be at least 1")
+    try:
+        generators.check_request(family, n)
+    except (BadParameter, TooLarge) as exc:
+        _fail_usage(exc)
     tasks = [(family, n, seed + k, oracle_cap) for k in range(count)]
     if jobs > 1:
         import multiprocessing

@@ -6,10 +6,13 @@ every platform and run.  Random families draw only from
 stable Mersenne-Twister consumers.
 """
 
+import math
 import random
 
-from .errors import BadParameter
+from .errors import BadParameter, TooLarge
 from .poset import Poset
+
+MAX_N = 20_000  # the largest n ``generate`` accepts; see ``check_request``
 
 
 def standard_example(n):
@@ -151,7 +154,20 @@ FAMILIES = {
 }
 
 
-def generate(family, n, seed=0):
+def check_request(family, n):
+    """Refuse a request before any work: ``BadParameter`` for an unknown family
+    or an n below its least size, ``TooLarge`` for an n above ``MAX_N`` (above
+    its square root for the standard example, whose relations grow as n²)."""
     if family not in FAMILIES:
         raise BadParameter("unknown family %r" % (family,))
+    least = 2 if family in ("standard_example", "kelly") else 1
+    if n < least:
+        raise BadParameter("%s needs n >= %d" % (family, least))
+    largest = math.isqrt(MAX_N) if family == "standard_example" else MAX_N
+    if n > largest:
+        raise TooLarge("n = %d is above the largest %s size, %d" % (n, family, largest))
+
+
+def generate(family, n, seed=0):
+    check_request(family, n)
     return FAMILIES[family](n, seed)

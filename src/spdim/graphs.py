@@ -1,8 +1,9 @@
 """Immutable simple graphs over named vertices.
 
 Vertex order is the declaration order and doubles as the canonical order for
-all deterministic tie-breaking.  Edges are stored as tuples (u, v) with u
-before v canonically.
+all deterministic tie-breaking; a vertex's position is its id, which
+``adjacency``, ``index_edges`` and ``components`` use.  Edges are stored as
+tuples (u, v) with u before v canonically.
 
 Text format::
 
@@ -11,8 +12,6 @@ Text format::
     a -- b
     b -- c
 """
-
-from collections import deque
 
 from .errors import ParseError, UnknownElement
 
@@ -27,7 +26,7 @@ class Graph:
             if v in index:
                 raise UnknownElement("duplicate vertex %r" % (v,))
             index[v] = len(index)
-        adj = {v: set() for v in vertices}
+        adj = [set() for _ in vertices]
         normalized = set()
         for u, v in edges:
             if u not in index:
@@ -36,11 +35,12 @@ class Graph:
                 raise UnknownElement("unknown vertex %r" % (v,))
             if u == v:
                 raise UnknownElement("loop edge at %r" % (u,))
-            if index[u] > index[v]:
+            i, j = index[u], index[v]
+            if i > j:
                 u, v = v, u
             normalized.add((u, v))
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[i].add(j)
+            adj[j].add(i)
         self.vertices = vertices
         self._index = index
         self.edges = frozenset(normalized)
@@ -75,57 +75,45 @@ class Graph:
             u, v = v, u
         return (u, v)
 
-    def has_edge(self, u, v):
-        return self.edge(u, v) in self.edges
-
     def neighbors(self, v):
-        return sorted(self._adj[v], key=self._index.__getitem__)
+        return [self.vertices[j] for j in sorted(self._adj[self._index[v]])]
 
     def degree(self, v):
-        return len(self._adj[v])
+        return len(self._adj[self._index[v]])
+
+    def adjacency(self):
+        "Per vertex id, the set of its neighbours' ids (read only)."
+        return self._adj
+
+    def index_edges(self):
+        "The edges as id pairs (i, j) with i < j, ascending."
+        return [(i, j) for i, nb in enumerate(self._adj) for j in sorted(nb) if i < j]
 
     def sorted_edges(self):
-        return sorted(self.edges, key=lambda e: (self._index[e[0]], self._index[e[1]]))
+        names = self.vertices
+        return [(names[i], names[j]) for i, j in self.index_edges()]
 
-    def connected_components(self):
-        "Vertex lists of the connected components, canonical order throughout."
-        seen = set()
+    def components(self):
+        "Id lists of the connected components, each ascending, by least id."
+        comp_of = [None] * len(self._adj)
         comps = []
-        for v in self.vertices:
-            if v in seen:
+        for v in range(len(comp_of)):
+            if comp_of[v] is not None:
                 continue
-            comp = []
-            queue = deque([v])
-            seen.add(v)
-            while queue:
-                u = queue.popleft()
-                comp.append(u)
+            comp = [v]
+            comp_of[v] = len(comps)
+            for u in comp:
                 for w in self._adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            comp.sort(key=self._index.__getitem__)
+                    if comp_of[w] is None:
+                        comp_of[w] = len(comps)
+                        comp.append(w)
+            comp.sort()
             comps.append(comp)
         return comps
 
-    def is_connected_set(self, subset):
-        "True iff the induced subgraph on ``subset`` is connected (and nonempty)."
-        subset = set(subset)
-        if not subset:
-            return False
-        for v in subset:
-            if v not in self._index:
-                raise UnknownElement("unknown vertex %r" % (v,))
-        start = next(iter(subset))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if w in subset and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen == subset
+    def connected_components(self):
+        "Vertex lists of the connected components, canonical order throughout."
+        return [[self.vertices[i] for i in comp] for comp in self.components()]
 
 
 def dumps(graph):

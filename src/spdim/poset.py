@@ -21,7 +21,6 @@ from collections import defaultdict, deque
 
 from .errors import (
     CycleError,
-    NotComparable,
     NotReversible,
     PairNotIncomparable,
     ParseError,
@@ -115,10 +114,6 @@ class Poset:
         except KeyError:
             raise UnknownElement("unknown element %r" % (x,)) from None
 
-    def less(self, x, y):
-        "True iff x < y (strictly)."
-        return bool(self._above[self.index(x)] >> self.index(y) & 1)
-
     def leq(self, x, y):
         i, j = self.index(x), self.index(y)
         return i == j or bool(self._above[i] >> j & 1)
@@ -136,6 +131,11 @@ class Poset:
         i = self.index(x)
         return self._below[i] | (1 << i)
 
+    def closed_masks(self):
+        "Per element index i, the masks of the upset and of the downset of i, each including i."
+        return ([above | 1 << i for i, above in enumerate(self._above)],
+                [below | 1 << i for i, below in enumerate(self._below)])
+
     def upset(self, x):
         return {self.elements[j] for j in bits(self.upset_mask(x))}
 
@@ -150,28 +150,8 @@ class Poset:
                 out.append((self.elements[i], self.elements[j]))
         return out
 
-    def cover_edges(self):
-        return frozenset((self.elements[i], self.elements[j])
-                         for i, row in enumerate(self._cover_up) for j in bits(row))
-
     def cover_graph(self):
         return Graph(self.elements, self.covers())
-
-    def covering_chain(self, x, y):
-        """A chain x = z1 < z2 < ... < zk = y where each step is a cover.
-
-        Tie-break: always step to the smallest cover (canonical order) above
-        the current element that still lies below y.
-        """
-        if not self.leq(x, y):
-            raise NotComparable("%r is not below %r" % (x, y))
-        j = self.index(y)
-        chain = [self.index(x)]
-        while chain[-1] != j:
-            cur = chain[-1]
-            step = self._cover_up[cur] & (self._below[j] | (1 << j))
-            chain.append(_low_bit(step))
-        return [self.elements[i] for i in chain]
 
     def incomparable_pairs(self):
         "All ordered incomparable pairs, in canonical order (symmetric set)."
@@ -301,26 +281,6 @@ class Poset:
                     heapq.heappush(ready, x)
         return order
 
-    def is_reversible(self, pairs):
-        "True iff one linear extension can reverse every pair at once."
-        try:
-            self.linear_extension_reversing(pairs)
-        except NotReversible:
-            return False
-        return True
-
-    def find_strict_alternating_cycle(self, pairs):
-        """A strict alternating cycle with all pairs from ``pairs``, or None.
-
-        None is returned exactly when the set is reversible.
-        """
-        pairs = self._check_pairs(pairs)
-        try:
-            self.linear_extension_reversing(pairs)
-        except NotReversible as exc:
-            return exc.cycle
-        return None
-
     def _witness_cycle(self, pairs):
         # Shortest digraph cycle through a reversal arc: for pair (x, y) the
         # arc y -> x closes a cycle with any x ->* y path of order arcs and
@@ -391,26 +351,6 @@ class Poset:
                 k = (k + 1) % m
             assert 2 <= len(out) < m
             cycle = out
-
-    def is_alternating_cycle(self, cycle):
-        cycle = list(cycle)
-        if len(cycle) < 2:
-            return False
-        if any(not self.incomparable(x, y) for x, y in cycle):
-            return False
-        m = len(cycle)
-        return all(self.leq(cycle[i][0], cycle[(i + 1) % m][1]) for i in range(m))
-
-    def is_strict_alternating_cycle(self, cycle):
-        cycle = list(cycle)
-        if not self.is_alternating_cycle(cycle):
-            return False
-        m = len(cycle)
-        for i in range(m):
-            for j in range(m):
-                if self.leq(cycle[i][0], cycle[j][1]) != (j == (i + 1) % m):
-                    return False
-        return True
 
     # -- realizer checking --------------------------------------------------
 

@@ -65,14 +65,18 @@ class PairClass:
 
     @classmethod
     def from_json(cls, obj):
-        "The signature of a JSON object; ``ParseError`` if a field is missing or invalid."
-        if not isinstance(obj, dict) or obj.get("kind") not in (1, 2):
+        """The signature of a JSON object; ``ParseError`` if a field is missing or
+        invalid.  Field values are JSON integers: not ``true`` (a bool), not ``2.0``."""
+        if not isinstance(obj, dict) or type(obj.get("kind")) is not int or obj["kind"] not in (1, 2):
             raise ParseError("signature needs kind 1 or 2: %s" % (json.dumps(obj),), 1)
         fields = ("order", "up") if obj["kind"] == 1 else ("order", "span", "gate")
-        try:
-            return cls(obj["kind"], **{f: obj[f] for f in fields})
-        except (KeyError, ValueError):
-            raise ParseError("invalid signature %s" % (json.dumps(obj),), 1) from None
+        values = {f: obj.get(f) for f in fields}
+        if all(type(v) is int for v in values.values()):
+            try:
+                return cls(obj["kind"], **values)
+            except ValueError:
+                pass
+        raise ParseError("invalid signature %s" % (json.dumps(obj),), 1)
 
 
 ALL_CLASSES = tuple(
@@ -95,7 +99,9 @@ class SignatureRows:
 
     ``rows[k][i]`` holds bit j iff (element i, element j) is an incomparable
     pair with signature ``ALL_CLASSES[k]``; ``home[i]`` is element i's least
-    node.  Per-node masks (each over element indices):
+    node.  The decomposition's vertex id of element i is i, so its first
+    names must be the poset's elements.  Per-node masks (each over element
+    indices):
 
     * ``sub[a]``     -- elements whose least node lies in a's subtree;
     * ``under[a]``   -- elements below some bag member (upset of x meets the bag);
@@ -108,33 +114,36 @@ class SignatureRows:
         self.poset = poset
         self.decomp = decomp
         nodes = decomp.nodes
+        n = len(poset)
+        if decomp.names[:n] != poset.elements:
+            raise MalformedInstance("the decomposition's first vertices are not the poset's elements")
         self.home = []
         at = [0] * len(nodes)
         for i, x in enumerate(poset.elements):
-            w = decomp.least_node(x)
+            w = decomp.least_node(i)
             node = nodes[w]
-            if len(node.bag) != 3 or node.middle != x:
+            if len(node.bag) != 3 or node.middle != i:
                 raise MalformedInstance(
                     "least node of %r does not carry it as its middle vertex" % (x,))
             self.home.append(w)
             at[w] |= 1 << i
 
-        def mask(v, of):
-            return of(v) if v in poset else 0
-
-        up, down = poset.upset_mask, poset.downset_mask
-        self._up_s = [mask(node.s, up) for node in nodes]
-        self._up_t = [mask(node.t, up) for node in nodes]
-        self._down_s = [mask(node.s, down) for node in nodes]
-        self._down_t = [mask(node.t, down) for node in nodes]
+        # Per vertex id, its upset and downset masks; 0 for the fresh vertices.
+        up, down = poset.closed_masks()
+        pad = [0] * (len(decomp.names) - n)
+        up += pad
+        down += pad
+        self._up_s = [up[node.s] for node in nodes]
+        self._up_t = [up[node.t] for node in nodes]
+        self._down_s = [down[node.s] for node in nodes]
+        self._down_t = [down[node.t] for node in nodes]
         self._under = []
         self._over = []
         for node in nodes:
             under = over = 0
             for v in node.bag:
-                if v in poset:
-                    under |= down(v)
-                    over |= up(v)
+                under |= down[v]
+                over |= up[v]
             self._under.append(under)
             self._over.append(over)
         self._preorder = preorder = [node.id for node in decomp.preorder()]
@@ -286,7 +295,7 @@ def classify_pairs(poset, decomp):
 def _decompose(poset):
     "Embed the cover graph (testing its treewidth once), add fresh outer terminals, decompose."
     embedding = augment_with_fresh_terminals(embed_into_sp(poset.cover_graph()))
-    return embedding, build_st_decomposition(embedding.sp, embedding.host)
+    return embedding, build_st_decomposition(embedding.sp, embedding.names)
 
 
 class ClassifiedInstance:

@@ -13,11 +13,17 @@ original graph is untouched: missing structure is added as fresh *fill* edges
 and fresh connector vertices, never by identifying existing vertices.  The
 tree is built with O(1) reversals (``FLIP`` views), which are resolved before
 it is returned, balanced by leaf weight: paths and forests get depth O(log n).
+
+Vertices are integer ids throughout: a graph vertex's id is its position in
+the graph, fresh vertices get the next ids in the order they are made, and
+id order is the canonical order of every tie-break.  ``Embedding.names``
+maps ids back to names; the host graph is built only when it is read.
 """
 
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, combinations, islice
 
 from .errors import InvalidSPTree, NotTreewidth2
@@ -148,17 +154,25 @@ def validate_sp_tree(root):
 class Embedding:
     """A graph embedded in a two-terminal series-parallel host.
 
-    ``host`` is the graph of the leaf edges of ``sp``; the input graph is a
-    subgraph of it.  ``added_edges`` and ``added_vertices`` are the fresh fill
-    material.
+    The vertices of ``sp``, ``source`` and ``sink`` are ids: ``names[i]`` is
+    the name of vertex i, the input graph's vertices first, in their order.
+    ``added_edges`` (canonical name pairs) and ``added_vertices`` (names) are
+    the fresh fill material.
     """
 
     sp: SPNode
-    host: Graph
+    names: tuple
     added_edges: frozenset
     added_vertices: frozenset
-    source: str
-    sink: str
+    source: int
+    sink: int
+
+    @cached_property
+    def host(self):
+        "The graph of the leaf edges of ``sp``, over ``names``; the input graph is a subgraph of it."
+        names = self.names
+        return Graph(names, ((names[node.source], names[node.sink])
+                             for node in walk_postorder(self.sp) if node.kind == EDGE))
 
 
 def _reduces_to_empty(adj):
@@ -185,21 +199,29 @@ def has_treewidth_at_most_2(graph):
     """Standard partial-2-tree reduction: repeatedly delete vertices of degree
     <= 1 and suppress degree-2 vertices (joining their neighbors); the graph
     has treewidth <= 2 iff this empties it."""
-    return _reduces_to_empty({v: set(graph.neighbors(v)) for v in graph.vertices})
+    return _reduces_to_empty({v: set(nb) for v, nb in enumerate(graph.adjacency())})
 
 
 class _Names:
-    "Deterministic fresh-name allocator avoiding existing identifiers."
+    "The vertex names by id, extended by fresh names that avoid every existing one."
 
-    def __init__(self, taken):
-        self.taken = set(taken)
+    def __init__(self, names):
+        self.names = list(names)
+        self.taken = set(self.names)
 
     def make(self, base):
+        "A fresh vertex named ``base`` plus enough primes to be new; returns its id."
         name = base
         while name in self.taken:
             name += "'"
         self.taken.add(name)
-        return name
+        self.names.append(name)
+        return len(self.names) - 1
+
+    def edges(self, pairs):
+        "The id pairs as canonical name pairs (lower id first)."
+        names = self.names
+        return frozenset((names[u], names[v]) if u < v else (names[v], names[u]) for u, v in pairs)
 
 
 def _flipped(tree):
@@ -296,38 +318,38 @@ def _tw2_with_extra_edge(comp, comp_edges, s, t):
     return _reduces_to_empty(adj)
 
 
-def _terminal_candidates(graph, comp, comp_edges):
+def _terminal_candidates(degree, comp, comp_edges):
     """Terminal pairs to try, best first, generated lazily.
 
     A pair (s, t) admits a series-parallel host containing the component iff
     the component plus the edge st still has treewidth <= 2 (any host would
     tolerate a parallel st edge, and with it contains component + st as a
     subgraph).  Pairs of vertices of degree <= 2 come first, by degree sum,
-    then canonical index, so that paths keep their ends as terminals and
-    fills stay rare; then the edges with an endpoint of higher degree (an
-    edge always qualifies).  ``comp`` is a whole component: degrees are the graph's.
+    then id, so that paths keep their ends as terminals and fills stay rare;
+    then the edges with an endpoint of higher degree (an edge always
+    qualifies).  ``comp`` is a whole component, ascending, and ``degree[v]``
+    is the graph degree of vertex v.
     """
-    ones = [v for v in comp if graph.degree(v) == 1]
-    twos = [v for v in comp if graph.degree(v) == 2]
-    for s, t in chain(combinations(ones, 2), _mixed_pairs(graph, comp, ones, twos),
+    ones = [v for v in comp if degree[v] == 1]
+    twos = [v for v in comp if degree[v] == 2]
+    for s, t in chain(combinations(ones, 2), _mixed_pairs(degree, comp, ones, twos),
                       combinations(twos, 2),
-                      ((u, v) for u, v in comp_edges
-                       if graph.degree(u) > 2 or graph.degree(v) > 2)):
+                      ((u, v) for u, v in comp_edges if degree[u] > 2 or degree[v] > 2)):
         if _tw2_with_extra_edge(comp, comp_edges, s, t):
             yield s, t
 
 
-def _mixed_pairs(graph, comp, ones, twos):
-    "Pairs of one degree-1 and one degree-2 vertex, in canonical order."
+def _mixed_pairs(degree, comp, ones, twos):
+    "Pairs of one degree-1 and one degree-2 vertex, in id order."
     seen = {1: 0, 2: 0}  # vertices of each degree up to u
     for u in comp:
-        d = graph.degree(u)
+        d = degree[u]
         if d <= 2:
             seen[d] += 1
             yield from ((u, v) for v in islice((twos, ones)[d - 1], seen[3 - d], None))
 
 
-def _reduce_component(graph, comp, comp_edges, s, t):
+def _reduce_component(comp, comp_edges, s, t):
     """Build the composition tree of one connected component on terminals (s, t).
 
     The component is reduced by repeatedly suppressing a non-terminal vertex
@@ -336,9 +358,8 @@ def _reduce_component(graph, comp, comp_edges, s, t):
     A non-terminal vertex of degree 1 first receives a fill edge to another
     neighbor of its only neighbor, which makes it suppressible.  Returns the
     tree and the fill edges used, or None when the reduction cannot finish on
-    these terminals.
+    these terminals.  Ties go to the least id.
     """
-    idx = graph.index
     adj = {v: set() for v in comp}
     bundles = {}
     for u, v in comp_edges:
@@ -346,9 +367,6 @@ def _reduce_component(graph, comp, comp_edges, s, t):
         adj[v].add(u)
         bundles[frozenset((u, v))] = edge_node(u, v)
     fills = []
-
-    def canonical_pair(u, v):
-        return (u, v) if idx(u) < idx(v) else (v, u)
 
     def put_bundle(u, v, tree):
         key = frozenset((u, v))
@@ -365,23 +383,24 @@ def _reduce_component(graph, comp, comp_edges, s, t):
     def reducible(v):
         return v != s and v != t and v in adj and len(adj[v]) <= 2
 
-    # The first reducible vertex in canonical order: a min-heap of indices
-    # (comp is sorted, so the list starts as a heap), re-checked when popped
-    # and pushed again when a degree drops.
-    ready = [idx(v) for v in comp if reducible(v)]
+    # The least reducible vertex: a min-heap of ids (comp is sorted, so the
+    # list starts as a heap), re-checked when popped and pushed again when a
+    # degree drops.
+    ready = [v for v in comp if reducible(v)]
     while len(adj) > 2:
-        while ready and not reducible(graph.vertices[ready[0]]):
+        while ready and not reducible(ready[0]):
             heapq.heappop(ready)
         if not ready:
             return None
-        pick = graph.vertices[heapq.heappop(ready)]
+        pick = heapq.heappop(ready)
         if len(adj[pick]) == 1:
             (u,) = adj[pick]
-            w = min((w for w in adj[u] if w != pick), key=idx, default=None)
+            w = min((w for w in adj[u] if w != pick), default=None)
             assert w is not None, "dangling vertex with no fill partner"
-            fills.append(canonical_pair(pick, w))
-            put_bundle(pick, w, edge_node(*canonical_pair(pick, w)))
-        u, w = sorted(adj[pick], key=idx)
+            fill = (pick, w) if pick < w else (w, pick)
+            fills.append(fill)
+            put_bundle(pick, w, edge_node(*fill))
+        u, w = sorted(adj[pick])
         left = bundles.pop(frozenset((u, pick)))
         right = bundles.pop(frozenset((pick, w)))
         if (left.sink == pick) != (right.source == pick):
@@ -392,7 +411,7 @@ def _reduce_component(graph, comp, comp_edges, s, t):
         put_bundle(u, w, series(left, right) if left.sink == pick else series(right, left))
         for v in (u, w):
             if reducible(v):
-                heapq.heappush(ready, idx(v))
+                heapq.heappush(ready, v)
 
     assert set(adj) == {s, t} and len(bundles) == 1
     tree = bundles[frozenset((s, t))]
@@ -415,10 +434,14 @@ def embed_into_sp(graph):
     added_edges = []
     added_vertices = []
     trees = []
-    comps = graph.connected_components()
-    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
+    degree = [len(nb) for nb in graph.adjacency()]
+    comps = graph.components()
+    comp_of = [0] * len(degree)
+    for k, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = k
     edges_of = [[] for _ in comps]
-    for e in graph.sorted_edges():
+    for e in graph.index_edges():
         edges_of[comp_of[e[0]]].append(e)
     for k, (comp, comp_edges) in enumerate(zip(comps, edges_of)):
         if len(comp) == 1:
@@ -429,8 +452,8 @@ def embed_into_sp(graph):
             trees.append(edge_node(v, c))
             continue
         result = None
-        for s, t in _terminal_candidates(graph, comp, comp_edges):
-            result = _reduce_component(graph, comp, comp_edges, s, t)
+        for s, t in _terminal_candidates(degree, comp, comp_edges):
+            result = _reduce_component(comp, comp_edges, s, t)
             if result is not None:
                 break
         if result is None:
@@ -450,27 +473,23 @@ def embed_into_sp(graph):
         added_edges.append(bridge)
         root = series(root, series(edge_node(*bridge), tree))
     root = _normalized(root)
-    edges = [(node.source, node.sink) for node in walk_postorder(root) if node.kind == EDGE]
-    host = Graph(tuple(graph.vertices) + tuple(added_vertices), edges)
-    assert set(chain.from_iterable(edges)) == set(host.vertices), "a host vertex is in no leaf"
-    return Embedding(sp=root, host=host,
-                     added_edges=frozenset(host.edge(u, v) for u, v in added_edges),
-                     added_vertices=frozenset(added_vertices),
+    assert len({v for node in walk_postorder(root) if node.kind == EDGE
+                for v in (node.source, node.sink)}) == len(names.names), "a host vertex is in no leaf"
+    return Embedding(sp=root, names=tuple(names.names), added_edges=names.edges(added_edges),
+                     added_vertices=frozenset(names.names[v] for v in added_vertices),
                      source=root.source, sink=root.sink)
 
 
 def augment_with_fresh_terminals(embedding):
     """Extend the host by fresh outer terminals so that neither terminal is a
     vertex of the original graph: series(edge(s*, s), series(tree, edge(t, t*)))."""
-    names = _Names(embedding.host.vertices)
+    names = _Names(embedding.names)
     s_new = names.make("+s")
     t_new = names.make("+t")
     tree = series(edge_node(s_new, embedding.source),
                   series(embedding.sp, edge_node(embedding.sink, t_new)))
-    host = Graph(tuple(embedding.host.vertices) + (s_new, t_new),
-                 chain(embedding.host.edges, ((s_new, embedding.source), (embedding.sink, t_new))))
-    extra = {host.edge(s_new, embedding.source), host.edge(embedding.sink, t_new)}
-    return Embedding(sp=tree, host=host,
+    extra = names.edges([(s_new, embedding.source), (embedding.sink, t_new)])
+    return Embedding(sp=tree, names=tuple(names.names),
                      added_edges=embedding.added_edges | extra,
-                     added_vertices=embedding.added_vertices | {s_new, t_new},
+                     added_vertices=embedding.added_vertices | {names.names[s_new], names.names[t_new]},
                      source=s_new, sink=t_new)

@@ -5,27 +5,31 @@ members, its source and sink.  Leaf bags have size 2; a size-2 internal node
 passes its terminals to both children; a size-3 internal node splits at its
 middle vertex (left child runs source -> middle, right child middle -> sink).
 
+Vertices are the integer ids of the embedding; ``STDecomposition.names`` maps
+them to names, which only the writers and error messages use.
+
 Decomposition node ids mirror the series-parallel tree they were built from
 (pre-order), and are preserved by ``reverse`` and ``swap_size2_children`` so
 that nodes can be compared across transformed decompositions.
 """
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
+from typing import NamedTuple
 
 from .errors import InvalidSPTree, PreconditionViolated, VertexNotInDecomposition
 from .spembed import EDGE, SERIES, validate_sp_tree
 
 
-@dataclass(frozen=True)
-class DecompNode:
+class DecompNode(NamedTuple):
+    "One node: its id, its tree links, its bag of vertex ids, and its source and sink ids."
+
     id: int
     parent: int | None
     left: int | None
     right: int | None
     bag: tuple
-    s: str
-    t: str
+    s: int
+    t: int
 
     @property
     def middle(self):
@@ -42,22 +46,23 @@ class DecompNode:
 
 
 class STDecomposition:
-    """An s-t tree-decomposition of a two-terminal graph (immutable)."""
+    """An s-t tree-decomposition of a two-terminal graph (immutable); ``names[v]``
+    is the name of vertex id v."""
 
-    def __init__(self, nodes, root, graph):
+    def __init__(self, nodes, root, names):
         self.nodes = tuple(nodes)
         self.root = root
-        self.graph = graph
-        self._depth = [0] * len(self.nodes)
+        self.names = tuple(names)
+        depth = self._depth = [0] * len(self.nodes)
         for node in self.preorder():
             if node.parent is not None:
-                self._depth[node.id] = self._depth[node.parent] + 1
-        self._least = {}
+                depth[node.id] = depth[node.parent] + 1
+        least = self._least = [None] * len(self.names)
         for node in self.nodes:
             for v in node.bag:
-                best = self._least.get(v)
-                if best is None or self._depth[node.id] < self._depth[best]:
-                    self._least[v] = node.id
+                best = least[v]
+                if best is None or depth[node.id] < depth[best]:
+                    least[v] = node.id
 
     @property
     def source(self):
@@ -101,12 +106,6 @@ class STDecomposition:
     def parent(self, u):
         return self.nodes[u].parent
 
-    def is_ancestor(self, u, v):
-        "True iff u lies on the root path of v (u <= v in the tree order)."
-        while v is not None and self._depth[v] > self._depth[u]:
-            v = self.nodes[v].parent
-        return v == u
-
     def lca(self, u, v):
         while self._depth[u] > self._depth[v]:
             u = self.nodes[u].parent
@@ -117,27 +116,12 @@ class STDecomposition:
             v = self.nodes[v].parent
         return u
 
-    def tree_path(self, u, v):
-        "Node ids along the unique tree path from u to v, inclusive."
-        w = self.lca(u, v)
-        up = []
-        x = u
-        while x != w:
-            up.append(x)
-            x = self.nodes[x].parent
-        down = []
-        x = v
-        while x != w:
-            down.append(x)
-            x = self.nodes[x].parent
-        return up + [w] + list(reversed(down))
-
     def least_node(self, vertex):
-        "The node closest to the root whose bag contains the vertex."
-        try:
+        "The node closest to the root whose bag contains the vertex id."
+        if 0 <= vertex < len(self._least) and self._least[vertex] is not None:
             return self._least[vertex]
-        except KeyError:
-            raise VertexNotInDecomposition("vertex %r is in no bag" % (vertex,)) from None
+        name = self.names[vertex] if 0 <= vertex < len(self.names) else vertex
+        raise VertexNotInDecomposition("vertex %r is in no bag" % (name,))
 
     # -- transforms ---------------------------------------------------------
 
@@ -148,22 +132,22 @@ class STDecomposition:
         nodes = [DecompNode(n.id, n.parent, n.right, n.left,
                             tuple(reversed(n.bag)), n.t, n.s)
                  for n in self.nodes]
-        return STDecomposition(nodes, self.root, self.graph)
+        return STDecomposition(nodes, self.root, self.names)
 
     def swap_size2_children(self):
         "Swap the children of every size-2 internal node; bags and terminals stay."
         nodes = [DecompNode(n.id, n.parent, n.right, n.left, n.bag, n.s, n.t)
                  if (not n.is_leaf and len(n.bag) == 2) else n
                  for n in self.nodes]
-        return STDecomposition(nodes, self.root, self.graph)
+        return STDecomposition(nodes, self.root, self.names)
 
 
-def build_st_decomposition(sp_root, graph):
+def build_st_decomposition(sp_root, names):
     """Decomposition mirroring a series-parallel tree node for node.
 
     Leaf -> bag {source, sink}; parallel -> bag {source, sink}; series ->
     the size-3 bag {source, shared vertex, sink}.  Node ids are assigned in
-    pre-order of the composition tree; ``graph`` is the host it decomposes.
+    pre-order of the composition tree; its vertices are ids into ``names``.
     """
     if not validate_sp_tree(sp_root):
         raise InvalidSPTree("refusing to decompose an invalid composition tree")
@@ -182,14 +166,13 @@ def build_st_decomposition(sp_root, graph):
         if sp.kind != EDGE:
             stack.append((sp.right, nid, "right"))
             stack.append((sp.left, nid, "left"))
-    decomp_nodes = [DecompNode(nid, parent, left, right, bag, s, t)
-                    for nid, parent, left, right, bag, s, t in nodes]
-    return STDecomposition(decomp_nodes, 0, graph)
+    return STDecomposition(map(DecompNode._make, nodes), 0, names)
 
 
 # -- JSON export -------------------------------------------------------------
 
 def decomposition_to_json(decomp):
+    names = decomp.names
     out = []
     for node in decomp.nodes:
         parent = node.parent
@@ -197,12 +180,13 @@ def decomposition_to_json(decomp):
         if parent is not None:
             side = "left" if decomp.nodes[parent].left == node.id else "right"
         out.append({"id": node.id, "parent": parent, "side": side,
-                    "bag": list(node.bag), "s": node.s, "t": node.t})
+                    "bag": [names[v] for v in node.bag], "s": names[node.s], "t": names[node.t]})
     return out
 
 
 def dumps_decomposition(decomp):
     "``json.dumps(decomposition_to_json(decomp), indent=2)``, written from a fixed template."
+    quoted = [_string(name) for name in decomp.names]
     out = []
     for node in decomp.nodes:
         parent = side = "null"
@@ -211,6 +195,6 @@ def dumps_decomposition(decomp):
             side = '"left"' if decomp.nodes[parent].left == node.id else '"right"'
         out.append('  {\n    "id": %d,\n    "parent": %s,\n    "side": %s,\n    "bag": [\n      %s\n'
                    '    ],\n    "s": %s,\n    "t": %s\n  }'
-                   % (node.id, parent, side, ",\n      ".join(map(_string, node.bag)),
-                      _string(node.s), _string(node.t)))
+                   % (node.id, parent, side, ",\n      ".join([quoted[v] for v in node.bag]),
+                      quoted[node.s], quoted[node.t]))
     return "[\n%s\n]\n" % ",\n".join(out)

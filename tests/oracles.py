@@ -8,13 +8,134 @@ Warshall's loop, terminal candidates by sorting every pair, composition
 trees by re-deriving every node's subgraph, reversed composition trees by
 rebuilding every node, topological orders by Kahn's algorithm over one arc
 per pair, linear extensions by sorting.  The validation, the separation
-predicates and the in-order comparison of s-t decompositions live here too:
-only tests need them.
+predicates and the in-order comparison of s-t decompositions live here too,
+with the order, graph and tree queries that only tests need.
+
+Decompositions and embeddings carry vertex ids; ``id_host`` gives the host
+graph over those ids, which the decomposition checks take.
 """
 
 import heapq
 from itertools import permutations
 
+
+# -- queries only tests need -----------------------------------------------
+
+def less(poset, x, y):
+    "True iff x < y (strictly)."
+    return poset.leq(x, y) and poset.index(x) != poset.index(y)
+
+
+def cover_edges(poset):
+    return frozenset(poset.covers())
+
+
+def covering_chain(poset, x, y):
+    """A chain x = z1 < z2 < ... < zk = y where each step is a cover.
+
+    Tie-break: always step to the smallest cover (canonical order) above
+    the current element that still lies below y.
+    """
+    from spdim.errors import NotComparable
+
+    if not poset.leq(x, y):
+        raise NotComparable("%r is not below %r" % (x, y))
+    ups = {}
+    for a, b in poset.covers():
+        ups.setdefault(a, []).append(b)
+    chain = [x]
+    while chain[-1] != y:
+        chain.append(next(b for b in ups[chain[-1]] if poset.leq(b, y)))
+    return chain
+
+
+def is_reversible(poset, pairs):
+    "True iff one linear extension can reverse every pair at once."
+    return find_strict_alternating_cycle(poset, pairs) is None
+
+
+def find_strict_alternating_cycle(poset, pairs):
+    """A strict alternating cycle with all pairs from ``pairs``, or None.
+
+    None is returned exactly when the set is reversible.
+    """
+    from spdim.errors import NotReversible
+
+    try:
+        poset.linear_extension_reversing(pairs)
+    except NotReversible as exc:
+        return exc.cycle
+    return None
+
+
+def is_alternating_cycle(poset, cycle):
+    cycle = list(cycle)
+    if len(cycle) < 2:
+        return False
+    if any(not poset.incomparable(x, y) for x, y in cycle):
+        return False
+    m = len(cycle)
+    return all(poset.leq(cycle[i][0], cycle[(i + 1) % m][1]) for i in range(m))
+
+
+def is_strict_alternating_cycle(poset, cycle):
+    cycle = list(cycle)
+    if not is_alternating_cycle(poset, cycle):
+        return False
+    m = len(cycle)
+    return all(poset.leq(cycle[i][0], cycle[j][1]) == (j == (i + 1) % m)
+               for i in range(m) for j in range(m))
+
+
+def has_edge(graph, u, v):
+    return graph.edge(u, v) in graph.edges
+
+
+def is_connected_set(graph, subset):
+    "True iff the induced subgraph on ``subset`` is connected (and nonempty)."
+    subset = set(subset)
+    if not subset:
+        return False
+    for v in subset:
+        graph.index(v)  # UnknownElement for a vertex not in the graph
+    start = next(iter(subset))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in graph.neighbors(stack.pop()):
+            if w in subset and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == subset
+
+
+def is_ancestor(decomp, u, v):
+    "True iff u lies on the root path of v (u <= v in the tree order)."
+    while v is not None and decomp.depth(v) > decomp.depth(u):
+        v = decomp.parent(v)
+    return v == u
+
+
+def tree_path(decomp, u, v):
+    "Node ids along the unique tree path from u to v, inclusive."
+    w = decomp.lca(u, v)
+    up, down = [], []
+    for x, out in ((u, up), (v, down)):
+        while x != w:
+            out.append(x)
+            x = decomp.parent(x)
+    return up + [w] + down[::-1]
+
+
+def id_host(embedding):
+    "The host graph of an embedding over vertex ids (its vertices are listed in id order)."
+    from spdim.graphs import Graph
+
+    host = embedding.host
+    return Graph(range(len(host)), [(host.index(u), host.index(v)) for u, v in host.edges])
+
+
+# -- brute force -------------------------------------------------------------
 
 def brute_is_reversible(poset, pairs):
     "Try every permutation of the ground set (posets of ~8 elements max)."
@@ -56,28 +177,58 @@ def brute_strict_alternating_cycles(poset, pairs, max_len=None):
 
 
 def brute_dimension(poset, max_d=6):
-    "Least number of reversible parts covering Inc, by exhaustive assignment."
+    """Least number of reversible parts covering Inc, by exhaustive assignment.
+
+    Reversibility is read off every permutation of the ground set once: a
+    part is reversible iff some linear extension reverses all of its pairs,
+    and the answer is memoized per part.  Pairs are assigned in order, each
+    to a part it keeps reversible or to one new part.
+    """
     inc = poset.incomparable_pairs()
     if not inc:
         return 1
+    reversers = _maximal_reversed_sets(poset, inc)
+    memo = {}
+
+    def reversible(part):
+        ok = memo.get(part)
+        if ok is None:
+            ok = memo[part] = any(part & r == part for r in reversers)
+        return ok
+
     for d in range(2, max_d + 1):
-        if _assign(poset, inc, [], d):
+        if _assign(reversible, len(inc), 0, [], d):
             return d
     raise AssertionError("dimension above %d" % max_d)
 
 
-def _assign(poset, inc, parts, d):
-    if not inc:
-        return all(brute_is_reversible(poset, part) for part in parts)
-    head, rest = inc[0], inc[1:]
-    for k in range(len(parts)):
-        parts[k].append(head)
-        if brute_is_reversible(poset, parts[k]) and _assign(poset, rest, parts, d):
-            return True
-        parts[k].pop()
+def _maximal_reversed_sets(poset, inc):
+    """Per permutation of the ground set that puts every cover in order, the
+    mask of the pairs of ``inc`` it reverses; only the maximal masks are kept."""
+    covers = poset.covers()
+    found = set()
+    for perm in permutations(poset.elements):
+        pos = {e: k for k, e in enumerate(perm)}
+        if any(pos[x] > pos[y] for x, y in covers):
+            continue
+        found.add(sum(1 << k for k, (x, y) in enumerate(inc) if pos[y] < pos[x]))
+    return [m for m in found if not any(m != o and m & o == m for o in found)]
+
+
+def _assign(reversible, m, k, parts, d):
+    "Place pairs k..m-1 into at most d parts (masks over pair indices), each reversible."
+    if k == m:
+        return True
+    bit = 1 << k
+    for i, part in enumerate(parts):
+        if reversible(part | bit):
+            parts[i] = part | bit
+            if _assign(reversible, m, k + 1, parts, d):
+                return True
+            parts[i] = part
     if len(parts) < d:
-        parts.append([head])
-        if _assign(poset, rest, parts, d):
+        parts.append(bit)
+        if _assign(reversible, m, k + 1, parts, d):
             return True
         parts.pop()
     return False
@@ -133,10 +284,10 @@ def has_k4_minor(graph):
 def _path_through(graph, u, v, inner):
     "Is there a u-v path using exactly the vertices of ``inner`` in between?"
     if not inner:
-        return graph.has_edge(u, v)
+        return has_edge(graph, u, v)
     for order in permutations(inner):
         seq = [u, *order, v]
-        if all(graph.has_edge(a, b) for a, b in zip(seq, seq[1:])):
+        if all(has_edge(graph, a, b) for a, b in zip(seq, seq[1:])):
             return True
     return False
 
@@ -166,13 +317,13 @@ class ReferenceClassifier:
         self.poset = poset
         self.decomp = decomp
         self.in_pos = in_order_positions(decomp)
-        index = poset._index
+        n = len(poset)
         nodes = decomp.nodes
         self.home = {}
-        for x in poset.elements:
-            w = decomp.least_node(x)
+        for i, x in enumerate(poset.elements):
+            w = decomp.least_node(i)
             node = nodes[w]
-            if len(node.bag) != 3 or node.middle != x:
+            if len(node.bag) != 3 or node.middle != i:
                 raise MalformedInstance(
                     "least node of %r does not carry it as its middle vertex" % (x,))
             self.home[x] = w
@@ -182,12 +333,11 @@ class ReferenceClassifier:
         for node in nodes:
             mask = 0
             for v in node.bag:
-                i = index.get(v)
-                if i is not None:
-                    mask |= 1 << i
+                if v < n:  # vertex id v is element v; the rest are fresh
+                    mask |= 1 << v
             self.bagmask.append(mask)
-            self.s_idx.append(index.get(node.s))
-            self.t_idx.append(index.get(node.t))
+            self.s_idx.append(node.s if node.s < n else None)
+            self.t_idx.append(node.t if node.t < n else None)
         # For every element, the set of nodes u such that some ancestor-or-self
         # of u has both terminals inside the up/down set of the element.
         self.up_span = {}
@@ -517,7 +667,7 @@ def in_order_less(decomp, u, v):
 def validation_errors(decomp, graph, source, sink):
     """The s-t decomposition rules checked node by node (O(|V|·|nodes|)): bags of 2 or 3,
     each vertex in a subtree of bags, every edge in a bag, terminals passed down, and
-    no least node using its vertex as a terminal."""
+    no least node using its vertex as a terminal.  ``graph`` is over vertex ids."""
     problems = []
     nodes = decomp.nodes
     for node in nodes:
@@ -584,20 +734,21 @@ def validate_decomposition(decomp, graph, source, sink):
     return not validation_errors(decomp, graph, source, sink)
 
 
-def separation_hits(decomp, u1, u2, tree_edge, subgraph_vertices):
-    """Whether a connected host subgraph meeting both end bags also meets
-    the separator of an edge on the tree path between them.  Always true;
-    a predicate so that the guarantee itself can be property-tested."""
+def separation_hits(decomp, host, u1, u2, tree_edge, subgraph_vertices):
+    """Whether a connected subgraph of ``host`` (over vertex ids) meeting both
+    end bags also meets the separator of an edge on the tree path between
+    them.  Always true; a predicate so that the guarantee itself can be
+    property-tested."""
     from spdim.errors import PreconditionViolated
 
     H = set(subgraph_vertices)
-    if not decomp.graph.is_connected_set(H):
+    if not is_connected_set(host, H):
         raise PreconditionViolated("subgraph is not connected")
     if not (H & set(decomp.nodes[u1].bag)) or not (H & set(decomp.nodes[u2].bag)):
         raise PreconditionViolated("subgraph misses an end bag")
     if u1 == u2:
         return True  # no edge separates a node from itself
-    path = decomp.tree_path(u1, u2)
+    path = tree_path(decomp, u1, u2)
     v1, v2 = tree_edge
     on_path = any((path[i], path[i + 1]) in ((v1, v2), (v2, v1))
                   for i in range(len(path) - 1))
@@ -606,28 +757,28 @@ def separation_hits(decomp, u1, u2, tree_edge, subgraph_vertices):
     return bool(H & (set(decomp.nodes[v1].bag) & set(decomp.nodes[v2].bag)))
 
 
-def st_subset_witness(decomp, u1, u2, subgraph_vertices):
+def st_subset_witness(decomp, host, u1, u2, subgraph_vertices):
     """A node v on the tree path between comparable u1, u2 whose source and
-    sink both lie in the given connected subgraph (which must contain the
-    source of u1 and the sink of u2)."""
+    sink both lie in the given connected subgraph of ``host`` (over vertex
+    ids), which must contain the source of u1 and the sink of u2."""
     from spdim.errors import PreconditionViolated
 
     H = set(subgraph_vertices)
-    if not decomp.graph.is_connected_set(H):
+    if not is_connected_set(host, H):
         raise PreconditionViolated("subgraph is not connected")
     if decomp.nodes[u1].s not in H or decomp.nodes[u2].t not in H:
         raise PreconditionViolated("subgraph misses a required terminal")
-    if decomp.is_ancestor(u1, u2):
+    if is_ancestor(decomp, u1, u2):
         # Deepest node on the path whose source is in the subgraph; the
         # separation property then forces its sink into the subgraph too.
         witness = None
-        for v in decomp.tree_path(u1, u2):
+        for v in tree_path(decomp, u1, u2):
             if decomp.nodes[v].s in H:
                 witness = v
         assert witness is not None
         node = decomp.nodes[witness]
         assert node.t in H, "separation property violated"
         return witness
-    if decomp.is_ancestor(u2, u1):
-        return st_subset_witness(decomp.reverse(), u2, u1, H)
+    if is_ancestor(decomp, u2, u1):
+        return st_subset_witness(decomp.reverse(), host, u2, u1, H)
     raise PreconditionViolated("nodes are not comparable in the tree")

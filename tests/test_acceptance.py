@@ -21,8 +21,11 @@ from spdim.stdecomp import build_st_decomposition
 from oracles import (
     all_labeled_graphs,
     has_k4_minor,
+    id_host,
+    is_ancestor,
     separation_hits,
     st_subset_witness,
+    tree_path,
     validate_decomposition,
 )
 
@@ -114,21 +117,22 @@ def test_criterion_07_structural_validators():
     for seed, n in CORPUS:
         p = random_tw2_poset(n, seed)
         emb = augment_with_fresh_terminals(embed_into_sp(p.cover_graph()))
-        d = build_st_decomposition(emb.sp, emb.host)
-        if not validate_decomposition(d, emb.host, emb.source, emb.sink):
+        d = build_st_decomposition(emb.sp, emb.names)
+        host = id_host(emb)
+        if not validate_decomposition(d, host, emb.source, emb.sink):
             ok = False
-        for v in emb.host.vertices:
+        for v in host.vertices:
             if v in (emb.source, emb.sink):
                 continue
             node = d.nodes[d.least_node(v)]
             if len(node.bag) != 3 or node.middle != v:
                 ok = False
         rev = d.reverse()
-        if not validate_decomposition(rev, emb.host, emb.sink, emb.source):
+        if not validate_decomposition(rev, host, emb.sink, emb.source):
             ok = False
         if rev.in_order() != list(reversed(d.in_order())):
             ok = False
-        if not validate_decomposition(d.swap_size2_children(), emb.host, emb.source, emb.sink):
+        if not validate_decomposition(d.swap_size2_children(), host, emb.source, emb.sink):
             ok = False
         checked += 1
     report(7, ok, "decomposition validators on %d instances "
@@ -157,29 +161,28 @@ def test_criterion_09_separation_witness_trials():
     for seed in range(80):
         p = random_tw2_poset(2 + seed % 30, seed)
         emb = augment_with_fresh_terminals(embed_into_sp(p.cover_graph()))
-        pool.append((emb, build_st_decomposition(emb.sp, emb.host)))
+        pool.append((id_host(emb), build_st_decomposition(emb.sp, emb.names)))
     while sep_trials + wit_trials < 10000:
-        emb, d = pool[rng.randrange(len(pool))]
-        g = emb.host
+        g, d = pool[rng.randrange(len(pool))]
         ids = range(len(d.nodes))
         u1, u2 = rng.choice(ids), rng.choice(ids)
         if sep_trials <= wit_trials:
-            path = d.tree_path(u1, u2)
+            path = tree_path(d, u1, u2)
             if len(path) < 2:
                 continue
             k = rng.randrange(len(path) - 1)
             start = rng.choice(sorted(d.nodes[u1].bag, key=g.index))
             goal = rng.choice(sorted(d.nodes[u2].bag, key=g.index))
             H = _grow_connected(g, rng, start, goal)
-            if not separation_hits(d, u1, u2, (path[k], path[k + 1]), H):
+            if not separation_hits(d, g, u1, u2, (path[k], path[k + 1]), H):
                 failures += 1
             sep_trials += 1
         else:
-            if not (d.is_ancestor(u1, u2) or d.is_ancestor(u2, u1)):
+            if not (is_ancestor(d, u1, u2) or is_ancestor(d, u2, u1)):
                 continue
             H = _grow_connected(g, rng, d.nodes[u1].s, d.nodes[u2].t)
-            v = st_subset_witness(d, u1, u2, H)
-            if not (v in d.tree_path(u1, u2) and d.nodes[v].s in H and d.nodes[v].t in H):
+            v = st_subset_witness(d, g, u1, u2, H)
+            if not (v in tree_path(d, u1, u2) and d.nodes[v].s in H and d.nodes[v].t in H):
                 failures += 1
             wit_trials += 1
     report(9, failures == 0, "%d separation + %d witness trials, %d failures"

@@ -1,16 +1,20 @@
 import gc
 import json
+import math
 import tracemalloc
 
 from click.testing import CliRunner
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spdim import realizer
+from spdim import generators, realizer
 from spdim.cli import main
-from spdim.generators import standard_example
+from spdim.generators import MAX_N, random_tw2_poset, standard_example
 from spdim.poset import dumps as dumps_poset
 from spdim.realizer import ALL_CLASSES, SignatureRows, dumps_realizer, realize_tw2
+
+from oracles import is_strict_alternating_cycle
 
 
 def run(args, stdin=None):
@@ -32,6 +36,25 @@ class TestGen:
     def test_bad_parameter_exit_2(self):
         res = run(["gen", "--family", "chain", "--n", "0"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("family, n", [("chain", MAX_N + 1), ("random_tw2", MAX_N + 1),
+                                           ("standard_example", math.isqrt(MAX_N) + 1)])
+    def test_size_guard_exit_2(self, family, n, monkeypatch):
+        # The guard runs before generation: nothing of that size is built.
+        def no_build(*args):
+            raise AssertionError("generated an instance above the size guard")
+
+        monkeypatch.setitem(generators.FAMILIES, family, no_build)
+        res = run(["gen", "--family", family, "--n", str(n)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: n = %d is above the largest %s size" % (n, family))
+        res = run(["batch", "--family", family, "--n", str(n), "--count", "1"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: n = %d is above" % n)
+
+    def test_largest_size_accepted(self, monkeypatch):
+        monkeypatch.setitem(generators.FAMILIES, "chain", lambda n, seed: generators.chain(2))
+        assert run(["gen", "--family", "chain", "--n", str(MAX_N)]).exit_code == 0
 
     def test_deterministic(self):
         assert gen_text("random_tw2", 12, 5) == gen_text("random_tw2", 12, 5)
@@ -94,8 +117,10 @@ class TestRealizeVerify:
         [{"signature": {"kind": 1, "order": 3, "up": 1}, "extension": ["a1"]}],
         [{"signature": None, "extension": [1, 2]}],
         {"signature": None, "extension": []},
+        [{"signature": {"kind": 1, "order": 1, "up": True}, "extension": ["a1"]}],
+        [{"signature": {"kind": 2.0, "order": 1, "span": 1, "gate": 1}, "extension": ["a1"]}],
     ], ids=["not-an-object", "no-extension", "kind-7", "kind-1-as-kind-2",
-            "bad-order", "non-string-extension", "not-a-list"])
+            "bad-order", "non-string-extension", "not-a-list", "bool-field", "float-kind"])
     def test_malformed_realizer_json_exit_2(self, entries):
         text = dumps_poset(standard_example(2)) + json.dumps(entries) + "\n"
         res = CliRunner().invoke(main, ["verify"], input=text)
@@ -135,7 +160,7 @@ class TestReversibilityFailure:
         assert "Traceback" not in res.output + res.stderr
         assert res.stdout == ""
         cycle, signature = printed_witness(res.stderr)
-        assert standard_example(2).is_strict_alternating_cycle(cycle)
+        assert is_strict_alternating_cycle(standard_example(2), cycle)
         assert signature == ALL_CLASSES[0].to_json()
 
     def test_batch_prints_witness(self, one_class):
@@ -144,7 +169,7 @@ class TestReversibilityFailure:
         assert "Traceback" not in res.output + res.stderr
         assert "failed seed 0: signature class" in res.stderr
         cycle, signature = printed_witness(res.stderr)
-        assert standard_example(2).is_strict_alternating_cycle(cycle)
+        assert is_strict_alternating_cycle(standard_example(2), cycle)
         assert signature == ALL_CLASSES[0].to_json()
 
 
@@ -196,6 +221,22 @@ class TestBatch:
                    "--jobs", "2"])
         assert res.exit_code == 0
 
+    @pytest.mark.parametrize("args, message", [
+        (["--n", "0", "--count", "1"], "error: random_tw2 needs n >= 1"),
+        (["--n", "1", "--count", "2", "--family", "kelly"], "error: kelly needs n >= 2"),
+        (["--n", "5", "--count", "-1"], "error: --count must be at least 1"),
+        (["--n", "5", "--count", "0"], "error: --count must be at least 1"),
+    ], ids=["n-0", "kelly-n-1", "count-minus-1", "count-0"])
+    def test_batch_input_errors_exit_2(self, args, message, monkeypatch):
+        def no_work(task):
+            raise AssertionError("an instance was run")
+
+        monkeypatch.setattr("spdim.cli._batch_one", no_work)
+        res = run(["batch"] + args)
+        assert res.exit_code == 2
+        assert res.stderr.startswith(message)
+        assert "instances:" not in res.output
+
     @pytest.mark.parametrize("jobs", ["0", "-3", "cpus+1", "100000"])
     def test_batch_jobs_out_of_range(self, jobs, monkeypatch):
         import multiprocessing
@@ -245,3 +286,72 @@ class TestRoundTrips:
         p = standard_example(2)
         r = realize_tw2(p)
         assert loads_realizer(dumps_realizer(r)) == r
+
+
+# -- fuzzing: every verb on arbitrary input keeps the exit-code contract -----
+
+NAMES = ["a", "b", "c", "d", "e"]
+POSET_LINE = st.one_of(
+    st.lists(st.sampled_from(NAMES), max_size=6).map(lambda xs: " ".join(["elements:"] + xs)),
+    st.tuples(st.sampled_from(NAMES + ["z"]), st.sampled_from(NAMES)).map(" < ".join),
+    st.sampled_from(["", "# comment", "a <", "elements:", "a < b < c", "[", "{}", "[1]"]),
+    st.text(max_size=8),
+)
+JSON_EDITS = ["", "1", "2", "2.0", "-1", "true", "null", '"', "[", "]", "{", "}", ",", ":", "a", " < "]
+
+
+@st.composite
+def posets(draw):
+    "Poset text over a, b, c, d, e: well formed (up to cycles), or with a stray line."
+    covers = draw(st.lists(st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES)), max_size=7))
+    lines = ["elements: " + " ".join(NAMES)] + ["%s < %s" % pair for pair in covers if pair[0] != pair[1]]
+    for _ in range(draw(st.integers(0, 1))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(POSET_LINE))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def bundles(draw):
+    "A ``realize`` bundle of a small poset, with a few random edits."
+    p = random_tw2_poset(draw(st.integers(1, 8)), draw(st.integers(0, 50)))
+    text = dumps_poset(p) + dumps_realizer(realize_tw2(p))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + draw(st.sampled_from(JSON_EDITS)) + text[k + draw(st.integers(0, 4)):]
+    return text
+
+
+@st.composite
+def invocations(draw):
+    "Arguments and stdin for one verb, with small option values."
+    verb = draw(st.sampled_from(["gen", "dim", "realize", "verify", "decompose", "classify",
+                                 "check-claims", "batch"]))
+    family = st.sampled_from(sorted(generators.FAMILIES))
+    small = st.one_of(st.integers(1, 12), st.integers(-2, 0)).map(str)
+    if verb == "gen":
+        return ["gen", "--family", draw(family), "--n", draw(small), "--seed", draw(small)], None
+    if verb == "batch":
+        # --jobs stays at most 1: no process pool is started.
+        return ["batch", "--family", draw(family), "--n", draw(small),
+                "--count", draw(st.one_of(st.integers(1, 3), st.integers(-1, 0)).map(str)),
+                "--jobs", draw(st.sampled_from(["1", "1", "0", "-1"])),
+                "--oracle-cap", str(draw(st.integers(0, 30)))], None
+    args = [verb]
+    if verb == "dim":
+        args += ["--cap", str(draw(st.integers(-1, 40))), "--max-d", str(draw(st.integers(-1, 6)))]
+    elif verb == "decompose":
+        args += draw(st.sampled_from([[], ["--json"], ["--dot"]]))
+    stdin = draw(st.one_of(posets(), st.lists(POSET_LINE, max_size=8).map("\n".join), bundles()))
+    return args, stdin
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(invocations())
+    def test_exit_codes_and_no_traceback(self, invocation):
+        args, stdin = invocation
+        res = CliRunner().invoke(main, args, input=stdin)
+        assert res.exception is None or isinstance(res.exception, SystemExit), \
+            "%r raised %r" % (args, res.exception)
+        assert res.exit_code in (0, 1, 2), (args, res.exit_code)
+        assert "Traceback" not in res.output

@@ -55,7 +55,7 @@ def test_realizer_output_matches_golden_digest():
 def decomposition_of(p):
     "The decomposition ``decompose`` prints."
     embedding = augment_with_fresh_terminals(embed_into_sp(p.cover_graph()))
-    return build_st_decomposition(embedding.sp, embedding.host)
+    return build_st_decomposition(embedding.sp, embedding.names)
 
 
 def decompose_digest():

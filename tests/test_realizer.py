@@ -26,7 +26,12 @@ from spdim.realizer import (
 )
 from spdim.stdecomp import DecompNode, STDecomposition
 
-from oracles import ReferenceClassifier, reference_classification, reference_metamorphic_check
+from oracles import (
+    ReferenceClassifier,
+    is_reversible,
+    reference_classification,
+    reference_metamorphic_check,
+)
 from test_acceptance import CORPUS
 
 
@@ -65,7 +70,7 @@ class TestSignatureSpace:
                 "from spdim.errors import PreconditionViolated\n"
                 "try:\n    PairClass(1, 1)\nexcept ValueError:\n    pass\n"
                 "else:\n    raise SystemExit('PairClass accepted kind 1 without up')\n"
-                "try:\n    DecompNode(0, None, None, None, ('a', 'b'), 'a', 'b').middle\n"
+                "try:\n    DecompNode(0, None, None, None, (0, 1), 0, 1).middle\n"
                 "except PreconditionViolated:\n    pass\n"
                 "else:\n    raise SystemExit('middle of a size-2 bag')\n")
         res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
@@ -106,7 +111,7 @@ class TestClassification:
         d = inst.decomp
         for x, w in inst.home.items():
             node = d.nodes[w]
-            assert len(node.bag) == 3 and node.middle == x
+            assert len(node.bag) == 3 and d.names[node.middle] == x
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=2, max_value=35), st.integers(min_value=0, max_value=10**6))
@@ -196,11 +201,19 @@ class TestRowsMatchReference:
     def test_least_node_without_middle(self):
         # a's least node is a size-2 leaf: both classifiers refuse it.
         p = Poset("ab", [])
-        d = STDecomposition([DecompNode(0, None, None, None, ("a", "b"), "a", "b")], 0, None)
+        d = STDecomposition([DecompNode(0, None, None, None, (0, 1), 0, 1)], 0, "ab")
         with pytest.raises(MalformedInstance, match="middle vertex"):
             SignatureRows(p, d)
         with pytest.raises(MalformedInstance, match="middle vertex"):
             ReferenceClassifier(p, d)
+
+
+    def test_decomposition_of_other_elements(self):
+        # Element i is vertex id i, so a decomposition whose first vertices
+        # are not the poset's elements is refused.
+        d = build_instance(Poset("xyz", [("x", "y")])).decomp
+        with pytest.raises(MalformedInstance, match="first vertices"):
+            SignatureRows(Poset("abc", [("a", "b")]), d)
 
 
 class TestRealizePath:
@@ -268,7 +281,7 @@ class TestPartition:
             return
         parts = partition_inc_pairs(inst)  # raises ReversibilityViolation on failure
         for pairs in parts.values():
-            assert inst.poset.is_reversible(pairs)
+            assert is_reversible(inst.poset, pairs)
 
 
 class TestCensus:

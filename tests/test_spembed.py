@@ -94,9 +94,8 @@ class TestSPTreeAlgebra:
         right = series(edge_node("a", "m"), edge_node("m", "b"))
         bad = parallel(left, right)
         assert sp_tree_violations(bad)
-        host = Graph("amb", [("a", "m"), ("m", "b")])
         with pytest.raises(InvalidSPTree):
-            build_st_decomposition(bad, host)
+            build_st_decomposition(bad, "amb")
 
     def test_violations_reported_on_forged_node(self):
         left = series(edge_node("a", "m"), edge_node("m", "b"))
@@ -154,9 +153,10 @@ def leaf(u, v):
 
 def mutate(data, root):
     """One raw mutation of the tree at a drawn node, on vertices drawn from
-    the tree's own and one fresh name; the result may be valid or not."""
+    the tree's own and one fresh id; the result may be valid or not."""
     nodes = preorder_paths(root)
-    verts = sorted({v for node, _ in nodes for v in (node.source, node.sink)}) + ["+fresh"]
+    verts = sorted({v for node, _ in nodes for v in (node.source, node.sink)})
+    verts.append(verts[-1] + 1)
     vertex = st.sampled_from(verts)
     how = data.draw(st.sampled_from(["repoint", "parallel", "swap", "relabel",
                                      "graft-path", "graft-tail", "forge"]))
@@ -236,7 +236,7 @@ class TestBalancedTree:
     def test_decomposition_depth_is_logarithmic(self, make):
         p = make()
         emb = augment_with_fresh_terminals(embed_into_sp(p.cover_graph()))
-        d = build_st_decomposition(emb.sp, emb.host)
+        d = build_st_decomposition(emb.sp, emb.names)
         assert max(d.depth(u) for u in range(len(d))) <= 2 * math.log2(len(p)) + 8
 
     @settings(max_examples=150, deadline=None)
@@ -290,7 +290,7 @@ class TestEmbedding:
         emb = embed_into_sp(g)
         assert emb.host == g
         assert not emb.added_edges
-        assert (emb.source, emb.sink) == ("a", "c")
+        assert (emb.names[emb.source], emb.names[emb.sink]) == ("a", "c")
         assert emb.sp.kind == SERIES
         assert emb.sp.left.kind == EDGE and emb.sp.right.kind == EDGE
 
@@ -348,10 +348,19 @@ class TestEmbedding:
                     assert has_treewidth_at_most_2(emb.host)
 
 
+def id_arguments(graph, comp, comp_edges):
+    "The degrees, component and edges ``_terminal_candidates`` takes, over vertex ids."
+    idx = graph.index
+    return ([graph.degree(v) for v in graph.vertices], [idx(v) for v in comp],
+            [(idx(u), idx(v)) for u, v in comp_edges])
+
+
 def candidates(graph, comp):
     comp_set = set(comp)
     comp_edges = [e for e in graph.sorted_edges() if e[0] in comp_set]
-    return (list(spembed._terminal_candidates(graph, comp, comp_edges)),
+    names = graph.vertices
+    return ([(names[s], names[t]) for s, t in
+             spembed._terminal_candidates(*id_arguments(graph, comp, comp_edges))],
             list(reference_terminal_candidates(graph, comp, comp_edges)))
 
 
@@ -381,16 +390,16 @@ class TestTerminalCandidates:
         # of all 2 * 10**8 low-degree pairs.
         verts = ["v%d" % i for i in range(20000)]
         g = Graph(verts, list(zip(verts, verts[1:])))
-        comp_edges = g.sorted_edges()
+        arguments = id_arguments(g, verts, g.sorted_edges())
         calls = []
         monkeypatch.setattr(spembed, "_tw2_with_extra_edge", lambda *args: calls.append(args[2:]) or True)
         tracemalloc.start()
         try:
-            first = next(spembed._terminal_candidates(g, verts, comp_edges))
+            first = next(spembed._terminal_candidates(*arguments))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert first == ("v0", "v19999")
+        assert (verts[first[0]], verts[first[1]]) == ("v0", "v19999")
         assert calls == [first]
         assert peak < 2 * 10**6
 
@@ -400,7 +409,8 @@ class TestAugment:
         emb = augment_with_fresh_terminals(embed_into_sp(Graph("ab", [("a", "b")])))
         assert len(emb.host.vertices) == 4
         assert len(emb.host.edges) == 3
-        assert emb.source not in ("a", "b") and emb.sink not in ("a", "b")
+        source, sink = emb.names[emb.source], emb.names[emb.sink]
+        assert source not in ("a", "b") and sink not in ("a", "b")
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=25), st.integers(min_value=0, max_value=10**6))
@@ -408,7 +418,8 @@ class TestAugment:
         g = random_partial_2tree(n, seed)
         base = embed_into_sp(g)
         emb = augment_with_fresh_terminals(base)
-        assert emb.source not in g.vertices and emb.sink not in g.vertices
+        source, sink = emb.names[emb.source], emb.names[emb.sink]
+        assert source not in g.vertices and sink not in g.vertices
         assert len(emb.host.vertices) == len(base.host.vertices) + 2
         assert len(emb.host.edges) == len(base.host.edges) + 2
         assert validate_sp_tree(emb.sp)

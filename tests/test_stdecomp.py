@@ -11,10 +11,13 @@ from spdim.spembed import augment_with_fresh_terminals, edge_node, embed_into_sp
 from spdim.stdecomp import DecompNode, STDecomposition, build_st_decomposition, decomposition_to_json
 
 from oracles import (
+    id_host,
     in_order_less,
     in_order_positions,
+    is_ancestor,
     separation_hits,
     st_subset_witness,
+    tree_path,
     validate_decomposition,
     validation_errors,
 )
@@ -22,7 +25,7 @@ from oracles import (
 
 def decompose_graph(g):
     emb = augment_with_fresh_terminals(embed_into_sp(g))
-    return emb, build_st_decomposition(emb.sp, emb.host)
+    return emb, build_st_decomposition(emb.sp, emb.names)
 
 
 def random_decomposition(n, seed):
@@ -33,26 +36,36 @@ def random_decomposition(n, seed):
 def path_decomposition():
     "Plain path a-b-c embedded without augmentation: one size-3 root."
     emb = embed_into_sp(Graph("abc", [("a", "b"), ("b", "c")]))
-    return emb, build_st_decomposition(emb.sp, emb.host)
+    return emb, build_st_decomposition(emb.sp, emb.names)
+
+
+def named(d, vertices):
+    "The names of a tuple of vertex ids."
+    return tuple(d.names[v] for v in vertices)
+
+
+def ids(d, names):
+    "The vertex ids of a set of names."
+    return {d.names.index(v) for v in names}
 
 
 class TestBuild:
     def test_single_leaf(self):
         g = Graph("ab", [("a", "b")])
         emb = embed_into_sp(g)
-        d = build_st_decomposition(emb.sp, emb.host)
+        d = build_st_decomposition(emb.sp, emb.names)
         assert len(d) == 1
-        assert d.nodes[0].bag == ("a", "b")
-        assert (d.source, d.sink) == ("a", "b")
+        assert named(d, d.nodes[0].bag) == ("a", "b")
+        assert named(d, (d.source, d.sink)) == ("a", "b")
 
     def test_path_bags(self):
         emb, d = path_decomposition()
         root = d.nodes[d.root]
-        assert set(root.bag) == {"a", "b", "c"}
-        assert (root.s, root.t) == ("a", "c")
-        assert root.middle == "b"
+        assert set(named(d, root.bag)) == {"a", "b", "c"}
+        assert named(d, (root.s, root.t)) == ("a", "c")
+        assert d.names[root.middle] == "b"
         kids = [d.nodes[root.left], d.nodes[root.right]]
-        assert {frozenset(k.bag) for k in kids} == {frozenset("ab"), frozenset("bc")}
+        assert {frozenset(named(d, k.bag)) for k in kids} == {frozenset("ab"), frozenset("bc")}
 
     @pytest.mark.parametrize("bag, s, t", [
         (("a", "b"), "a", "b"),              # size 2: no middle
@@ -61,18 +74,19 @@ class TestBuild:
         (("a", "b", "c"), "a", "a"),         # source equals sink
     ])
     def test_middle_rejects_invalid_fields(self, bag, s, t):
+        idx = "abcdz".index  # vertex ids
         with pytest.raises(PreconditionViolated):
-            DecompNode(0, None, None, None, bag, s, t).middle
+            DecompNode(0, None, None, None, tuple(map(idx, bag)), idx(s), idx(t)).middle
 
     def test_four_cycle_shape(self):
         verts = ["v%d" % i for i in range(4)]
         g = Graph(verts, list(zip(verts, verts[1:])) + [(verts[-1], verts[0])])
         emb = embed_into_sp(g)
-        d = build_st_decomposition(emb.sp, emb.host)
+        d = build_st_decomposition(emb.sp, emb.names)
         root = d.nodes[d.root]
         assert len(root.bag) == 2
         assert len(d) == emb.sp.leaves() * 2 - 1
-        assert validate_decomposition(d, emb.host, emb.source, emb.sink)
+        assert validate_decomposition(d, id_host(emb), emb.source, emb.sink)
 
     def test_node_count_matches_sp_tree(self):
         emb, d = random_decomposition(18, 5)
@@ -87,7 +101,7 @@ class TestBuild:
         tracemalloc.start()
         try:
             emb = augment_with_fresh_terminals(embed_into_sp(g))
-            d = build_st_decomposition(emb.sp, emb.host)
+            d = build_st_decomposition(emb.sp, emb.names)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -98,32 +112,33 @@ class TestBuild:
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=10**6))
     def test_build_validates(self, n, seed):
         emb, d = random_decomposition(n, seed)
-        assert validate_decomposition(d, emb.host, emb.source, emb.sink)
+        assert validate_decomposition(d, id_host(emb), emb.source, emb.sink)
 
 
 class TestValidateRejections:
+    # Vertices are ids: a, b, c are 0, 1, 2.
     def two_node_patch(self, **root_kw):
-        g = Graph("ab", [("a", "b")])
-        base = dict(id=0, parent=None, left=None, right=None, bag=("a", "b"), s="a", t="b")
+        g = Graph(range(2), [(0, 1)])
+        base = dict(id=0, parent=None, left=None, right=None, bag=(0, 1), s=0, t=1)
         base.update(root_kw)
-        return STDecomposition([DecompNode(**base)], 0, g), g
+        return STDecomposition([DecompNode(**base)], 0, "ab"), g
 
     def test_size3_leaf_rejected(self):
-        g = Graph("abc", [("a", "b"), ("b", "c")])
-        d = STDecomposition([DecompNode(0, None, None, None, ("a", "b", "c"), "a", "c")], 0, g)
-        errors = validation_errors(d, g, "a", "c")
+        g = Graph(range(3), [(0, 1), (1, 2)])
+        d = STDecomposition([DecompNode(0, None, None, None, (0, 1, 2), 0, 2)], 0, "abc")
+        errors = validation_errors(d, g, 0, 2)
         assert any("leaf" in e for e in errors)
 
     def test_swapped_root_terminals_rejected(self):
-        d, g = self.two_node_patch(s="b", t="a")
-        assert not validate_decomposition(d, g, "a", "b")
+        d, g = self.two_node_patch(s=1, t=0)
+        assert not validate_decomposition(d, g, 0, 1)
 
     def test_missing_edge_coverage(self):
-        g = Graph("abc", [("a", "b"), ("b", "c")])
-        d = STDecomposition([DecompNode(0, None, None, None, ("a", "b"), "a", "b"),
-                             DecompNode(1, 0, None, None, ("a", "c"), "a", "c")], 0, g)
+        g = Graph(range(3), [(0, 1), (1, 2)])
+        d = STDecomposition([DecompNode(0, None, None, None, (0, 1), 0, 1),
+                             DecompNode(1, 0, None, None, (0, 2), 0, 2)], 0, "abc")
         # node 0 has one child only, bag of (b, c) nowhere
-        errors = validation_errors(d, g, "a", "b")
+        errors = validation_errors(d, g, 0, 1)
         assert errors
 
 
@@ -147,8 +162,8 @@ class TestOrderUtilities:
                 return False
             w = d.lca(u, v)
             r, l = d.nodes[w].right, d.nodes[w].left
-            no_right_above_u = not (r is not None and d.is_ancestor(r, u))
-            no_left_above_v = not (l is not None and d.is_ancestor(l, v))
+            no_right_above_u = not (r is not None and is_ancestor(d, r, u))
+            no_left_above_v = not (l is not None and is_ancestor(d, l, v))
             return no_right_above_u and no_left_above_v
 
         ids = [n.id for n in d.nodes]
@@ -174,18 +189,18 @@ class TestLeastNode:
 
     def test_path_middle_vertex(self):
         _, d = path_decomposition()
-        assert d.least_node("b") == d.root
+        assert d.least_node(d.names.index("b")) == d.root
 
     def test_missing_vertex(self):
         _, d = path_decomposition()
         with pytest.raises(VertexNotInDecomposition):
-            d.least_node("zzz")
+            d.least_node(len(d.names))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=25), st.integers(min_value=0, max_value=10**6))
     def test_nonterminal_least_node_is_middle(self, n, seed):
         emb, d = random_decomposition(n, seed)
-        for v in emb.host.vertices:
+        for v in range(len(emb.names)):
             if v in (emb.source, emb.sink):
                 continue
             node = d.nodes[d.least_node(v)]
@@ -201,10 +216,9 @@ class TestReverse:
                [(n.bag, n.s, n.t, n.left, n.right) for n in d.nodes]
 
     def test_single_node(self):
-        g = Graph("ab", [("a", "b")])
-        d = build_st_decomposition(edge_node("a", "b"), g)
+        d = build_st_decomposition(edge_node(0, 1), "ab")
         r = d.reverse()
-        assert (r.source, r.sink) == ("b", "a")
+        assert named(r, (r.source, r.sink)) == ("b", "a")
 
     def test_in_order_exactly_reversed(self):
         _, d = random_decomposition(20, 2)
@@ -214,7 +228,7 @@ class TestReverse:
     @given(st.integers(min_value=2, max_value=25), st.integers(min_value=0, max_value=10**6))
     def test_reversed_validates_for_swapped_terminals(self, n, seed):
         emb, d = random_decomposition(n, seed)
-        assert validate_decomposition(d.reverse(), emb.host, emb.sink, emb.source)
+        assert validate_decomposition(d.reverse(), id_host(emb), emb.sink, emb.source)
 
 
 class TestSwapSize2:
@@ -232,7 +246,7 @@ class TestSwapSize2:
         verts = ["v%d" % i for i in range(4)]
         g = Graph(verts, list(zip(verts, verts[1:])) + [(verts[-1], verts[0])])
         emb = embed_into_sp(g)
-        d = build_st_decomposition(emb.sp, emb.host)
+        d = build_st_decomposition(emb.sp, emb.names)
         s = d.swap_size2_children()
         root = d.nodes[d.root]
         sroot = s.nodes[s.root]
@@ -242,7 +256,7 @@ class TestSwapSize2:
     @given(st.integers(min_value=2, max_value=25), st.integers(min_value=0, max_value=10**6))
     def test_swap_still_validates_same_terminals(self, n, seed):
         emb, d = random_decomposition(n, seed)
-        assert validate_decomposition(d.swap_size2_children(), emb.host, emb.source, emb.sink)
+        assert validate_decomposition(d.swap_size2_children(), id_host(emb), emb.source, emb.sink)
 
 
 def grow_connected_subset(graph, rng, start, must_include=()):
@@ -281,35 +295,37 @@ class TestSeparationHits:
     def test_degenerate_single_node_path_vacuously_true(self):
         emb, d = path_decomposition()
         root = d.nodes[d.root]
-        assert separation_hits(d, d.root, d.root, (d.root, root.left), {"a"})
+        assert separation_hits(d, id_host(emb), d.root, d.root, (d.root, root.left), ids(d, {"a"}))
 
     def test_edge_off_path_rejected(self):
         emb, d = path_decomposition()
         root = d.nodes[d.root]
         with pytest.raises(PreconditionViolated):
-            separation_hits(d, root.left, d.root, (d.root, root.right), {"a"})
+            separation_hits(d, id_host(emb), root.left, d.root, (d.root, root.right), ids(d, {"a"}))
 
     def test_single_shared_vertex(self):
         emb, d = path_decomposition()
         root = d.nodes[d.root]
-        assert separation_hits(d, root.left, root.right, (d.root, root.right), {"b"})
+        assert separation_hits(d, id_host(emb), root.left, root.right, (d.root, root.right),
+                               ids(d, {"b"}))
 
     def test_disconnected_subgraph_rejected(self):
         emb, d = path_decomposition()
         root = d.nodes[d.root]
         with pytest.raises(PreconditionViolated):
-            separation_hits(d, root.left, root.right, (d.root, root.right), {"a", "c"})
+            separation_hits(d, id_host(emb), root.left, root.right, (d.root, root.right),
+                            ids(d, {"a", "c"}))
 
     def test_randomized_never_false(self):
         rng = random.Random(0)
         trials = 0
         for seed in range(30):
             emb, d = random_decomposition(3 + seed % 20, seed)
-            g = emb.host
+            g = id_host(emb)
             ids = [n.id for n in d.nodes]
             for _ in range(40):
                 u1, u2 = rng.choice(ids), rng.choice(ids)
-                path = d.tree_path(u1, u2)
+                path = tree_path(d, u1, u2)
                 if len(path) < 2:
                     continue
                 k = rng.randrange(len(path) - 1)
@@ -317,7 +333,7 @@ class TestSeparationHits:
                 start = rng.choice(sorted(d.nodes[u1].bag, key=g.index))
                 goal = rng.choice(sorted(d.nodes[u2].bag, key=g.index))
                 H = grow_connected_subset(g, rng, start, [goal])
-                assert separation_hits(d, u1, u2, edge, H)
+                assert separation_hits(d, g, u1, u2, edge, H)
                 trials += 1
         assert trials > 500
 
@@ -325,35 +341,36 @@ class TestSeparationHits:
 class TestSTSubsetWitness:
     def test_same_node_with_both_terminals(self):
         emb, d = path_decomposition()
-        assert st_subset_witness(d, d.root, d.root, {"a", "b", "c"}) == d.root
+        assert st_subset_witness(d, id_host(emb), d.root, d.root, ids(d, {"a", "b", "c"})) == d.root
 
     def test_whole_vertex_set(self):
         emb, d = random_decomposition(12, 13)
         leafish = max((n.id for n in d.nodes), key=lambda u: d.depth(u))
-        v = st_subset_witness(d, d.root, leafish, set(emb.host.vertices))
-        assert v in d.tree_path(d.root, leafish)
+        g = id_host(emb)
+        v = st_subset_witness(d, g, d.root, leafish, set(g.vertices))
+        assert v in tree_path(d, d.root, leafish)
 
     def test_incomparable_nodes_rejected(self):
-        _, d = path_decomposition()
+        emb, d = path_decomposition()
         root = d.nodes[d.root]
         with pytest.raises(PreconditionViolated):
-            st_subset_witness(d, root.left, root.right, {"a", "b", "c"})
+            st_subset_witness(d, id_host(emb), root.left, root.right, ids(d, {"a", "b", "c"}))
 
     def test_randomized_against_path_scan(self):
         rng = random.Random(1)
         trials = 0
         for seed in range(30):
             emb, d = random_decomposition(3 + seed % 20, seed + 100)
-            g = emb.host
+            g = id_host(emb)
             ids = [n.id for n in d.nodes]
             for _ in range(40):
                 u1, u2 = rng.choice(ids), rng.choice(ids)
-                if not (d.is_ancestor(u1, u2) or d.is_ancestor(u2, u1)):
+                if not (is_ancestor(d, u1, u2) or is_ancestor(d, u2, u1)):
                     continue
                 s1, t2 = d.nodes[u1].s, d.nodes[u2].t
                 H = grow_connected_subset(g, rng, s1, [t2])
-                v = st_subset_witness(d, u1, u2, H)
-                path = d.tree_path(u1, u2)
+                v = st_subset_witness(d, g, u1, u2, H)
+                path = tree_path(d, u1, u2)
                 assert v in path
                 assert d.nodes[v].s in H and d.nodes[v].t in H
                 assert any(d.nodes[w].s in H and d.nodes[w].t in H for w in path)
