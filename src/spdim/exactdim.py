@@ -16,6 +16,7 @@ Two sound accelerations keep standard-example instances tractable:
 from dataclasses import dataclass
 
 from .errors import BadParameter, Exceeded, TooLarge
+from .poset import bits
 
 
 @dataclass
@@ -32,22 +33,19 @@ def dimension_exact(poset, max_d=12, cap=60):
     bounds the number of parts tried (``Exceeded`` when the true dimension is
     larger).
     """
-    inc = poset.incomparable_pairs()
+    inc = _index_pairs(poset)
     if len(inc) > cap:
         raise TooLarge("%d incomparable pairs exceed the cap of %d" % (len(inc), cap))
     if not inc:
         return DimensionResult(1, [poset.canonical_extension()], [])
-    n = len(poset)
-    index = {pair: k for k, pair in enumerate(inc)}
-    up = [poset.upset_mask(e) for e in poset.elements]
-    eidx = poset._index
+    up = poset.closed_masks()[0]
 
     m = len(inc)
     conflict = [0] * m
     for a, (x1, y1) in enumerate(inc):
         for b in range(a + 1, m):
             x2, y2 = inc[b]
-            if up[eidx[x1]] >> eidx[y2] & 1 and up[eidx[x2]] >> eidx[y1] & 1:
+            if up[x1] >> y2 & 1 and up[x2] >> y1 & 1:
                 conflict[a] |= 1 << b
                 conflict[b] |= 1 << a
     degrees = [bin(c).count("1") for c in conflict]
@@ -57,14 +55,14 @@ def dimension_exact(poset, max_d=12, cap=60):
         raise Exceeded(max_d)
 
     order = sorted(range(m), key=lambda k: (-degrees[k], k))
-    base_reach = [poset.upset_mask(e) for e in poset.elements]
+    names = poset.elements
     for d in range(lower, max_d + 1):
-        assignment = _search(poset, inc, order, base_reach, d)
+        assignment = _search(len(poset), inc, order, up, d)
         if assignment is not None:
             parts = [[] for _ in range(max(assignment) + 1)]
-            for k, part in enumerate(assignment):
-                parts[part].append(inc[k])
-            parts = [sorted(p, key=index.__getitem__) for p in parts]
+            for k, part in enumerate(assignment):  # ascending k: each part in canonical order
+                x, y = inc[k]
+                parts[part].append((names[x], names[y]))
             witness = [poset.linear_extension_reversing(p) for p in parts]
             return DimensionResult(len(parts), witness, parts)
     raise Exceeded(max_d)
@@ -85,10 +83,13 @@ def _greedy_clique(conflict, degrees):
     return best
 
 
-def _search(poset, inc, order, base_reach, d):
-    "Backtracking part assignment; returns pair-index -> part or None."
-    n = len(poset)
-    eidx = poset._index
+def _index_pairs(poset):
+    "The incomparable ordered pairs as element index pairs, in canonical order."
+    return [(i, j) for i, row in enumerate(poset.incomparable_masks()) for j in bits(row)]
+
+
+def _search(n, inc, order, base_reach, d):
+    "Backtracking part assignment over index pairs; returns pair-index -> part or None."
     m = len(inc)
     reaches = []  # one reachability table per open part
     assignment = [None] * m
@@ -110,8 +111,7 @@ def _search(poset, inc, order, base_reach, d):
         if depth == m:
             return True
         k = order[depth]
-        x, y = inc[k]
-        xi, yi = eidx[x], eidx[y]
+        xi, yi = inc[k]
         limit = len(reaches) + 1 if len(reaches) < d else len(reaches)
         for part in range(limit):
             if part == len(reaches):
@@ -138,30 +138,27 @@ def contains_standard_example(poset, n):
     example: minimal a_1..a_n, maximal b_1..b_n, a_i < b_j iff i != j."""
     if n < 2:
         raise BadParameter("standard examples start at order 2")
-    inc = [(x, y) for x, y in poset.incomparable_pairs()]
-    eidx = poset._index
-    up = [poset.upset_mask(e) for e in poset.elements]
+    inc = _index_pairs(poset)
+    up = poset.closed_masks()[0]
 
     def compatible(a, b, chosen):
-        ai, bi = eidx[a], eidx[b]
         for a2, b2 in chosen:
-            a2i, b2i = eidx[a2], eidx[b2]
             if a == a2 or a == b2 or b == a2 or b == b2:
                 return False
-            if not (up[ai] >> eidx[b2] & 1) or not (up[a2i] >> eidx[b] & 1):
+            if not (up[a] >> b2 & 1) or not (up[a2] >> b & 1):
                 return False
-            if up[ai] >> a2i & 1 or up[a2i] >> ai & 1:
+            if up[a] >> a2 & 1 or up[a2] >> a & 1:
                 return False
-            if up[bi] >> b2i & 1 or up[b2i] >> bi & 1:
+            if up[b] >> b2 & 1 or up[b2] >> b & 1:
                 return False
         return True
 
     def extend(chosen):
         if len(chosen) == n:
             return True
-        floor = eidx[chosen[-1][0]] if chosen else -1
+        floor = chosen[-1][0] if chosen else -1
         for a, b in inc:
-            if eidx[a] <= floor:
+            if a <= floor:
                 continue
             if compatible(a, b, chosen) and extend(chosen + [(a, b)]):
                 return True

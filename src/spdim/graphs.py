@@ -46,6 +46,14 @@ class Graph:
         self.edges = frozenset(normalized)
         self._adj = adj
 
+    @classmethod
+    def from_adjacency(cls, vertices, index, adj):
+        "The graph of vertices[i] with neighbour ids adj[i], index its id map; none is copied."
+        g = cls.__new__(cls)
+        g.vertices, g._index, g._adj = vertices, index, adj
+        g.edges = frozenset([(vertices[i], vertices[j]) for i, nb in enumerate(adj) for j in nb if i < j])
+        return g
+
     def __contains__(self, v):
         return v in self._index
 

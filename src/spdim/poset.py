@@ -151,7 +151,14 @@ class Poset:
         return out
 
     def cover_graph(self):
-        return Graph(self.elements, self.covers())
+        "The cover graph over the elements, built by index: vertex i is element i."
+        adj = [set() for _ in self.elements]
+        for i, row in enumerate(self._cover_up):
+            up = adj[i]
+            for j in bits(row):
+                up.add(j)
+                adj[j].add(i)
+        return Graph.from_adjacency(self.elements, self._index, adj)
 
     def incomparable_pairs(self):
         "All ordered incomparable pairs, in canonical order (symmetric set)."
@@ -354,27 +361,34 @@ class Poset:
 
     # -- realizer checking --------------------------------------------------
 
-    def realizer_violations(self, extensions):
+    def realizer_violations(self, extensions, inc=None):
         """Diagnostics explaining why the extensions are not a realizer.
 
         Each linear extension L contributes, for every element x, the mask of
         the elements placed before x; an incomparable pair (x, y) is reversed
-        iff y lies in the union of those masks for x.
+        iff y lies in the union of those masks for x, over the extensions that
+        are linear (one pass each).  ``inc``, if given, is ``incomparable_masks()``.
         """
         problems = []
+        index, below = self._index, self._below
+        full = (1 << len(self.elements)) - 1
         reversed_by = [0] * len(self.elements)
         for k, ext in enumerate(extensions):
-            ext = list(ext)
-            if not self.is_linear_extension(ext):
-                problems.append("order %d is not a linear extension of the poset" % k)
-                continue
+            merged = list(reversed_by)
             before = 0
             for e in ext:
-                i = self._index[e]
-                reversed_by[i] |= before
+                i = index.get(e)
+                if i is None or before >> i & 1 or below[i] & ~before:
+                    break
+                merged[i] |= before
                 before |= 1 << i
+            else:
+                if before == full:
+                    reversed_by = merged
+                    continue
+            problems.append("order %d is not a linear extension of the poset" % k)
         names = self.elements
-        for i, row in enumerate(self.incomparable_masks()):
+        for i, row in enumerate(self.incomparable_masks() if inc is None else inc):
             for j in bits(row & ~reversed_by[i]):
                 problems.append("incomparable pair (%s, %s) is reversed by no extension"
                                 % (names[i], names[j]))

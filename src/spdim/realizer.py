@@ -146,10 +146,9 @@ class SignatureRows:
                 over |= up[v]
             self._under.append(under)
             self._over.append(over)
-        self._preorder = preorder = [node.id for node in decomp.preorder()]
-        self._span_up = _top_down(nodes, preorder, self._down_s, self._down_t)
+        self._span_up = _top_down(nodes, self._down_s, self._down_t)
         sub = list(at)
-        for nid in reversed(preorder):
+        for nid in range(len(nodes) - 1, -1, -1):  # ids are parents-first: bottom-up
             node = nodes[nid]
             if node.left is not None:
                 sub[nid] |= sub[node.left] | sub[node.right]
@@ -270,7 +269,7 @@ class SignatureRows:
         both terminals in the upset of x and some has both in the downset of
         y, as (x, ys) masks; the construction guarantees there are none."""
         nodes = self.decomp.nodes
-        span_down = _top_down(nodes, self._preorder, self._up_s, self._up_t)
+        span_down = _top_down(nodes, self._up_s, self._up_t)
         out = []
         for x, a, ys, _ in self._meetings(self.poset.incomparable_masks()):
             if self._span_up[a] >> x & 1 and ys & span_down[a]:
@@ -278,11 +277,11 @@ class SignatureRows:
         return out
 
 
-def _top_down(nodes, preorder, a_masks, b_masks):
-    "Per node, the union of a_masks[u] & b_masks[u] over its ancestors-or-self u."
+def _top_down(nodes, a_masks, b_masks):
+    "Per node, the union of a_masks[u] & b_masks[u] over its ancestors-or-self u, by id."
     out = [0] * len(nodes)
-    for nid in preorder:
-        parent = nodes[nid].parent
+    for nid, node in enumerate(nodes):
+        parent = node.parent
         out[nid] = (out[parent] if parent is not None else 0) | a_masks[nid] & b_masks[nid]
     return out
 

@@ -4,8 +4,8 @@ An ``SPNode`` is one node of a binary composition tree: leaves are single
 edges with a fixed source and sink; internal nodes are series or parallel
 compositions of their children.  A node stores only its shape and its two
 terminals; the subgraph of a node is the set of its leaves' edges, and the
-composition rules are checked once for a whole tree, in linear time, by
-``sp_tree_violations``.
+composition rules are checked by one linear pre-order walk (``sp_tree_violations``)
+whose positions, a parents-first order, become the decomposition's node ids.
 
 ``embed_into_sp`` turns any treewidth-<=2 graph into a supergraph that is
 two-terminal series-parallel, together with its composition tree.  The
@@ -108,19 +108,29 @@ def sp_tree_violations(root):
     terminals, no shared vertex is an outer terminal or shared twice, and no
     edge lies in two leaves.
     """
+    return _checked_preorder(root)[2]
+
+
+def _checked_preorder(root):
+    """The walk behind ``sp_tree_violations``: the nodes in pre-order (parents
+    first, a left child right after its parent), each node's parent position
+    (None at the root), and the problems."""
     problems = []
     shared = {root.source, root.sink}
     edges = set()
-    stack = [root]
-    pos = -1
+    order = []
+    parents = []
+    stack = [(root, None)]
     while stack:
-        node = stack.pop()
-        pos += 1
+        node, parent = stack.pop()
+        pos = len(order)
+        order.append(node)
+        parents.append(parent)
         s, t = node.source, node.sink
         if s == t:
             problems.append("node %d: source equals sink" % pos)
         if node.kind == EDGE:
-            edge = frozenset((s, t))
+            edge = (s, t) if s < t else (t, s)
             if edge in edges:
                 problems.append("node %d: edge %r-%r is in two leaves" % (pos, s, t))
             edges.add(edge)
@@ -141,9 +151,9 @@ def sp_tree_violations(root):
         else:
             problems.append("node %d: unknown kind %r" % (pos, node.kind))
             continue
-        stack.append(right)
-        stack.append(left)
-    return problems
+        stack.append((right, pos))
+        stack.append((left, pos))
+    return order, parents, problems
 
 
 def validate_sp_tree(root):
@@ -318,7 +328,7 @@ def _tw2_with_extra_edge(comp, comp_edges, s, t):
     return _reduces_to_empty(adj)
 
 
-def _terminal_candidates(degree, comp, comp_edges):
+def _terminal_candidates(degree, comp, comp_edges, rejected=None):
     """Terminal pairs to try, best first, generated lazily.
 
     A pair (s, t) admits a series-parallel host containing the component iff
@@ -328,7 +338,8 @@ def _terminal_candidates(degree, comp, comp_edges):
     then id, so that paths keep their ends as terminals and fills stay rare;
     then the edges with an endpoint of higher degree (an edge always
     qualifies).  ``comp`` is a whole component, ascending, and ``degree[v]``
-    is the graph degree of vertex v.
+    is the graph degree of vertex v.  ``rejected()``, if given, is called on
+    every pair that fails the test.
     """
     ones = [v for v in comp if degree[v] == 1]
     twos = [v for v in comp if degree[v] == 2]
@@ -337,6 +348,8 @@ def _terminal_candidates(degree, comp, comp_edges):
                       ((u, v) for u, v in comp_edges if degree[u] > 2 or degree[v] > 2)):
         if _tw2_with_extra_edge(comp, comp_edges, s, t):
             yield s, t
+        elif rejected is not None:
+            rejected()
 
 
 def _mixed_pairs(degree, comp, ones, twos):
@@ -361,15 +374,16 @@ def _reduce_component(comp, comp_edges, s, t):
     these terminals.  Ties go to the least id.
     """
     adj = {v: set() for v in comp}
-    bundles = {}
+    bundles = {}  # keyed u * N + v for the bundle joining u < v
+    N = comp[-1] + 1
     for u, v in comp_edges:
         adj[u].add(v)
         adj[v].add(u)
-        bundles[frozenset((u, v))] = edge_node(u, v)
+        bundles[u * N + v] = edge_node(u, v)
     fills = []
 
     def put_bundle(u, v, tree):
-        key = frozenset((u, v))
+        key = u * N + v if u < v else v * N + u
         if key in bundles:
             old = bundles[key]
             if old.source != tree.source:
@@ -401,8 +415,8 @@ def _reduce_component(comp, comp_edges, s, t):
             fills.append(fill)
             put_bundle(pick, w, edge_node(*fill))
         u, w = sorted(adj[pick])
-        left = bundles.pop(frozenset((u, pick)))
-        right = bundles.pop(frozenset((pick, w)))
+        left = bundles.pop(u * N + pick if u < pick else pick * N + u)
+        right = bundles.pop(pick * N + w if pick < w else w * N + pick)
         if (left.sink == pick) != (right.source == pick):
             left, right = _one_flipped(left, right)
         adj[u].discard(pick)
@@ -414,7 +428,7 @@ def _reduce_component(comp, comp_edges, s, t):
                 heapq.heappush(ready, v)
 
     assert set(adj) == {s, t} and len(bundles) == 1
-    tree = bundles[frozenset((s, t))]
+    tree = bundles[s * N + t if s < t else t * N + s]
     return (tree if tree.source == s else _flipped(tree)), fills
 
 
@@ -427,9 +441,19 @@ def embed_into_sp(graph):
     one fill edge.  An edgeless input with no vertices becomes a single fresh
     edge so that the host is never empty.  The tree is returned normalised:
     no ``FLIP`` view, and every series or parallel run balanced.
+
+    The graph's treewidth is tested only when a terminal pair is first rejected:
+    reducing every component proves treewidth <= 2, and a component of
+    treewidth > 2 rejects its first pair.
     """
-    if not has_treewidth_at_most_2(graph):
-        raise NotTreewidth2("input graph has treewidth greater than 2")
+    untested = True
+
+    def rejected():
+        nonlocal untested
+        if untested and not has_treewidth_at_most_2(graph):
+            raise NotTreewidth2("input graph has treewidth greater than 2")
+        untested = False
+
     names = _Names(graph.vertices)
     added_edges = []
     added_vertices = []
@@ -452,7 +476,7 @@ def embed_into_sp(graph):
             trees.append(edge_node(v, c))
             continue
         result = None
-        for s, t in _terminal_candidates(degree, comp, comp_edges):
+        for s, t in _terminal_candidates(degree, comp, comp_edges, rejected):
             result = _reduce_component(comp, comp_edges, s, t)
             if result is not None:
                 break

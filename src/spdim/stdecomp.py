@@ -10,14 +10,15 @@ them to names, which only the writers and error messages use.
 
 Decomposition node ids mirror the series-parallel tree they were built from
 (pre-order), and are preserved by ``reverse`` and ``swap_size2_children`` so
-that nodes can be compared across transformed decompositions.
+that nodes can be compared across transformed decompositions.  The ids are a
+parents-first order: one pass over them runs top-down, one in reverse bottom-up.
 """
 
 from json.encoder import encode_basestring_ascii as _string
 from typing import NamedTuple
 
 from .errors import InvalidSPTree, PreconditionViolated, VertexNotInDecomposition
-from .spembed import EDGE, SERIES, validate_sp_tree
+from .spembed import EDGE, SERIES, _checked_preorder
 
 
 class DecompNode(NamedTuple):
@@ -47,22 +48,23 @@ class DecompNode(NamedTuple):
 
 class STDecomposition:
     """An s-t tree-decomposition of a two-terminal graph (immutable); ``names[v]``
-    is the name of vertex id v."""
+    is the name of vertex id v.  ``nodes[k]`` is the node with id k, and every
+    parent's id is below its children's (``PreconditionViolated`` otherwise)."""
 
     def __init__(self, nodes, root, names):
         self.nodes = tuple(nodes)
         self.root = root
         self.names = tuple(names)
         depth = self._depth = [0] * len(self.nodes)
-        for node in self.preorder():
-            if node.parent is not None:
-                depth[node.id] = depth[node.parent] + 1
         least = self._least = [None] * len(self.names)
-        for node in self.nodes:
-            for v in node.bag:
+        for nid, parent, _, _, bag, _, _ in self.nodes:
+            if parent is not None and parent >= nid:
+                raise PreconditionViolated("node %d has parent %d, not a lower id" % (nid, parent))
+            d = depth[nid] = 0 if parent is None else depth[parent] + 1
+            for v in bag:
                 best = least[v]
-                if best is None or depth[node.id] < depth[best]:
-                    least[v] = node.id
+                if best is None or d < depth[best]:
+                    least[v] = nid
 
     @property
     def source(self):
@@ -74,17 +76,6 @@ class STDecomposition:
 
     def __len__(self):
         return len(self.nodes)
-
-    def preorder(self):
-        "Nodes in pre-order (node, left subtree, right subtree)."
-        stack = [self.root]
-        while stack:
-            node = self.nodes[stack.pop()]
-            yield node
-            if node.right is not None:
-                stack.append(node.right)
-            if node.left is not None:
-                stack.append(node.left)
 
     def in_order(self):
         "Node ids in in-order traversal (left subtree, node, right subtree)."
@@ -147,26 +138,20 @@ def build_st_decomposition(sp_root, names):
 
     Leaf -> bag {source, sink}; parallel -> bag {source, sink}; series ->
     the size-3 bag {source, shared vertex, sink}.  Node ids are assigned in
-    pre-order of the composition tree; its vertices are ids into ``names``.
+    pre-order by the walk that checks the tree; its vertices index ``names``.
     """
-    if not validate_sp_tree(sp_root):
+    order, parents, problems = _checked_preorder(sp_root)
+    if problems:
         raise InvalidSPTree("refusing to decompose an invalid composition tree")
-    nodes = []
-    stack = [(sp_root, None, None)]
-    while stack:
-        sp, parent, side = stack.pop()
-        nid = len(nodes)
-        if sp.kind == SERIES:
-            bag = (sp.source, sp.left.sink, sp.sink)
-        else:
-            bag = (sp.source, sp.sink)
-        nodes.append([nid, parent, None, None, bag, sp.source, sp.sink])
-        if parent is not None:
-            nodes[parent][2 if side == "left" else 3] = nid
-        if sp.kind != EDGE:
-            stack.append((sp.right, nid, "right"))
-            stack.append((sp.left, nid, "left"))
-    return STDecomposition(map(DecompNode._make, nodes), 0, names)
+    right = [None] * len(order)
+    for nid, parent in enumerate(parents):
+        if parent is not None and parent != nid - 1:
+            right[parent] = nid
+    nodes = [DecompNode(nid, parents[nid], None if sp.kind == EDGE else nid + 1, right[nid],
+                        (sp.source, sp.left.sink, sp.sink) if sp.kind == SERIES
+                        else (sp.source, sp.sink), sp.source, sp.sink)
+             for nid, sp in enumerate(order)]
+    return STDecomposition(nodes, 0, names)
 
 
 # -- JSON export -------------------------------------------------------------
@@ -184,17 +169,26 @@ def decomposition_to_json(decomp):
     return out
 
 
+_NODE = ('  {\n    "id": %%d,\n    "parent": %%s,\n    "side": %%s,\n    "bag": [\n      %s\n'
+         '    ],\n    "s": %%s,\n    "t": %%s\n  }')
+_NODE2 = _NODE % ",\n      ".join(["%s"] * 2)
+_NODE3 = _NODE % ",\n      ".join(["%s"] * 3)
+
+
 def dumps_decomposition(decomp):
-    "``json.dumps(decomposition_to_json(decomp), indent=2)``, written from a fixed template."
+    "``json.dumps(decomposition_to_json(decomp), indent=2)``, from one template per bag size."
     quoted = [_string(name) for name in decomp.names]
+    nodes = decomp.nodes
     out = []
-    for node in decomp.nodes:
-        parent = side = "null"
-        if node.parent is not None:
-            parent = node.parent
-            side = '"left"' if decomp.nodes[parent].left == node.id else '"right"'
-        out.append('  {\n    "id": %d,\n    "parent": %s,\n    "side": %s,\n    "bag": [\n      %s\n'
-                   '    ],\n    "s": %s,\n    "t": %s\n  }'
-                   % (node.id, parent, side, ",\n      ".join([quoted[v] for v in node.bag]),
-                      quoted[node.s], quoted[node.t]))
+    for nid, parent, _, _, bag, s, t in nodes:
+        if parent is None:
+            parent = side = "null"
+        else:
+            side = '"left"' if nodes[parent].left == nid else '"right"'
+        if len(bag) == 3:
+            a, b, c = bag
+            out.append(_NODE3 % (nid, parent, side, quoted[a], quoted[b], quoted[c], quoted[s], quoted[t]))
+        else:
+            a, b = bag
+            out.append(_NODE2 % (nid, parent, side, quoted[a], quoted[b], quoted[s], quoted[t]))
     return "[\n%s\n]\n" % ",\n".join(out)

@@ -7,7 +7,8 @@ signatures by one lowest-common-ancestor walk per pair, the closure by
 Warshall's loop, terminal candidates by sorting every pair, composition
 trees by re-deriving every node's subgraph, reversed composition trees by
 rebuilding every node, topological orders by Kahn's algorithm over one arc
-per pair, linear extensions by sorting.  The validation, the separation
+per pair, linear extensions by sorting, decomposition depths by a walk from
+the root.  The validation, the separation
 predicates and the in-order comparison of s-t decompositions live here too,
 with the order, graph and tree queries that only tests need.
 
@@ -648,6 +649,25 @@ def reference_resolve(root):
             join = series if node.kind == SERIES else parallel
             done[id(node)] = join(done[id(node.left)], done[id(node.right)])
     return done[id(root)]
+
+
+def reference_depths_and_least(decomp):
+    """Every node's depth, by a pre-order walk from the root, and every vertex
+    id's least node: the shallowest node whose bag holds it, the lowest id
+    on a tie (None for a vertex in no bag)."""
+    depth = [0] * len(decomp.nodes)
+    stack = [decomp.root]
+    while stack:
+        node = decomp.nodes[stack.pop()]
+        if node.parent is not None:
+            depth[node.id] = depth[node.parent] + 1
+        stack.extend(child for child in (node.right, node.left) if child is not None)
+    least = [None] * len(decomp.names)
+    for node in decomp.nodes:
+        for v in node.bag:
+            if least[v] is None or depth[node.id] < depth[least[v]]:
+                least[v] = node.id
+    return depth, least
 
 
 def in_order_positions(decomp):

@@ -12,6 +12,7 @@ from spdim.errors import (
     UnknownElement,
 )
 from spdim.generators import antichain, chain, forest_poset, random_tw2_poset, standard_example
+from spdim.graphs import Graph
 from spdim.poset import Poset, dumps, loads
 
 from oracles import (
@@ -30,6 +31,7 @@ from oracles import (
     reference_is_linear_extension,
     reference_topological_order,
 )
+from test_acceptance import CORPUS
 
 
 def small_posets(max_n=6):
@@ -561,6 +563,16 @@ class TestDual:
 
 
 class TestCoverGraph:
+    def test_same_as_graph_of_covers_on_corpus(self):
+        for seed, n in CORPUS:
+            p = random_tw2_poset(n, seed)
+            g = p.cover_graph()
+            want = Graph(p.elements, p.covers())
+            assert g == want
+            assert g.adjacency() == want.adjacency()
+            assert g.index_edges() == want.index_edges()
+            assert all(g.index(u) < g.index(v) for u, v in g.edges)
+
     def test_chain_is_path(self):
         g = chain(4).cover_graph()
         assert len(g.edges) == 3

@@ -63,16 +63,20 @@ class TestSignatureSpace:
                 PairClass(**fields)
 
     def test_checks_survive_optimized_mode(self):
-        # Under python -O every assert is stripped; the field and middle
-        # checks must still raise.
+        # Under python -O every assert is stripped; the field, middle and
+        # parents-first checks must still raise.
         code = ("from spdim.realizer import PairClass\n"
-                "from spdim.stdecomp import DecompNode\n"
+                "from spdim.stdecomp import DecompNode, STDecomposition\n"
                 "from spdim.errors import PreconditionViolated\n"
                 "try:\n    PairClass(1, 1)\nexcept ValueError:\n    pass\n"
                 "else:\n    raise SystemExit('PairClass accepted kind 1 without up')\n"
                 "try:\n    DecompNode(0, None, None, None, (0, 1), 0, 1).middle\n"
                 "except PreconditionViolated:\n    pass\n"
-                "else:\n    raise SystemExit('middle of a size-2 bag')\n")
+                "else:\n    raise SystemExit('middle of a size-2 bag')\n"
+                "try:\n    STDecomposition([DecompNode(0, 1, None, None, (0, 1), 0, 1),\n"
+                "                     DecompNode(1, None, 0, None, (0, 1), 0, 1)], 1, 'ab')\n"
+                "except PreconditionViolated:\n    pass\n"
+                "else:\n    raise SystemExit('parent id above its child id')\n")
         res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert res.returncode == 0, res.stderr + res.stdout
@@ -229,6 +233,8 @@ class TestRealizePath:
         assert p.verify_realizer(r.orders())
 
     def test_treewidth_tested_once(self, monkeypatch):
+        # A successful reduction proves treewidth <= 2, so the whole-graph test
+        # runs only when a terminal pair is rejected, and at most once.
         calls = []
         original = spembed.has_treewidth_at_most_2
 
@@ -237,11 +243,13 @@ class TestRealizePath:
             return original(graph)
 
         monkeypatch.setattr(spembed, "has_treewidth_at_most_2", counted)
-        realize_tw2(random_tw2_poset(30, 5))
-        assert len(calls) == 1
-        with pytest.raises(NotTreewidth2):
+        for p in (random_tw2_poset(30, 5), chain(50), forest_poset(200, 1)):
+            spembed.embed_into_sp(p.cover_graph())
+            realize_tw2(p)
+        assert calls == []
+        with pytest.raises(NotTreewidth2, match="^input graph has treewidth greater than 2$"):
             realize_tw2(kelly(3))
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_one_sort_per_class(self, monkeypatch):
         calls = []

@@ -205,6 +205,15 @@ class TestLinearValidator:
         assert bool(got) == bool(reference_sp_tree_violations(tree)), got
         if k == 0:
             assert not got
+        # The decomposition build shares the validator's walk: it refuses
+        # exactly the trees with a violation.
+        names = [str(v) for v in range(1 + max(v for node, _ in preorder_paths(tree)
+                                                   for v in (node.source, node.sink)))]
+        if got:
+            with pytest.raises(InvalidSPTree):
+                build_st_decomposition(tree, names)
+        else:
+            assert len(build_st_decomposition(tree, names)) == len(preorder_paths(tree))
 
 
 def random_path(n, seed):
@@ -316,6 +325,26 @@ class TestEmbedding:
     def test_k4_refused(self):
         with pytest.raises(NotTreewidth2):
             embed_into_sp(k4())
+
+    def test_treewidth3_refused_after_two_reductions(self, monkeypatch):
+        # A guard against unbounded work that does not depend on timing: a
+        # random 3-tree rejects its first terminal pair, and the whole-graph
+        # test then refuses it, so no further candidate is tried.
+        rng = random.Random(3)
+        n = 2000
+        edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+        cliques = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        for v in range(4, n):
+            a, b, c = rng.choice(cliques)
+            edges += [(a, v), (b, v), (c, v)]
+            cliques += [(a, b, v), (a, c, v), (b, c, v)]
+        g = Graph(range(n), edges)
+        calls = []
+        original = spembed._reduces_to_empty
+        monkeypatch.setattr(spembed, "_reduces_to_empty", lambda adj: calls.append(1) or original(adj))
+        with pytest.raises(NotTreewidth2, match="^input graph has treewidth greater than 2$"):
+            embed_into_sp(g)
+        assert len(calls) <= 2
 
     def test_pendants_on_k4_minus_edge_block(self):
         # The two degree-2 vertices of K4-e each carry a pendant; their

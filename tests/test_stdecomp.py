@@ -15,6 +15,7 @@ from oracles import (
     in_order_less,
     in_order_positions,
     is_ancestor,
+    reference_depths_and_least,
     separation_hits,
     st_subset_witness,
     tree_path,
@@ -206,6 +207,30 @@ class TestLeastNode:
             node = d.nodes[d.least_node(v)]
             assert len(node.bag) == 3
             assert node.middle == v
+
+
+class TestParentsFirstTables:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=10**6))
+    def test_depth_and_least_match_walk_from_root(self, n, seed):
+        _, d = random_decomposition(n, seed)
+        for dd in (d, d.reverse(), d.swap_size2_children()):
+            depth, least = reference_depths_and_least(dd)
+            assert [dd.depth(u) for u in range(len(dd))] == depth
+            for v, want in enumerate(least):
+                if want is None:
+                    with pytest.raises(VertexNotInDecomposition):
+                        dd.least_node(v)
+                else:
+                    assert dd.least_node(v) == want
+
+    @pytest.mark.parametrize("parent", [0, 1], ids=["self", "higher"])
+    def test_parent_id_must_be_lower(self, parent):
+        # Node 0 hangs below itself or below node 1, the root.
+        nodes = [DecompNode(0, parent, None, None, (0, 1), 0, 1),
+                 DecompNode(1, None, 0, None, (0, 1), 0, 1)]
+        with pytest.raises(PreconditionViolated, match="node 0 has parent"):
+            STDecomposition(nodes, 1, "ab")
 
 
 class TestReverse:
