@@ -17,7 +17,7 @@ declares one cover relation.  ``loads``/``dumps`` round-trip exactly.
 """
 
 import heapq
-from collections import defaultdict, deque
+from collections import deque
 
 from .errors import (
     CycleError,
@@ -266,8 +266,9 @@ class Poset:
         # for its one mask rows[x] | below[x].  A waiting x is parked on its
         # highest unplaced bit and rechecked, with one AND, only when that
         # element is placed.  Shorter than n when the arcs close a cycle.
+        heappop, heappush = heapq.heappop, heapq.heappush
         pred = [row | below for row, below in zip(rows, self._below)]
-        parked = defaultdict(list)
+        parked = [[] for _ in pred]  # by element: the elements waiting for it
         ready = []  # built ascending, so already a heap
         for x, mask in enumerate(pred):
             if mask:
@@ -277,15 +278,15 @@ class Poset:
         unplaced = (1 << len(pred)) - 1
         order = []
         while ready:
-            i = heapq.heappop(ready)
+            i = heappop(ready)
             order.append(i)
             unplaced ^= 1 << i
-            for x in parked.pop(i, ()):
+            for x in parked[i]:  # nothing parks on i once it is placed
                 mask = pred[x] & unplaced
                 if mask:
                     parked[mask.bit_length() - 1].append(x)
                 else:
-                    heapq.heappush(ready, x)
+                    heappush(ready, x)
         return order
 
     def _witness_cycle(self, pairs):

@@ -27,8 +27,9 @@ is made, and each class is certified and emitted by a single sort.
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from json.encoder import encode_basestring_ascii as _string
+from operator import or_
 
 from .errors import MalformedInstance, NotReversible, PairNotIncomparable, ParseError, ReversibilityViolation
 from .poset import bits
@@ -86,14 +87,6 @@ ALL_CLASSES = tuple(
 CLASS_INDEX = {cls: k for k, cls in enumerate(ALL_CLASSES)}
 
 
-def _kind1(order, up):
-    return 2 * order + up - 3
-
-
-def _kind2(order, span, gate):
-    return 4 * order + 2 * span + gate - 3
-
-
 class SignatureRows:
     """The 12 signature classes of one (poset, decomposition), as bitmask rows.
 
@@ -110,21 +103,26 @@ class SignatureRows:
       terminals in the upset of x.
     """
 
-    def __init__(self, poset, decomp):
+    def __init__(self, poset, decomp, inc=None):
+        "``inc``, if given, is ``poset.incomparable_masks()``."
         self.poset = poset
         self.decomp = decomp
-        nodes = decomp.nodes
         n = len(poset)
         if decomp.names[:n] != poset.elements:
             raise MalformedInstance("the decomposition's first vertices are not the poset's elements")
+        bag, s, t = decomp.bag, decomp.s, decomp.t
+        least_node = decomp.least_node
         self.home = []
-        at = [0] * len(nodes)
+        at = [0] * len(bag)
         for i, x in enumerate(poset.elements):
-            w = decomp.least_node(i)
-            node = nodes[w]
-            if len(node.bag) != 3 or node.middle != i:
-                raise MalformedInstance(
-                    "least node of %r does not carry it as its middle vertex" % (x,))
+            # i is in its least node's bag, so it is the middle iff it is no
+            # terminal and the other two members are.
+            w = least_node(i)
+            st = s[w], t[w]
+            if len(bag[w]) != 3 or i in st or sum(map(st.__contains__, bag[w])) != 2:
+                if len(bag[w]) == 3:
+                    decomp.nodes[w].middle  # PreconditionViolated if the bag has no middle at all
+                raise MalformedInstance("least node of %r does not carry it as its middle vertex" % (x,))
             self.home.append(w)
             at[w] |= 1 << i
 
@@ -133,34 +131,26 @@ class SignatureRows:
         pad = [0] * (len(decomp.names) - n)
         up += pad
         down += pad
-        self._up_s = [up[node.s] for node in nodes]
-        self._up_t = [up[node.t] for node in nodes]
-        self._down_s = [down[node.s] for node in nodes]
-        self._down_t = [down[node.t] for node in nodes]
-        self._under = []
-        self._over = []
-        for node in nodes:
-            under = over = 0
-            for v in node.bag:
-                under |= down[v]
-                over |= up[v]
-            self._under.append(under)
-            self._over.append(over)
-        self._span_up = _top_down(nodes, self._down_s, self._down_t)
+        self._up_s = [up[v] for v in s]
+        self._up_t = [up[v] for v in t]
+        self._down_s = [down[v] for v in s]
+        self._down_t = [down[v] for v in t]
+        self._under = _bag_unions(down, bag)
+        self._over = _bag_unions(up, bag)
+        self._span_up = _top_down(decomp.parent, self._down_s, self._down_t)
         sub = list(at)
-        for nid in range(len(nodes) - 1, -1, -1):  # ids are parents-first: bottom-up
-            node = nodes[nid]
-            if node.left is not None:
-                sub[nid] |= sub[node.left] | sub[node.right]
+        for nid, parent in zip(range(len(sub) - 1, -1, -1), reversed(decomp.parent)):
+            if parent is not None:  # ids are parents-first: bottom-up
+                sub[parent] |= sub[nid]
         self._sub = sub
         self._at = at
-        self.rows = self._classify(poset.incomparable_masks())
+        self.rows = self._classify(poset.incomparable_masks() if inc is None else inc)
 
     def _meetings(self, inc):
         """Yield (x, a, ys, order) for every element index x and node a where
         ys, the mask of the elements incomparable to x whose least node meets
         x's least node at a, is not empty; ``order`` is the pairs' order field."""
-        nodes = self.decomp.nodes
+        left, right, parent = self.decomp.left, self.decomp.right, self.decomp.parent
         sub, at = self._sub, self._at
         for x, h in enumerate(self.home):
             row = inc[x]
@@ -168,56 +158,56 @@ class SignatureRows:
                 continue
             if row & at[h]:
                 raise MalformedInstance("incomparable elements share a least node")
-            node = nodes[h]
-            if node.left is not None:
-                ys = row & sub[node.right]
+            if left[h] is not None:
+                ys = row & sub[right[h]]
                 if ys:
                     yield x, h, ys, 1
-                ys = row & sub[node.left]
+                ys = row & sub[left[h]]
                 if ys:
                     yield x, h, ys, 2
-            child, a = h, node.parent
+            child, a = h, parent[h]
             while a is not None:
-                node = nodes[a]
                 ys = row & (sub[a] ^ sub[child])
                 if ys:
-                    yield x, a, ys, 1 if node.left == child else 2
-                child, a = a, node.parent
+                    yield x, a, ys, 1 if left[a] == child else 2
+                child, a = a, parent[a]
 
     def _classify(self, inc):
+        """The 12 class rows.  A meeting of order o goes to row 2·o - 2 + up
+        (kind 1) or 4·o - 3 + 2·span + gate (kind 2), its ``ALL_CLASSES`` index."""
         n = len(inc)
         rows = [[0] * n for _ in ALL_CLASSES]
-        nodes = self.decomp.nodes
+        bag = self.decomp.bag
         under, over, span_up = self._under, self._over, self._span_up
         up_s, up_t, down_s, down_t = self._up_s, self._up_t, self._down_s, self._down_t
         stray = {}
         for x, a, ys, order in self._meetings(inc):
             bit = 1 << x
             if not under[a] & bit:
-                rows[_kind1(order, 1)][x] |= ys
+                rows[2 * order - 2][x] |= ys
                 continue
             hit = ys & over[a]
             if hit != ys:
-                rows[_kind1(order, 2)][x] |= ys ^ hit
+                rows[2 * order - 1][x] |= ys ^ hit
             if not hit:
                 continue
-            span = 2 if span_up[a] & bit else 1
-            if len(nodes[a].bag) == 3:
-                gate = order
+            k = 4 * order + 1 if span_up[a] & bit else 4 * order - 1  # 4·o - 3 + 2·span
+            if len(bag[a]) == 3:
+                rows[k + order][x] |= hit  # gate = order
+                continue
+            # Size-2 bag {s, t}: x must reach exactly one terminal and y
+            # lie above exactly the other one.
+            s_up, t_up = down_s[a] & bit, down_t[a] & bit
+            if s_up and not t_up:
+                gate, split = 1, up_t[a] & ~up_s[a]
+            elif t_up and not s_up:
+                gate, split = 2, up_s[a] & ~up_t[a]
             else:
-                # Size-2 bag {s, t}: x must reach exactly one terminal and y
-                # lie above exactly the other one.
-                s_up, t_up = down_s[a] & bit, down_t[a] & bit
-                if s_up and not t_up:
-                    gate, split = 1, up_t[a] & ~up_s[a]
-                elif t_up and not s_up:
-                    gate, split = 2, up_s[a] & ~up_t[a]
-                else:
-                    gate, split = 1, 0
-                bad = hit & ~split
-                if bad:
-                    stray[x] = stray.get(x, 0) | bad
-            rows[_kind2(order, span, gate)][x] |= hit
+                gate, split = 1, 0
+            bad = hit & ~split
+            if bad:
+                stray[x] = stray.get(x, 0) | bad
+            rows[k + gate][x] |= hit
         if stray:
             x = min(stray)
             y = (stray[x] & -stray[x]).bit_length() - 1
@@ -268,8 +258,7 @@ class SignatureRows:
         """Pairs (x, y) for which some ancestor-or-self of the meeting node has
         both terminals in the upset of x and some has both in the downset of
         y, as (x, ys) masks; the construction guarantees there are none."""
-        nodes = self.decomp.nodes
-        span_down = _top_down(nodes, self._up_s, self._up_t)
+        span_down = _top_down(self.decomp.parent, self._up_s, self._up_t)
         out = []
         for x, a, ys, _ in self._meetings(self.poset.incomparable_masks()):
             if self._span_up[a] >> x & 1 and ys & span_down[a]:
@@ -277,13 +266,19 @@ class SignatureRows:
         return out
 
 
-def _top_down(nodes, a_masks, b_masks):
+def _top_down(parent, a_masks, b_masks):
     "Per node, the union of a_masks[u] & b_masks[u] over its ancestors-or-self u, by id."
-    out = [0] * len(nodes)
-    for nid, node in enumerate(nodes):
-        parent = node.parent
-        out[nid] = (out[parent] if parent is not None else 0) | a_masks[nid] & b_masks[nid]
+    out = [a & b for a, b in zip(a_masks, b_masks)]
+    for nid, p in enumerate(parent):
+        if p is not None:
+            out[nid] |= out[p]
     return out
+
+
+def _bag_unions(masks, bags):
+    "Per node, the union of masks[v] over the bag's members; bags of 2 or 3 without a loop."
+    return [masks[b[0]] | masks[b[1]] | masks[b[-1]] if 1 < len(b) < 4
+            else reduce(or_, map(masks.__getitem__, b), 0) for b in bags]
 
 
 def classify_pairs(poset, decomp):
@@ -367,9 +362,10 @@ def realize_tw2(poset):
     class); their intersection is exactly the input order.  A poset without
     incomparable pairs is a chain, whose cover graph is a path.
     """
-    if not poset.incomparable_count():
+    inc = poset.incomparable_masks()
+    if not any(inc):
         return Realizer(((None, tuple(poset.canonical_extension())),))
-    rows = SignatureRows(poset, _decompose(poset)[1])
+    rows = SignatureRows(poset, _decompose(poset)[1], inc)
     return Realizer(tuple((cls, tuple(rows.extension(k)))
                           for k, cls in enumerate(ALL_CLASSES) if any(rows.rows[k])))
 
@@ -443,7 +439,8 @@ def metamorphic_check(instance):
             expected = "kind=2 order=%d gate=%d%s" % (
                 3 - cls.order, 3 - cls.gate, " span=1" if cls.span == 2 else "")
             spans = (1,) if cls.span == 2 else (1, 2)
-            allowed = [dual_cols[_kind2(3 - cls.order, sp, 3 - cls.gate)] for sp in spans]
+            allowed = [dual_cols[CLASS_INDEX[PairClass(2, 3 - cls.order, span=sp, gate=3 - cls.gate)]]
+                       for sp in spans]
         for x, ys in enumerate(base.rows[k]):
             for col in allowed:
                 ys &= ~col[x]

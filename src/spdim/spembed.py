@@ -252,15 +252,17 @@ def _one_flipped(a, b):
     return a, _flipped(b)
 
 
-def _normalized(root):
-    """Resolve the ``FLIP`` views and re-bracket each maximal series or parallel run.
+def _normalized(root, names):
+    """Resolve the ``FLIP`` views and re-bracket each maximal series or parallel run;
+    ``InvalidSPTree`` unless every vertex id, an index of ``names``, is in a leaf.
 
     A flip parity is carried down: under odd parity leaves are reversed and
     series operands are read right to left.  A run's operands are normalised
     first, then joined on the run's own internal nodes at the midpoints of
     their leaf counts.  Every node has one parent, so the pass rewires nodes
-    in place and allocates none.
+    in place and allocates no node.
     """
+    seen = bytearray(len(names))
     done = []  # normalised operands with their leaf counts, in order
     todo = [(root, 0)]  # (node, parity), or (a run's internal nodes, None) to join
     while todo:
@@ -274,6 +276,7 @@ def _normalized(root):
         if node.kind == EDGE:
             if parity:
                 node.source, node.sink = node.sink, node.source
+            seen[node.source] = seen[node.sink] = 1
             done.append((node, 1))
             continue
         inner, ops, stack = [], [], [(node, parity)]
@@ -289,6 +292,8 @@ def _normalized(root):
             stack += ((second, parity), (first, parity))
         todo.append((inner, None))
         todo.extend(reversed(ops))
+    if 0 in seen:
+        raise InvalidSPTree("host vertex %r is in no leaf" % (names[seen.index(0)],))
     return done[0][0]
 
 
@@ -340,13 +345,17 @@ def _terminal_candidates(degree, comp, comp_edges, rejected=None):
     qualifies).  ``comp`` is a whole component, ascending, and ``degree[v]``
     is the graph degree of vertex v.  ``rejected()``, if given, is called on
     every pair that fails the test.
+
+    With at most as many edges as vertices, the component plus st has
+    cyclomatic number at most 2, K4 needs 3, so every pair passes untested.
     """
     ones = [v for v in comp if degree[v] == 1]
     twos = [v for v in comp if degree[v] == 2]
+    sparse = len(comp_edges) <= len(comp)
     for s, t in chain(combinations(ones, 2), _mixed_pairs(degree, comp, ones, twos),
                       combinations(twos, 2),
                       ((u, v) for u, v in comp_edges if degree[u] > 2 or degree[v] > 2)):
-        if _tw2_with_extra_edge(comp, comp_edges, s, t):
+        if sparse or _tw2_with_extra_edge(comp, comp_edges, s, t):
             yield s, t
         elif rejected is not None:
             rejected()
@@ -496,9 +505,7 @@ def embed_into_sp(graph):
         bridge = (root.sink, tree.source)
         added_edges.append(bridge)
         root = series(root, series(edge_node(*bridge), tree))
-    root = _normalized(root)
-    assert len({v for node in walk_postorder(root) if node.kind == EDGE
-                for v in (node.source, node.sink)}) == len(names.names), "a host vertex is in no leaf"
+    root = _normalized(root, names.names)
     return Embedding(sp=root, names=tuple(names.names), added_edges=names.edges(added_edges),
                      added_vertices=frozenset(names.names[v] for v in added_vertices),
                      source=root.source, sink=root.sink)

@@ -8,13 +8,17 @@ middle vertex (left child runs source -> middle, right child middle -> sink).
 Vertices are the integer ids of the embedding; ``STDecomposition.names`` maps
 them to names, which only the writers and error messages use.
 
-Decomposition node ids mirror the series-parallel tree they were built from
+A decomposition is stored as columns indexed by node id (``parent``, ``left``,
+``right``, ``bag``, ``s``, ``t``), read off the walk that checks the
+series-parallel tree; ``nodes``, the same nodes as ``DecompNode`` records, is
+a view built only when read.  Node ids mirror the series-parallel tree
 (pre-order), and are preserved by ``reverse`` and ``swap_size2_children`` so
 that nodes can be compared across transformed decompositions.  The ids are a
 parents-first order: one pass over them runs top-down, one in reverse bottom-up.
 """
 
 from json.encoder import encode_basestring_ascii as _string
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InvalidSPTree, PreconditionViolated, VertexNotInDecomposition
@@ -48,63 +52,85 @@ class DecompNode(NamedTuple):
 
 class STDecomposition:
     """An s-t tree-decomposition of a two-terminal graph (immutable); ``names[v]``
-    is the name of vertex id v.  ``nodes[k]`` is the node with id k, and every
-    parent's id is below its children's (``PreconditionViolated`` otherwise)."""
+    is the name of vertex id v.  Node k is stored across the columns
+    ``parent[k]``, ``left[k]``, ``right[k]`` (None where absent), ``bag[k]``,
+    ``s[k]`` and ``t[k]``; ``nodes[k]`` is the same node as a ``DecompNode``,
+    a view built on first read.  Every parent's id is below its children's.
+
+    ``STDecomposition(nodes, root, names)`` takes hand-made nodes, ``nodes[k]``
+    with id k, and raises ``PreconditionViolated`` on a parent id that is not
+    below its child's.
+    """
 
     def __init__(self, nodes, root, names):
         self.nodes = tuple(nodes)
-        self.root = root
-        self.names = tuple(names)
-        depth = self._depth = [0] * len(self.nodes)
-        least = self._least = [None] * len(self.names)
-        for nid, parent, _, _, bag, _, _ in self.nodes:
+        for nid, parent, *_ in self.nodes:
             if parent is not None and parent >= nid:
                 raise PreconditionViolated("node %d has parent %d, not a lower id" % (nid, parent))
-            d = depth[nid] = 0 if parent is None else depth[parent] + 1
-            for v in bag:
-                best = least[v]
-                if best is None or d < depth[best]:
-                    least[v] = nid
+        _, self.parent, self.left, self.right, self.bag, self.s, self.t = map(list, zip(*self.nodes))
+        self.root, self.names = root, tuple(names)
+
+    @cached_property
+    def nodes(self):
+        return tuple(map(DecompNode, range(len(self.bag)), self.parent, self.left, self.right,
+                         self.bag, self.s, self.t))
+
+    @cached_property
+    def _depth(self):
+        depth = [0] * len(self.parent)
+        for nid, parent in enumerate(self.parent):
+            if parent is not None:
+                depth[nid] = depth[parent] + 1
+        return depth
+
+    @cached_property
+    def _least(self):
+        # The lowest id whose bag holds v: bags holding v form a subtree, whose
+        # root has both the least depth and, ids being parents-first, the lowest id.
+        least = [None] * len(self.names)
+        for nid in range(len(self.bag) - 1, -1, -1):
+            for v in self.bag[nid]:
+                least[v] = nid
+        return least
 
     @property
     def source(self):
-        return self.nodes[self.root].s
+        return self.s[self.root]
 
     @property
     def sink(self):
-        return self.nodes[self.root].t
+        return self.t[self.root]
 
     def __len__(self):
-        return len(self.nodes)
+        return len(self.bag)
 
     def in_order(self):
         "Node ids in in-order traversal (left subtree, node, right subtree)."
+        left, right = self.left, self.right
         out = []
         stack = []
         cur = self.root
         while stack or cur is not None:
             while cur is not None:
                 stack.append(cur)
-                cur = self.nodes[cur].left
+                cur = left[cur]
             cur = stack.pop()
             out.append(cur)
-            cur = self.nodes[cur].right
+            cur = right[cur]
         return out
 
     def depth(self, u):
         return self._depth[u]
 
-    def parent(self, u):
-        return self.nodes[u].parent
-
     def lca(self, u, v):
-        while self._depth[u] > self._depth[v]:
-            u = self.nodes[u].parent
-        while self._depth[v] > self._depth[u]:
-            v = self.nodes[v].parent
+        depth, parent = self._depth, self.parent
+        while depth[u] > depth[v]:
+            u = parent[u]
+        while depth[v] > depth[u]:
+            v = parent[v]
         while u != v:
-            u = self.nodes[u].parent
-            v = self.nodes[v].parent
+            u = parent[u]
+            v = parent[v]
         return u
 
     def least_node(self, vertex):
@@ -120,17 +146,24 @@ class STDecomposition:
         """Swap children everywhere and exchange every (source, sink); the
         result decomposes the same host with the outer terminals exchanged,
         and its in-order is the exact reverse."""
-        nodes = [DecompNode(n.id, n.parent, n.right, n.left,
-                            tuple(reversed(n.bag)), n.t, n.s)
-                 for n in self.nodes]
-        return STDecomposition(nodes, self.root, self.names)
+        return _from_columns(self.parent, self.right, self.left, [bag[::-1] for bag in self.bag],
+                             self.t, self.s, self.root, self.names)
 
     def swap_size2_children(self):
         "Swap the children of every size-2 internal node; bags and terminals stay."
-        nodes = [DecompNode(n.id, n.parent, n.right, n.left, n.bag, n.s, n.t)
-                 if (not n.is_leaf and len(n.bag) == 2) else n
-                 for n in self.nodes]
-        return STDecomposition(nodes, self.root, self.names)
+        swap = [left is not None and len(bag) == 2 for left, bag in zip(self.left, self.bag)]
+        return _from_columns(
+            self.parent, [r if sw else l for sw, l, r in zip(swap, self.left, self.right)],
+            [l if sw else r for sw, l, r in zip(swap, self.left, self.right)],
+            self.bag, self.s, self.t, self.root, self.names)
+
+
+def _from_columns(parent, left, right, bag, s, t, root, names):
+    "A decomposition over columns whose parents-first order the caller guarantees."
+    d = STDecomposition.__new__(STDecomposition)
+    d.parent, d.left, d.right, d.bag, d.s, d.t = parent, left, right, bag, s, t
+    d.root, d.names = root, tuple(names)
+    return d
 
 
 def build_st_decomposition(sp_root, names):
@@ -138,7 +171,8 @@ def build_st_decomposition(sp_root, names):
 
     Leaf -> bag {source, sink}; parallel -> bag {source, sink}; series ->
     the size-3 bag {source, shared vertex, sink}.  Node ids are assigned in
-    pre-order by the walk that checks the tree; its vertices index ``names``.
+    pre-order by the walk that checks the tree, and the columns are read off
+    that walk; its vertices index ``names``.
     """
     order, parents, problems = _checked_preorder(sp_root)
     if problems:
@@ -147,26 +181,20 @@ def build_st_decomposition(sp_root, names):
     for nid, parent in enumerate(parents):
         if parent is not None and parent != nid - 1:
             right[parent] = nid
-    nodes = [DecompNode(nid, parents[nid], None if sp.kind == EDGE else nid + 1, right[nid],
-                        (sp.source, sp.left.sink, sp.sink) if sp.kind == SERIES
-                        else (sp.source, sp.sink), sp.source, sp.sink)
-             for nid, sp in enumerate(order)]
-    return STDecomposition(nodes, 0, names)
+    return _from_columns(
+        parents, [None if sp.kind == EDGE else nid for nid, sp in enumerate(order, 1)], right,
+        [(sp.source, sp.left.sink, sp.sink) if sp.kind == SERIES else (sp.source, sp.sink) for sp in order],
+        [sp.source for sp in order], [sp.sink for sp in order], 0, names)
 
 
 # -- JSON export -------------------------------------------------------------
 
 def decomposition_to_json(decomp):
-    names = decomp.names
-    out = []
-    for node in decomp.nodes:
-        parent = node.parent
-        side = None
-        if parent is not None:
-            side = "left" if decomp.nodes[parent].left == node.id else "right"
-        out.append({"id": node.id, "parent": parent, "side": side,
-                    "bag": [names[v] for v in node.bag], "s": names[node.s], "t": names[node.t]})
-    return out
+    names, left = decomp.names, decomp.left
+    return [{"id": nid, "parent": parent,
+             "side": None if parent is None else "left" if left[parent] == nid else "right",
+             "bag": [names[v] for v in bag], "s": names[s], "t": names[t]}
+            for nid, (parent, bag, s, t) in enumerate(zip(decomp.parent, decomp.bag, decomp.s, decomp.t))]
 
 
 _NODE = ('  {\n    "id": %%d,\n    "parent": %%s,\n    "side": %%s,\n    "bag": [\n      %s\n'
@@ -178,13 +206,13 @@ _NODE3 = _NODE % ",\n      ".join(["%s"] * 3)
 def dumps_decomposition(decomp):
     "``json.dumps(decomposition_to_json(decomp), indent=2)``, from one template per bag size."
     quoted = [_string(name) for name in decomp.names]
-    nodes = decomp.nodes
+    left = decomp.left
     out = []
-    for nid, parent, _, _, bag, s, t in nodes:
+    for nid, (parent, bag, s, t) in enumerate(zip(decomp.parent, decomp.bag, decomp.s, decomp.t)):
         if parent is None:
             parent = side = "null"
         else:
-            side = '"left"' if nodes[parent].left == nid else '"right"'
+            side = '"left"' if left[parent] == nid else '"right"'
         if len(bag) == 3:
             a, b, c = bag
             out.append(_NODE3 % (nid, parent, side, quoted[a], quoted[b], quoted[c], quoted[s], quoted[t]))

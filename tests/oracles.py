@@ -7,8 +7,8 @@ signatures by one lowest-common-ancestor walk per pair, the closure by
 Warshall's loop, terminal candidates by sorting every pair, composition
 trees by re-deriving every node's subgraph, reversed composition trees by
 rebuilding every node, topological orders by Kahn's algorithm over one arc
-per pair, linear extensions by sorting, decomposition depths by a walk from
-the root.  The validation, the separation
+per pair, linear extensions by sorting, decompositions one record per node,
+their depths by a walk from the root.  The validation, the separation
 predicates and the in-order comparison of s-t decompositions live here too,
 with the order, graph and tree queries that only tests need.
 
@@ -113,7 +113,7 @@ def is_connected_set(graph, subset):
 def is_ancestor(decomp, u, v):
     "True iff u lies on the root path of v (u <= v in the tree order)."
     while v is not None and decomp.depth(v) > decomp.depth(u):
-        v = decomp.parent(v)
+        v = decomp.parent[v]
     return v == u
 
 
@@ -124,7 +124,7 @@ def tree_path(decomp, u, v):
     for x, out in ((u, up), (v, down)):
         while x != w:
             out.append(x)
-            x = decomp.parent(x)
+            x = decomp.parent[x]
     return up + [w] + down[::-1]
 
 
@@ -628,10 +628,11 @@ def mirror(root):
     return done[id(root)]
 
 
-def reference_resolve(root):
+def reference_resolve(root, names=()):
     """The composition tree as the embedding built it before balancing: every
     ``FLIP`` view replaced by an eager ``mirror`` of its resolved subtree, and
-    no run re-bracketed.  A drop-in for ``spdim.spembed._normalized``."""
+    no run re-bracketed.  A drop-in for ``spdim.spembed._normalized`` that
+    skips its leaf-coverage check (``names`` is not read)."""
     from spdim.spembed import EDGE, FLIP, SERIES, parallel, series
 
     done = {}
@@ -649,6 +650,45 @@ def reference_resolve(root):
             join = series if node.kind == SERIES else parallel
             done[id(node)] = join(done[id(node.left)], done[id(node.right)])
     return done[id(root)]
+
+
+def reference_decomposition(sp_root, names):
+    """The s-t decomposition of a composition tree built one ``DecompNode`` per
+    node, as ``build_st_decomposition`` once did: ids by a pre-order walk,
+    leaves and parallel nodes with bag (source, sink), series nodes with bag
+    (source, shared vertex, sink)."""
+    from spdim.spembed import EDGE, SERIES
+    from spdim.stdecomp import DecompNode, STDecomposition
+
+    fields = []  # per id: [parent, left, right, bag, s, t]
+    stack = [(sp_root, None, None)]  # (node, parent id, 1 for a left child or 2 for a right one)
+    while stack:
+        sp, parent, side = stack.pop()
+        nid = len(fields)
+        if parent is not None:
+            fields[parent][side] = nid
+        bag = (sp.source, sp.left.sink, sp.sink) if sp.kind == SERIES else (sp.source, sp.sink)
+        fields.append([parent, None, None, bag, sp.source, sp.sink])
+        if sp.kind != EDGE:
+            stack += ((sp.right, nid, 2), (sp.left, nid, 1))
+    return STDecomposition([DecompNode(nid, *f) for nid, f in enumerate(fields)], 0, names)
+
+
+def reference_reverse(decomp):
+    "``STDecomposition.reverse``, one ``DecompNode`` per node."
+    from spdim.stdecomp import DecompNode, STDecomposition
+
+    return STDecomposition([DecompNode(n.id, n.parent, n.right, n.left, tuple(reversed(n.bag)), n.t, n.s)
+                            for n in decomp.nodes], decomp.root, decomp.names)
+
+
+def reference_swap_size2_children(decomp):
+    "``STDecomposition.swap_size2_children``, one ``DecompNode`` per node."
+    from spdim.stdecomp import DecompNode, STDecomposition
+
+    return STDecomposition([DecompNode(n.id, n.parent, n.right, n.left, n.bag, n.s, n.t)
+                            if not n.is_leaf and len(n.bag) == 2 else n
+                            for n in decomp.nodes], decomp.root, decomp.names)
 
 
 def reference_depths_and_least(decomp):

@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -376,6 +380,32 @@ class TestEmbedding:
                     assert g.edges <= emb.host.edges
                     assert has_treewidth_at_most_2(emb.host)
 
+    def test_vertex_in_no_leaf_refused(self, monkeypatch):
+        # A reduction that loses a vertex is caught by the normalising pass,
+        # also under python -O, which strips asserts.
+        monkeypatch.setattr(spembed, "_reduce_component", dropping_middles(spembed._reduce_component))
+        with pytest.raises(InvalidSPTree, match="host vertex 'b' is in no leaf"):
+            embed_into_sp(Graph("abc", [("a", "b"), ("b", "c")]))
+        code = ("from spdim import spembed\n"
+                "from spdim.errors import InvalidSPTree\n"
+                "from spdim.graphs import Graph\n"
+                "from test_spembed import dropping_middles\n"
+                "spembed._reduce_component = dropping_middles(spembed._reduce_component)\n"
+                "try:\n    spembed.embed_into_sp(Graph('abc', [('a', 'b'), ('b', 'c')]))\n"
+                "except InvalidSPTree as exc:\n    print(exc)\n")
+        res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "host vertex 'b' is in no leaf\n"
+
+
+def dropping_middles(reduce):
+    "``_reduce_component`` with each tree replaced by one edge between its terminals."
+    def reduce_to_one_edge(comp, comp_edges, s, t):
+        tree, fills = reduce(comp, comp_edges, s, t)
+        return edge_node(s, t), fills
+    return reduce_to_one_edge
+
 
 def id_arguments(graph, comp, comp_edges):
     "The degrees, component and edges ``_terminal_candidates`` takes, over vertex ids."
@@ -413,24 +443,43 @@ class TestTerminalCandidates:
                 got, want = candidates(g, comp)
                 assert got == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6),
+           st.booleans())
+    def test_sparse_components_pass_every_pair(self, n, seed, chord):
+        # A connected graph with m <= n edges plus any edge st has cyclomatic
+        # number <= 2 and so no K4 minor: the skipped filter would pass every pair.
+        rng = random.Random(seed)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        if chord and n > 2:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        assert len(edges) <= n
+        comp = list(range(n))
+        for s, t in combinations(comp, 2):
+            assert spembed._tw2_with_extra_edge(comp, sorted(edges), s, t), (s, t)
+
     def test_first_candidate_of_a_long_path_is_cheap(self, monkeypatch):
         # A guard against quadratic work that does not depend on timing: the
-        # ends of a path come first, found with one treewidth test and no list
-        # of all 2 * 10**8 low-degree pairs.
+        # ends of a path come first, found with at most one treewidth test and
+        # no list of all 2 * 10**8 low-degree pairs.  The bare path has no
+        # more edges than vertices, so its pairs pass untested; two vertices
+        # joined to both v5000 and v5001 give it more edges, and one test.
         verts = ["v%d" % i for i in range(20000)]
-        g = Graph(verts, list(zip(verts, verts[1:])))
-        arguments = id_arguments(g, verts, g.sorted_edges())
-        calls = []
-        monkeypatch.setattr(spembed, "_tw2_with_extra_edge", lambda *args: calls.append(args[2:]) or True)
-        tracemalloc.start()
-        try:
-            first = next(spembed._terminal_candidates(*arguments))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (verts[first[0]], verts[first[1]]) == ("v0", "v19999")
-        assert calls == [first]
-        assert peak < 2 * 10**6
+        path = list(zip(verts, verts[1:]))
+        thetas = [(w, v) for w in ("w0", "w1") for v in ("v5000", "v5001")]
+        for g, tests in ((Graph(verts, path), 0), (Graph(verts + ["w0", "w1"], path + thetas), 1)):
+            arguments = id_arguments(g, g.vertices, g.sorted_edges())
+            calls = []
+            monkeypatch.setattr(spembed, "_tw2_with_extra_edge", lambda *args: calls.append(args[2:]) or True)
+            tracemalloc.start()
+            try:
+                first = next(spembed._terminal_candidates(*arguments))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (g.vertices[first[0]], g.vertices[first[1]]) == ("v0", "v19999")
+            assert calls == [first] * tests
+            assert peak < 2 * 10**6
 
 
 class TestAugment:

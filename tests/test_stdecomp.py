@@ -10,12 +10,16 @@ from spdim.graphs import Graph
 from spdim.spembed import augment_with_fresh_terminals, edge_node, embed_into_sp
 from spdim.stdecomp import DecompNode, STDecomposition, build_st_decomposition, decomposition_to_json
 
+from test_acceptance import CORPUS
 from oracles import (
     id_host,
     in_order_less,
     in_order_positions,
     is_ancestor,
+    reference_decomposition,
     reference_depths_and_least,
+    reference_reverse,
+    reference_swap_size2_children,
     separation_hits,
     st_subset_witness,
     tree_path,
@@ -231,6 +235,36 @@ class TestParentsFirstTables:
                  DecompNode(1, None, 0, None, (0, 1), 0, 1)]
         with pytest.raises(PreconditionViolated, match="node 0 has parent"):
             STDecomposition(nodes, 1, "ab")
+
+
+class TestColumns:
+    """The columns against decompositions built one ``DecompNode`` per node."""
+
+    def test_match_per_node_reference_on_corpus(self):
+        for seed, n in CORPUS:
+            emb = augment_with_fresh_terminals(embed_into_sp(random_tw2_poset(n, seed).cover_graph()))
+            d = build_st_decomposition(emb.sp, emb.names)
+            ref = reference_decomposition(emb.sp, emb.names)
+            for got, want in ((d, ref), (d.reverse(), reference_reverse(ref)),
+                              (d.swap_size2_children(), reference_swap_size2_children(ref))):
+                assert got.nodes == want.nodes, (seed, n)
+                assert (got.root, got.names, got.source, got.sink) == \
+                       (want.root, want.names, want.source, want.sink)
+                depth, least = reference_depths_and_least(want)
+                assert [got.depth(u) for u in range(len(got))] == depth
+                assert [got.least_node(v) for v in range(len(got.names))] == least
+
+    def test_reads_of_the_benchmark_tracer(self):
+        # bench/tracing.py counts nodes by len(d.nodes), the depth by
+        # d.depth(node.id) over d.nodes, and fill by len(emb.added_edges)
+        # and len(emb.added_vertices).
+        g = random_tw2_poset(40, 3).cover_graph()
+        emb = embed_into_sp(g)
+        d = build_st_decomposition(emb.sp, emb.names)
+        assert len(d.nodes) == len(d) == 2 * emb.sp.leaves() - 1
+        assert max(d.depth(node.id) for node in d.nodes) == max(reference_depths_and_least(d)[0])
+        assert len(emb.added_edges) == len(emb.host.edges - g.edges)
+        assert len(emb.added_vertices) == len(emb.host.vertices) - len(g.vertices)
 
 
 class TestReverse:
