@@ -17,7 +17,7 @@ from .errors import ParseError, UnknownElement
 
 
 class Graph:
-    __slots__ = ("vertices", "_index", "edges", "_adj")
+    __slots__ = ("vertices", "_index", "_edges", "_adj")
 
     def __init__(self, vertices, edges=()):
         vertices = tuple(vertices)
@@ -43,16 +43,23 @@ class Graph:
             adj[j].add(i)
         self.vertices = vertices
         self._index = index
-        self.edges = frozenset(normalized)
+        self._edges = frozenset(normalized)
         self._adj = adj
 
     @classmethod
     def from_adjacency(cls, vertices, index, adj):
         "The graph of vertices[i] with neighbour ids adj[i], index its id map; none is copied."
         g = cls.__new__(cls)
-        g.vertices, g._index, g._adj = vertices, index, adj
-        g.edges = frozenset([(vertices[i], vertices[j]) for i, nb in enumerate(adj) for j in nb if i < j])
+        g.vertices, g._index, g._adj, g._edges = vertices, index, adj, None
         return g
+
+    @property
+    def edges(self):
+        "The edges as a frozenset of canonical name pairs, built on first read."
+        if self._edges is None:
+            names = self.vertices
+            self._edges = frozenset([(names[i], names[j]) for i, nb in enumerate(self._adj) for j in nb if i < j])
+        return self._edges
 
     def __contains__(self, v):
         return v in self._index

@@ -18,6 +18,7 @@ declares one cover relation.  ``loads``/``dumps`` round-trip exactly.
 
 import heapq
 from collections import deque
+from itertools import compress, repeat
 
 from .errors import (
     CycleError,
@@ -27,6 +28,8 @@ from .errors import (
     UnknownElement,
 )
 from .graphs import Graph
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class Poset:
@@ -162,14 +165,7 @@ class Poset:
 
     def incomparable_pairs(self):
         "All ordered incomparable pairs, in canonical order (symmetric set)."
-        n = len(self.elements)
-        out = []
-        for i in range(n):
-            cmp_mask = self._above[i] | self._below[i] | (1 << i)
-            for j in range(n):
-                if not (cmp_mask >> j & 1):
-                    out.append((self.elements[i], self.elements[j]))
-        return out
+        return self.pairs_of_rows(self.incomparable_masks())
 
     def incomparable_masks(self):
         "Per element index i, the bitmask of the elements incomparable to element i."
@@ -256,7 +252,10 @@ class Poset:
     def pairs_of_rows(self, rows):
         "The pairs (element i, element j) for every bit j of rows[i], in canonical order."
         names = self.elements
-        return [(names[i], names[j]) for i, row in enumerate(rows) for j in bits(row)]
+        out = []
+        for name, row in zip(names, rows):  # row's bits, lowest first, as bytes 0 and 1 that select names
+            out.extend(zip(repeat(name), compress(names, bin(row)[:1:-1].encode().translate(_BITS))))
+        return out
 
     def _topological_order(self, rows):
         # The lexicographically least topological order of the cover arcs

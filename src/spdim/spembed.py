@@ -108,52 +108,60 @@ def sp_tree_violations(root):
     terminals, no shared vertex is an outer terminal or shared twice, and no
     edge lies in two leaves.
     """
-    return _checked_preorder(root)[2]
+    return _checked_preorder(root)[1]
 
 
 def _checked_preorder(root):
-    """The walk behind ``sp_tree_violations``: the nodes in pre-order (parents
-    first, a left child right after its parent), each node's parent position
-    (None at the root), and the problems."""
+    """The walk behind ``sp_tree_violations``.  Node positions are pre-order
+    (parents first, a left child right after its parent); by position, it
+    fills the decomposition columns ``(parent, left, right, bag, s, t)`` of
+    ``build_st_decomposition`` and returns them with the problems."""
     problems = []
     shared = {root.source, root.sink}
     edges = set()
-    order = []
-    parents = []
-    stack = [(root, None)]
-    while stack:
-        node, parent = stack.pop()
-        pos = len(order)
-        order.append(node)
-        parents.append(parent)
+    parent, left, right, bag, source, sink = columns = [], [], [], [], [], []
+    nodes, parents = [root], [None]
+    while nodes:
+        node, up = nodes.pop(), parents.pop()
+        pos = len(parent)
+        parent.append(up)
+        right.append(None)
+        if up is not None:  # the right child comes last, after the left subtree
+            right[up] = pos
         s, t = node.source, node.sink
+        source.append(s)
+        sink.append(t)
         if s == t:
             problems.append("node %d: source equals sink" % pos)
         if node.kind == EDGE:
+            left.append(None)
+            bag.append((s, t))
             edge = (s, t) if s < t else (t, s)
             if edge in edges:
                 problems.append("node %d: edge %r-%r is in two leaves" % (pos, s, t))
             edges.add(edge)
             continue
-        left, right = node.left, node.right
+        a, b = node.left, node.right
+        left.append(pos + 1)
+        bag.append((s, a.sink, t) if node.kind == SERIES else (s, t))
         if node.kind == SERIES:
-            if left.sink != right.source:
+            if a.sink != b.source:
                 problems.append("node %d: series children do not share a terminal" % pos)
-            if (s, t) != (left.source, right.sink):
+            if (s, t) != (a.source, b.sink):
                 problems.append("node %d: series terminals mismatch" % pos)
-            if left.sink in shared:
+            if a.sink in shared:
                 problems.append("node %d: shared vertex %r is an outer terminal or shared twice"
-                                % (pos, left.sink))
-            shared.add(left.sink)
+                                % (pos, a.sink))
+            shared.add(a.sink)
         elif node.kind == PARALLEL:
-            if not ((s, t) == (left.source, left.sink) == (right.source, right.sink)):
+            if not ((s, t) == (a.source, a.sink) == (b.source, b.sink)):
                 problems.append("node %d: parallel children disagree on terminals" % pos)
         else:
             problems.append("node %d: unknown kind %r" % (pos, node.kind))
             continue
-        stack.append((right, pos))
-        stack.append((left, pos))
-    return order, parents, problems
+        nodes += b, a
+        parents += pos, pos
+    return columns, problems
 
 
 def validate_sp_tree(root):

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InvalidSPTree, PreconditionViolated, VertexNotInDecomposition
-from .spembed import EDGE, SERIES, _checked_preorder
+from .spembed import _checked_preorder
 
 
 class DecompNode(NamedTuple):
@@ -174,17 +174,10 @@ def build_st_decomposition(sp_root, names):
     pre-order by the walk that checks the tree, and the columns are read off
     that walk; its vertices index ``names``.
     """
-    order, parents, problems = _checked_preorder(sp_root)
+    columns, problems = _checked_preorder(sp_root)
     if problems:
         raise InvalidSPTree("refusing to decompose an invalid composition tree")
-    right = [None] * len(order)
-    for nid, parent in enumerate(parents):
-        if parent is not None and parent != nid - 1:
-            right[parent] = nid
-    return _from_columns(
-        parents, [None if sp.kind == EDGE else nid for nid, sp in enumerate(order, 1)], right,
-        [(sp.source, sp.left.sink, sp.sink) if sp.kind == SERIES else (sp.source, sp.sink) for sp in order],
-        [sp.source for sp in order], [sp.sink for sp in order], 0, names)
+    return _from_columns(*columns, 0, names)
 
 
 # -- JSON export -------------------------------------------------------------

@@ -8,9 +8,11 @@ Warshall's loop, terminal candidates by sorting every pair, composition
 trees by re-deriving every node's subgraph, reversed composition trees by
 rebuilding every node, topological orders by Kahn's algorithm over one arc
 per pair, linear extensions by sorting, decompositions one record per node,
-their depths by a walk from the root.  The validation, the separation
-predicates and the in-order comparison of s-t decompositions live here too,
-with the order, graph and tree queries that only tests need.
+their depths by a walk from the root, incomparable pairs by one test per
+ordered pair, the thinning of random 2-trees by a whole-graph search per
+drawn deletion.  The validation, the separation predicates and the
+in-order comparison of s-t decompositions live here too, with the order,
+graph and tree queries that only tests need.
 
 Decompositions and embeddings carry vertex ids; ``id_host`` gives the host
 graph over those ids, which the decomposition checks take.
@@ -527,6 +529,60 @@ def reference_topological_order(poset, rows):
             if indeg[j] == 0:
                 heapq.heappush(ready, j)
     return order
+
+
+def reference_incomparable_pairs(poset):
+    "The list ``Poset.incomparable_pairs`` must return: one comparability test per ordered pair."
+    n = len(poset.elements)
+    out = []
+    for i in range(n):
+        cmp_mask = poset._above[i] | poset._below[i] | (1 << i)
+        for j in range(n):
+            if not (cmp_mask >> j & 1):
+                out.append((poset.elements[i], poset.elements[j]))
+    return out
+
+
+def reference_random_tw2_poset(n, seed, delete_prob=0.3):
+    """The poset ``spdim.generators.random_tw2_poset`` must return, from the
+    same draws: each drawn deletion is tried on a copy of the kept edges and
+    kept when a search from vertex 0 still reaches every vertex."""
+    import random
+
+    from spdim.generators import _oriented_poset
+    from spdim.poset import Poset
+
+    rng = random.Random(seed)
+    if n == 1:
+        return Poset(["v0"], [])
+    edges = [(0, 1)]
+    for v in range(2, n):
+        a, b = edges[rng.randrange(len(edges))]
+        edges.append((a, v))
+        edges.append((b, v))
+    keep = list(edges)
+    for e in edges[1:]:
+        if rng.random() < delete_prob:
+            trial = [f for f in keep if f != e]
+            if _connected(n, trial):
+                keep = trial
+    return _oriented_poset(n, keep, rng)
+
+
+def _connected(n, edges):
+    adj = {v: [] for v in range(n)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
 
 
 def reference_is_linear_extension(poset, order):

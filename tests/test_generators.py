@@ -1,8 +1,12 @@
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spdim.errors import BadParameter
 from spdim.exactdim import dimension_exact
 from spdim.generators import (
+    MAX_N,
     antichain,
     chain,
     forest_poset,
@@ -11,9 +15,11 @@ from spdim.generators import (
     random_tw2_poset,
     standard_example,
 )
+from spdim.poset import dumps
 from spdim.spembed import has_treewidth_at_most_2
 
-from oracles import less
+from oracles import less, reference_random_tw2_poset
+from test_acceptance import CORPUS
 
 
 class TestStandardExample:
@@ -124,3 +130,34 @@ class TestRandomFamilies:
             random_tw2_poset(0, 1)
         with pytest.raises(BadParameter):
             forest_poset(0, 1)
+
+
+class TestRandomTw2AgainstReference:
+    """The thinning by local searches against a whole-graph search per drawn
+    deletion: the same draws must give the same poset text."""
+
+    def test_acceptance_corpus(self):
+        for seed, n in CORPUS:
+            assert dumps(random_tw2_poset(n, seed)) == dumps(reference_random_tw2_poset(n, seed)), (seed, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=10**6),
+           st.sampled_from([0, 0.3, 1]))
+    def test_random_triples(self, n, seed, delete_prob):
+        assert (dumps(random_tw2_poset(n, seed, delete_prob))
+                == dumps(reference_random_tw2_poset(n, seed, delete_prob)))
+
+    def test_n_1000(self):
+        assert dumps(random_tw2_poset(1000, 5)) == dumps(reference_random_tw2_poset(1000, 5))
+
+    def test_max_n_is_cheap(self):
+        # The largest size ``gen`` accepts, which the quadratic thinning
+        # could not reach in bounded time: about 0.5 s of CPU on a 2-core VM.
+        start = time.process_time()
+        p = generate("random_tw2", MAX_N, 0)
+        spent = time.process_time() - start
+        assert len(p) == MAX_N
+        g = p.cover_graph()
+        assert len(g.components()) == 1
+        assert has_treewidth_at_most_2(g)
+        assert spent < 10.0

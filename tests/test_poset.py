@@ -28,6 +28,7 @@ from oracles import (
     is_strict_alternating_cycle,
     less,
     reference_closure,
+    reference_incomparable_pairs,
     reference_is_linear_extension,
     reference_topological_order,
 )
@@ -228,6 +229,19 @@ class TestIncomparablePairs:
     def test_symmetric(self, p):
         pairs = set(p.incomparable_pairs())
         assert {(y, x) for x, y in pairs} == pairs
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_posets(max_n=12))
+    def test_matches_reference(self, p):
+        assert p.incomparable_pairs() == reference_incomparable_pairs(p)
+
+    @pytest.mark.parametrize("p, count", [(chain(1500), 0), (antichain(200), 39_800),
+                                          (standard_example(5), 50)],
+                             ids=["chain-1500", "antichain-200", "standard-example-5"])
+    def test_matches_reference_on_families(self, p, count):
+        pairs = p.incomparable_pairs()
+        assert pairs == reference_incomparable_pairs(p)
+        assert len(pairs) == count
 
 
 class TestReversibility:

@@ -212,6 +212,15 @@ class TestRowsMatchReference:
             ReferenceClassifier(p, d)
 
 
+    def test_pairs_of_rows_on_class_rows(self):
+        # The listing without a step per pair against the bits() comprehension.
+        for seed, n in CORPUS[:40]:
+            p = random_tw2_poset(n, seed)
+            names = p.elements
+            for row in build_instance(p).rows.rows:
+                assert p.pairs_of_rows(row) == [(names[i], names[j])
+                                                for i, ys in enumerate(row) for j in bits(ys)]
+
     def test_decomposition_of_other_elements(self):
         # Element i is vertex id i, so a decomposition whose first vertices
         # are not the poset's elements is refused.
