@@ -13,6 +13,8 @@ original graph is untouched: missing structure is added as fresh *fill* edges
 and fresh connector vertices, never by identifying existing vertices.  The
 tree is built with O(1) reversals (``FLIP`` views), which are resolved before
 it is returned, balanced by leaf weight: paths and forests get depth O(log n).
+Terminal pairs are tested in batches, one partly reduced kernel per batch; after
+``MAX_REJECTIONS`` rejections the last two vertices of a reduction are taken.
 
 Vertices are integer ids throughout: a graph vertex's id is its position in
 the graph, fresh vertices get the next ids in the order they are made, and
@@ -33,6 +35,7 @@ SERIES = "series"
 PARALLEL = "parallel"
 EDGE = "edge"
 FLIP = "flip"  # private: a reversed view of its left child, resolved inside embed_into_sp
+MAX_REJECTIONS = 64  # rejected terminal pairs per component before the fallback pair
 
 
 class SPNode:
@@ -194,11 +197,16 @@ class Embedding:
 
 
 def _reduces_to_empty(adj):
-    "Destructive partial-2-tree reduction over an adjacency-set dict."
+    "Whether ``_reduce`` empties the adjacency-set dict."
+    return not _reduce(adj)
+
+
+def _reduce(adj, pinned=(), keep=0):
+    "Destructive partial-2-tree reduction of ``adj``; spares ``pinned``, stops at ``keep`` left."
     queue = [v for v, nb in adj.items() if len(nb) <= 2]
-    while queue:
+    while queue and len(adj) > keep:
         v = queue.pop()
-        if v not in adj or len(adj[v]) > 2:
+        if v not in adj or len(adj[v]) > 2 or v in pinned:
             continue
         nb = list(adj.pop(v))
         for u in nb:
@@ -210,7 +218,7 @@ def _reduces_to_empty(adj):
         for u in nb:
             if len(adj[u]) <= 2:
                 queue.append(u)
-    return not adj
+    return adj
 
 
 def has_treewidth_at_most_2(graph):
@@ -308,6 +316,11 @@ def _normalized(root, names):
 def _rebracket(inner, ops):
     """Join (tree, leaf count) operands in order on a run's internal nodes, splitting
     each range at the operand boundary nearest the midpoint of its leaf count."""
+    if len(ops) == 2:  # most runs: one internal node, joined directly
+        (node,), ((left, a), (right, b)) = inner, ops
+        node.left, node.right = left, right
+        node.source, node.sink = left.source, (right if node.kind == SERIES else left).sink
+        return node, a + b
     prefix = list(accumulate((w for _, w in ops), initial=0))
     built = []
     todo = [(0, len(ops))]
@@ -330,15 +343,24 @@ def _rebracket(inner, ops):
     return built[0], prefix[-1]
 
 
-def _tw2_with_extra_edge(comp, comp_edges, s, t):
-    "Treewidth-<=2 test of the component plus the edge st."
+def _adjacency(comp, comp_edges):
     adj = {v: set() for v in comp}
     for u, v in comp_edges:
         adj[u].add(v)
         adj[v].add(u)
-    adj[s].add(t)
-    adj[t].add(s)
-    return _reduces_to_empty(adj)
+    return adj
+
+
+def _batch_verdicts(comp, comp_edges, batch):
+    """Whether the component plus st has treewidth <= 2, lazily for each pair (s, t) of the
+    batch.  One kernel, the component reduced sparing every vertex the batch names,
+    serves them all: a pair costs one reduction of a copy of the kernel plus st."""
+    kernel = _reduce(_adjacency(comp, comp_edges), {v for pair in batch for v in pair})
+    for s, t in batch:
+        adj = {v: set(nb) for v, nb in kernel.items()}
+        adj[s].add(t)
+        adj[t].add(s)
+        yield _reduces_to_empty(adj)
 
 
 def _terminal_candidates(degree, comp, comp_edges, rejected=None):
@@ -356,17 +378,40 @@ def _terminal_candidates(degree, comp, comp_edges, rejected=None):
 
     With at most as many edges as vertices, the component plus st has
     cyclomatic number at most 2, K4 needs 3, so every pair passes untested.
+    Otherwise batches of 8, 16, 32, ... pairs are each tested on one kernel
+    (``_batch_verdicts``), exactly: a step on a vertex outside {s, t} sees the
+    same neighbours with or without st, so the kernel's steps begin a reduction
+    of the component plus st; each step keeps "treewidth <= 2" both ways, and
+    minimum degree 3 forces treewidth 3, so any maximal reduction empties a
+    graph iff its treewidth is <= 2.  After ``MAX_REJECTIONS`` rejections and
+    no pass (never on ordinary inputs; K_{2,m} with pendants rejects every
+    pendant pair), the search ends with the last two vertices of one unpinned
+    reduction, lower id first: by the same argument they pass.
     """
     ones = [v for v in comp if degree[v] == 1]
     twos = [v for v in comp if degree[v] == 2]
-    sparse = len(comp_edges) <= len(comp)
-    for s, t in chain(combinations(ones, 2), _mixed_pairs(degree, comp, ones, twos),
-                      combinations(twos, 2),
-                      ((u, v) for u, v in comp_edges if degree[u] > 2 or degree[v] > 2)):
-        if sparse or _tw2_with_extra_edge(comp, comp_edges, s, t):
-            yield s, t
-        elif rejected is not None:
-            rejected()
+    stream = chain(combinations(ones, 2), _mixed_pairs(degree, comp, ones, twos),
+                   combinations(twos, 2),
+                   ((u, v) for u, v in comp_edges if degree[u] > 2 or degree[v] > 2))
+    if len(comp_edges) <= len(comp):
+        yield from stream
+        return
+    size, rejections, passed = 8, 0, False
+    while batch := list(islice(stream, size)):
+        for pair, ok in zip(batch, _batch_verdicts(comp, comp_edges, batch)):
+            if ok:
+                passed = True
+                yield pair
+                continue
+            if rejected is not None:
+                rejected()
+            rejections += 1
+            if rejections == MAX_REJECTIONS and not passed:
+                last = _reduce(_adjacency(comp, comp_edges), keep=2)
+                if len(last) == 2:
+                    yield min(last), max(last)
+                return
+        size *= 2
 
 
 def _mixed_pairs(degree, comp, ones, twos):
@@ -390,58 +435,53 @@ def _reduce_component(comp, comp_edges, s, t):
     tree and the fill edges used, or None when the reduction cannot finish on
     these terminals.  Ties go to the least id.
     """
-    adj = {v: set() for v in comp}
-    bundles = {}  # keyed u * N + v for the bundle joining u < v
-    N = comp[-1] + 1
-    for u, v in comp_edges:
-        adj[u].add(v)
-        adj[v].add(u)
-        bundles[u * N + v] = edge_node(u, v)
+    adj = _adjacency(comp, comp_edges)
+    N = comp[-1] + 1  # the bundle joining u < v is keyed u * N + v
+    bundles = {u * N + v: SPNode(EDGE, None, None, u, v) for u, v in comp_edges}
     fills = []
-
-    def put_bundle(u, v, tree):
-        key = u * N + v if u < v else v * N + u
-        if key in bundles:
-            old = bundles[key]
-            if old.source != tree.source:
-                old, tree = _one_flipped(old, tree)
-            bundles[key] = parallel(old, tree)
-        else:
-            bundles[key] = tree
-            adj[u].add(v)
-            adj[v].add(u)
-
-    def reducible(v):
-        return v != s and v != t and v in adj and len(adj[v]) <= 2
-
-    # The least reducible vertex: a min-heap of ids (comp is sorted, so the
-    # list starts as a heap), re-checked when popped and pushed again when a
-    # degree drops.
-    ready = [v for v in comp if reducible(v)]
+    # The least reducible vertex: a min-heap of non-terminal ids (comp is
+    # sorted, so the list starts as a heap), re-checked when popped and pushed
+    # again when its degree drops to 2.
+    ready = [v for v in comp if len(adj[v]) <= 2 and v != s and v != t]
     while len(adj) > 2:
-        while ready and not reducible(ready[0]):
-            heapq.heappop(ready)
-        if not ready:
+        while ready:
+            pick = heapq.heappop(ready)
+            if pick in adj and len(adj[pick]) <= 2:
+                break
+        else:
             return None
-        pick = heapq.heappop(ready)
-        if len(adj[pick]) == 1:
-            (u,) = adj[pick]
+        nb = adj[pick]
+        if len(nb) == 1:
+            (u,) = nb
             w = min((w for w in adj[u] if w != pick), default=None)
             assert w is not None, "dangling vertex with no fill partner"
             fill = (pick, w) if pick < w else (w, pick)
             fills.append(fill)
-            put_bundle(pick, w, edge_node(*fill))
-        u, w = sorted(adj[pick])
+            bundles[fill[0] * N + fill[1]] = SPNode(EDGE, None, None, *fill)
+            nb.add(w)
+            adj[w].add(pick)
+        u, w = adj.pop(pick)
+        u, w = (u, w) if u < w else (w, u)
         left = bundles.pop(u * N + pick if u < pick else pick * N + u)
         right = bundles.pop(pick * N + w if pick < w else w * N + pick)
         if (left.sink == pick) != (right.source == pick):
             left, right = _one_flipped(left, right)
+        if left.sink != pick:
+            left, right = right, left
+        tree = SPNode(SERIES, left, right, left.source, right.sink)
         adj[u].discard(pick)
         adj[w].discard(pick)
-        del adj[pick]
-        put_bundle(u, w, series(left, right) if left.sink == pick else series(right, left))
-        for v in (u, w):
-            if reducible(v):
+        old = bundles.get(u * N + w)
+        if old is None:  # u and w keep their degrees
+            bundles[u * N + w] = tree
+            adj[u].add(w)
+            adj[w].add(u)
+            continue
+        if old.source != tree.source:
+            old, tree = _one_flipped(old, tree)
+        bundles[u * N + w] = SPNode(PARALLEL, old, tree, old.source, old.sink)
+        for v in (u, w):  # one fewer neighbour: reducible now if down to 2
+            if len(adj[v]) == 2 and v != s and v != t:
                 heapq.heappush(ready, v)
 
     assert set(adj) == {s, t} and len(bundles) == 1

@@ -4,13 +4,14 @@ Everything here is deliberately naive and structurally unrelated to the
 implementations under test: reversibility by trying every permutation,
 K4 minors via explicit subdivisions, covering chains by path enumeration,
 signatures by one lowest-common-ancestor walk per pair, the closure by
-Warshall's loop, terminal candidates by sorting every pair, composition
-trees by re-deriving every node's subgraph, reversed composition trees by
-rebuilding every node, topological orders by Kahn's algorithm over one arc
-per pair, linear extensions by sorting, decompositions one record per node,
-their depths by a walk from the root, incomparable pairs by one test per
-ordered pair, the thinning of random 2-trees by a whole-graph search per
-drawn deletion.  The validation, the separation predicates and the
+Warshall's loop, terminal candidates by sorting every pair and testing
+each by a fresh reduction of the whole component, component reductions
+through the checked constructors, composition trees by re-deriving every
+node's subgraph, reversed composition trees by rebuilding every node,
+topological orders by Kahn's algorithm over one arc per pair, linear
+extensions by sorting, decompositions one record per node, their depths by
+a walk from the root, incomparable pairs by one test per ordered pair, the
+thinning of random 2-trees by a whole-graph search per drawn deletion.  The validation, the separation predicates and the
 in-order comparison of s-t decompositions live here too, with the order,
 graph and tree queries that only tests need.
 
@@ -599,13 +600,24 @@ def reference_is_linear_extension(poset, order):
     return all(pos[x] < pos[y] for x, y in poset.covers())
 
 
+def reference_tw2_with_extra_edge(comp, comp_edges, s, t):
+    """Treewidth-<=2 test of the component plus the edge st by one fresh
+    reduction of the whole of it: the verdict ``spdim.spembed._batch_verdicts``
+    must give on every pair of a batch."""
+    from spdim import spembed
+
+    adj = {v: set() for v in comp}
+    for u, v in list(comp_edges) + [(s, t)]:
+        adj[u].add(v)
+        adj[v].add(u)
+    return spembed._reduces_to_empty(adj)
+
+
 def reference_terminal_candidates(graph, comp, comp_edges):
     """The terminal pairs ``spdim.spembed._terminal_candidates`` must yield, in
     order: every pair of vertices of degree <= 2, sorted by degree sum and
     then by canonical index, then each remaining edge; each kept only when
-    ``_tw2_with_extra_edge`` accepts it."""
-    from spdim import spembed
-
+    ``reference_tw2_with_extra_edge`` accepts it."""
     idx = graph.index
     degree = {v: 0 for v in comp}
     for u, v in comp_edges:
@@ -620,8 +632,69 @@ def reference_terminal_candidates(graph, comp, comp_edges):
         if frozenset((u, v)) not in seen:
             pairs.append((u, v))
     for s, t in pairs:
-        if spembed._tw2_with_extra_edge(comp, comp_edges, s, t):
+        if reference_tw2_with_extra_edge(comp, comp_edges, s, t):
             yield s, t
+
+
+def reference_reduce_component(comp, comp_edges, s, t):
+    """The composition tree of one component on terminals (s, t), built step by
+    step through the checked constructors: the same tree and fills as
+    ``spdim.spembed._reduce_component``, or None when it gives None."""
+    from spdim.spembed import _flipped, _one_flipped, edge_node, parallel, series
+
+    adj = {v: set() for v in comp}
+    bundles = {}  # keyed u * N + v for the bundle joining u < v
+    N = comp[-1] + 1
+    for u, v in comp_edges:
+        adj[u].add(v)
+        adj[v].add(u)
+        bundles[u * N + v] = edge_node(u, v)
+    fills = []
+
+    def put_bundle(u, v, tree):
+        key = u * N + v if u < v else v * N + u
+        if key in bundles:
+            old = bundles[key]
+            if old.source != tree.source:
+                old, tree = _one_flipped(old, tree)
+            bundles[key] = parallel(old, tree)
+        else:
+            bundles[key] = tree
+            adj[u].add(v)
+            adj[v].add(u)
+
+    def reducible(v):
+        return v != s and v != t and v in adj and len(adj[v]) <= 2
+
+    ready = [v for v in comp if reducible(v)]
+    while len(adj) > 2:
+        while ready and not reducible(ready[0]):
+            heapq.heappop(ready)
+        if not ready:
+            return None
+        pick = heapq.heappop(ready)
+        if len(adj[pick]) == 1:
+            (u,) = adj[pick]
+            w = min(w for w in adj[u] if w != pick)
+            fill = (pick, w) if pick < w else (w, pick)
+            fills.append(fill)
+            put_bundle(pick, w, edge_node(*fill))
+        u, w = sorted(adj[pick])
+        left = bundles.pop(u * N + pick if u < pick else pick * N + u)
+        right = bundles.pop(pick * N + w if pick < w else w * N + pick)
+        if (left.sink == pick) != (right.source == pick):
+            left, right = _one_flipped(left, right)
+        adj[u].discard(pick)
+        adj[w].discard(pick)
+        del adj[pick]
+        put_bundle(u, w, series(left, right) if left.sink == pick else series(right, left))
+        for v in (u, w):
+            if reducible(v):
+                heapq.heappush(ready, v)
+
+    assert set(adj) == {s, t} and len(bundles) == 1
+    tree = bundles[s * N + t if s < t else t * N + s]
+    return (tree if tree.source == s else _flipped(tree)), fills
 
 
 def reference_sp_tree_violations(root):

@@ -3,9 +3,10 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,14 +32,18 @@ from spdim.spembed import (
 )
 from spdim.stdecomp import build_st_decomposition
 
+import oracles
 from oracles import (
     all_labeled_graphs,
     has_k4_minor,
     mirror,
+    reference_reduce_component,
     reference_resolve,
     reference_sp_tree_violations,
     reference_terminal_candidates,
+    reference_tw2_with_extra_edge,
 )
+from test_acceptance import CORPUS
 
 
 def k4():
@@ -414,6 +419,11 @@ def id_arguments(graph, comp, comp_edges):
             [(idx(u), idx(v)) for u, v in comp_edges])
 
 
+def accept_all(comp, comp_edges, batch):
+    "``_batch_verdicts`` accepting every pair."
+    return (True for _ in batch)
+
+
 def candidates(graph, comp):
     comp_set = set(comp)
     comp_edges = [e for e in graph.sorted_edges() if e[0] in comp_set]
@@ -426,7 +436,8 @@ def candidates(graph, comp):
 class TestTerminalCandidates:
     def test_order_matches_reference_on_small_graphs(self, monkeypatch):
         # Accepting every pair compares the whole order, not just the kept pairs.
-        monkeypatch.setattr(spembed, "_tw2_with_extra_edge", lambda *args: True)
+        monkeypatch.setattr(spembed, "_batch_verdicts", accept_all)
+        monkeypatch.setattr(oracles, "reference_tw2_with_extra_edge", lambda *args: True)
         for n in range(2, 7):
             for g in all_labeled_graphs(n, Graph):
                 comps = g.connected_components()
@@ -456,7 +467,7 @@ class TestTerminalCandidates:
         assert len(edges) <= n
         comp = list(range(n))
         for s, t in combinations(comp, 2):
-            assert spembed._tw2_with_extra_edge(comp, sorted(edges), s, t), (s, t)
+            assert reference_tw2_with_extra_edge(comp, sorted(edges), s, t), (s, t)
 
     def test_first_candidate_of_a_long_path_is_cheap(self, monkeypatch):
         # A guard against quadratic work that does not depend on timing: the
@@ -470,7 +481,8 @@ class TestTerminalCandidates:
         for g, tests in ((Graph(verts, path), 0), (Graph(verts + ["w0", "w1"], path + thetas), 1)):
             arguments = id_arguments(g, g.vertices, g.sorted_edges())
             calls = []
-            monkeypatch.setattr(spembed, "_tw2_with_extra_edge", lambda *args: calls.append(args[2:]) or True)
+            monkeypatch.setattr(spembed, "_batch_verdicts",
+                                lambda comp, comp_edges, batch: (calls.append(pair) or True for pair in batch))
             tracemalloc.start()
             try:
                 first = next(spembed._terminal_candidates(*arguments))
@@ -480,6 +492,145 @@ class TestTerminalCandidates:
             assert (g.vertices[first[0]], g.vertices[first[1]]) == ("v0", "v19999")
             assert calls == [first] * tests
             assert peak < 2 * 10**6
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6),
+           st.integers(min_value=0, max_value=4), st.integers(min_value=2, max_value=10))
+    def test_kernel_verdicts_match_reference(self, n, seed, extra, pins):
+        # Extra edges make K4 minors common, so both verdicts occur; every pair
+        # inside the pinned set is judged on the one kernel of that set.
+        rng = random.Random(-seed)
+        for comp, comp_edges in components_with_edges(partial_2tree_plus(n, seed, extra)):
+            batch = list(combinations(sorted(rng.sample(comp, min(pins, len(comp)))), 2))
+            assert (list(spembed._batch_verdicts(comp, comp_edges, batch))
+                    == [reference_tw2_with_extra_edge(comp, comp_edges, s, t) for s, t in batch])
+
+    def test_k2m_with_pendants_stops_at_the_cap(self, monkeypatch):
+        # A guard against unbounded work, counted: every pair of pendants is
+        # rejected, so without the cap the search would test ~m**2 / 2 pairs.
+        # After MAX_REJECTIONS it takes the last two vertices of a reduction.
+        m = 1000
+        mids = ["m%d" % i for i in range(m)]
+        g = Graph(["a", "b"] + mids + ["p%d" % i for i in range(m)],
+                  [(x, mid) for mid in mids for x in "ab"] + [(mid, "p" + mid[1:]) for mid in mids])
+        tested = []
+        original = spembed._batch_verdicts
+        monkeypatch.setattr(spembed, "_batch_verdicts",
+                            lambda *args: (tested.append(ok) or ok for ok in original(*args)))
+        start = time.process_time()
+        emb = embed_into_sp(g)
+        elapsed = time.process_time() - start
+        assert tested == [False] * spembed.MAX_REJECTIONS
+        assert validate_sp_tree(emb.sp)
+        assert g.edges <= emb.host.edges
+        assert elapsed < 1.0
+
+    def test_kernel_builds_grow_logarithmically_on_wide_inputs(self, monkeypatch):
+        # A component builds one kernel per batch of 8, 16, 32, ... pairs,
+        # not one reduction per tested pair.
+        log = {}
+        original = spembed._batch_verdicts
+
+        def counted(comp, comp_edges, batch):
+            entry = log.setdefault(comp[0], [0, 0])  # kernels, tested pairs
+            entry[0] += 1
+            for ok in original(comp, comp_edges, batch):
+                entry[1] += 1
+                yield ok
+
+        monkeypatch.setattr(spembed, "_batch_verdicts", counted)
+        most = 0
+        for seed in range(4):
+            log.clear()
+            embed_into_sp(random_tw2_poset(500, seed).cover_graph())
+            for kernels, tested in log.values():
+                assert kernels <= 1 + math.ceil(math.log2(tested / 8 + 1)), (seed, kernels, tested)
+                most = max(most, tested)
+        assert most > 2  # a kernel per tested pair would break the bound
+
+    def test_one_component_reduction_per_component_on_corpus(self, monkeypatch):
+        # Every whole-component reduction (a kernel, the fallback pair, the
+        # tree) starts from ``_adjacency``; the tree is built once.
+        calls = Counter()
+        for name in ("_adjacency", "_batch_verdicts"):
+            monkeypatch.setattr(spembed, name, counting(calls, name, getattr(spembed, name)))
+        components = 0
+        for seed, n in CORPUS:
+            g = random_tw2_poset(n, seed).cover_graph()
+            components += sum(1 for _ in components_with_edges(g))
+            embed_into_sp(g)
+        assert calls["_batch_verdicts"] > 0
+        assert calls["_adjacency"] <= components + calls["_batch_verdicts"]
+
+
+def components_with_edges(graph):
+    "Each component of more than one vertex, with its edges, over ids."
+    edges = graph.index_edges()
+    for comp in graph.components():
+        if len(comp) > 1:
+            comp_set = set(comp)
+            yield comp, [e for e in edges if e[0] in comp_set]
+
+
+def partial_2tree_plus(n, seed, extra):
+    "A random partial 2-tree over ids 0..n-1 plus ``extra`` random edges, often making a K4 minor."
+    rng = random.Random(seed)
+    edges = set(random_partial_2tree(n, seed).index_edges())
+    for _ in range(extra if n > 3 else 0):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph(range(n), edges)
+
+
+def counting(calls, name, function):
+    "``function`` counting its calls in ``calls[name]``."
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return function(*args, **kwargs)
+    return counted
+
+
+def shape(tree):
+    "The (kind, source, sink) of every node in post-order, ``FLIP`` views included."
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        out.append((node.kind, node.source, node.sink))
+        stack.extend(child for child in (node.left, node.right) if child is not None)
+    return out[::-1]
+
+
+def assert_same_reduction(comp, comp_edges, pairs):
+    for s, t in pairs:
+        got = spembed._reduce_component(comp, comp_edges, s, t)
+        want = reference_reduce_component(comp, comp_edges, s, t)
+        assert (got is None) == (want is None), (s, t)
+        if got is not None:
+            assert got[1] == want[1] and shape(got[0]) == shape(want[0]), (s, t)
+
+
+class TestReduceComponent:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6),
+           st.integers(min_value=0, max_value=2))
+    def test_matches_reference_on_every_pair(self, n, seed, extra):
+        for comp, comp_edges in components_with_edges(partial_2tree_plus(n, seed, extra)):
+            assert_same_reduction(comp, comp_edges, combinations(comp, 2))
+
+    def test_matches_reference_on_corpus_components(self, monkeypatch):
+        # The first batch of each unfiltered candidate stream, passing or not
+        # (the whole streams of 200 components are 61,000 pairs).
+        monkeypatch.setattr(spembed, "_batch_verdicts", accept_all)
+        done = 0
+        for seed, n in CORPUS:
+            g = random_tw2_poset(n, seed).cover_graph()
+            degree = [len(nb) for nb in g.adjacency()]
+            for comp, comp_edges in islice(components_with_edges(g), 200 - done):
+                assert_same_reduction(comp, comp_edges, islice(
+                    spembed._terminal_candidates(degree, comp, comp_edges), 8))
+                done += 1
+            if done == 200:
+                break
+        assert done == 200
 
 
 class TestAugment:
