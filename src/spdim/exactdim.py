@@ -60,10 +60,12 @@ def dimension_exact(poset, max_d=12, cap=60):
         assignment = _search(len(poset), inc, order, up, d)
         if assignment is not None:
             parts = [[] for _ in range(max(assignment) + 1)]
+            rows = [[0] * len(poset) for _ in parts]
             for k, part in enumerate(assignment):  # ascending k: each part in canonical order
                 x, y = inc[k]
                 parts[part].append((names[x], names[y]))
-            witness = [poset.linear_extension_reversing(p) for p in parts]
+                rows[part][x] |= 1 << y
+            witness = [poset.linear_extension_reversing(rows=r) for r in rows]
             return DimensionResult(len(parts), witness, parts)
     raise Exceeded(max_d)
 
@@ -89,7 +91,11 @@ def _index_pairs(poset):
 
 
 def _search(n, inc, order, base_reach, d):
-    "Backtracking part assignment over index pairs; returns pair-index -> part or None."
+    """Backtracking part assignment over index pairs; returns pair-index -> part or None.
+
+    One level per pair of ``order``, kept on an explicit stack rather than
+    the interpreter's, so that the depth is bounded by the pair count alone.
+    """
     m = len(inc)
     reaches = []  # one reachability table per open part
     assignment = [None] * m
@@ -107,30 +113,32 @@ def _search(n, inc, order, base_reach, d):
                 table[u] = row | xrow
         return undo
 
-    def attempt(depth):
-        if depth == m:
-            return True
-        k = order[depth]
-        xi, yi = inc[k]
-        limit = len(reaches) + 1 if len(reaches) < d else len(reaches)
-        for part in range(limit):
+    stack = []  # per placed pair: (its part, the undo log, its part limit)
+    part, limit = 0, None
+    while len(stack) < m:
+        k = order[len(stack)]
+        if limit is None:
+            limit = len(reaches) + 1 if len(reaches) < d else len(reaches)
+        if part == limit:  # no part takes pair k: undo the last placement
+            if not stack:
+                return None
+            part, undo, limit = stack.pop()
+            assignment[order[len(stack)]] = None
+            for u, row in undo:
+                reaches[part][u] = row
+        else:
             if part == len(reaches):
                 reaches.append(list(base_reach))
-            undo = place(reaches[part], xi, yi)
+            undo = place(reaches[part], *inc[k])
             if undo is not None:
                 assignment[k] = part
-                if attempt(depth + 1):
-                    return True
-                assignment[k] = None
-                for u, row in undo:
-                    reaches[part][u] = row
-            if part == len(reaches) - 1 and all(a != part for a in assignment if a is not None):
-                reaches.pop()
-        return False
-
-    if attempt(0):
-        return list(assignment)
-    return None
+                stack.append((part, undo, limit))
+                part, limit = 0, None
+                continue
+        if part == len(reaches) - 1 and part not in assignment:
+            reaches.pop()
+        part += 1
+    return assignment
 
 
 def contains_standard_example(poset, n):

@@ -17,7 +17,6 @@ declares one cover relation.  ``loads``/``dumps`` round-trip exactly.
 """
 
 import heapq
-from collections import deque
 from itertools import compress, repeat
 
 from .errors import (
@@ -204,36 +203,28 @@ class Poset:
         "The linear extension picked by canonical-order tie-breaking."
         return self.linear_extension_reversing(())
 
-    def _check_pairs(self, pairs):
-        pairs = [(x, y) for x, y in pairs]
-        for x, y in pairs:
-            if not self.incomparable(x, y):
-                raise PairNotIncomparable("(%r, %r) is not an incomparable pair" % (x, y))
-        return pairs
-
     def linear_extension_reversing(self, pairs=(), rows=None):
         """A linear extension placing y before x for every pair (x, y).
 
         The pairs may be given instead as ``rows``: one bitmask per element
-        index i, holding the index of y for every pair (element i, y).
-        Topological order of the cover digraph plus the arcs y -> x, with
-        ties broken by canonical element order; each element waits on one
-        mask, its row and its downset, not on arcs.  Raises ``NotReversible``
-        (carrying a witness strict alternating cycle) when impossible.
+        index i, holding the index of y for every pair (element i, y); named
+        pairs are turned into rows on entry.  Topological order of the cover
+        digraph plus the arcs y -> x, with ties broken by canonical element
+        order; each element waits on one mask, its row and its downset, not
+        on arcs.  When impossible, raises ``NotReversible`` carrying a strict
+        alternating cycle of pairs from the set, read from the elements the
+        sort left unplaced: its cost is bounded by n and the cycle's length,
+        not by the number of pairs.
         """
         n = len(self.elements)
         if rows is None:
-            pairs = self._check_pairs(pairs)
             rows = [0] * n
             for x, y in pairs:
-                rows[self._index[x]] |= 1 << self._index[y]
-        else:
-            self._check_rows(rows)
+                rows[self.index(x)] |= 1 << self.index(y)
+        self._check_rows(rows)
         order = self._topological_order(rows)
         if len(order) != n:
-            if not pairs:
-                pairs = self.pairs_of_rows(rows)
-            raise NotReversible("pair set is not reversible", self._witness_cycle(pairs))
+            raise NotReversible("pair set is not reversible", self._unplaced_cycle(rows, order))
         return [self.elements[i] for i in order]
 
     def _check_rows(self, rows):
@@ -241,6 +232,8 @@ class Poset:
         if len(rows) != n:
             raise ValueError("expected %d rows, got %d" % (n, len(rows)))
         for i, row in enumerate(rows):
+            if not row:
+                continue
             clash = row & (self._above[i] | self._below[i] | 1 << i)
             if clash:
                 j = _low_bit(clash)
@@ -288,76 +281,35 @@ class Poset:
                     heappush(ready, x)
         return order
 
-    def _witness_cycle(self, pairs):
-        # Shortest digraph cycle through a reversal arc: for pair (x, y) the
-        # arc y -> x closes a cycle with any x ->* y path of order arcs and
-        # further reversal arcs; BFS from x to y over both arc kinds.
-        n = len(self.elements)
-        succ = [list(bits(row)) for row in self._cover_up]
-        arc_pair = {}
-        for x, y in pairs:
-            i, j = self._index[y], self._index[x]
-            succ[i].append(j)
-            arc_pair[(i, j)] = (x, y)
-        best = None
-        for x, y in pairs:
-            src, dst = self._index[x], self._index[y]
-            parent = {src: None}
-            queue = deque([src])
-            while queue:
-                v = queue.popleft()
-                if v == dst:
-                    break
-                for w in succ[v]:
-                    if w not in parent:
-                        parent[w] = v
-                        queue.append(w)
-            if dst not in parent:
-                continue
-            path = []
-            v = dst
-            while v is not None:
-                path.append(v)
-                v = parent[v]
-            path.reverse()  # x ... y
-            if best is None or len(path) < len(best[0]):
-                best = (path, (x, y))
-        assert best is not None, "witness requested for a reversible set"
-        path, closing = best
-        cycle = [closing]
-        for a, b in zip(path, path[1:]):
-            pair = arc_pair.get((a, b))
-            if pair is not None:
-                cycle.append(pair)
-        return self._strictify(cycle)
-
-    def _strictify(self, cycle):
-        # Any chord x_i <= y_j with j != i+1 yields the shorter alternating
-        # cycle p_j, ..., p_i; iterate until the strict condition holds.
+    def _unplaced_cycle(self, rows, order):
+        # Every unplaced x waits on an unplaced element of rows[x] | below[x],
+        # so a walk from the lowest unplaced element along those waits closes
+        # a loop.  Its reversal steps x -> y (y in rows[x]), read backwards,
+        # are an alternating cycle x_i <= y_{i+1} with distinct y's, so one
+        # AND with their mask finds the chords x_i <= y_j (j != i+1); each
+        # cuts the cycle to the shorter pairs j..i.
+        unplaced = (1 << len(rows)) - 1
+        for i in order:
+            unplaced ^= 1 << i
+        step, x = {}, _low_bit(unplaced)
+        while x not in step:
+            step[x] = ((rows[x] | self._below[x]) & unplaced).bit_length() - 1
+            x = step[x]
+        loop = [x]
+        while step[loop[-1]] != x:
+            loop.append(step[loop[-1]])
+        cycle = [(v, step[v]) for v in reversed(loop) if rows[v] >> step[v] & 1]
         while True:
-            m = len(cycle)
-            chord = None
-            for i in range(m):
-                for j in range(m):
-                    if j == (i + 1) % m:
-                        continue
-                    if self.leq(cycle[i][0], cycle[j][1]):
-                        chord = (i, j)
-                        break
+            at = {y: j for j, (_, y) in enumerate(cycle)}
+            ys = sum(1 << y for y in at)
+            for i, (x, _) in enumerate(cycle):
+                chord = (self._above[x] | 1 << x) & ys & ~(1 << cycle[i + 1 - len(cycle)][1])
                 if chord:
+                    j = at[chord.bit_length() - 1]
+                    cycle = cycle[j:i + 1] if j <= i else cycle[j:] + cycle[:i + 1]
                     break
-            if chord is None:
-                return cycle
-            i, j = chord
-            out = []
-            k = j
-            while True:
-                out.append(cycle[k])
-                if k == i:
-                    break
-                k = (k + 1) % m
-            assert 2 <= len(out) < m
-            cycle = out
+            else:
+                return [(self.elements[x], self.elements[y]) for x, y in cycle]
 
     # -- realizer checking --------------------------------------------------
 
@@ -466,7 +418,7 @@ def loads(text):
             if elements is not None:
                 raise ParseError("duplicate elements line", lineno)
             elements = line[len("elements:"):].split()
-            known = set(elements)
+            known, elements_line = set(elements), lineno
             continue
         if elements is None:
             raise ParseError("expected an 'elements:' line first", lineno)
@@ -482,5 +434,5 @@ def loads(text):
     if elements is None:
         raise ParseError("missing 'elements:' line", 1)
     if len(known) != len(elements):
-        raise ParseError("duplicate identifiers in elements line", 1)
+        raise ParseError("duplicate identifiers in elements line", elements_line)
     return Poset(elements, relations)

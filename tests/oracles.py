@@ -8,12 +8,13 @@ Warshall's loop, terminal candidates by sorting every pair and testing
 each by a fresh reduction of the whole component, component reductions
 through the checked constructors, composition trees by re-deriving every
 node's subgraph, reversed composition trees by rebuilding every node,
-topological orders by Kahn's algorithm over one arc per pair, linear
-extensions by sorting, decompositions one record per node, their depths by
-a walk from the root, incomparable pairs by one test per ordered pair, the
-thinning of random 2-trees by a whole-graph search per drawn deletion.  The validation, the separation predicates and the
-in-order comparison of s-t decompositions live here too, with the order,
-graph and tree queries that only tests need.
+topological orders by Kahn's algorithm over one arc per pair, witness
+cycles by one breadth-first search per pair, linear extensions by sorting,
+decompositions one record per node, their depths by a walk from the root,
+incomparable pairs by one test per ordered pair, the thinning of random
+2-trees by a whole-graph search per drawn deletion.  The validation, the
+separation predicates and the in-order comparison of s-t decompositions live
+here too, with the order, graph and tree queries that only tests need.
 
 Decompositions and embeddings carry vertex ids; ``id_host`` gives the host
 graph over those ids, which the decomposition checks take.
@@ -530,6 +531,67 @@ def reference_topological_order(poset, rows):
             if indeg[j] == 0:
                 heapq.heappush(ready, j)
     return order
+
+
+def reference_witness_cycle(poset, pairs):
+    """A strict alternating cycle from ``pairs``, or None when reversible.
+
+    One breadth-first search per pair: for pair (x, y) the arc y -> x closes
+    a digraph cycle with any x ->* y path of cover arcs and further reversal
+    arcs.  The shortest such cycle's reversal arcs form an alternating cycle;
+    a chord x_i <= y_j (j != i+1), found by scanning all pairs of positions,
+    cuts it to p_j, ..., p_i until none is left.
+    """
+    from collections import deque
+
+    index = poset.index
+    succ = [[] for _ in range(len(poset))]
+    for x, y in poset.covers():
+        succ[index(x)].append(index(y))
+    arc_pair = {}
+    for x, y in pairs:
+        i, j = index(y), index(x)
+        succ[i].append(j)
+        arc_pair[(i, j)] = (x, y)
+    best = None
+    for x, y in pairs:
+        src, dst = index(x), index(y)
+        parent = {src: None}
+        queue = deque([src])
+        while queue:
+            v = queue.popleft()
+            if v == dst:
+                break
+            for w in succ[v]:
+                if w not in parent:
+                    parent[w] = v
+                    queue.append(w)
+        if dst not in parent:
+            continue
+        path = []
+        v = dst
+        while v is not None:
+            path.append(v)
+            v = parent[v]
+        path.reverse()  # x ... y
+        if best is None or len(path) < len(best[0]):
+            best = (path, (x, y))
+    if best is None:
+        return None
+    path, closing = best
+    cycle = [closing]
+    for a, b in zip(path, path[1:]):
+        pair = arc_pair.get((a, b))
+        if pair is not None:
+            cycle.append(pair)
+    while True:
+        m = len(cycle)
+        chord = next(((i, j) for i in range(m) for j in range(m)
+                      if j != (i + 1) % m and poset.leq(cycle[i][0], cycle[j][1])), None)
+        if chord is None:
+            return cycle
+        i, j = chord
+        cycle = [cycle[(j + k) % m] for k in range((i - j) % m + 1)]
 
 
 def reference_incomparable_pairs(poset):

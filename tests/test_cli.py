@@ -75,6 +75,12 @@ class TestDim:
         res = run(["dim", "--cap", "4"], stdin=gen_text("antichain", 4))
         assert res.exit_code == 2
 
+    def test_search_deeper_than_recursion_limit(self):
+        # 1,056 incomparable pairs: one search level per pair.
+        res = run(["dim", "--cap", "100000"], stdin=gen_text("antichain", 33))
+        assert res.exit_code == 0
+        assert res.output.strip() == "2"
+
     def test_parse_error_exit_2(self):
         res = run(["dim"], stdin="elements: a b\na <\n")
         assert res.exit_code == 2

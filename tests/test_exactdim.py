@@ -63,6 +63,23 @@ class TestDimension:
         p = random_tw2_poset(n, seed)
         assert dimension_exact(p, cap=100).dimension == brute_dimension(p)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=7), st.data())
+    def test_search_backtracks_to_the_least_partition(self, n, data):
+        # Random orders, not only treewidth-2 ones, so the search backtracks:
+        # the result is a least partition of Inc into parts, each reversed by
+        # its own witness extension.
+        names = ["e%d" % i for i in range(n)]
+        p = Poset(names, [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+                          if data.draw(st.booleans())])
+        result = dimension_exact(p, cap=100)
+        assert result.dimension == brute_dimension(p)
+        assert sorted(pair for part in result.parts for pair in part) == p.incomparable_pairs()
+        for part, ext in zip(result.parts, result.witness):
+            pos = {e: k for k, e in enumerate(ext)}
+            assert p.is_linear_extension(ext)
+            assert all(pos[y] < pos[x] for x, y in part)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10**6))
     def test_dual_has_same_dimension(self, n, seed):
