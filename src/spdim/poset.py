@@ -18,6 +18,7 @@ declares one cover relation.  ``loads``/``dumps`` round-trip exactly.
 
 import heapq
 from itertools import compress, repeat
+from operator import and_, or_
 
 from .errors import (
     CycleError,
@@ -40,9 +41,10 @@ class Poset:
     topological order of the relation arcs, then two bigint ORs per arc for
     the upsets and one per cover for the downsets.  It fails with ``CycleError``,
     naming the lowest-index element below itself, if the relation has a cycle.
+    The incomparable rows are computed on first read and kept.
     """
 
-    __slots__ = ("elements", "_index", "_above", "_below", "_cover_up")
+    __slots__ = ("elements", "_index", "_above", "_below", "_cover_up", "_inc")
 
     def __init__(self, elements, relations=()):
         elements = tuple(elements)
@@ -90,6 +92,7 @@ class Poset:
         self._above = tuple(above)
         self._below = tuple(below)
         self._cover_up = tuple(cover_up)
+        self._inc = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -167,10 +170,12 @@ class Poset:
         return self.pairs_of_rows(self.incomparable_masks())
 
     def incomparable_masks(self):
-        "Per element index i, the bitmask of the elements incomparable to element i."
-        full = (1 << len(self.elements)) - 1
-        return [full & ~(above | below | 1 << i)
-                for i, (above, below) in enumerate(zip(self._above, self._below))]
+        "Per element index i, the bitmask of the elements incomparable to element i; a shared tuple."
+        if self._inc is None:
+            full = (1 << len(self.elements)) - 1
+            self._inc = tuple([full & ~(above | below | 1 << i)
+                               for i, (above, below) in enumerate(zip(self._above, self._below))])
+        return self._inc
 
     def incomparable_count(self):
         "Number of ordered incomparable pairs, by popcount."
@@ -183,7 +188,7 @@ class Poset:
             for j in bits(row):
                 cover_down[j] |= 1 << i
         p = Poset.__new__(Poset)
-        p.elements, p._index = self.elements, self._index
+        p.elements, p._index, p._inc = self.elements, self._index, self._inc  # incomparability is self-dual
         p._above, p._below, p._cover_up = self._below, self._above, tuple(cover_down)
         return p
 
@@ -231,9 +236,9 @@ class Poset:
         n = len(self.elements)
         if len(rows) != n:
             raise ValueError("expected %d rows, got %d" % (n, len(rows)))
-        for i, row in enumerate(rows):
-            if not row:
-                continue
+        if not any(rows) or list(map(and_, rows, self.incomparable_masks())) == rows:
+            return
+        for i, row in enumerate(rows):  # name the first bad row
             clash = row & (self._above[i] | self._below[i] | 1 << i)
             if clash:
                 j = _low_bit(clash)
@@ -251,20 +256,23 @@ class Poset:
         return out
 
     def _topological_order(self, rows):
-        # The lexicographically least topological order of the cover arcs
-        # plus an arc j -> i for every bit j of rows[i], by a min-heap.  The
-        # placed set is always a downset, so "all of below[x] placed" holds
-        # exactly when "every cover predecessor of x placed" does: x waits
-        # for its one mask rows[x] | below[x].  A waiting x is parked on its
-        # highest unplaced bit and rechecked, with one AND, only when that
-        # element is placed.  Shorter than n when the arcs close a cycle.
+        # The lexicographically least topological order of the cover arcs plus
+        # an arc j -> i for every bit j of rows[i], by a min-heap.  The placed
+        # set is always a downset, so "all of below[x] placed" holds exactly
+        # when "every cover predecessor of x placed" does: x waits for its one
+        # mask rows[x] | below[x].  A waiting x is parked on its highest
+        # unplaced bit i, in a list threaded through head[i + 1] and nxt[x],
+        # and rechecked with one AND only when i is placed; the heap alone
+        # orders placements.  Shorter than n when the arcs close a cycle.
         heappop, heappush = heapq.heappop, heapq.heappush
-        pred = [row | below for row, below in zip(rows, self._below)]
-        parked = [[] for _ in pred]  # by element: the elements waiting for it
+        pred = list(map(or_, rows, self._below))
+        head = [None] * (len(pred) + 1)  # by highest set bit + 1
+        nxt = [None] * len(pred)
         ready = []  # built ascending, so already a heap
         for x, mask in enumerate(pred):
             if mask:
-                parked[mask.bit_length() - 1].append(x)
+                top = mask.bit_length()
+                nxt[x], head[top] = head[top], x
             else:
                 ready.append(x)
         unplaced = (1 << len(pred)) - 1
@@ -273,12 +281,16 @@ class Poset:
             i = heappop(ready)
             order.append(i)
             unplaced ^= 1 << i
-            for x in parked[i]:  # nothing parks on i once it is placed
+            x = head[i + 1]  # nothing parks on i once it is placed
+            while x is not None:
+                later = nxt[x]
                 mask = pred[x] & unplaced
                 if mask:
-                    parked[mask.bit_length() - 1].append(x)
+                    top = mask.bit_length()
+                    nxt[x], head[top] = head[top], x
                 else:
                     heappush(ready, x)
+                x = later
         return order
 
     def _unplaced_cycle(self, rows, order):

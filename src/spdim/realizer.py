@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from json.encoder import encode_basestring_ascii as _string
-from operator import or_
+from operator import ne, or_
 
 from .errors import MalformedInstance, NotReversible, PairNotIncomparable, ParseError, ReversibilityViolation
 from .poset import bits
@@ -101,6 +101,12 @@ class SignatureRows:
     * ``over[a]``    -- elements above some bag member (downset of y meets the bag);
     * ``span_up[a]`` -- elements x such that some ancestor-or-self of a has both
       terminals in the upset of x.
+
+    The meeting walk reads four columns, one entry per node c and then one
+    per element: a step at c meets ``other[c]``, the rest of the subtree of
+    c's parent ``meet[c]``, in order ``side[c]`` (1 iff c is the left child),
+    and goes on to ``step[c]``; the walk ends below the root.  With N nodes,
+    element x starts at entry N + x, which meets its home's right subtree.
     """
 
     def __init__(self, poset, decomp, inc=None):
@@ -110,21 +116,22 @@ class SignatureRows:
         n = len(poset)
         if decomp.names[:n] != poset.elements:
             raise MalformedInstance("the decomposition's first vertices are not the poset's elements")
-        bag, s, t = decomp.bag, decomp.s, decomp.t
-        least_node = decomp.least_node
-        self.home = []
-        at = [0] * len(bag)
-        for i, x in enumerate(poset.elements):
-            # i is in its least node's bag, so it is the middle iff it is no
-            # terminal and the other two members are.
-            w = least_node(i)
-            st = s[w], t[w]
-            if len(bag[w]) != 3 or i in st or sum(map(st.__contains__, bag[w])) != 2:
-                if len(bag[w]) == 3:
-                    decomp.nodes[w].middle  # PreconditionViolated if the bag has no middle at all
-                raise MalformedInstance("least node of %r does not carry it as its middle vertex" % (x,))
-            self.home.append(w)
-            at[w] |= 1 << i
+        bag, s, t, left = decomp.bag, decomp.s, decomp.t, decomp.left
+        home = list(map(decomp.least_node, range(n)))
+        hs, ht = list(map(s.__getitem__, home)), list(map(t.__getitem__, home))
+        # Element i's least node must carry it as its middle.  The checked walk
+        # lays a size-3 bag out as (s, middle, t), three distinct vertices, which
+        # C-level passes accept; other bags are tested element by element: i is
+        # in the bag, so it is the middle iff it is no terminal and the other two are.
+        if (list(map(bag.__getitem__, home)) != list(zip(hs, range(n), ht))
+                or not all(map(ne, hs, range(n))) or not all(map(ne, ht, range(n)))):
+            for i, (x, w) in enumerate(zip(poset.elements, home)):
+                st = s[w], t[w]
+                if len(bag[w]) != 3 or i in st or sum(map(st.__contains__, bag[w])) != 2:
+                    if len(bag[w]) == 3:
+                        decomp.nodes[w].middle  # PreconditionViolated if the bag has no middle at all
+                    raise MalformedInstance("least node of %r does not carry it as its middle vertex" % (x,))
+        self.home = home
 
         # Per vertex id, its upset and downset masks; 0 for the fresh vertices.
         up, down = poset.closed_masks()
@@ -135,79 +142,76 @@ class SignatureRows:
         self._up_t = [up[v] for v in t]
         self._down_s = [down[v] for v in s]
         self._down_t = [down[v] for v in t]
-        self._under = _bag_unions(down, bag)
-        self._over = _bag_unions(up, bag)
+        self._under = _bag_unions(down, bag, left)
+        self._over = _bag_unions(up, bag, left)
         self._span_up = _top_down(decomp.parent, self._down_s, self._down_t)
-        sub = list(at)
-        for nid, parent in zip(range(len(sub) - 1, -1, -1), reversed(decomp.parent)):
-            if parent is not None:  # ids are parents-first: bottom-up
-                sub[parent] |= sub[nid]
-        self._sub = sub
-        self._at = at
+        sub = [0] * len(bag)  # a middle's only least node is its own: homes are distinct
+        for i, h in enumerate(home):
+            sub[h] = 1 << i
+        parent, right = decomp.parent, decomp.right
+        for nid, p in zip(range(len(sub) - 1, -1, -1), reversed(parent)):
+            if p is not None:  # ids are parents-first: bottom-up
+                sub[p] |= sub[nid]
+        self._other = [0 if p is None else sub[p] ^ sub[c] for c, p in enumerate(parent)]
+        self._side = [1 if p is None or left[p] == c else 2 for c, p in enumerate(parent)]
+        self._meet = parent + home
+        self._step = [None if p is None or parent[p] is None else p for p in parent]
+        self._step += [h if right[h] is None else right[h] for h in home]
+        self._other += [0 if right[h] is None else sub[right[h]] for h in home]
+        self._side += [1] * n
         self.rows = self._classify(poset.incomparable_masks() if inc is None else inc)
 
-    def _meetings(self, inc):
-        """Yield (x, a, ys, order) for every element index x and node a where
-        ys, the mask of the elements incomparable to x whose least node meets
-        x's least node at a, is not empty; ``order`` is the pairs' order field."""
-        left, right, parent = self.decomp.left, self.decomp.right, self.decomp.parent
-        sub, at = self._sub, self._at
-        for x, h in enumerate(self.home):
-            row = inc[x]
-            if not row:
-                continue
-            if row & at[h]:
-                raise MalformedInstance("incomparable elements share a least node")
-            if left[h] is not None:
-                ys = row & sub[right[h]]
-                if ys:
-                    yield x, h, ys, 1
-                ys = row & sub[left[h]]
-                if ys:
-                    yield x, h, ys, 2
-            child, a = h, parent[h]
-            while a is not None:
-                ys = row & (sub[a] ^ sub[child])
-                if ys:
-                    yield x, a, ys, 1 if left[a] == child else 2
-                child, a = a, parent[a]
-
     def _classify(self, inc):
-        """The 12 class rows.  A meeting of order o goes to row 2·o - 2 + up
-        (kind 1) or 4·o - 3 + 2·span + gate (kind 2), its ``ALL_CLASSES`` index."""
+        """The 12 class rows, by one walk per element x from its start entry:
+        a step at c meets ys = inc[x] & other[c] at node meet[c], one AND.  A
+        meeting of order o goes to row 2·o - 2 + up (kind 1) or
+        4·o - 3 + 2·span + gate (kind 2), its ``ALL_CLASSES`` index."""
         n = len(inc)
         rows = [[0] * n for _ in ALL_CLASSES]
         bag = self.decomp.bag
         under, over, span_up = self._under, self._over, self._span_up
         up_s, up_t, down_s, down_t = self._up_s, self._up_t, self._down_s, self._down_t
+        step, meet, other, side = self._step, self._meet, self._other, self._side
+        start = len(bag)
         stray = {}
-        for x, a, ys, order in self._meetings(inc):
+        for x, row in enumerate(inc):
+            if not row:
+                continue
             bit = 1 << x
-            if not under[a] & bit:
-                rows[2 * order - 2][x] |= ys
-                continue
-            hit = ys & over[a]
-            if hit != ys:
-                rows[2 * order - 1][x] |= ys ^ hit
-            if not hit:
-                continue
-            k = 4 * order + 1 if span_up[a] & bit else 4 * order - 1  # 4·o - 3 + 2·span
-            if len(bag[a]) == 3:
-                rows[k + order][x] |= hit  # gate = order
-                continue
-            # Size-2 bag {s, t}: x must reach exactly one terminal and y
-            # lie above exactly the other one.
-            s_up, t_up = down_s[a] & bit, down_t[a] & bit
-            if s_up and not t_up:
-                gate, split = 1, up_t[a] & ~up_s[a]
-            elif t_up and not s_up:
-                gate, split = 2, up_s[a] & ~up_t[a]
-            else:
-                gate, split = 1, 0
-            bad = hit & ~split
-            if bad:
-                stray[x] = stray.get(x, 0) | bad
-            rows[k + gate][x] |= hit
+            if row & bit:  # x's least node is x's alone
+                raise MalformedInstance("incomparable elements share a least node")
+            c = start + x
+            while c is not None:
+                ys = row & other[c]
+                if not ys:
+                    c = step[c]
+                    continue
+                a, order, c = meet[c], side[c], step[c]
+                if not under[a] & bit:
+                    rows[2 * order - 2][x] |= ys
+                    continue
+                hit = ys & over[a]
+                if hit != ys:
+                    rows[2 * order - 1][x] |= ys ^ hit
+                if not hit:
+                    continue
+                k = 4 * order + 1 if span_up[a] & bit else 4 * order - 1  # 4·o - 3 + 2·span
+                if len(bag[a]) == 3:
+                    rows[k + order][x] |= hit  # gate = order
+                    continue
+                # Size-2 bag {s, t}: x must reach exactly one terminal and y
+                # lie above exactly the other one.
+                s_up, t_up = down_s[a] & bit, down_t[a] & bit
+                if s_up and not t_up:
+                    gate, split = 1, up_t[a] & ~up_s[a]
+                elif t_up and not s_up:
+                    gate, split = 2, up_s[a] & ~up_t[a]
+                else:
+                    gate, split = 1, 0
+                bad = hit & ~split
+                if bad:
+                    stray[x] = stray.get(x, 0) | bad
+                rows[k + gate][x] |= hit
         if stray:
             x = min(stray)
             y = (stray[x] & -stray[x]).bit_length() - 1
@@ -259,10 +263,17 @@ class SignatureRows:
         both terminals in the upset of x and some has both in the downset of
         y, as (x, ys) masks; the construction guarantees there are none."""
         span_down = _top_down(self.decomp.parent, self._up_s, self._up_t)
+        step, meet, other, span_up = self._step, self._meet, self._other, self._span_up
         out = []
-        for x, a, ys, _ in self._meetings(self.poset.incomparable_masks()):
-            if self._span_up[a] >> x & 1 and ys & span_down[a]:
-                out.append((x, ys & span_down[a]))
+        for x, row in enumerate(self.poset.incomparable_masks()):
+            found, c = 0, len(self.decomp.bag) + x
+            while c is not None:
+                ys = row & other[c]
+                if ys and span_up[meet[c]] >> x & 1:
+                    found |= ys & span_down[meet[c]]
+                c = step[c]
+            if found:
+                out.append((x, found))
         return out
 
 
@@ -275,10 +286,11 @@ def _top_down(parent, a_masks, b_masks):
     return out
 
 
-def _bag_unions(masks, bags):
-    "Per node, the union of masks[v] over the bag's members; bags of 2 or 3 without a loop."
-    return [masks[b[0]] | masks[b[1]] | masks[b[-1]] if 1 < len(b) < 4
-            else reduce(or_, map(masks.__getitem__, b), 0) for b in bags]
+def _bag_unions(masks, bags, left):
+    """Per internal node, the union of masks[v] over the bag's members (bags of 2 or 3
+    without a loop); 0 at a leaf, which is no meeting node."""
+    return [0 if l is None else masks[b[0]] | masks[b[1]] | masks[b[-1]] if 1 < len(b) < 4
+            else reduce(or_, map(masks.__getitem__, b), 0) for b, l in zip(bags, left)]
 
 
 def classify_pairs(poset, decomp):

@@ -351,19 +351,27 @@ def _adjacency(comp, comp_edges):
     return adj
 
 
-def _batch_verdicts(comp, comp_edges, batch):
+def _batch_verdicts(comp, comp_edges, batch, untested):
     """Whether the component plus st has treewidth <= 2, lazily for each pair (s, t) of the
     batch.  One kernel, the component reduced sparing every vertex the batch names,
-    serves them all: a pair costs one reduction of a copy of the kernel plus st."""
+    serves them all: a pair costs one reduction of a copy of the kernel plus st.  If the
+    component is ``untested``, at the first rejection a copy of the kernel, reduced sparing
+    nothing, tests the component itself: one of treewidth > 2, which no pair can pass,
+    raises ``NotTreewidth2``."""
     kernel = _reduce(_adjacency(comp, comp_edges), {v for pair in batch for v in pair})
     for s, t in batch:
         adj = {v: set(nb) for v, nb in kernel.items()}
         adj[s].add(t)
         adj[t].add(s)
-        yield _reduces_to_empty(adj)
+        ok = _reduces_to_empty(adj)
+        if not ok and untested:
+            untested = False
+            if not _reduces_to_empty({v: set(nb) for v, nb in kernel.items()}):
+                raise NotTreewidth2("input graph has treewidth greater than 2")
+        yield ok
 
 
-def _terminal_candidates(degree, comp, comp_edges, rejected=None):
+def _terminal_candidates(degree, comp, comp_edges):
     """Terminal pairs to try, best first, generated lazily.
 
     A pair (s, t) admits a series-parallel host containing the component iff
@@ -373,8 +381,7 @@ def _terminal_candidates(degree, comp, comp_edges, rejected=None):
     then id, so that paths keep their ends as terminals and fills stay rare;
     then the edges with an endpoint of higher degree (an edge always
     qualifies).  ``comp`` is a whole component, ascending, and ``degree[v]``
-    is the graph degree of vertex v.  ``rejected()``, if given, is called on
-    every pair that fails the test.
+    is the graph degree of vertex v.
 
     With at most as many edges as vertices, the component plus st has
     cyclomatic number at most 2, K4 needs 3, so every pair passes untested.
@@ -383,10 +390,13 @@ def _terminal_candidates(degree, comp, comp_edges, rejected=None):
     same neighbours with or without st, so the kernel's steps begin a reduction
     of the component plus st; each step keeps "treewidth <= 2" both ways, and
     minimum degree 3 forces treewidth 3, so any maximal reduction empties a
-    graph iff its treewidth is <= 2.  After ``MAX_REJECTIONS`` rejections and
-    no pass (never on ordinary inputs; K_{2,m} with pendants rejects every
-    pendant pair), the search ends with the last two vertices of one unpinned
-    reduction, lower id first: by the same argument they pass.
+    graph iff its treewidth is <= 2, and the kernel also tests the component
+    itself, once, at its first rejection.  A pair is yielded with its batch's
+    verdicts and kernel freed, before the caller builds the tree.  After
+    ``MAX_REJECTIONS`` rejections and no pass (never on ordinary inputs;
+    K_{2,m} with pendants rejects every pendant pair), the search ends with the
+    last two vertices of one unpinned reduction, lower id first: by the same
+    argument they pass.
     """
     ones = [v for v in comp if degree[v] == 1]
     twos = [v for v in comp if degree[v] == 2]
@@ -398,20 +408,22 @@ def _terminal_candidates(degree, comp, comp_edges, rejected=None):
         return
     size, rejections, passed = 8, 0, False
     while batch := list(islice(stream, size)):
-        for pair, ok in zip(batch, _batch_verdicts(comp, comp_edges, batch)):
-            if ok:
-                passed = True
-                yield pair
-                continue
-            if rejected is not None:
-                rejected()
-            rejections += 1
-            if rejections == MAX_REJECTIONS and not passed:
-                last = _reduce(_adjacency(comp, comp_edges), keep=2)
-                if len(last) == 2:
-                    yield min(last), max(last)
-                return
         size *= 2
+        while batch:
+            for k, ok in enumerate(_batch_verdicts(comp, comp_edges, batch, not rejections)):
+                if ok:
+                    break
+                rejections += 1
+                if rejections == MAX_REJECTIONS and not passed:
+                    last = _reduce(_adjacency(comp, comp_edges), keep=2)
+                    if len(last) == 2:
+                        yield min(last), max(last)
+                    return
+            else:
+                break
+            passed = True
+            pair, batch = batch[k], batch[k + 1:]  # the kernel went with the verdicts
+            yield pair
 
 
 def _mixed_pairs(degree, comp, ones, twos):
@@ -499,18 +511,10 @@ def embed_into_sp(graph):
     edge so that the host is never empty.  The tree is returned normalised:
     no ``FLIP`` view, and every series or parallel run balanced.
 
-    The graph's treewidth is tested only when a terminal pair is first rejected:
-    reducing every component proves treewidth <= 2, and a component of
-    treewidth > 2 rejects its first pair.
+    A component's treewidth is tested only when a terminal pair is rejected,
+    on the kernel that judged the pair, never on the whole graph: reducing every
+    component proves treewidth <= 2, and one of treewidth > 2 rejects its first pair.
     """
-    untested = True
-
-    def rejected():
-        nonlocal untested
-        if untested and not has_treewidth_at_most_2(graph):
-            raise NotTreewidth2("input graph has treewidth greater than 2")
-        untested = False
-
     names = _Names(graph.vertices)
     added_edges = []
     added_vertices = []
@@ -533,7 +537,7 @@ def embed_into_sp(graph):
             trees.append(edge_node(v, c))
             continue
         result = None
-        for s, t in _terminal_candidates(degree, comp, comp_edges, rejected):
+        for s, t in _terminal_candidates(degree, comp, comp_edges):
             result = _reduce_component(comp, comp_edges, s, t)
             if result is not None:
                 break

@@ -498,6 +498,41 @@ class TestTopologicalOrderAgainstReference:
         assert peak < 4 * 1024 * 1024
 
 
+class TestSortAndRowCheck:
+    def test_parking_allocates_no_list_per_element(self):
+        # An antichain with empty rows: every element goes straight to the
+        # heap, so what the sort allocates is its per-element bookkeeping
+        # (about 73 B, the order included).  A list per element would cost
+        # 56 B more, and the incomparable rows, which empty rows need not
+        # be checked against, about 2,500 B; the bound refuses both.
+        n = 20000
+        a = antichain(n)
+        tracemalloc.start()
+        try:
+            order = a.canonical_extension()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert order == list(a.elements)
+        assert peak < 96 * n
+
+    def test_first_bad_row_is_named(self):
+        # The one-pass check fails on both row sets; the error is the one of
+        # the first bad row, as a row-by-row check would give.
+        p = Poset("abc", [("a", "b")])
+        with pytest.raises(UnknownElement, match="row 1 names element index 7"):
+            p.linear_extension_reversing(rows=[0, 1 << 7, 1 << 2])
+        with pytest.raises(PairNotIncomparable, match=r"\('a', 'b'\)"):
+            p.linear_extension_reversing(rows=[1 << 1, 1 << 7, 0])
+
+    def test_incomparable_rows_computed_once_and_shared_with_dual(self):
+        p = random_tw2_poset(40, 3)
+        inc = p.incomparable_masks()
+        assert p.incomparable_masks() is inc
+        assert p.dual().incomparable_masks() is inc
+        assert inc == Poset(p.elements, p.covers()).incomparable_masks()
+
+
 class TestIncomparableMasks:
     @settings(max_examples=40, deadline=None)
     @given(small_posets())

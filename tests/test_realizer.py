@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdim import spembed
-from spdim.errors import MalformedInstance, NotTreewidth2, PairNotIncomparable
+from spdim.errors import MalformedInstance, NotTreewidth2, PairNotIncomparable, PreconditionViolated
 from spdim.generators import chain, forest_poset, generate, kelly, random_tw2_poset, standard_example
 from spdim.poset import Poset, bits
 from spdim.realizer import (
@@ -229,6 +229,18 @@ class TestRowsMatchReference:
             SignatureRows(Poset("abc", [("a", "b")]), d)
 
 
+@pytest.mark.parametrize("bag, s, t", [((0, 0, 1), 0, 1), ((1, 0, 0), 1, 0)])
+def test_least_node_repeating_a_terminal(bag, s, t):
+    # A size-3 bag laid out as (s, a, t) but with a a terminal has no middle:
+    # both classifiers refuse it.
+    p = Poset("a", [])
+    d = STDecomposition([DecompNode(0, None, None, None, bag, s, t)], 0, "ab")
+    with pytest.raises((PreconditionViolated, MalformedInstance)):
+        SignatureRows(p, d)
+    with pytest.raises((PreconditionViolated, MalformedInstance)):
+        ReferenceClassifier(p, d)
+
+
 class TestRealizePath:
     def test_no_per_pair_work(self, monkeypatch):
         # The realize path walks rows: no lca call and no ClassifiedInstance.
@@ -242,23 +254,17 @@ class TestRealizePath:
         assert p.verify_realizer(r.orders())
 
     def test_treewidth_tested_once(self, monkeypatch):
-        # A successful reduction proves treewidth <= 2, so the whole-graph test
-        # runs only when a terminal pair is rejected, and at most once.
+        # A successful reduction proves treewidth <= 2, and a rejected terminal
+        # pair tests its component on the kernel that judged it: the graph is
+        # never reduced as a whole, and treewidth 3 is refused with the same message.
         calls = []
-        original = spembed.has_treewidth_at_most_2
-
-        def counted(graph):
-            calls.append(graph)
-            return original(graph)
-
-        monkeypatch.setattr(spembed, "has_treewidth_at_most_2", counted)
-        for p in (random_tw2_poset(30, 5), chain(50), forest_poset(200, 1)):
+        monkeypatch.setattr(spembed, "has_treewidth_at_most_2", calls.append)
+        for p in (random_tw2_poset(30, 5), random_tw2_poset(500, 1), chain(50), forest_poset(200, 1)):
             spembed.embed_into_sp(p.cover_graph())
             realize_tw2(p)
-        assert calls == []
         with pytest.raises(NotTreewidth2, match="^input graph has treewidth greater than 2$"):
             realize_tw2(kelly(3))
-        assert len(calls) == 1
+        assert calls == []
 
     def test_one_sort_per_class(self, monkeypatch):
         calls = []

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from collections import Counter
 from itertools import combinations, islice
 
@@ -337,8 +338,9 @@ class TestEmbedding:
 
     def test_treewidth3_refused_after_two_reductions(self, monkeypatch):
         # A guard against unbounded work that does not depend on timing: a
-        # random 3-tree rejects its first terminal pair, and the whole-graph
-        # test then refuses it, so no further candidate is tried.
+        # random 3-tree rejects its first terminal pair, and the test of the
+        # component on that pair's kernel then refuses it, so no further
+        # candidate is tried.
         rng = random.Random(3)
         n = 2000
         edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
@@ -419,7 +421,7 @@ def id_arguments(graph, comp, comp_edges):
             [(idx(u), idx(v)) for u, v in comp_edges])
 
 
-def accept_all(comp, comp_edges, batch):
+def accept_all(comp, comp_edges, batch, untested):
     "``_batch_verdicts`` accepting every pair."
     return (True for _ in batch)
 
@@ -482,7 +484,7 @@ class TestTerminalCandidates:
             arguments = id_arguments(g, g.vertices, g.sorted_edges())
             calls = []
             monkeypatch.setattr(spembed, "_batch_verdicts",
-                                lambda comp, comp_edges, batch: (calls.append(pair) or True for pair in batch))
+                                lambda comp, comp_edges, batch, _: (calls.append(pair) or True for pair in batch))
             tracemalloc.start()
             try:
                 first = next(spembed._terminal_candidates(*arguments))
@@ -498,12 +500,19 @@ class TestTerminalCandidates:
            st.integers(min_value=0, max_value=4), st.integers(min_value=2, max_value=10))
     def test_kernel_verdicts_match_reference(self, n, seed, extra, pins):
         # Extra edges make K4 minors common, so both verdicts occur; every pair
-        # inside the pinned set is judged on the one kernel of that set.
+        # inside the pinned set is judged on the one kernel of that set.  A
+        # component of treewidth > 2 (the component plus one of its own edges
+        # fails the reference) is refused at its first rejection instead.
         rng = random.Random(-seed)
         for comp, comp_edges in components_with_edges(partial_2tree_plus(n, seed, extra)):
             batch = list(combinations(sorted(rng.sample(comp, min(pins, len(comp)))), 2))
-            assert (list(spembed._batch_verdicts(comp, comp_edges, batch))
-                    == [reference_tw2_with_extra_edge(comp, comp_edges, s, t) for s, t in batch])
+            verdicts = spembed._batch_verdicts(comp, comp_edges, batch, True)
+            if reference_tw2_with_extra_edge(comp, comp_edges, *comp_edges[0]):
+                assert list(verdicts) == [reference_tw2_with_extra_edge(comp, comp_edges, s, t)
+                                          for s, t in batch]
+            else:
+                with pytest.raises(NotTreewidth2, match="^input graph has treewidth greater than 2$"):
+                    next(verdicts)
 
     def test_k2m_with_pendants_stops_at_the_cap(self, monkeypatch):
         # A guard against unbounded work, counted: every pair of pendants is
@@ -525,16 +534,33 @@ class TestTerminalCandidates:
         assert g.edges <= emb.host.edges
         assert elapsed < 1.0
 
+    def test_component_tested_once_across_batches(self, monkeypatch):
+        # Every pair of pendants is rejected, in batches of 8, 16, 32 and 8:
+        # one reduction per verdict, plus the component's own test once.
+        m = 100
+        mids = ["m%d" % i for i in range(m)]
+        g = Graph(["a", "b"] + mids + ["p%d" % i for i in range(m)],
+                  [(x, mid) for mid in mids for x in "ab"] + [(mid, "p" + mid[1:]) for mid in mids])
+        verdicts, reductions = [], []
+        judge, reduces = spembed._batch_verdicts, spembed._reduces_to_empty
+        monkeypatch.setattr(spembed, "_batch_verdicts",
+                            lambda *args: (verdicts.append(ok) or ok for ok in judge(*args)))
+        monkeypatch.setattr(spembed, "_reduces_to_empty",
+                            lambda adj: reductions.append(len(adj)) or reduces(adj))
+        embed_into_sp(g)
+        assert verdicts == [False] * spembed.MAX_REJECTIONS
+        assert len(reductions) == len(verdicts) + 1
+
     def test_kernel_builds_grow_logarithmically_on_wide_inputs(self, monkeypatch):
         # A component builds one kernel per batch of 8, 16, 32, ... pairs,
         # not one reduction per tested pair.
         log = {}
         original = spembed._batch_verdicts
 
-        def counted(comp, comp_edges, batch):
+        def counted(comp, comp_edges, batch, untested):
             entry = log.setdefault(comp[0], [0, 0])  # kernels, tested pairs
             entry[0] += 1
-            for ok in original(comp, comp_edges, batch):
+            for ok in original(comp, comp_edges, batch, untested):
                 entry[1] += 1
                 yield ok
 
@@ -547,6 +573,27 @@ class TestTerminalCandidates:
                 assert kernels <= 1 + math.ceil(math.log2(tested / 8 + 1)), (seed, kernels, tested)
                 most = max(most, tested)
         assert most > 2  # a kernel per tested pair would break the bound
+
+    def test_kernel_freed_before_the_tree_is_built(self, monkeypatch):
+        # The verdicts of a batch hold its kernel: none may be alive while
+        # ``_reduce_component`` builds the tree for the accepted pair.
+        alive = []
+        verdicts, reduce_component = spembed._batch_verdicts, spembed._reduce_component
+
+        def tracked(*args):
+            judged = verdicts(*args)
+            alive.append(weakref.ref(judged))
+            return judged
+
+        def checked(*args):
+            assert all(ref() is None for ref in alive)
+            return reduce_component(*args)
+
+        monkeypatch.setattr(spembed, "_batch_verdicts", tracked)
+        monkeypatch.setattr(spembed, "_reduce_component", checked)
+        for seed in range(162, 166):
+            embed_into_sp(random_tw2_poset(500, seed).cover_graph())
+        assert alive
 
     def test_one_component_reduction_per_component_on_corpus(self, monkeypatch):
         # Every whole-component reduction (a kernel, the fallback pair, the
