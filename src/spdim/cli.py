@@ -10,6 +10,7 @@ Exit codes: 0 success/verified, 1 property violated, 2 usage or input error.
 
 import json
 import os
+import re
 import sys
 
 import click
@@ -38,8 +39,10 @@ from .realizer import (
 )
 from .spembed import augment_with_fresh_terminals, embed_into_sp
 
-INPUT_ERRORS = (ParseError, CycleError, UnknownElement, BadParameter,
-                NotTreewidth2, TooLarge, json.JSONDecodeError)
+INPUT_ERRORS = (ParseError, CycleError, UnknownElement, BadParameter, NotTreewidth2, TooLarge)
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where ``str.splitlines`` breaks
+_LINE_BREAK = re.compile("[%s]" % _LINE_BREAKS)
+_JSON_OPEN = re.compile(r"[\[{]")
 
 
 def _echo(message, err=False, nl=True):
@@ -76,12 +79,16 @@ def _read_poset(poset_file):
 
 
 def _split_bundle(text):
-    "Split a poset-text + realizer-JSON stream at the first JSON line."
-    lines = text.splitlines(keepends=True)
-    for k, raw in enumerate(lines):
-        line = raw.strip()
-        if line.startswith(("[", "{")) and " < " not in line and not line.startswith("elements:"):
-            return "".join(lines[:k]), "".join(lines[k:])
+    """Split a poset-text + realizer-JSON stream at the first JSON line: the
+    first line that, stripped, starts with '[' or '{' and holds no ' < '."""
+    first = min((k for k in map(text.find, "[{") if k >= 0), default=len(text))  # str.find outruns the regex
+    for bracket in _JSON_OPEN.finditer(text, first):
+        at = start = bracket.start()
+        while start and text[start - 1] not in _LINE_BREAKS and text[start - 1].isspace():
+            start -= 1
+        end = _LINE_BREAK.search(text, at)
+        if (not start or text[start - 1] in _LINE_BREAKS) and " < " not in text[at:end and end.start()].rstrip():
+            return text[:start], text[start:]
     return text, None
 
 
@@ -150,29 +157,30 @@ def realize(poset_file):
               help="Read the realizer JSON from FILE (stdin then carries the poset only).")
 def verify(poset_file, realizer_file):
     "Check that the given extensions realize the poset; exit 1 if not."
+    head = ""  # the input before the realizer JSON
     try:
         if realizer_file is not None:
             p = posetio.loads(_read_text(poset_file))
             with open(realizer_file, "r", encoding="utf-8") as fh:
                 r = loads_realizer(fh.read())
         else:
-            text, tail = _split_bundle(_read_text(poset_file))
+            head, tail = _split_bundle(_read_text(poset_file))
             if tail is None:
                 raise ParseError("no realizer JSON found on stdin (use --realizer)", 1)
-            p = posetio.loads(text)
+            p = posetio.loads(head)
             r = loads_realizer(tail)
+    except json.JSONDecodeError as exc:  # a syntax error: name its line of the input
+        _fail_usage(ParseError("%s (column %d)" % (exc.msg, exc.colno), len(head.splitlines()) + exc.lineno))
     except INPUT_ERRORS as exc:
         _fail_usage(exc)
-    inc = p.incomparable_masks()
-    problems = p.realizer_violations(r.orders(), inc)
+    problems = p.realizer_violations(r.orders())
     if len(r) > 12:
         problems.append("realizer uses %d extensions (more than 12)" % len(r))
     if problems:
         for line in problems:
             _echo("violation: %s" % line, err=True)
         sys.exit(1)
-    pairs = sum(row.bit_count() for row in inc)
-    _echo("verified: %d extension(s), %d incomparable pairs" % (len(r), pairs))
+    _echo("verified: %d extension(s), %d incomparable pairs" % (len(r), p.incomparable_count()))
 
 
 @main.command()

@@ -39,7 +39,7 @@ class Poset:
     transitive closure is taken and pairs implied by transitivity are absorbed
     when the cover relation is recomputed.  Construction does linear work: one
     topological order of the relation arcs, then two bigint ORs per arc for
-    the upsets and one per cover for the downsets.  It fails with ``CycleError``,
+    the upsets and two for the downsets.  It fails with ``CycleError``,
     naming the lowest-index element below itself, if the relation has a cycle.
     The incomparable rows are computed on first read and kept.
     """
@@ -53,46 +53,41 @@ class Poset:
             if e in index:
                 raise UnknownElement("duplicate element %r" % (e,))
             index[e] = len(index)
-        n = len(elements)
-        succ = [[] for _ in range(n)]
-        indeg = [0] * n
+        arcs = []
         for x, y in relations:
             if x not in index or y not in index:
                 raise UnknownElement("unknown element %r" % (x if x not in index else y,))
-            succ[index[x]].append(index[y])
-            indeg[index[y]] += 1
+            arcs.append((index[x], index[y]))
+        self._close(elements, index, arcs)
+
+    def _close(self, elements, index, arcs):
+        "Set the rows of the order the arcs (x, y) of element indices generate, and return self."
+        n = len(elements)
+        succ = [[] for _ in range(n)]
+        pred = [[] for _ in range(n)]
+        for x, y in arcs:
+            succ[x].append(y)
+            pred[y].append(x)
         # Kahn's algorithm; the arcs left over hold a cycle.
-        order = [i for i in range(n) if indeg[i] == 0]
+        indeg = list(map(len, pred))
+        order = [i for i in range(n) if not indeg[i]]
         for i in order:
             for j in succ[i]:
                 indeg[j] -= 1
-                if indeg[j] == 0:
+                if not indeg[j]:
                     order.append(j)
         if len(order) != n:
             raise CycleError("relation has a directed cycle through %r" % (elements[_on_cycle(succ)],))
-        # In reverse topological order every successor's upset is final: the
-        # upset of i is its successors and their upsets, and j covers i iff j
-        # is a successor that lies in no successor's upset.
-        above = [0] * n
-        cover_up = [0] * n
-        for i in reversed(order):
-            direct = implied = 0
-            for j in succ[i]:
-                direct |= 1 << j
-                implied |= above[j]
-            above[i] = direct | implied
-            cover_up[i] = direct & ~implied
-        below = [0] * n
-        for i in order:
-            down = below[i] | 1 << i
-            for j in bits(cover_up[i]):
-                below[j] |= down
+        # Upsets are final in reverse topological order, downsets in topological order.
+        above, cover_up = _reach(reversed(order), succ)
+        below, _ = _reach(order, pred)
         self.elements = elements
         self._index = index
         self._above = tuple(above)
         self._below = tuple(below)
         self._cover_up = tuple(cover_up)
         self._inc = None
+        return self
 
     # -- basic queries -----------------------------------------------------
 
@@ -173,7 +168,7 @@ class Poset:
         "Per element index i, the bitmask of the elements incomparable to element i; a shared tuple."
         if self._inc is None:
             full = (1 << len(self.elements)) - 1
-            self._inc = tuple([full & ~(above | below | 1 << i)
+            self._inc = tuple([full ^ (above | below | 1 << i)
                                for i, (above, below) in enumerate(zip(self._above, self._below))])
         return self._inc
 
@@ -325,13 +320,13 @@ class Poset:
 
     # -- realizer checking --------------------------------------------------
 
-    def realizer_violations(self, extensions, inc=None):
+    def realizer_violations(self, extensions):
         """Diagnostics explaining why the extensions are not a realizer.
 
         Each linear extension L contributes, for every element x, the mask of
         the elements placed before x; an incomparable pair (x, y) is reversed
         iff y lies in the union of those masks for x, over the extensions that
-        are linear (one pass each).  ``inc``, if given, is ``incomparable_masks()``.
+        are linear (one pass each).
         """
         problems = []
         index, below = self._index, self._below
@@ -352,7 +347,7 @@ class Poset:
                     continue
             problems.append("order %d is not a linear extension of the poset" % k)
         names = self.elements
-        for i, row in enumerate(self.incomparable_masks() if inc is None else inc):
+        for i, row in enumerate(self.incomparable_masks()):
             for j in bits(row & ~reversed_by[i]):
                 problems.append("incomparable pair (%s, %s) is reversed by no extension"
                                 % (names[i], names[j]))
@@ -370,6 +365,25 @@ def bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _reach(order, arcs):
+    """Per index i, the masks of the indices reachable from i along ``arcs`` and of the
+    arcs i -> j with j reachable by no other arc from i; ``order`` puts i after its arcs' ends."""
+    reach, direct_rows = [0] * len(arcs), [0] * len(arcs)
+    for i in order:
+        ends = arcs[i]
+        if len(ends) == 1:  # most elements of a sparse order: nothing to OR
+            direct_rows[i] = bit = 1 << ends[0]
+            reach[i] = reach[ends[0]] | bit
+        else:
+            direct = implied = 0
+            for j in ends:
+                direct |= 1 << j
+                implied |= reach[j]
+            reach[i] = direct | implied
+            direct_rows[i] = direct & ~implied
+    return reach, direct_rows
 
 
 def _on_cycle(succ):
@@ -412,39 +426,46 @@ def _low_bit(mask):
 
 def dumps(poset):
     "Serialize to the poset text format (canonical, round-trips exactly)."
-    lines = ["elements: %s" % " ".join(poset.elements)]
-    for x, y in poset.covers():
-        lines.append("%s < %s" % (x, y))
+    names = poset.elements
+    lines = ["elements: " + " ".join(names)]
+    for x, row in zip(names, poset._cover_up):
+        while row:
+            low = row & -row
+            lines.append(f"{x} < {names[low.bit_length() - 1]}")
+            row ^= low
     return "\n".join(lines) + "\n"
 
 
 def loads(text):
-    "Parse the poset text format; strict, with line numbers on errors."
-    elements = None
-    relations = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    """Parse the poset text format; strict, with line numbers on errors.  The lines are split
+    once and checked column by column; only refused text is read again line by line."""
+    lines = text.splitlines()
+    rows = [row for row in map(str.split, lines) if row and row[0][0] != "#"]
+    if rows and rows[0][0].startswith("elements:") and set(map(len, rows[1:])) <= {3}:
+        elements = tuple(" ".join(rows[0])[len("elements:"):].split())
+        index = dict(zip(elements, range(len(elements))))
+        xs, ops, ys = zip(*rows[1:]) if len(rows) > 1 else ((),) * 3
+        heads, tails = list(map(index.get, xs)), list(map(index.get, ys))
+        if (len(index) == len(elements) and ops.count("<") == len(ops) and None not in heads
+                and None not in tails and not any(map(str.startswith, xs, repeat("elements:")))):
+            return Poset.__new__(Poset)._close(elements, index, zip(heads, tails))
+    known = None  # refused: read the lines in turn, to name the first bad one
+    for lineno, tokens in enumerate(map(str.split, lines), start=1):
+        if not tokens or tokens[0].startswith("#"):
             continue
-        if line.startswith("elements:"):
-            if elements is not None:
+        if tokens[0].startswith("elements:"):
+            if known is not None:
                 raise ParseError("duplicate elements line", lineno)
-            elements = line[len("elements:"):].split()
-            known, elements_line = set(elements), lineno
-            continue
-        if elements is None:
+            elements, elements_line = " ".join(tokens)[len("elements:"):].split(), lineno
+            known = set(elements)
+        elif known is None:
             raise ParseError("expected an 'elements:' line first", lineno)
-        tokens = line.split()
-        if len(tokens) != 3 or tokens[1] != "<":
+        elif len(tokens) != 3 or tokens[1] != "<":
             raise ParseError("expected a cover relation 'x < y'", lineno)
-        x, _, y = tokens
-        if x not in known:
-            raise ParseError("unknown element %r" % (x,), lineno)
-        if y not in known:
-            raise ParseError("unknown element %r" % (y,), lineno)
-        relations.append((x, y))
-    if elements is None:
+        else:
+            for name in tokens[::2]:
+                if name not in known:
+                    raise ParseError("unknown element %r" % (name,), lineno)
+    if known is None:
         raise ParseError("missing 'elements:' line", 1)
-    if len(known) != len(elements):
-        raise ParseError("duplicate identifiers in elements line", elements_line)
-    return Poset(elements, relations)
+    raise ParseError("duplicate identifiers in elements line", elements_line)  # all else passed

@@ -190,14 +190,8 @@ def decomposition_to_json(decomp):
             for nid, (parent, bag, s, t) in enumerate(zip(decomp.parent, decomp.bag, decomp.s, decomp.t))]
 
 
-_NODE = ('  {\n    "id": %%d,\n    "parent": %%s,\n    "side": %%s,\n    "bag": [\n      %s\n'
-         '    ],\n    "s": %%s,\n    "t": %%s\n  }')
-_NODE2 = _NODE % ",\n      ".join(["%s"] * 2)
-_NODE3 = _NODE % ",\n      ".join(["%s"] * 3)
-
-
 def dumps_decomposition(decomp):
-    "``json.dumps(decomposition_to_json(decomp), indent=2)``, from one template per bag size."
+    "``json.dumps(decomposition_to_json(decomp), indent=2)``, from one f-string per bag size."
     quoted = [_string(name) for name in decomp.names]
     left = decomp.left
     out = []
@@ -207,9 +201,11 @@ def dumps_decomposition(decomp):
         else:
             side = '"left"' if left[parent] == nid else '"right"'
         if len(bag) == 3:
-            a, b, c = bag
-            out.append(_NODE3 % (nid, parent, side, quoted[a], quoted[b], quoted[c], quoted[s], quoted[t]))
+            out.append(f'  {{\n    "id": {nid},\n    "parent": {parent},\n    "side": {side},\n    "bag": [\n'
+                       f'      {quoted[bag[0]]},\n      {quoted[bag[1]]},\n      {quoted[bag[2]]}\n'
+                       f'    ],\n    "s": {quoted[s]},\n    "t": {quoted[t]}\n  }}')
         else:
-            a, b = bag
-            out.append(_NODE2 % (nid, parent, side, quoted[a], quoted[b], quoted[s], quoted[t]))
+            out.append(f'  {{\n    "id": {nid},\n    "parent": {parent},\n    "side": {side},\n    "bag": [\n'
+                       f'      {quoted[bag[0]]},\n      {quoted[bag[1]]}\n'
+                       f'    ],\n    "s": {quoted[s]},\n    "t": {quoted[t]}\n  }}')
     return "[\n%s\n]\n" % ",\n".join(out)

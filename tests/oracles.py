@@ -12,7 +12,8 @@ topological orders by Kahn's algorithm over one arc per pair, witness
 cycles by one breadth-first search per pair, linear extensions by sorting,
 decompositions one record per node, their depths by a walk from the root,
 incomparable pairs by one test per ordered pair, the thinning of random
-2-trees by a whole-graph search per drawn deletion.  The validation, the
+2-trees by a whole-graph search per drawn deletion, the poset text and the
+``verify`` bundle by one test per line.  The validation, the
 separation predicates and the in-order comparison of s-t decompositions live
 here too, with the order, graph and tree queries that only tests need.
 
@@ -499,6 +500,60 @@ def reference_closure(elements, relations):
             implied |= above[k]
         cover_up[i] = above[i] & ~implied
     return tuple(above), tuple(below), tuple(cover_up)
+
+
+def reference_loads(text):
+    """The poset ``spdim.poset.loads`` must return, or the ``ParseError`` it must
+    raise: one pass over the lines, each stripped, split and checked in turn,
+    and the checked name pairs handed to ``Poset``."""
+    from spdim.errors import ParseError
+    from spdim.poset import Poset
+
+    elements = None
+    relations = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("elements:"):
+            if elements is not None:
+                raise ParseError("duplicate elements line", lineno)
+            elements = line[len("elements:"):].split()
+            known, elements_line = set(elements), lineno
+            continue
+        if elements is None:
+            raise ParseError("expected an 'elements:' line first", lineno)
+        tokens = line.split()
+        if len(tokens) != 3 or tokens[1] != "<":
+            raise ParseError("expected a cover relation 'x < y'", lineno)
+        x, _, y = tokens
+        if x not in known:
+            raise ParseError("unknown element %r" % (x,), lineno)
+        if y not in known:
+            raise ParseError("unknown element %r" % (y,), lineno)
+        relations.append((x, y))
+    if elements is None:
+        raise ParseError("missing 'elements:' line", 1)
+    if len(known) != len(elements):
+        raise ParseError("duplicate identifiers in elements line", elements_line)
+    return Poset(elements, relations)
+
+
+def reference_dumps(poset):
+    "The text ``spdim.poset.dumps`` must write: the elements line, then one line per pair of ``covers()``."
+    return "".join(["elements: %s\n" % " ".join(poset.elements)]
+                   + ["%s < %s\n" % pair for pair in poset.covers()])
+
+
+def reference_split_bundle(text):
+    """The split ``spdim.cli._split_bundle`` must make: every line of the stream
+    tested in turn, the poset text and the JSON joined again from the lines."""
+    lines = text.splitlines(keepends=True)
+    for k, raw in enumerate(lines):
+        line = raw.strip()
+        if line.startswith(("[", "{")) and " < " not in line and not line.startswith("elements:"):
+            return "".join(lines[:k]), "".join(lines[k:])
+    return text, None
 
 
 def reference_topological_order(poset, rows):

@@ -1,6 +1,9 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 from click.testing import CliRunner
@@ -9,12 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdim import generators, realizer
-from spdim.cli import main
+from spdim.cli import _split_bundle, main
 from spdim.generators import MAX_N, random_tw2_poset, standard_example
 from spdim.poset import dumps as dumps_poset
 from spdim.realizer import ALL_CLASSES, SignatureRows, dumps_realizer, realize_tw2
 
-from oracles import is_strict_alternating_cycle
+from oracles import is_strict_alternating_cycle, reference_split_bundle
 
 
 def run(args, stdin=None):
@@ -114,6 +117,21 @@ class TestRealizeVerify:
         res = run(["verify", "--realizer", str(realizer_path)], stdin=dumps_poset(p))
         assert res.exit_code == 1
         assert "violation" in res.stderr
+
+    def test_realizer_syntax_error_names_its_input_line(self, tmp_path):
+        res = run(["verify"], stdin="elements: a b c\na < b\n[not json\n")
+        assert res.exit_code == 2
+        assert res.stderr == "error: line 3: Expecting value (column 2)\n"
+        realizer_path = tmp_path / "realizer.json"
+        realizer_path.write_text('[\n  {"signature": null,\n   "extension": [a]}\n]\n')
+        res = run(["verify", "--realizer", str(realizer_path)], stdin="elements: a\n")
+        assert res.exit_code == 2
+        assert res.stderr == "error: line 3: Expecting value (column 18)\n"
+        # A well-formed JSON value of the wrong shape keeps its message.
+        res = run(["verify"], stdin="elements: a b c\na < b\n[1]\n")
+        assert res.exit_code == 2
+        assert res.stderr == ("error: line 1: realizer entry 0 needs a signature"
+                              " and a string list extension\n")
 
     @pytest.mark.parametrize("entries", [
         [1],
@@ -280,6 +298,16 @@ class TestRepeatedInvocation:
         assert grown < size
 
 
+class TestModuleEntryPoint:
+    def test_python_m_spdim_from_a_checkout(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = subprocess.run([sys.executable, "-m", "spdim", "gen", "--family", "chain", "--n", "3"],
+                             capture_output=True, text=True, cwd=tmp_path, timeout=60,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "elements: v0 v1 v2\nv0 < v1\nv1 < v2\n"
+
+
 class TestRoundTrips:
     def test_poset_write_read_identity(self):
         text = gen_text("random_tw2", 15, 9)
@@ -325,6 +353,37 @@ def bundles(draw):
         k = draw(st.integers(0, len(text)))
         text = text[:k] + draw(st.sampled_from(JSON_EDITS)) + text[k + draw(st.integers(0, 4)):]
     return text
+
+
+SPLIT_EDITS = JSON_EDITS + ["\n", "\r", "\r\n", "\f", "\x1e", "\x85", "\u2028", " ", "\t",
+                           "\x1f", "\xa0", "{", " [", "\n[", "elements:", " < x"]
+
+
+@st.composite
+def split_bundles(draw):
+    "A ``realize`` bundle with a few edits around line breaks, blanks and brackets."
+    p = random_tw2_poset(draw(st.integers(1, 8)), draw(st.integers(0, 50)))
+    text = dumps_poset(p) + dumps_realizer(realize_tw2(p))
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + draw(st.sampled_from(SPLIT_EDITS)) + text[k + draw(st.integers(0, 2)):]
+    return text
+
+
+class TestSplitBundle:
+    @settings(max_examples=300, deadline=None)
+    @given(split_bundles())
+    def test_matches_reference(self, text):
+        assert _split_bundle(text) == reference_split_bundle(text)
+
+    @pytest.mark.parametrize("text", [
+        "", "[", "  [1]", "elements: a\n", "elements: [a\n[a < b\n\t{ }\n", "a\r[1]", "a [\n x[\n",
+        "elements: a\r\n[\r\n", "elements: a\n\x1f\xa0[1]\n", "elements: a\u2028  [ <\n", "[x <  \n{",
+        "elements: a\x1e[1]\n", "elements: a\x85 {}", "elements: a\v[]",
+        "elements: a\f {}", "elements: a\u2029[]",
+    ])
+    def test_matches_reference_on_edge_cases(self, text):
+        assert _split_bundle(text) == reference_split_bundle(text)
 
 
 @st.composite

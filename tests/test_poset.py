@@ -10,6 +10,7 @@ from spdim.errors import (
     NotReversible,
     PairNotIncomparable,
     ParseError,
+    SpdimError,
     UnknownElement,
 )
 from spdim.generators import antichain, chain, forest_poset, random_tw2_poset, standard_example
@@ -30,8 +31,10 @@ from oracles import (
     is_strict_alternating_cycle,
     less,
     reference_closure,
+    reference_dumps,
     reference_incomparable_pairs,
     reference_is_linear_extension,
+    reference_loads,
     reference_topological_order,
     reference_witness_cycle,
 )
@@ -75,6 +78,39 @@ def any_relations(draw, max_n=7):
     names = ["e%d" % i for i in range(n)]
     return names, draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
                                 max_size=2 * n))
+
+
+TEXT_NAMES = ["a", "b", "c", "elements:", "#a"]
+
+
+@st.composite
+def poset_texts(draw):
+    """Poset text over a few names, some never declared, with the lines the
+    parser must take or refuse: comments and blank lines anywhere, a second
+    ``elements:`` line, lines of 1 to 4 tokens, cycles, CRLF endings."""
+    names = st.sampled_from(TEXT_NAMES + ["z"])
+    space = st.sampled_from([" ", "  ", "\t", " \u3000"])
+    declared = draw(st.lists(st.sampled_from(TEXT_NAMES), max_size=5, unique=True))
+    if declared and draw(st.integers(0, 4)) == 4:
+        declared.insert(draw(st.integers(0, len(declared))), draw(st.sampled_from(declared)))
+    header = draw(st.sampled_from(["elements: ", "elements:", " elements:\t"])) + " ".join(declared)
+    relation = st.tuples(space, names, space, space, names, space).map(
+        lambda t: "%s%s%s<%s%s%s" % t)
+    tokens = st.lists(st.one_of(names, st.just("<")), min_size=1, max_size=4).map(" ".join)
+    other = st.sampled_from(["", "  ", "# comment", "#a < b", "\t# x y z", "elements: a b"])
+    lines = draw(st.lists(st.one_of(other, other, other, relation), max_size=2)) + [header]
+    lines += draw(st.lists(st.one_of(relation, relation, relation, tokens, other), max_size=8))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def parse_outcome(parse, text):
+    "The elements and rows ``parse`` returns, or the type, message and line of what it raises."
+    try:
+        p = parse(text)
+    except SpdimError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return p.elements, closure_rows(p)
 
 
 def closure_rows(p):
@@ -705,6 +741,40 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="duplicate identifiers") as err:
             loads("# c\n\nelements: a a b\na < b\n")
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("text", [
+        "# c\n\n  \nelements: a b\na < b\n",
+        "elements: a b\r\na < b\r\n\r\n",
+        "elements: a b\n  \t\na\t<  b   \n",
+        "elements:a b\na < b\n",
+        "elements: a b\na < b\nelements: a b\n",
+        "elements: elements: b\nelements: < b\n",
+        "elements: #a b\nb < #a\n#a < b\n",
+        "elements: a b\na b\n",
+        "elements: a b\na < b c\n",
+        "elements: a b\nz < b\n",
+        "elements: a b\na < z\n",
+        "elements: a b a\na < b\n",
+        "elements: a b a\nb < z\n",
+        "elements: a b\na < b\nb < a\n",
+        "a < b\nelements: a b\n",
+        "# only a comment\n",
+        "",
+    ])
+    def test_matches_reference_parser(self, text):
+        assert parse_outcome(loads, text) == parse_outcome(reference_loads, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(poset_texts())
+    def test_matches_reference_parser_on_random_text(self, text):
+        assert parse_outcome(loads, text) == parse_outcome(reference_loads, text)
+
+    def test_writer_round_trips_generated_text(self):
+        for p in (random_tw2_poset(60, 3), forest_poset(40, 1), chain(30), Poset([])):
+            text = dumps(p)
+            assert text == reference_dumps(p)
+            assert dumps(loads(text)) == text
+        assert dumps(Poset([])) == "elements: \n"
 
     def test_cli_cycle_is_cycle_error(self):
         with pytest.raises(CycleError):
