@@ -43,6 +43,7 @@ INPUT_ERRORS = (ParseError, CycleError, UnknownElement, BadParameter, NotTreewid
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where ``str.splitlines`` breaks
 _LINE_BREAK = re.compile("[%s]" % _LINE_BREAKS)
 _JSON_OPEN = re.compile(r"[\[{]")
+_RELATION = re.compile(r"\S+\s+<\s+\S+")  # three tokens, '<' in the middle, as ``poset.loads`` reads them
 
 
 def _echo(message, err=False, nl=True):
@@ -79,15 +80,16 @@ def _read_poset(poset_file):
 
 
 def _split_bundle(text):
-    """Split a poset-text + realizer-JSON stream at the first JSON line: the
-    first line that, stripped, starts with '[' or '{' and holds no ' < '."""
+    """Split a poset-text + realizer-JSON stream at the first JSON line: the first line that,
+    stripped, starts with '[' or '{', holds no ' < ' and is not a relation line (``_RELATION``)."""
     first = min((k for k in map(text.find, "[{") if k >= 0), default=len(text))  # str.find outruns the regex
     for bracket in _JSON_OPEN.finditer(text, first):
         at = start = bracket.start()
         while start and text[start - 1] not in _LINE_BREAKS and text[start - 1].isspace():
             start -= 1
         end = _LINE_BREAK.search(text, at)
-        if (not start or text[start - 1] in _LINE_BREAKS) and " < " not in text[at:end and end.start()].rstrip():
+        line = text[at:end and end.start()].rstrip()
+        if (not start or text[start - 1] in _LINE_BREAKS) and " < " not in line and not _RELATION.fullmatch(line):
             return text[:start], text[start:]
     return text, None
 
@@ -169,8 +171,9 @@ def verify(poset_file, realizer_file):
                 raise ParseError("no realizer JSON found on stdin (use --realizer)", 1)
             p = posetio.loads(head)
             r = loads_realizer(tail)
-    except json.JSONDecodeError as exc:  # a syntax error: name its line of the input
-        _fail_usage(ParseError("%s (column %d)" % (exc.msg, exc.colno), len(head.splitlines()) + exc.lineno))
+    except json.JSONDecodeError as exc:  # a syntax error: name its line and column as str.splitlines breaks lines
+        lines = (head + exc.doc[:exc.pos] + "^").splitlines()  # "^" stands for the character at fault
+        _fail_usage(ParseError("%s (column %d)" % (exc.msg, len(lines[-1])), len(lines)))
     except INPUT_ERRORS as exc:
         _fail_usage(exc)
     problems = p.realizer_violations(r.orders())

@@ -44,7 +44,7 @@ class Poset:
     The incomparable rows are computed on first read and kept.
     """
 
-    __slots__ = ("elements", "_index", "_above", "_below", "_cover_up", "_inc")
+    __slots__ = ("elements", "_index", "_above", "_below", "_cover_up", "_cover_down", "_inc")
 
     def __init__(self, elements, relations=()):
         elements = tuple(elements)
@@ -80,12 +80,13 @@ class Poset:
             raise CycleError("relation has a directed cycle through %r" % (elements[_on_cycle(succ)],))
         # Upsets are final in reverse topological order, downsets in topological order.
         above, cover_up = _reach(reversed(order), succ)
-        below, _ = _reach(order, pred)
+        below, cover_down = _reach(order, pred)
         self.elements = elements
         self._index = index
         self._above = tuple(above)
         self._below = tuple(below)
         self._cover_up = tuple(cover_up)
+        self._cover_down = tuple(cover_down)
         self._inc = None
         return self
 
@@ -177,14 +178,11 @@ class Poset:
         return sum(row.bit_count() for row in self.incomparable_masks())
 
     def dual(self):
-        "The poset with all comparabilities flipped; same cover graph."
-        cover_down = [0] * len(self.elements)
-        for i, row in enumerate(self._cover_up):
-            for j in bits(row):
-                cover_down[j] |= 1 << i
+        "The poset with all comparabilities flipped; same cover graph.  Its rows are this poset's, swapped."
         p = Poset.__new__(Poset)
         p.elements, p._index, p._inc = self.elements, self._index, self._inc  # incomparability is self-dual
-        p._above, p._below, p._cover_up = self._below, self._above, tuple(cover_down)
+        p._above, p._below = self._below, self._above
+        p._cover_up, p._cover_down = self._cover_down, self._cover_up
         return p
 
     # -- linear extensions and reversibility -------------------------------

@@ -22,7 +22,7 @@ id order is the canonical order of every tie-break.  ``Embedding.names``
 maps ids back to names; the host graph is built only when it is read.
 """
 
-import heapq
+from heapq import heappop, heappush
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -115,55 +115,56 @@ def sp_tree_violations(root):
 
 
 def _checked_preorder(root):
-    """The walk behind ``sp_tree_violations``.  Node positions are pre-order
-    (parents first, a left child right after its parent); by position, it
-    fills the decomposition columns ``(parent, left, right, bag, s, t)`` of
-    ``build_st_decomposition`` and returns them with the problems."""
+    """The walk behind ``sp_tree_violations``, over a flat stack of (node, parent
+    position) pairs.  Node positions are pre-order (parents first, a left child right
+    after its parent); by position, it fills the decomposition columns ``(parent, left,
+    right, bag, s, t)`` of ``build_st_decomposition`` and returns them with the problems."""
     problems = []
     shared = {root.source, root.sink}
     edges = set()
     parent, left, right, bag, source, sink = columns = [], [], [], [], [], []
-    nodes, parents = [root], [None]
-    while nodes:
-        node, up = nodes.pop(), parents.pop()
-        pos = len(parent)
+    todo, pos = [root, -1], -1
+    while todo:
+        up, node = todo.pop(), todo.pop()
+        pos += 1
         parent.append(up)
         right.append(None)
-        if up is not None:  # the right child comes last, after the left subtree
+        if pos - up > 1:  # a right child, placed after its parent's left subtree
             right[up] = pos
         s, t = node.source, node.sink
         source.append(s)
         sink.append(t)
         if s == t:
             problems.append("node %d: source equals sink" % pos)
-        if node.kind == EDGE:
+        kind = node.kind
+        if kind == EDGE:
             left.append(None)
-            bag.append((s, t))
-            edge = (s, t) if s < t else (t, s)
+            bag.append(edge := (s, t))
+            edge = edge if s < t else (t, s)
             if edge in edges:
                 problems.append("node %d: edge %r-%r is in two leaves" % (pos, s, t))
             edges.add(edge)
             continue
         a, b = node.left, node.right
         left.append(pos + 1)
-        bag.append((s, a.sink, t) if node.kind == SERIES else (s, t))
-        if node.kind == SERIES:
+        bag.append((s, a.sink, t) if kind == SERIES else (s, t))
+        if kind == SERIES:
             if a.sink != b.source:
                 problems.append("node %d: series children do not share a terminal" % pos)
-            if (s, t) != (a.source, b.sink):
+            if s != a.source or t != b.sink:
                 problems.append("node %d: series terminals mismatch" % pos)
             if a.sink in shared:
                 problems.append("node %d: shared vertex %r is an outer terminal or shared twice"
                                 % (pos, a.sink))
             shared.add(a.sink)
-        elif node.kind == PARALLEL:
-            if not ((s, t) == (a.source, a.sink) == (b.source, b.sink)):
+        elif kind == PARALLEL:
+            if not (s == a.source == b.source and t == a.sink == b.sink):
                 problems.append("node %d: parallel children disagree on terminals" % pos)
         else:
-            problems.append("node %d: unknown kind %r" % (pos, node.kind))
+            problems.append("node %d: unknown kind %r" % (pos, kind))
             continue
-        nodes += b, a
-        parents += pos, pos
+        todo += b, pos, a, pos
+    parent[0] = None
     return columns, problems
 
 
@@ -276,71 +277,79 @@ def _normalized(root, names):
     series operands are read right to left.  A run's operands are normalised
     first, then joined on the run's own internal nodes at the midpoints of
     their leaf counts.  Every node has one parent, so the pass rewires nodes
-    in place and allocates no node.
+    in place and allocates no node.  ``todo`` is one flat stack of (node, parity)
+    pairs, parity 2 marking a run of two operands to join and 3 a longer run's
+    internal nodes; ``trees`` and ``counts`` hold the operands done and their leaf counts.
     """
     seen = bytearray(len(names))
-    done = []  # normalised operands with their leaf counts, in order
-    todo = [(root, 0)]  # (node, parity), or (a run's internal nodes, None) to join
+    trees, counts = [], []
+    todo = [root, 0]
     while todo:
-        node, parity = todo.pop()
-        if parity is None:
-            k = len(done) - len(node) - 1
-            done[k:] = [_rebracket(node, done[k:])]
-            continue
-        while node.kind == FLIP:
-            node, parity = node.left, parity ^ 1
-        if node.kind == EDGE:
+        parity, node = todo.pop(), todo.pop()
+        if parity == 2:
+            node.right = right = trees.pop()
+            node.left = left = trees[-1]
+            node.source, node.sink = left.source, (right if node.kind == SERIES else left).sink
+            trees[-1] = node
+            counts.append(counts.pop() + counts.pop())
+        elif parity == 3:
+            k = len(trees) - len(node) - 1
+            trees[k:], counts[k:] = _rebracket(node, trees[k:], counts[k:])
+        elif node.kind == EDGE:
             if parity:
                 node.source, node.sink = node.sink, node.source
             seen[node.source] = seen[node.sink] = 1
-            done.append((node, 1))
-            continue
-        inner, ops, stack = [], [], [(node, parity)]
-        while stack:
-            run, parity = stack.pop()
-            while run.kind == FLIP:
-                run, parity = run.left, parity ^ 1
-            if run.kind != node.kind:
-                ops.append((run, parity))
+            trees.append(node)
+            counts.append(1)
+        else:
+            while node.kind == FLIP:  # a view is never of a leaf or of another view
+                node, parity = node.left, parity ^ 1
+            kind = node.kind
+            first, second = (node.right, node.left) if parity and kind == SERIES else (node.left, node.right)
+            if ((first.left if first.kind == FLIP else first).kind != kind
+                    and (second.left if second.kind == FLIP else second).kind != kind):
+                todo += node, 2, second, parity, first, parity
                 continue
-            inner.append(run)
-            first, second = (run.right, run.left) if parity and run.kind == SERIES else (run.left, run.right)
-            stack += ((second, parity), (first, parity))
-        todo.append((inner, None))
-        todo.extend(reversed(ops))
+            inner, ops, stack = [], [], [node, parity]
+            while stack:
+                parity, run = stack.pop(), stack.pop()
+                while run.kind == FLIP:
+                    run, parity = run.left, parity ^ 1
+                if run.kind != kind:
+                    ops += parity, run
+                    continue
+                inner.append(run)
+                first, second = (run.right, run.left) if parity and kind == SERIES else (run.left, run.right)
+                stack += second, parity, first, parity
+            todo += inner, 3, *reversed(ops)
     if 0 in seen:
         raise InvalidSPTree("host vertex %r is in no leaf" % (names[seen.index(0)],))
-    return done[0][0]
+    return trees[0]
 
 
-def _rebracket(inner, ops):
-    """Join (tree, leaf count) operands in order on a run's internal nodes, splitting
-    each range at the operand boundary nearest the midpoint of its leaf count."""
-    if len(ops) == 2:  # most runs: one internal node, joined directly
-        (node,), ((left, a), (right, b)) = inner, ops
-        node.left, node.right = left, right
-        node.source, node.sink = left.source, (right if node.kind == SERIES else left).sink
-        return node, a + b
-    prefix = list(accumulate((w for _, w in ops), initial=0))
+def _rebracket(inner, ops, counts):
+    """Join operands in order, ``counts`` their leaf counts, on a run's internal nodes, splitting
+    each range at the operand boundary nearest the midpoint of its leaf count; returns the tree and
+    its leaf count as one-item lists.  ``todo`` is a flat stack of ranges (i, j) and joins (node, None)."""
+    prefix = list(accumulate(counts, initial=0))
     built = []
-    todo = [(0, len(ops))]
+    todo = [0, len(ops)]
     while todo:
-        i, j = todo.pop()
-        if i < 0:
-            node = inner.pop()
-            node.right = right = built.pop()
-            node.left = left = built.pop()
+        j, i = todo.pop(), todo.pop()
+        if j is None or j - i == 2:  # a join: node i over the last two trees built, or two operands
+            node, left, right = (i, built.pop(-2), built.pop()) if j is None else (inner.pop(), ops[i], ops[i + 1])
+            node.left, node.right = left, right
             node.source, node.sink = left.source, (right if node.kind == SERIES else left).sink
             built.append(node)
         elif j - i == 1:
-            built.append(ops[i][0])
+            built.append(ops[i])
         else:
             twice_mid = prefix[i] + prefix[j]
             m = bisect_left(prefix, twice_mid / 2, i + 1, j - 1)
             if m > i + 1 and twice_mid - 2 * prefix[m - 1] <= 2 * prefix[m] - twice_mid:
                 m -= 1
-            todo += ((-1, 0), (m, j), (i, m))
-    return built[0], prefix[-1]
+            todo += inner.pop(), None, m, j, i, m
+    return built, prefix[-1:]
 
 
 def _adjacency(comp, comp_edges):
@@ -445,11 +454,12 @@ def _reduce_component(comp, comp_edges, s, t):
     A non-terminal vertex of degree 1 first receives a fill edge to another
     neighbor of its only neighbor, which makes it suppressible.  Returns the
     tree and the fill edges used, or None when the reduction cannot finish on
-    these terminals.  Ties go to the least id.
+    these terminals.  Ties go to the least id.  Each vertex maps every neighbour
+    to the bundle joining them, one tree for both ends (``adj[u][v] is adj[v][u]``).
     """
-    adj = _adjacency(comp, comp_edges)
-    N = comp[-1] + 1  # the bundle joining u < v is keyed u * N + v
-    bundles = {u * N + v: SPNode(EDGE, None, None, u, v) for u, v in comp_edges}
+    adj = {v: {} for v in comp}
+    for u, v in comp_edges:
+        adj[u][v] = adj[v][u] = SPNode(EDGE, None, None, u, v)
     fills = []
     # The least reducible vertex: a min-heap of non-terminal ids (comp is
     # sorted, so the list starts as a heap), re-checked when popped and pushed
@@ -457,47 +467,42 @@ def _reduce_component(comp, comp_edges, s, t):
     ready = [v for v in comp if len(adj[v]) <= 2 and v != s and v != t]
     while len(adj) > 2:
         while ready:
-            pick = heapq.heappop(ready)
+            pick = heappop(ready)
             if pick in adj and len(adj[pick]) <= 2:
                 break
         else:
             return None
-        nb = adj[pick]
+        nb = adj.pop(pick)
         if len(nb) == 1:
             (u,) = nb
             w = min((w for w in adj[u] if w != pick), default=None)
             assert w is not None, "dangling vertex with no fill partner"
             fill = (pick, w) if pick < w else (w, pick)
             fills.append(fill)
-            bundles[fill[0] * N + fill[1]] = SPNode(EDGE, None, None, *fill)
-            nb.add(w)
-            adj[w].add(pick)
-        u, w = adj.pop(pick)
-        u, w = (u, w) if u < w else (w, u)
-        left = bundles.pop(u * N + pick if u < pick else pick * N + u)
-        right = bundles.pop(pick * N + w if pick < w else w * N + pick)
+            nb[w] = adj[w][pick] = SPNode(EDGE, None, None, *fill)
+        (u, left), (w, right) = nb.items()
+        if u > w:
+            u, w, left, right = w, u, right, left
         if (left.sink == pick) != (right.source == pick):
             left, right = _one_flipped(left, right)
         if left.sink != pick:
             left, right = right, left
         tree = SPNode(SERIES, left, right, left.source, right.sink)
-        adj[u].discard(pick)
-        adj[w].discard(pick)
-        old = bundles.get(u * N + w)
+        at_u, at_w = adj[u], adj[w]
+        del at_u[pick], at_w[pick]
+        old = at_u.get(w)
         if old is None:  # u and w keep their degrees
-            bundles[u * N + w] = tree
-            adj[u].add(w)
-            adj[w].add(u)
+            at_u[w] = at_w[u] = tree
             continue
         if old.source != tree.source:
             old, tree = _one_flipped(old, tree)
-        bundles[u * N + w] = SPNode(PARALLEL, old, tree, old.source, old.sink)
+        at_u[w] = at_w[u] = SPNode(PARALLEL, old, tree, old.source, old.sink)
         for v in (u, w):  # one fewer neighbour: reducible now if down to 2
             if len(adj[v]) == 2 and v != s and v != t:
-                heapq.heappush(ready, v)
+                heappush(ready, v)
 
-    assert set(adj) == {s, t} and len(bundles) == 1
-    tree = bundles[s * N + t if s < t else t * N + s]
+    assert set(adj) == {s, t} and len(adj[s]) == 1
+    tree = adj[s][t]
     return (tree if tree.source == s else _flipped(tree)), fills
 
 
@@ -519,16 +524,9 @@ def embed_into_sp(graph):
     added_edges = []
     added_vertices = []
     trees = []
-    degree = [len(nb) for nb in graph.adjacency()]
-    comps = graph.components()
-    comp_of = [0] * len(degree)
-    for k, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = k
-    edges_of = [[] for _ in comps]
-    for e in graph.index_edges():
-        edges_of[comp_of[e[0]]].append(e)
-    for k, (comp, comp_edges) in enumerate(zip(comps, edges_of)):
+    adjacency = graph.adjacency()
+    degree = [len(nb) for nb in adjacency]
+    for k, comp in enumerate(graph.components()):
         if len(comp) == 1:
             v = comp[0]
             c = names.make("+c%d" % k)
@@ -536,6 +534,7 @@ def embed_into_sp(graph):
             added_edges.append((v, c))
             trees.append(edge_node(v, c))
             continue
+        comp_edges = [(u, v) for u in comp for v in sorted(adjacency[u]) if u < v]  # index_edges() order
         result = None
         for s, t in _terminal_candidates(degree, comp, comp_edges):
             result = _reduce_component(comp, comp_edges, s, t)

@@ -547,11 +547,15 @@ def reference_dumps(poset):
 
 def reference_split_bundle(text):
     """The split ``spdim.cli._split_bundle`` must make: every line of the stream
-    tested in turn, the poset text and the JSON joined again from the lines."""
+    tested in turn, the poset text and the JSON joined again from the lines.  A
+    relation line as ``spdim.poset.loads`` reads it (three tokens, '<' in the
+    middle) never starts the JSON."""
     lines = text.splitlines(keepends=True)
     for k, raw in enumerate(lines):
         line = raw.strip()
-        if line.startswith(("[", "{")) and " < " not in line and not line.startswith("elements:"):
+        tokens = line.split()
+        if (line.startswith(("[", "{")) and " < " not in line
+                and not (len(tokens) == 3 and tokens[1] == "<")):
             return "".join(lines[:k]), "".join(lines[k:])
     return text, None
 

@@ -102,6 +102,14 @@ class TestRealizeVerify:
         res = run(["verify"], stdin=bundle)
         assert res.exit_code == 0
 
+    def test_relation_line_with_tabs_is_not_the_realizer(self):
+        # "[a<TAB><<TAB>b" is a relation line as the poset parser reads it.
+        bundle = ('elements: [a b\n[a\t<\tb\n'
+                  '[{"signature": null, "extension": ["[a", "b"]}]\n')
+        res = run(["verify"], stdin=bundle)
+        assert res.exit_code == 0, res.stderr
+        assert res.stdout == "verified: 1 extension(s), 0 incomparable pairs\n"
+
     def test_verify_with_file_flag(self, tmp_path):
         p = standard_example(2)
         realizer_path = tmp_path / "realizer.json"
@@ -127,6 +135,14 @@ class TestRealizeVerify:
         res = run(["verify", "--realizer", str(realizer_path)], stdin="elements: a\n")
         assert res.exit_code == 2
         assert res.stderr == "error: line 3: Expecting value (column 18)\n"
+        # Lines break where str.splitlines breaks them, as in the poset text, not only at '\n'.
+        res = run(["verify"], stdin="elements: a\n[\r1,\rx]\n")
+        assert res.exit_code == 2
+        assert res.stderr == "error: line 4: Expecting value (column 1)\n"
+        realizer_path.write_text('["\u2028", x]\n', encoding="utf-8")  # a break inside a JSON string
+        res = run(["verify", "--realizer", str(realizer_path)], stdin="elements: a\n")
+        assert res.exit_code == 2
+        assert res.stderr == "error: line 2: Expecting value (column 4)\n"
         # A well-formed JSON value of the wrong shape keeps its message.
         res = run(["verify"], stdin="elements: a b c\na < b\n[1]\n")
         assert res.exit_code == 2
@@ -356,7 +372,7 @@ def bundles(draw):
 
 
 SPLIT_EDITS = JSON_EDITS + ["\n", "\r", "\r\n", "\f", "\x1e", "\x85", "\u2028", " ", "\t",
-                           "\x1f", "\xa0", "{", " [", "\n[", "elements:", " < x"]
+                           "\x1f", "\xa0", "{", " [", "\n[", "elements:", " < x", "\t<\t", "  <  x"]
 
 
 @st.composite
@@ -380,7 +396,8 @@ class TestSplitBundle:
         "", "[", "  [1]", "elements: a\n", "elements: [a\n[a < b\n\t{ }\n", "a\r[1]", "a [\n x[\n",
         "elements: a\r\n[\r\n", "elements: a\n\x1f\xa0[1]\n", "elements: a\u2028  [ <\n", "[x <  \n{",
         "elements: a\x1e[1]\n", "elements: a\x85 {}", "elements: a\v[]",
-        "elements: a\f {}", "elements: a\u2029[]",
+        "elements: a\f {}", "elements: a\u2029[]", "elements: [a b\n[a\t<\tb\n[]\n", "[a  <  b\n {}",
+        "{a\xa0<\xa0b}", "[ < ]", "[a < b <\n[]", "[a\t<\tb\tc\n[]",
     ])
     def test_matches_reference_on_edge_cases(self, text):
         assert _split_bundle(text) == reference_split_bundle(text)

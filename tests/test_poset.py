@@ -13,7 +13,7 @@ from spdim.errors import (
     SpdimError,
     UnknownElement,
 )
-from spdim.generators import antichain, chain, forest_poset, random_tw2_poset, standard_example
+from spdim.generators import antichain, chain, forest_poset, kelly, random_tw2_poset, standard_example
 from spdim.graphs import Graph
 from spdim.poset import Poset, dumps, loads
 from spdim.realizer import build_instance
@@ -680,6 +680,16 @@ class TestDual:
     @given(small_posets())
     def test_same_cover_graph(self, p):
         assert p.cover_graph() == p.dual().cover_graph()
+
+    @pytest.mark.parametrize("p", [random_tw2_poset(300, 4), forest_poset(300, 2), kelly(3)],
+                             ids=["random_tw2", "forest", "kelly"])
+    def test_covers_reversed_and_rows_restored(self, p):
+        # dual() swaps the cover rows kept from the closure instead of transposing them.
+        index = p.index
+        reversed_covers = sorted(((y, x) for x, y in p.covers()), key=lambda c: (index(c[0]), index(c[1])))
+        assert reversed_covers and p.dual().covers() == reversed_covers
+        assert p.dual().dual() == p
+        assert closure_rows(p.dual().dual()) == closure_rows(p)
 
 
 class TestCoverGraph:

@@ -38,6 +38,7 @@ from oracles import (
     all_labeled_graphs,
     has_k4_minor,
     mirror,
+    reference_decomposition,
     reference_reduce_component,
     reference_resolve,
     reference_sp_tree_violations,
@@ -596,10 +597,10 @@ class TestTerminalCandidates:
         assert alive
 
     def test_one_component_reduction_per_component_on_corpus(self, monkeypatch):
-        # Every whole-component reduction (a kernel, the fallback pair, the
-        # tree) starts from ``_adjacency``; the tree is built once.
+        # Every whole-component reduction starts from ``_adjacency`` (a kernel,
+        # the fallback pair) or is ``_reduce_component`` (the tree, built once).
         calls = Counter()
-        for name in ("_adjacency", "_batch_verdicts"):
+        for name in ("_adjacency", "_batch_verdicts", "_reduce_component"):
             monkeypatch.setattr(spembed, name, counting(calls, name, getattr(spembed, name)))
         components = 0
         for seed, n in CORPUS:
@@ -607,7 +608,7 @@ class TestTerminalCandidates:
             components += sum(1 for _ in components_with_edges(g))
             embed_into_sp(g)
         assert calls["_batch_verdicts"] > 0
-        assert calls["_adjacency"] <= components + calls["_batch_verdicts"]
+        assert calls["_adjacency"] + calls["_reduce_component"] <= components + calls["_batch_verdicts"]
 
 
 def components_with_edges(graph):
@@ -678,6 +679,42 @@ class TestReduceComponent:
             if done == 200:
                 break
         assert done == 200
+
+
+BENCH_SHAPES = [("chain", lambda: chain(1500))] + [
+    ("forest-%d" % s, lambda s=s: forest_poset(800, s)) for s in (3, 4, 5)] + [
+    ("random_tw2-%d" % s, lambda s=s: random_tw2_poset(500, s)) for s in (2, 3)]
+
+
+class TestBenchmarkShapes:
+    """The rewritten kernels at the sizes the benchmark runs: one series run of
+    1,499 operands, ~200 forest components with singletons and bridges, and
+    components whose first terminal pairs are rejected."""
+
+    @pytest.mark.parametrize("make", [pytest.param(make, id=k) for k, make in BENCH_SHAPES])
+    def test_kernels_match_references(self, make, monkeypatch):
+        graph = make().cover_graph()
+        reduce_component, reductions = spembed._reduce_component, []
+
+        def checked(*args):  # compared before the normaliser rewires the tree
+            got, want = reduce_component(*args), reference_reduce_component(*args)
+            assert (got is None) == (want is None), args[2:]
+            if got is not None:
+                assert got[1] == want[1] and shape(got[0]) == shape(want[0]), args[2:]
+            reductions.append(got is not None)
+            return got
+
+        monkeypatch.setattr(spembed, "_reduce_component", checked)
+        emb = embed_into_sp(graph)
+        assert reductions and reductions[-1]
+        monkeypatch.setattr(spembed, "_reduce_component", reduce_component)
+        monkeypatch.setattr(spembed, "_normalized", reference_resolve)
+        ref = embed_into_sp(graph)
+        assert leaf_sequence(emb.sp) == leaf_sequence(ref.sp)
+        assert sp_tree_violations(emb.sp) == []
+        aug = augment_with_fresh_terminals(emb)
+        assert (build_st_decomposition(aug.sp, aug.names).nodes
+                == reference_decomposition(aug.sp, aug.names).nodes)
 
 
 class TestAugment:
