@@ -175,7 +175,7 @@ class Poset:
 
     def incomparable_count(self):
         "Number of ordered incomparable pairs, by popcount."
-        return sum(row.bit_count() for row in self.incomparable_masks())
+        return sum(map(int.bit_count, self.incomparable_masks()))
 
     def dual(self):
         "The poset with all comparabilities flipped; same cover graph.  Its rows are this poset's, swapped."
@@ -188,14 +188,24 @@ class Poset:
     # -- linear extensions and reversibility -------------------------------
 
     def is_linear_extension(self, order):
-        "True iff ``order`` lists every element once, each after its whole downset."
+        "True iff the sequence ``order`` lists every element once, each after its whole downset."
+        return self._extension_walk(order, [1 << i for i in range(len(self))], [0] * len(self))
+
+    def _extension_walk(self, ext, marks, merged):
+        """True iff the sequence ``ext`` is a linear extension; ORs into ``merged[i]`` the mask of the
+        elements listed before element i (``marks[i]`` is ``1 << i``).  A wrong length fails first, and
+        among n names a duplicate leaves an element unplaced, so no duplicate test is needed."""
+        if len(ext) != len(marks):
+            return False
+        index, below = self._index, self._below
         before = 0
-        for e in order:
-            i = self._index.get(e)
-            if i is None or before >> i & 1 or self._below[i] & ~before:
+        for e in ext:
+            i = index.get(e)
+            if i is None or below[i] | before != before:  # unknown, or its downset not yet placed
                 return False
-            before |= 1 << i
-        return before == (1 << len(self.elements)) - 1
+            merged[i] |= before
+            before |= marks[i]
+        return before.bit_count() == len(marks)
 
     def canonical_extension(self):
         "The linear extension picked by canonical-order tie-breaking."
@@ -319,41 +329,32 @@ class Poset:
     # -- realizer checking --------------------------------------------------
 
     def realizer_violations(self, extensions):
-        """Diagnostics explaining why the extensions are not a realizer.
+        """Diagnostics explaining why the list ``extensions`` is not a realizer (an empty list is not).
 
-        Each linear extension L contributes, for every element x, the mask of
-        the elements placed before x; an incomparable pair (x, y) is reversed
-        iff y lies in the union of those masks for x, over the extensions that
-        are linear (one pass each).
+        One walk per extension checks that it is linear and ORs, into a copy of ``reversed_by``, the
+        mask of the elements placed before each element x; a linear extension's copy is kept.  A pair
+        (x, y) is reversed iff y is in ``reversed_by[x]``: one C-level pass checks every incomparable
+        pair, and the missing ones are named only if it fails.
         """
-        problems = []
-        index, below = self._index, self._below
-        full = (1 << len(self.elements)) - 1
-        reversed_by = [0] * len(self.elements)
+        problems = [] if extensions else ["realizer has no extensions"]
+        marks = [1 << i for i in range(len(self))]
+        reversed_by = [0] * len(self)
         for k, ext in enumerate(extensions):
             merged = list(reversed_by)
-            before = 0
-            for e in ext:
-                i = index.get(e)
-                if i is None or before >> i & 1 or below[i] & ~before:
-                    break
-                merged[i] |= before
-                before |= 1 << i
+            if self._extension_walk(ext, marks, merged):
+                reversed_by = merged
             else:
-                if before == full:
-                    reversed_by = merged
-                    continue
-            problems.append("order %d is not a linear extension of the poset" % k)
-        names = self.elements
-        for i, row in enumerate(self.incomparable_masks()):
-            for j in bits(row & ~reversed_by[i]):
-                problems.append("incomparable pair (%s, %s) is reversed by no extension"
-                                % (names[i], names[j]))
+                problems.append("order %d is not a linear extension of the poset" % k)
+        inc = self.incomparable_masks()
+        if tuple(map(and_, inc, reversed_by)) != inc:  # name the pairs no extension reversed
+            for i, row in enumerate(inc):
+                for j in bits(row & ~reversed_by[i]):
+                    problems.append("incomparable pair (%s, %s) is reversed by no extension"
+                                    % (self.elements[i], self.elements[j]))
         return problems
 
     def verify_realizer(self, extensions):
-        """True iff every order is a linear extension and each incomparable
-        ordered pair (x, y) has some extension with y before x."""
+        "True iff ``realizer_violations`` finds nothing."
         return not self.realizer_violations(extensions)
 
 

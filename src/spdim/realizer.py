@@ -28,6 +28,7 @@ is made, and each class is certified and emitted by a single sort.
 import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _string
 from operator import ne, or_
 
@@ -66,17 +67,13 @@ class PairClass:
 
     @classmethod
     def from_json(cls, obj):
-        """The signature of a JSON object; ``ParseError`` if a field is missing or
-        invalid.  Field values are JSON integers: not ``true`` (a bool), not ``2.0``."""
+        """The ``ALL_CLASSES`` member a JSON object names, other keys ignored; ``ParseError`` if a
+        field is missing or invalid.  Field values are JSON integers: not ``true`` (a bool), not ``2.0``."""
         if not isinstance(obj, dict) or type(obj.get("kind")) is not int or obj["kind"] not in (1, 2):
             raise ParseError("signature needs kind 1 or 2: %s" % (json.dumps(obj),), 1)
-        fields = ("order", "up") if obj["kind"] == 1 else ("order", "span", "gate")
-        values = {f: obj.get(f) for f in fields}
-        if all(type(v) is int for v in values.values()):
-            try:
-                return cls(obj["kind"], **values)
-            except ValueError:
-                pass
+        key = (obj["kind"], *map(obj.get, ("order", "up") if obj["kind"] == 1 else ("order", "span", "gate")))
+        if all(type(v) is int for v in key) and key in _BY_FIELDS:  # types first: True == 1 as a key
+            return _BY_FIELDS[key]
         raise ParseError("invalid signature %s" % (json.dumps(obj),), 1)
 
 
@@ -85,6 +82,7 @@ ALL_CLASSES = tuple(
     + [PairClass(2, o, span=sp, gate=g) for o in (1, 2) for sp in (1, 2) for g in (1, 2)]
 )
 CLASS_INDEX = {cls: k for k, cls in enumerate(ALL_CLASSES)}
+_BY_FIELDS = {tuple(cls.to_json().values()): cls for cls in ALL_CLASSES}  # (kind, order, ...) -> class
 
 
 class SignatureRows:
@@ -361,7 +359,8 @@ class Realizer:
     extensions: tuple
 
     def orders(self):
-        return [list(ext) for _, ext in self.extensions]
+        "The extensions in order: the stored tuples themselves, not copies."
+        return [ext for _, ext in self.extensions]
 
     def __len__(self):
         return len(self.extensions)
@@ -500,7 +499,7 @@ def loads_realizer(text):
     for k, entry in enumerate(data):
         if not (isinstance(entry, dict) and "signature" in entry
                 and isinstance(entry.get("extension"), list)
-                and all(isinstance(e, str) for e in entry["extension"])):
+                and all(map(isinstance, entry["extension"], repeat(str)))):
             raise ParseError("realizer entry %d needs a signature and a string list extension" % k, 1)
         sig = entry["signature"]
         cls = None if sig is None else PairClass.from_json(sig)

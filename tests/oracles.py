@@ -10,12 +10,13 @@ through the checked constructors, composition trees by re-deriving every
 node's subgraph, reversed composition trees by rebuilding every node,
 topological orders by Kahn's algorithm over one arc per pair, witness
 cycles by one breadth-first search per pair, linear extensions by sorting,
-decompositions one record per node, their depths by a walk from the root,
-incomparable pairs by one test per ordered pair, the thinning of random
-2-trees by a whole-graph search per drawn deletion, the poset text and the
-``verify`` bundle by one test per line.  The validation, the
-separation predicates and the in-order comparison of s-t decompositions live
-here too, with the order, graph and tree queries that only tests need.
+realizers by comparing positions pair by pair, decompositions one record
+per node, their depths by a walk from the root, incomparable pairs by one
+test per ordered pair, the thinning of random 2-trees by a whole-graph
+search per drawn deletion, the poset text and the ``verify`` bundle by one
+test per line.  The validation, the separation predicates and the in-order
+comparison of s-t decompositions live here too, with the order, graph and
+tree queries that only tests need.
 
 Decompositions and embeddings carry vertex ids; ``id_host`` gives the host
 graph over those ids, which the decomposition checks take.
@@ -719,6 +720,23 @@ def reference_is_linear_extension(poset, order):
         return False
     pos = {e: k for k, e in enumerate(order)}
     return all(pos[x] < pos[y] for x, y in poset.covers())
+
+
+def reference_realizer_violations(poset, extensions):
+    """The list ``Poset.realizer_violations`` must return: the empty-family line, every order
+    ``reference_is_linear_extension`` refuses, then every incomparable pair (x, y) that no accepted
+    order lists with y before x, by comparing the two positions in each."""
+    problems = [] if extensions else ["realizer has no extensions"]
+    positions = []
+    for k, ext in enumerate(extensions):
+        if reference_is_linear_extension(poset, ext):
+            positions.append({e: at for at, e in enumerate(ext)})
+        else:
+            problems.append("order %d is not a linear extension of the poset" % k)
+    for x, y in reference_incomparable_pairs(poset):
+        if not any(pos[y] < pos[x] for pos in positions):
+            problems.append("incomparable pair (%s, %s) is reversed by no extension" % (x, y))
+    return problems
 
 
 def reference_tw2_with_extra_edge(comp, comp_edges, s, t):

@@ -110,6 +110,12 @@ class TestRealizeVerify:
         assert res.exit_code == 0, res.stderr
         assert res.stdout == "verified: 1 extension(s), 0 incomparable pairs\n"
 
+    def test_empty_realizer_exit_1(self):
+        res = run(["verify"], stdin="elements: a b c\na < b\nb < c\n[]\n")
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr == "violation: realizer has no extensions\n"
+
     def test_verify_with_file_flag(self, tmp_path):
         p = standard_example(2)
         realizer_path = tmp_path / "realizer.json"

@@ -16,7 +16,7 @@ from spdim.errors import (
 from spdim.generators import antichain, chain, forest_poset, kelly, random_tw2_poset, standard_example
 from spdim.graphs import Graph
 from spdim.poset import Poset, dumps, loads
-from spdim.realizer import build_instance
+from spdim.realizer import build_instance, realize_tw2
 
 from oracles import (
     brute_covering_chains,
@@ -35,6 +35,7 @@ from oracles import (
     reference_incomparable_pairs,
     reference_is_linear_extension,
     reference_loads,
+    reference_realizer_violations,
     reference_topological_order,
     reference_witness_cycle,
 )
@@ -579,20 +580,62 @@ class TestIncomparableMasks:
 
 
 class TestVerifyRealizer:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(small_posets(max_n=6), st.data())
     def test_matches_per_pair_check(self, p, data):
-        # Prefix masks against the definition, pair by pair, on random
-        # permutations (some not linear extensions) plus one extension.
-        exts = data.draw(st.lists(st.permutations(p.elements), max_size=4))
-        exts.append(list(reversed(p.dual().canonical_extension())))
-        valid = [ext for ext in exts if reference_is_linear_extension(p, ext)]
-        missing = [(x, y) for x, y in p.incomparable_pairs()
-                   if not any(ext.index(y) < ext.index(x) for ext in valid)]
-        want = ["order %d is not a linear extension of the poset" % k
-                for k, ext in enumerate(exts) if not reference_is_linear_extension(p, ext)]
-        want += ["incomparable pair (%s, %s) is reversed by no extension" % pair for pair in missing]
+        # Prefix masks against positions, pair by pair.  Orders are lists over the
+        # names plus an unknown one, of length 0..n+2, or permutations and linear
+        # extensions with one name appended, dropped or replaced, or not, so
+        # duplicates, missing and unknown names and wrong lengths all occur; the
+        # family may be empty.
+        names = list(p.elements) + ["zz"]
+        extension = list(reversed(p.dual().canonical_extension()))
+        exts = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            if data.draw(st.booleans()):
+                exts.append(data.draw(st.lists(st.sampled_from(names), max_size=len(p) + 2)))
+                continue
+            ext = data.draw(st.sampled_from([extension, None])) or data.draw(st.permutations(p.elements))
+            at, name = data.draw(st.integers(0, len(p) - 1)), data.draw(st.sampled_from(names))
+            exts.append(data.draw(st.sampled_from([
+                ext, ext + [name], ext[:at] + ext[at + 1:], ext[:at] + [name] + ext[at + 1:]])))
+        want = reference_realizer_violations(p, exts)
         assert p.realizer_violations(exts) == want
+        assert p.verify_realizer(exts) == (not want)
+        for ext in exts:
+            assert p.is_linear_extension(ext) == reference_is_linear_extension(p, ext)
+
+    def test_failed_walk_reverses_nothing(self):
+        # "a c c" places c after a before the duplicate fails the walk: (c, a) stays unreversed.
+        p = Poset("abc", [("a", "b")])
+        assert p.realizer_violations([["a", "c", "c"]]) == (
+            ["order 0 is not a linear extension of the poset"]
+            + ["incomparable pair (%s, %s) is reversed by no extension" % pair for pair in p.incomparable_pairs()])
+
+    def test_empty_family_is_not_a_realizer(self):
+        c = chain(3)
+        assert c.realizer_violations([]) == ["realizer has no extensions"]
+        assert not c.verify_realizer([])
+        assert antichain(2).realizer_violations([]) == [
+            "realizer has no extensions",
+            "incomparable pair (v0, v1) is reversed by no extension",
+            "incomparable pair (v1, v0) is reversed by no extension"]
+        empty = Poset([])
+        assert empty.realizer_violations([]) == ["realizer has no extensions"]
+        assert empty.verify_realizer([[]])
+
+    @pytest.mark.parametrize("make, n, seed", [
+        (random_tw2_poset, 200, 1), (random_tw2_poset, 200, 2), (forest_poset, 300, 1), (forest_poset, 300, 2),
+    ], ids=["random_tw2-200-1", "random_tw2-200-2", "forest-300-1", "forest-300-2"])
+    def test_realized_family_and_dropped_extensions(self, make, n, seed):
+        p = make(n, seed)
+        exts = realize_tw2(p).orders()
+        assert p.realizer_violations(exts) == []
+        for k in (0, len(exts) - 1):
+            rest = exts[:k] + exts[k + 1:]
+            want = reference_realizer_violations(p, rest)
+            assert want  # these instances need every extension
+            assert p.realizer_violations(rest) == want
 
     def test_chain_single(self):
         c = chain(3)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -83,7 +84,7 @@ class TestSignatureSpace:
 
     def test_json_round_trip(self):
         for cls in ALL_CLASSES:
-            assert PairClass.from_json(cls.to_json()) == cls
+            assert PairClass.from_json(cls.to_json()) is cls
 
 
 class TestClassification:
@@ -478,3 +479,11 @@ class TestRealizerJson:
         r = realize_tw2(chain(3))
         again = loads_realizer(dumps_realizer(r))
         assert again == r
+
+    def test_signature_with_extra_keys_loads_as_its_class(self):
+        # Keys the signature's kind does not use are ignored, as before.
+        for cls in ALL_CLASSES:
+            sig = {**cls.to_json(), "note": "x", "span" if cls.kind == 1 else "up": 7}
+            (got, ext), = loads_realizer(json.dumps([{"signature": sig, "extension": ["a"]}])).extensions
+            assert got == cls and got is cls
+            assert ext == ("a",)
