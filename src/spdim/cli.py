@@ -47,10 +47,13 @@ _RELATION = re.compile(r"\S+\s+<\s+\S+")  # three tokens, '<' in the middle, as 
 
 
 def _echo(message, err=False, nl=True):
-    """``click.echo`` to the stream it would pick, named: click's own choice caches the stream
-    for good, so in-process callers (``CliRunner``) would keep every call's output."""
+    """Write the text to the stream ``click.echo`` would pick, then flush.  Not ``click.echo``
+    itself: it strips ANSI escapes, which element names may hold, from a stream that is not a
+    terminal, and its own stream choice caches the stream, so in-process callers (``CliRunner``)
+    would keep every call's output."""
     stream = click.get_text_stream("stderr" if err else "stdout", errors=None)
-    click.echo(message, file=stream, nl=nl)
+    stream.write(message + "\n" if nl else message)
+    stream.flush()
 
 
 def _fail_usage(exc):
@@ -127,7 +130,7 @@ def dim(poset_file, max_d, cap):
     p = _read_poset(poset_file)
     try:
         result = exactdim.dimension_exact(p, max_d=max_d, cap=cap)
-    except TooLarge as exc:
+    except (BadParameter, TooLarge) as exc:
         _fail_usage(exc)
     except Exceeded as exc:
         _echo("dimension exceeds %d" % exc.max_d, err=True)

@@ -31,8 +31,10 @@ def dimension_exact(poset, max_d=12, cap=60):
 
     ``cap`` guards the search, counting incomparable ordered pairs; ``max_d``
     bounds the number of parts tried (``Exceeded`` when the true dimension is
-    larger).
+    larger).  ``BadParameter`` if ``max_d`` is below 1 or ``cap`` below 0.
     """
+    if max_d < 1 or cap < 0:
+        raise BadParameter("need max_d >= 1 and cap >= 0, got max_d = %d, cap = %d" % (max_d, cap))
     inc = _index_pairs(poset)
     if len(inc) > cap:
         raise TooLarge("%d incomparable pairs exceed the cap of %d" % (len(inc), cap))

@@ -5,10 +5,11 @@ every platform and run.  Random families draw only from
 ``random.Random(seed)`` via ``randrange``/``random``/``shuffle``, which are
 stable Mersenne-Twister consumers.
 
-``random_tw2`` tests each drawn deletion by a search from both ends of the
-edge that stops where the sides meet, not by a search of the whole graph;
-every seed gives the same poset as the whole-graph test.  n = 2,000 takes
-about 0.025 s of CPU and n = ``MAX_N`` about 0.5 s (2-core VM).
+``random_tw2`` tests each drawn deletion by a shared neighbour of its ends,
+else by a search from both ends that stops where the sides meet, not by a
+search of the whole graph; every seed gives the same poset as the
+whole-graph test.  The random families hand index arcs to the closure.
+n = 2,000 takes about 0.015 s of CPU and n = ``MAX_N`` about 0.4 s (2-core VM).
 """
 
 import math
@@ -82,17 +83,12 @@ def antichain(n):
 
 
 def _oriented_poset(n, edges, rng):
-    "Orient edges of a graph by a random vertex ranking; closure gives the poset."
-    ranking = list(range(n))
-    rng.shuffle(ranking)
-    rank = {v: r for v, r in zip(range(n), ranking)}
-    elements = ["v%d" % i for i in range(n)]
-    relations = []
-    for u, v in edges:
-        if rank[u] > rank[v]:
-            u, v = v, u
-        relations.append(("v%d" % u, "v%d" % v))
-    return Poset(elements, relations)
+    "Orient edges of a graph by a random vertex ranking, lower rank below; closure gives the poset."
+    rank = list(range(n))
+    rng.shuffle(rank)
+    elements = tuple(["v%d" % i for i in range(n)])
+    arcs = [(u, v) if rank[u] < rank[v] else (v, u) for u, v in edges]
+    return Poset.__new__(Poset)._close(elements, dict(zip(elements, range(n))), arcs)
 
 
 def random_tw2_poset(n, seed, delete_prob=0.3):
@@ -143,7 +139,10 @@ def forest_poset(n, seed, root_prob=0.25):
 
 
 def _joined(adj, u, v):
-    "True iff a path joins u and v; each side is searched breadth first, the smaller one grown."
+    """True iff a path joins u and v: at once if they share a neighbour, else by a breadth-first
+    search from each side, the smaller one grown."""
+    if not adj[u].isdisjoint(adj[v]):
+        return True
     small, large = (deque([u]), {u}), (deque([v]), {v})
     while small[0]:
         queue, seen = small

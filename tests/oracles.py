@@ -672,7 +672,6 @@ def reference_random_tw2_poset(n, seed, delete_prob=0.3):
     kept when a search from vertex 0 still reaches every vertex."""
     import random
 
-    from spdim.generators import _oriented_poset
     from spdim.poset import Poset
 
     rng = random.Random(seed)
@@ -689,7 +688,33 @@ def reference_random_tw2_poset(n, seed, delete_prob=0.3):
             trial = [f for f in keep if f != e]
             if _connected(n, trial):
                 keep = trial
-    return _oriented_poset(n, keep, rng)
+    return reference_oriented_poset(n, keep, rng)
+
+
+def reference_forest_poset(n, seed, root_prob=0.25):
+    "The poset ``spdim.generators.forest_poset`` must return, from the same draws."
+    import random
+
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() >= root_prob]
+    return reference_oriented_poset(n, edges, rng)
+
+
+def reference_oriented_poset(n, edges, rng):
+    """The edges oriented by a shuffled vertex ranking, as named relations that
+    ``Poset`` maps back to indices: lower rank below."""
+    from spdim.poset import Poset
+
+    ranking = list(range(n))
+    rng.shuffle(ranking)
+    rank = {v: r for v, r in zip(range(n), ranking)}
+    elements = ["v%d" % i for i in range(n)]
+    relations = []
+    for u, v in edges:
+        if rank[u] > rank[v]:
+            u, v = v, u
+        relations.append(("v%d" % u, "v%d" % v))
+    return Poset(elements, relations)
 
 
 def _connected(n, edges):

@@ -84,6 +84,14 @@ class TestDim:
         assert res.exit_code == 0
         assert res.output.strip() == "2"
 
+    @pytest.mark.parametrize("family", ["chain", "standard_example"])
+    @pytest.mark.parametrize("bound", [["--max-d", "0"], ["--max-d", "-3"], ["--cap", "-1"]])
+    def test_impossible_bound_is_a_usage_error(self, family, bound):
+        res = run(["dim"] + bound, stdin=gen_text(family, 3))
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: need max_d >= 1 and cap >= 0")
+        assert res.stdout == ""
+
     def test_parse_error_exit_2(self):
         res = run(["dim"], stdin="elements: a b\na <\n")
         assert res.exit_code == 2
@@ -318,6 +326,33 @@ class TestRepeatedInvocation:
         finally:
             tracemalloc.stop()
         assert grown < size
+
+
+ANSI_POSET = "elements: \x1b[31ma b c\n\x1b[31ma < b\n"  # an element name holding an ANSI escape
+
+
+class TestAnsiNames:
+    def test_names_survive_in_process(self):
+        bundle = run(["realize"], stdin=ANSI_POSET).output
+        assert bundle.startswith(ANSI_POSET)
+        res = run(["verify"], stdin=bundle)
+        assert res.exit_code == 0, res.stderr
+        assert '"\x1b[31ma"' in run(["decompose", "--dot"], stdin=ANSI_POSET).output
+
+    def test_names_survive_a_pipe(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+        def spdim(*args, stdin):
+            return subprocess.run([sys.executable, "-m", "spdim", *args], input=stdin, capture_output=True,
+                                  text=True, cwd=tmp_path, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+
+        bundle = spdim("realize", stdin=ANSI_POSET)
+        assert bundle.returncode == 0, bundle.stderr
+        verified = spdim("verify", stdin=bundle.stdout)
+        assert verified.returncode == 0, verified.stderr
+        assert verified.stdout.startswith("verified: ")
+        dot = spdim("decompose", "--dot", stdin=ANSI_POSET)
+        assert '"\x1b[31ma" -- "b";' in dot.stdout
 
 
 class TestModuleEntryPoint:

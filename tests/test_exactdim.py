@@ -57,6 +57,17 @@ class TestDimension:
         with pytest.raises(TooLarge):
             dimension_exact(antichain(10), cap=10)
 
+    @pytest.mark.parametrize("poset", [chain(3), antichain(3)], ids=["chain", "antichain"])
+    @pytest.mark.parametrize("bounds", [{"max_d": 0}, {"max_d": -3}, {"cap": -1}])
+    def test_impossible_bounds_refused(self, poset, bounds):
+        with pytest.raises(BadParameter):
+            dimension_exact(poset, **bounds)
+
+    def test_least_bounds_accepted(self):
+        assert dimension_exact(chain(3), max_d=1, cap=0).dimension == 1
+        with pytest.raises(Exceeded):
+            dimension_exact(antichain(3), max_d=1)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=10**6))
     def test_matches_brute_force(self, n, seed):

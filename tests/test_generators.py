@@ -1,4 +1,6 @@
+import hashlib
 import time
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from spdim.errors import BadParameter
 from spdim.exactdim import dimension_exact
 from spdim.generators import (
     MAX_N,
+    _joined,
     antichain,
     chain,
     forest_poset,
@@ -18,8 +21,25 @@ from spdim.generators import (
 from spdim.poset import dumps
 from spdim.spembed import has_treewidth_at_most_2
 
-from oracles import less, reference_random_tw2_poset
+from oracles import less, reference_forest_poset, reference_random_tw2_poset
 from test_acceptance import CORPUS
+
+
+# ``gen`` text pinned by SHA-256 over these (family, n, seed) triples, in order;
+# the digest was taken before the random families went over to index arcs.
+GEN_CASES = ([("random_tw2", n, s) for n in (1, 2, 3, 60, 500, 2000) for s in (0, 1, 7)]
+             + [("forest", n, s) for n in (1, 10, 800) for s in (0, 1, 7)]
+             + [("standard_example", n, 0) for n in (2, 3, 5)]
+             + [("kelly", n, 0) for n in (2, 3, 5)]
+             + [(family, n, 0) for family in ("chain", "antichain") for n in (1, 7)])
+GEN_SHA256 = "4dd4b9d85d5cf23583d0d47f7772d2f97f6aee9d19908df348ae155c93678085"
+
+
+def test_generated_text_matches_pinned_digest():
+    h = hashlib.sha256()
+    for family, n, seed in GEN_CASES:
+        h.update(dumps(generate(family, n, seed)).encode("utf-8"))
+    assert h.hexdigest() == GEN_SHA256
 
 
 class TestStandardExample:
@@ -147,12 +167,18 @@ class TestRandomTw2AgainstReference:
         assert (dumps(random_tw2_poset(n, seed, delete_prob))
                 == dumps(reference_random_tw2_poset(n, seed, delete_prob)))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=10**6),
+           st.sampled_from([0, 0.25, 1]))
+    def test_forest_random_triples(self, n, seed, root_prob):
+        assert dumps(forest_poset(n, seed, root_prob)) == dumps(reference_forest_poset(n, seed, root_prob))
+
     def test_n_1000(self):
         assert dumps(random_tw2_poset(1000, 5)) == dumps(reference_random_tw2_poset(1000, 5))
 
     def test_max_n_is_cheap(self):
         # The largest size ``gen`` accepts, which the quadratic thinning
-        # could not reach in bounded time: about 0.5 s of CPU on a 2-core VM.
+        # could not reach in bounded time: about 0.4 s of CPU on a 2-core VM.
         start = time.process_time()
         p = generate("random_tw2", MAX_N, 0)
         spent = time.process_time() - start
@@ -161,3 +187,45 @@ class TestRandomTw2AgainstReference:
         assert len(g.components()) == 1
         assert has_treewidth_at_most_2(g)
         assert spent < 10.0
+
+
+def _bfs_reaches(adj, u, v):
+    seen, queue = {u}, deque([u])
+    while queue:
+        for w in adj[queue.popleft()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return v in seen
+
+
+@st.composite
+def graph_minus_edge(draw):
+    "A graph on up to 12 vertices and an edge uv removed from it: (adj, u, v)."
+    n = draw(st.integers(min_value=2, max_value=12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    u, v = draw(st.sampled_from(edges))
+    adj = [set() for _ in range(n)]
+    for a, b in edges:
+        if (a, b) != (u, v):
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj, u, v
+
+
+class TestJoined:
+    @settings(max_examples=300, deadline=None)
+    @given(graph_minus_edge())
+    def test_matches_breadth_first_reachability(self, case):
+        adj, u, v = case
+        before = [set(row) for row in adj]
+        assert _joined(adj, u, v) == _bfs_reaches(adj, u, v)
+        assert adj == before
+
+    def test_shared_neighbour_and_long_path(self):
+        triangle = [{2}, {2}, {0, 1}]  # edge 01 removed; 2 is a common neighbour
+        assert _joined(triangle, 0, 1)
+        path = [{2}, {3}, {0, 3}, {1, 2}]  # edge 01 removed; 0-2-3-1 joins them
+        assert _joined(path, 0, 1)
+        assert not _joined([{2}, set(), {0}], 0, 1)
