@@ -26,19 +26,14 @@ from .poset import Poset
 from .poset import dumps as dumps_poset, loads as loads_poset
 from .realizer import (
     ALL_CLASSES,
-    ClassifiedInstance,
     PairClass,
     Realizer,
     SignatureRows,
-    build_instance,
-    classify_pair,
-    classify_pairs,
+    decompose_poset,
     dumps_realizer,
     loads_realizer,
     metamorphic_check,
-    partition_inc_pairs,
     realize_tw2,
-    signature_census,
 )
 from .spembed import (
     Embedding,

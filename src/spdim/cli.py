@@ -28,15 +28,8 @@ from .errors import (
     UnknownElement,
 )
 from .graphs import dumps_dot
-from .realizer import (
-    build_instance,
-    dumps_realizer,
-    loads_realizer,
-    metamorphic_check,
-    realize_tw2,
-    signature_census,
-    ALL_CLASSES,
-)
+from .realizer import (ALL_CLASSES, SignatureRows, decompose_poset, dumps_realizer, loads_realizer,
+                       metamorphic_check, realize_tw2)
 from .spembed import augment_with_fresh_terminals, embed_into_sp
 
 INPUT_ERRORS = (ParseError, CycleError, UnknownElement, BadParameter, NotTreewidth2, TooLarge)
@@ -209,36 +202,36 @@ def decompose(poset_file, as_json, as_dot):
     _echo(stdecomp.dumps_decomposition(decomp), nl=False)
 
 
+def _read_signature_rows(poset_file):
+    "The signature class rows of the input poset; exit 2 if its cover graph has treewidth above 2."
+    p = _read_poset(poset_file)
+    try:
+        return SignatureRows(p, decompose_poset(p))
+    except NotTreewidth2 as exc:
+        _fail_usage(exc)
+
+
 @main.command()
 @poset_option
 def classify(poset_file):
     "Print the signature census table."
-    p = _read_poset(poset_file)
-    try:
-        instance = build_instance(p)
-    except NotTreewidth2 as exc:
-        _fail_usage(exc)
-    census = signature_census(instance)
-    for cls in ALL_CLASSES:
-        _echo("%-28s %d" % (cls, census[cls]))
-    _echo("%-28s %d" % ("total", sum(census.values())))
+    census = _read_signature_rows(poset_file).census()
+    for cls, count in zip(ALL_CLASSES, census):
+        _echo("%-28s %d" % (cls, count))
+    _echo("%-28s %d" % ("total", sum(census)))
 
 
 @main.command("check-claims")
 @poset_option
 def check_claims(poset_file):
     "Re-classify under dual/reversed/swapped transforms and report violations."
-    p = _read_poset(poset_file)
-    try:
-        instance = build_instance(p)
-    except NotTreewidth2 as exc:
-        _fail_usage(exc)
-    report = metamorphic_check(instance)
+    rows = _read_signature_rows(poset_file)
+    report = metamorphic_check(rows)
     if report:
         for violation in report:
             _echo("violation: %s" % violation, err=True)
         sys.exit(1)
-    _echo("no violations (%d pairs checked)" % p.incomparable_count())
+    _echo("no violations (%d pairs checked)" % rows.poset.incomparable_count())
 
 
 @main.command()
@@ -257,6 +250,8 @@ def batch(family, n, count, seed, jobs, oracle_cap):
         _fail_usage("--jobs must be between 1 and %d (the CPU count)" % cpus)
     if count < 1:
         _fail_usage("--count must be at least 1")
+    if oracle_cap < 0:
+        _fail_usage("--oracle-cap must be at least 0")
     try:
         generators.check_request(family, n)
     except (BadParameter, TooLarge) as exc:

@@ -27,12 +27,12 @@ is made, and each class is certified and emitted by a single sort.
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _string
 from operator import ne, or_
 
-from .errors import MalformedInstance, NotReversible, PairNotIncomparable, ParseError, ReversibilityViolation
+from .errors import MalformedInstance, NotReversible, ParseError, ReversibilityViolation
 from .poset import bits
 from .spembed import augment_with_fresh_terminals, embed_into_sp
 from .stdecomp import build_st_decomposition
@@ -107,8 +107,7 @@ class SignatureRows:
     element x starts at entry N + x, which meets its home's right subtree.
     """
 
-    def __init__(self, poset, decomp, inc=None):
-        "``inc``, if given, is ``poset.incomparable_masks()``."
+    def __init__(self, poset, decomp):
         self.poset = poset
         self.decomp = decomp
         n = len(poset)
@@ -157,7 +156,7 @@ class SignatureRows:
         self._step += [h if right[h] is None else right[h] for h in home]
         self._other += [0 if right[h] is None else sub[right[h]] for h in home]
         self._side += [1] * n
-        self.rows = self._classify(poset.incomparable_masks() if inc is None else inc)
+        self.rows = self._classify(poset.incomparable_masks())
 
     def _classify(self, inc):
         """The 12 class rows, by one walk per element x from its start entry:
@@ -291,60 +290,11 @@ def _bag_unions(masks, bags, left):
             else reduce(or_, map(masks.__getitem__, b), 0) for b, l in zip(bags, left)]
 
 
-def classify_pairs(poset, decomp):
-    "Signature of every incomparable ordered pair under one decomposition."
-    return SignatureRows(poset, decomp).classification()
-
-
-def _decompose(poset):
-    "Embed the cover graph (testing its treewidth once), add fresh outer terminals, decompose."
+def decompose_poset(poset):
+    """The s-t tree-decomposition the classes are read from: the cover graph embedded in an SP
+    graph (testing its treewidth once, ``NotTreewidth2`` above 2), with fresh outer terminals."""
     embedding = augment_with_fresh_terminals(embed_into_sp(poset.cover_graph()))
-    return embedding, build_st_decomposition(embedding.sp, embedding.names)
-
-
-class ClassifiedInstance:
-    """A poset together with its embedding, decomposition and class rows."""
-
-    def __init__(self, poset, embedding, decomp):
-        self.poset = poset
-        self.embedding = embedding
-        self.decomp = decomp
-        self.rows = SignatureRows(poset, decomp)
-        self.home = dict(zip(poset.elements, self.rows.home))
-
-    @cached_property
-    def classification(self):
-        return self.rows.classification()
-
-
-def build_instance(poset):
-    "Embed the cover graph, add fresh outer terminals, decompose, classify."
-    return ClassifiedInstance(poset, *_decompose(poset))
-
-
-def classify_pair(instance, x, y):
-    try:
-        return instance.classification[(x, y)]
-    except KeyError:
-        raise PairNotIncomparable("(%r, %r) is not an incomparable pair" % (x, y)) from None
-
-
-def partition_inc_pairs(instance):
-    """Group the incomparable pairs by signature and certify that every class
-    is reversible.  A failure would be an implementation bug; it raises
-    ``ReversibilityViolation`` carrying the witness cycle."""
-    rows = instance.rows
-    parts = {}
-    for k, cls in enumerate(ALL_CLASSES):
-        if any(rows.rows[k]):
-            rows.extension(k)
-            parts[cls] = instance.poset.pairs_of_rows(rows.rows[k])
-    return parts
-
-
-def signature_census(instance):
-    "Pair count per signature, zeros included (sums to |Inc|)."
-    return dict(zip(ALL_CLASSES, instance.rows.census()))
+    return build_st_decomposition(embedding.sp, embedding.names)
 
 
 @dataclass(frozen=True)
@@ -373,10 +323,9 @@ def realize_tw2(poset):
     class); their intersection is exactly the input order.  A poset without
     incomparable pairs is a chain, whose cover graph is a path.
     """
-    inc = poset.incomparable_masks()
-    if not any(inc):
+    if not any(poset.incomparable_masks()):
         return Realizer(((None, tuple(poset.canonical_extension())),))
-    rows = SignatureRows(poset, _decompose(poset)[1], inc)
+    rows = SignatureRows(poset, decompose_poset(poset))
     return Realizer(tuple((cls, tuple(rows.extension(k)))
                           for k, cls in enumerate(ALL_CLASSES) if any(rows.rows[k])))
 
@@ -423,14 +372,13 @@ def _swapped_class(cls):
     return None
 
 
-def metamorphic_check(instance):
-    """Re-classify all pairs under the dual poset, the reversed decomposition
-    and the size-2 child swap, and compare against the signature relabelings
-    these transformations are guaranteed to produce.  Returns the list of
-    violations (empty on a correct implementation)."""
-    poset = instance.poset
-    decomp = instance.decomp
-    base = instance.rows
+def metamorphic_check(base):
+    """Re-classify all pairs of the ``SignatureRows`` under the dual poset, the
+    reversed decomposition and the size-2 child swap, and compare against the
+    signature relabelings these transformations are guaranteed to produce.
+    Returns the list of violations (empty on a correct implementation)."""
+    poset = base.poset
+    decomp = base.decomp
     names = poset.elements
     report = []
 

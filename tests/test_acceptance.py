@@ -10,11 +10,11 @@ import time
 
 import pytest
 
-from spdim.errors import ReversibilityViolation
+from spdim.errors import NotTreewidth2, ReversibilityViolation
 from spdim.exactdim import contains_standard_example, dimension_exact
 from spdim.generators import forest_poset, kelly, random_tw2_poset, standard_example
 from spdim.graphs import Graph
-from spdim.realizer import build_instance, metamorphic_check, realize_tw2
+from spdim.realizer import SignatureRows, decompose_poset, metamorphic_check, realize_tw2
 from spdim.spembed import augment_with_fresh_terminals, embed_into_sp, has_treewidth_at_most_2
 from spdim.stdecomp import build_st_decomposition
 
@@ -106,7 +106,8 @@ def test_criterion_05_forest_bound():
 
 def test_criterion_06_kelly_properties():
     containment = all(contains_standard_example(kelly(n), n) for n in (2, 3, 4))
-    tw3 = not has_treewidth_at_most_2(kelly(3).cover_graph())
+    g = kelly(3).cover_graph()
+    tw3 = not has_treewidth_at_most_2(g) and _embedding_refused(g)
     report(6, containment and tw3,
            "kelly contains its standard example (n=2,3,4); kelly(3) not treewidth <= 2")
 
@@ -144,11 +145,11 @@ def test_criterion_08_classification_transform_checks():
     pairs = 0
     for seed, n in CORPUS:
         p = random_tw2_poset(n, seed)
-        if not p.incomparable_pairs():
+        count = p.incomparable_count()
+        if not count:
             continue
-        inst = build_instance(p)
-        pairs += len(inst.classification)
-        bad += len(metamorphic_check(inst))
+        pairs += count
+        bad += len(metamorphic_check(SignatureRows(p, decompose_poset(p))))
     report(8, bad == 0, "classification transform checks: %d violations over %d pairs"
            % (bad, pairs))
 
@@ -218,15 +219,29 @@ def _grow_connected(graph, rng, start, goal):
     return chosen
 
 
+def _embedding_refused(g):
+    "Whether ``embed_into_sp``, the recognizer the pipeline runs, refuses g as treewidth above 2."
+    try:
+        embed_into_sp(g)
+    except NotTreewidth2:
+        return True
+    return False
+
+
 def test_criterion_10_recognition_against_minor_oracle():
+    # Both recognizers against the minor oracle: the reduction test and the
+    # SP embedding, which refuses exactly the graphs with a K4 minor.
     k4 = Graph("abcd", [("a", "b"), ("a", "c"), ("a", "d"),
                         ("b", "c"), ("b", "d"), ("c", "d")])
-    ok = not has_treewidth_at_most_2(k4)
+    ok = not has_treewidth_at_most_2(k4) and _embedding_refused(k4)
     checked = 0
+    mismatches = 0
     for n in range(1, 7):
         for g in all_labeled_graphs(n, Graph):
-            if has_treewidth_at_most_2(g) != (not has_k4_minor(g)):
+            minor = has_k4_minor(g)
+            if has_treewidth_at_most_2(g) == minor:
                 ok = False
+            mismatches += _embedding_refused(g) != minor
             checked += 1
     rng = random.Random(7)
     sampled = 0
@@ -235,8 +250,11 @@ def test_criterion_10_recognition_against_minor_oracle():
     for _ in range(300):
         edges = [e for e in slots if rng.random() < rng.choice((0.2, 0.35, 0.5))]
         g = Graph(verts, edges)
-        if has_treewidth_at_most_2(g) != (not has_k4_minor(g)):
+        minor = has_k4_minor(g)
+        if has_treewidth_at_most_2(g) == minor:
             ok = False
+        mismatches += _embedding_refused(g) != minor
         sampled += 1
-    report(10, ok, "recognition matches the minor oracle on %d exhaustive + %d sampled graphs; "
-                   "K4 rejected" % (checked, sampled))
+    report(10, ok and mismatches == 0,
+           "recognition matches the minor oracle on %d exhaustive + %d sampled graphs; "
+           "embed_into_sp mismatches: %d; K4 rejected" % (checked, sampled, mismatches))

@@ -186,6 +186,7 @@ class TestRealizeVerify:
     def test_realize_rejects_treewidth_3_exit_2(self):
         res = run(["realize"], stdin=gen_text("kelly", 3))
         assert res.exit_code == 2
+        assert res.stderr == "error: input graph has treewidth greater than 2\n"
 
 
 @pytest.fixture
@@ -254,6 +255,13 @@ class TestDecomposeClassify:
         assert res.exit_code == 0
         assert res.output.strip().splitlines()[-1].split()[-1] == "0"
 
+    @pytest.mark.parametrize("verb", ["classify", "check-claims"])
+    def test_treewidth_3_exit_2(self, verb):
+        res = run([verb], stdin=gen_text("kelly", 3))
+        assert res.exit_code == 2
+        assert res.stderr == "error: input graph has treewidth greater than 2\n"
+        assert res.stdout == ""
+
 
 class TestCheckClaims:
     def test_clean_instance(self):
@@ -280,7 +288,8 @@ class TestBatch:
         (["--n", "1", "--count", "2", "--family", "kelly"], "error: kelly needs n >= 2"),
         (["--n", "5", "--count", "-1"], "error: --count must be at least 1"),
         (["--n", "5", "--count", "0"], "error: --count must be at least 1"),
-    ], ids=["n-0", "kelly-n-1", "count-minus-1", "count-0"])
+        (["--n", "8", "--count", "2", "--oracle-cap", "-5"], "error: --oracle-cap must be at least 0"),
+    ], ids=["n-0", "kelly-n-1", "count-minus-1", "count-0", "oracle-cap-minus-5"])
     def test_batch_input_errors_exit_2(self, args, message, monkeypatch):
         def no_work(task):
             raise AssertionError("an instance was run")

@@ -16,7 +16,7 @@ from spdim.errors import (
 from spdim.generators import antichain, chain, forest_poset, kelly, random_tw2_poset, standard_example
 from spdim.graphs import Graph
 from spdim.poset import Poset, dumps, loads
-from spdim.realizer import build_instance, realize_tw2
+from spdim.realizer import SignatureRows, decompose_poset, realize_tw2
 
 from oracles import (
     brute_covering_chains,
@@ -414,7 +414,7 @@ class TestExtensionFromRows:
         # order.  A search per pair over its ~118,000 pairs did not finish
         # in 200 s.
         p = random_tw2_poset(500, 1)
-        rows = build_instance(p).rows.rows
+        rows = SignatureRows(p, decompose_poset(p)).rows
         union = next(u for a in range(12) for b in range(a + 1, 12)
                      for u in [[x | y for x, y in zip(rows[a], rows[b])]]
                      if len(p._topological_order(u)) < len(p))

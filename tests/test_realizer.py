@@ -7,23 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdim import spembed
-from spdim.errors import MalformedInstance, NotTreewidth2, PairNotIncomparable, PreconditionViolated
+from spdim.errors import MalformedInstance, NotTreewidth2, PreconditionViolated
 from spdim.generators import chain, forest_poset, generate, kelly, random_tw2_poset, standard_example
 from spdim.poset import Poset, bits
 from spdim.realizer import (
     ALL_CLASSES,
-    ClassifiedInstance,
     PairClass,
     SignatureRows,
-    build_instance,
-    classify_pair,
-    classify_pairs,
+    decompose_poset,
     dumps_realizer,
     loads_realizer,
     metamorphic_check,
-    partition_inc_pairs,
     realize_tw2,
-    signature_census,
 )
 from spdim.stdecomp import DecompNode, STDecomposition
 
@@ -36,11 +31,12 @@ from oracles import (
 from test_acceptance import CORPUS
 
 
-def instance_for(seed, n):
+def rows_for(seed, n):
+    "The class rows of random_tw2_poset(n, seed), or None if it has no incomparable pair."
     p = random_tw2_poset(n, seed)
-    if not p.incomparable_pairs():
+    if not p.incomparable_count():
         return None
-    return build_instance(p)
+    return SignatureRows(p, decompose_poset(p))
 
 
 class TestSignatureSpace:
@@ -93,8 +89,7 @@ class TestClassification:
         # ordered pairs, all of kind 1, worked out by hand on the emitted
         # decomposition (host path +s a b c +c1 +t).
         p = Poset("abc", [("a", "b")])
-        inst = build_instance(p)
-        assert inst.classification == {
+        assert SignatureRows(p, decompose_poset(p)).classification() == {
             ("a", "c"): PairClass(1, 1, up=2),
             ("b", "c"): PairClass(1, 1, up=2),
             ("c", "a"): PairClass(1, 2, up=1),
@@ -102,32 +97,35 @@ class TestClassification:
         }
 
     def test_order_component_antisymmetric(self):
-        inst = build_instance(standard_example(3))
-        for (x, y), cls in inst.classification.items():
-            assert cls.order == 3 - inst.classification[(y, x)].order
+        p = standard_example(3)
+        classification = SignatureRows(p, decompose_poset(p)).classification()
+        for (x, y), cls in classification.items():
+            assert cls.order == 3 - classification[(y, x)].order
 
-    def test_classify_pair_raises_on_comparable(self):
-        inst = build_instance(standard_example(2))
-        with pytest.raises(PairNotIncomparable):
-            classify_pair(inst, "a1", "b2")
+    def test_comparable_pair_has_no_class(self):
+        p = standard_example(2)
+        rows = SignatureRows(p, decompose_poset(p))
+        assert rows.class_of(p.index("a1"), p.index("b2")) is None
+        assert ("a1", "b2") not in rows.classification()
 
     def test_home_nodes_are_middles(self):
-        inst = build_instance(random_tw2_poset(20, 3))
-        d = inst.decomp
-        for x, w in inst.home.items():
+        p = random_tw2_poset(20, 3)
+        rows = SignatureRows(p, decompose_poset(p))
+        d = rows.decomp
+        for x, w in zip(p.elements, rows.home):
             node = d.nodes[w]
             assert len(node.bag) == 3 and d.names[node.middle] == x
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=2, max_value=35), st.integers(min_value=0, max_value=10**6))
     def test_total_and_antisymmetric(self, n, seed):
-        inst = instance_for(seed, n)
-        if inst is None:
+        rows = rows_for(seed, n)
+        if rows is None:
             return
-        inc = set(inst.poset.incomparable_pairs())
-        assert set(inst.classification) == inc
-        for (x, y), cls in inst.classification.items():
-            assert cls.order == 3 - inst.classification[(y, x)].order
+        classification = rows.classification()
+        assert set(classification) == set(rows.poset.incomparable_pairs())
+        for (x, y), cls in classification.items():
+            assert cls.order == 3 - classification[(y, x)].order
 
 
 def _all_pairs_incomparable(self):
@@ -154,18 +152,18 @@ class TestRowsMatchReference:
     def test_acceptance_corpus(self):
         for seed, n in CORPUS:
             p = random_tw2_poset(n, seed)
-            inst = build_instance(p)
-            assert inst.classification == reference_classification(p, inst.decomp), (seed, n)
+            rows = SignatureRows(p, decompose_poset(p))
+            assert rows.classification() == reference_classification(p, rows.decomp), (seed, n)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(["random_tw2", "forest"]), st.integers(min_value=2, max_value=60),
            st.integers(min_value=0, max_value=10**6))
     def test_families_transforms_and_duals(self, family, n, seed):
         p = generate(family, n, seed)
-        decomp = build_instance(p).decomp
+        decomp = decompose_poset(p)
         for d in (decomp, decomp.reverse(), decomp.swap_size2_children()):
             for q in (p, p.dual()):
-                assert classify_pairs(q, d) == reference_classification(q, d)
+                assert SignatureRows(q, d).classification() == reference_classification(q, d)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6),
@@ -174,7 +172,7 @@ class TestRowsMatchReference:
         # One poset classified against another's decomposition of the same
         # ground set: classes and terminal-pair conflicts still agree.
         q = forest_poset(n, seed_b) if seed_b % 2 else random_tw2_poset(n, seed_b)
-        d = build_instance(random_tw2_poset(n, seed_a)).decomp
+        d = decompose_poset(random_tw2_poset(n, seed_a))
         rows = SignatureRows(q, d)
         assert rows.classification() == reference_classification(q, d)
         ref = ReferenceClassifier(q, d)
@@ -190,7 +188,7 @@ class TestRowsMatchReference:
         # ordered pair x != y: the row classifier must raise on the same
         # first pair as the reference, or agree with it on all pairs.
         p = random_tw2_poset(n, seed)
-        d = build_instance(p).decomp
+        d = decompose_poset(p)
         pairs = [(x, y) for x in p.elements for y in p.elements if x != y]
         want = _reference_outcome(p, d, pairs)
         mp = pytest.MonkeyPatch()
@@ -218,14 +216,14 @@ class TestRowsMatchReference:
         for seed, n in CORPUS[:40]:
             p = random_tw2_poset(n, seed)
             names = p.elements
-            for row in build_instance(p).rows.rows:
+            for row in SignatureRows(p, decompose_poset(p)).rows:
                 assert p.pairs_of_rows(row) == [(names[i], names[j])
                                                 for i, ys in enumerate(row) for j in bits(ys)]
 
     def test_decomposition_of_other_elements(self):
         # Element i is vertex id i, so a decomposition whose first vertices
         # are not the poset's elements is refused.
-        d = build_instance(Poset("xyz", [("x", "y")])).decomp
+        d = decompose_poset(Poset("xyz", [("x", "y")]))
         with pytest.raises(MalformedInstance, match="first vertices"):
             SignatureRows(Poset("abc", [("a", "b")]), d)
 
@@ -244,12 +242,11 @@ def test_least_node_repeating_a_terminal(bag, s, t):
 
 class TestRealizePath:
     def test_no_per_pair_work(self, monkeypatch):
-        # The realize path walks rows: no lca call and no ClassifiedInstance.
+        # The realize path walks rows: no lca call.
         def forbidden(*args, **kwargs):
             raise AssertionError("per-pair step on the realize path")
 
         monkeypatch.setattr(STDecomposition, "lca", forbidden)
-        monkeypatch.setattr(ClassifiedInstance, "__init__", forbidden)
         p = forest_poset(60, 4)
         r = realize_tw2(p)
         assert p.verify_realizer(r.orders())
@@ -282,48 +279,46 @@ class TestRealizePath:
 
 class TestPartition:
     def test_chain_empty(self):
+        # a chain has no pairs to partition; its class rows are still built
         p = chain(4)
-        # a chain has no pairs to partition; build_instance still works
-        inst = build_instance(p)
-        assert partition_inc_pairs(inst) == {}
+        assert not any(map(any, SignatureRows(p, decompose_poset(p)).rows))
 
     def test_partition_covers_inc(self):
         # S4 and beyond leave the hypothesis class: their cover graphs
         # contain a K4 minor, so only orders 2 and 3 can be classified.
         for n in (2, 3):
-            inst = build_instance(standard_example(n))
-            parts = partition_inc_pairs(inst)
-            assert len(parts) <= 12
-            everything = [pair for pairs in parts.values() for pair in pairs]
-            assert sorted(everything) == sorted(inst.poset.incomparable_pairs())
+            p = standard_example(n)
+            rows = SignatureRows(p, decompose_poset(p))
+            everything = [pair for row in rows.rows for pair in p.pairs_of_rows(row)]
+            assert sorted(everything) == sorted(p.incomparable_pairs())
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=2, max_value=35), st.integers(min_value=0, max_value=10**6))
     def test_every_class_reversible(self, n, seed):
-        inst = instance_for(seed, n)
-        if inst is None:
+        rows = rows_for(seed, n)
+        if rows is None:
             return
-        parts = partition_inc_pairs(inst)  # raises ReversibilityViolation on failure
-        for pairs in parts.values():
-            assert is_reversible(inst.poset, pairs)
+        p = rows.poset
+        for k, row in enumerate(rows.rows):
+            if any(row):
+                rows.extension(k)  # raises ReversibilityViolation on failure
+                assert is_reversible(p, p.pairs_of_rows(row))
 
 
 class TestCensus:
     def test_chain_all_zero(self):
-        inst = build_instance(chain(5))
-        census = signature_census(inst)
-        assert set(census) == set(ALL_CLASSES)
-        assert all(v == 0 for v in census.values())
+        p = chain(5)
+        assert SignatureRows(p, decompose_poset(p)).census() == [0] * len(ALL_CLASSES)
 
     def test_sums_to_inc(self):
         for n in (2, 3):
-            inst = build_instance(standard_example(n))
-            census = signature_census(inst)
-            assert sum(census.values()) == len(inst.poset.incomparable_pairs())
+            p = standard_example(n)
+            census = SignatureRows(p, decompose_poset(p)).census()
+            assert sum(census) == len(p.incomparable_pairs())
 
     def test_fixture_census(self):
-        inst = build_instance(Poset("abc", [("a", "b")]))
-        census = signature_census(inst)
+        p = Poset("abc", [("a", "b")])
+        census = dict(zip(ALL_CLASSES, SignatureRows(p, decompose_poset(p)).census()))
         assert census[PairClass(1, 1, up=2)] == 2
         assert census[PairClass(1, 2, up=1)] == 2
         assert sum(census.values()) == 4
@@ -415,30 +410,31 @@ class TestRealize:
                 assert p.verify_realizer(r.orders())
                 nonempty = sum(1 for cls, _ in r.extensions if cls is not None) or 1
                 assert dimension_exact(p, cap=100).dimension <= nonempty
-                if p.incomparable_pairs():
-                    assert metamorphic_check(build_instance(p)) == []
+                if p.incomparable_count():
+                    assert metamorphic_check(SignatureRows(p, decompose_poset(p))) == []
 
 
 class TestMetamorphic:
     def test_no_pairs_empty_report(self):
-        assert metamorphic_check(build_instance(chain(3))) == []
+        p = chain(3)
+        assert metamorphic_check(SignatureRows(p, decompose_poset(p))) == []
 
     def test_fixture_dual_flip(self):
         # A kind-1 pair with up=2 classifies as (3-order, up=1) for the
         # mirrored pair in the dual poset under the same decomposition.
         p = Poset("abc", [("a", "b")])
-        inst = build_instance(p)
-        dual_cls = classify_pairs(p.dual(), inst.decomp)
-        assert inst.classification[("a", "c")] == PairClass(1, 1, up=2)
+        rows = SignatureRows(p, decompose_poset(p))
+        dual_cls = SignatureRows(p.dual(), rows.decomp).classification()
+        assert rows.classification()[("a", "c")] == PairClass(1, 1, up=2)
         assert dual_cls[("c", "a")] == PairClass(1, 2, up=1)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=2, max_value=35), st.integers(min_value=0, max_value=10**6))
     def test_zero_violations(self, n, seed):
-        inst = instance_for(seed, n)
-        if inst is None:
+        rows = rows_for(seed, n)
+        if rows is None:
             return
-        assert metamorphic_check(inst) == []
+        assert metamorphic_check(rows) == []
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6),
@@ -447,26 +443,27 @@ class TestMetamorphic:
     def test_reports_match_reference(self, n, seed, moves):
         # Move a few pairs to other classes, then compare the whole report,
         # order and wording included, with the per-pair reference check.
-        inst = instance_for(seed, n)
-        if inst is None:
+        sig = rows_for(seed, n)
+        if sig is None:
             return
-        rows = inst.rows.rows
-        names = inst.poset.elements
-        pairs = inst.poset.incomparable_pairs()
+        rows = sig.rows
+        names = sig.poset.elements
+        pairs = sig.poset.incomparable_pairs()
         for pick, k in moves:
-            x, y = (inst.poset.index(e) for e in pairs[pick % len(pairs)])
+            x, y = (sig.poset.index(e) for e in pairs[pick % len(pairs)])
             for row in rows:
                 row[x] &= ~(1 << y)
             rows[k][x] |= 1 << y
         base = {(names[x], names[y]): ALL_CLASSES[k] for k, row in enumerate(rows)
                 for x, ys in enumerate(row) for y in bits(ys)}
         base = {pair: base[pair] for pair in pairs}
-        want = reference_metamorphic_check(inst.poset, inst.decomp, base)
-        assert metamorphic_check(inst) == want
+        want = reference_metamorphic_check(sig.poset, sig.decomp, base)
+        assert metamorphic_check(sig) == want
 
     def test_standard_examples_zero_violations(self):
         for n in (2, 3):
-            assert metamorphic_check(build_instance(standard_example(n))) == []
+            p = standard_example(n)
+            assert metamorphic_check(SignatureRows(p, decompose_poset(p))) == []
 
 
 class TestRealizerJson:

@@ -442,10 +442,9 @@ class TestJsonExport:
         # a < b with isolated c: host path +s a b c +c1 +t, decomposition
         # frozen from a hand-checked run
         from spdim.poset import Poset
-        from spdim.realizer import build_instance
+        from spdim.realizer import decompose_poset
 
-        inst = build_instance(Poset("abc", [("a", "b")]))
-        assert decomposition_to_json(inst.decomp) == [
+        assert decomposition_to_json(decompose_poset(Poset("abc", [("a", "b")]))) == [
             {"id": 0, "parent": None, "side": None, "bag": ["+s", "a", "+t"], "s": "+s", "t": "+t"},
             {"id": 1, "parent": 0, "side": "left", "bag": ["+s", "a"], "s": "+s", "t": "a"},
             {"id": 2, "parent": 0, "side": "right", "bag": ["a", "+c1", "+t"], "s": "a", "t": "+t"},
