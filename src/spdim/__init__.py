@@ -6,7 +6,6 @@ from .errors import (
     Exceeded,
     InvalidSPTree,
     MalformedInstance,
-    NotComparable,
     NotReversible,
     NotTreewidth2,
     PairNotIncomparable,
@@ -18,10 +17,9 @@ from .errors import (
     UnknownElement,
     VertexNotInDecomposition,
 )
-from .exactdim import DimensionResult, contains_standard_example, dimension_exact
+from .exactdim import DimensionResult, dimension_exact
 from .generators import antichain, chain, forest_poset, generate, kelly, random_tw2_poset, standard_example
-from .graphs import Graph
-from .graphs import dumps as dumps_graph, dumps_dot, loads as loads_graph
+from .graphs import Graph, dumps_dot
 from .poset import Poset
 from .poset import dumps as dumps_poset, loads as loads_poset
 from .realizer import (
@@ -41,17 +39,14 @@ from .spembed import (
     augment_with_fresh_terminals,
     edge_node,
     embed_into_sp,
-    has_treewidth_at_most_2,
     parallel,
     series,
     sp_tree_violations,
-    validate_sp_tree,
 )
 from .stdecomp import (
     DecompNode,
     STDecomposition,
     build_st_decomposition,
-    decomposition_to_json,
     dumps_decomposition,
 )
 

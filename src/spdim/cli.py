@@ -63,7 +63,7 @@ def _witness_lines(exc):
 
 def _read_text(poset_file):
     if poset_file is not None:
-        with open(poset_file, "r", encoding="utf-8") as fh:
+        with open(poset_file, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return fh.read()
     return sys.stdin.read()
 
@@ -90,7 +90,7 @@ def _split_bundle(text):
     return text, None
 
 
-poset_option = click.option("--poset", "-f", "poset_file", type=click.Path(exists=True),
+poset_option = click.option("--poset", "-f", "poset_file", type=click.Path(exists=True, dir_okay=False),
                             default=None, help="Read the poset from FILE instead of stdin.")
 
 
@@ -151,7 +151,7 @@ def realize(poset_file):
 
 @main.command()
 @poset_option
-@click.option("--realizer", "realizer_file", type=click.Path(exists=True), default=None,
+@click.option("--realizer", "realizer_file", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Read the realizer JSON from FILE (stdin then carries the poset only).")
 def verify(poset_file, realizer_file):
     "Check that the given extensions realize the poset; exit 1 if not."
@@ -159,7 +159,7 @@ def verify(poset_file, realizer_file):
     try:
         if realizer_file is not None:
             p = posetio.loads(_read_text(poset_file))
-            with open(realizer_file, "r", encoding="utf-8") as fh:
+            with open(realizer_file, "r", encoding="utf-8", errors="surrogateescape") as fh:
                 r = loads_realizer(fh.read())
         else:
             head, tail = _split_bundle(_read_text(poset_file))
@@ -190,6 +190,8 @@ def verify(poset_file, realizer_file):
               help="Emit the host graph as DOT with fill edges dashed.")
 def decompose(poset_file, as_json, as_dot):
     "Embed the cover graph and print the s-t tree-decomposition."
+    if as_json and as_dot:
+        _fail_usage("--json and --dot exclude each other")
     p = _read_poset(poset_file)
     try:
         embedding = augment_with_fresh_terminals(embed_into_sp(p.cover_graph()))

@@ -13,10 +13,6 @@ class CycleError(SpdimError):
     """The input relation contains a directed cycle."""
 
 
-class NotComparable(SpdimError):
-    pass
-
-
 class PairNotIncomparable(SpdimError):
     pass
 

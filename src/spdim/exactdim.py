@@ -142,36 +142,3 @@ def _search(n, inc, order, base_reach, d):
         part += 1
     return assignment
 
-
-def contains_standard_example(poset, n):
-    """Whether 2n elements of the poset induce exactly the order-n standard
-    example: minimal a_1..a_n, maximal b_1..b_n, a_i < b_j iff i != j."""
-    if n < 2:
-        raise BadParameter("standard examples start at order 2")
-    inc = _index_pairs(poset)
-    up = poset.closed_masks()[0]
-
-    def compatible(a, b, chosen):
-        for a2, b2 in chosen:
-            if a == a2 or a == b2 or b == a2 or b == b2:
-                return False
-            if not (up[a] >> b2 & 1) or not (up[a2] >> b & 1):
-                return False
-            if up[a] >> a2 & 1 or up[a2] >> a & 1:
-                return False
-            if up[b] >> b2 & 1 or up[b2] >> b & 1:
-                return False
-        return True
-
-    def extend(chosen):
-        if len(chosen) == n:
-            return True
-        floor = chosen[-1][0] if chosen else -1
-        for a, b in inc:
-            if a <= floor:
-                continue
-            if compatible(a, b, chosen) and extend(chosen + [(a, b)]):
-                return True
-        return False
-
-    return extend([])

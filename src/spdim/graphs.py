@@ -4,16 +4,9 @@ Vertex order is the declaration order and doubles as the canonical order for
 all deterministic tie-breaking; a vertex's position is its id, which
 ``adjacency``, ``index_edges`` and ``components`` use.  Edges are stored as
 tuples (u, v) with u before v canonically.
-
-Text format::
-
-    # comment
-    vertices: a b c
-    a -- b
-    b -- c
 """
 
-from .errors import ParseError, UnknownElement
+from .errors import UnknownElement
 
 
 class Graph:
@@ -90,12 +83,6 @@ class Graph:
             u, v = v, u
         return (u, v)
 
-    def neighbors(self, v):
-        return [self.vertices[j] for j in sorted(self._adj[self._index[v]])]
-
-    def degree(self, v):
-        return len(self._adj[self._index[v]])
-
     def adjacency(self):
         "Per vertex id, the set of its neighbours' ids (read only)."
         return self._adj
@@ -125,46 +112,6 @@ class Graph:
             comp.sort()
             comps.append(comp)
         return comps
-
-    def connected_components(self):
-        "Vertex lists of the connected components, canonical order throughout."
-        return [[self.vertices[i] for i in comp] for comp in self.components()]
-
-
-def dumps(graph):
-    lines = ["vertices: %s" % " ".join(graph.vertices)]
-    for u, v in graph.sorted_edges():
-        lines.append("%s -- %s" % (u, v))
-    return "\n".join(lines) + "\n"
-
-
-def loads(text):
-    vertices = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("vertices:"):
-            if vertices is not None:
-                raise ParseError("duplicate vertices line", lineno)
-            vertices = line[len("vertices:"):].split()
-            known = set(vertices)
-            continue
-        if vertices is None:
-            raise ParseError("expected a 'vertices:' line first", lineno)
-        tokens = line.split()
-        if len(tokens) != 3 or tokens[1] != "--":
-            raise ParseError("expected an edge 'u -- v'", lineno)
-        u, _, v = tokens
-        if u not in known:
-            raise ParseError("unknown vertex %r" % (u,), lineno)
-        if v not in known:
-            raise ParseError("unknown vertex %r" % (v,), lineno)
-        edges.append((u, v))
-    if vertices is None:
-        raise ParseError("missing 'vertices:' line", 1)
-    return Graph(vertices, edges)
 
 
 def dumps_dot(graph, dashed_edges=(), name="G"):

@@ -119,29 +119,10 @@ class Poset:
         i, j = self.index(x), self.index(y)
         return i == j or bool(self._above[i] >> j & 1)
 
-    def incomparable(self, x, y):
-        i, j = self.index(x), self.index(y)
-        return i != j and not (self._above[i] >> j & 1) and not (self._above[j] >> i & 1)
-
-    def upset_mask(self, x):
-        "Bitmask of {y : y >= x} over element indices, including x itself."
-        i = self.index(x)
-        return self._above[i] | (1 << i)
-
-    def downset_mask(self, x):
-        i = self.index(x)
-        return self._below[i] | (1 << i)
-
     def closed_masks(self):
         "Per element index i, the masks of the upset and of the downset of i, each including i."
         return ([above | 1 << i for i, above in enumerate(self._above)],
                 [below | 1 << i for i, below in enumerate(self._below)])
-
-    def upset(self, x):
-        return {self.elements[j] for j in bits(self.upset_mask(x))}
-
-    def downset(self, x):
-        return {self.elements[j] for j in bits(self.downset_mask(x))}
 
     def covers(self):
         "All cover relations (x, y) with y covering x, in canonical order."

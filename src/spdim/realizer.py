@@ -343,32 +343,50 @@ class Violation:
         return "%s: pair %s expected %s, got %s" % (self.check, self.pair, self.expected, self.actual)
 
 
-def _relabel_violations(check, base, other, relabel):
-    """Violations for the pairs of each base class ``cls`` that ``other`` does
-    not put in class ``relabel(cls)`` (classes relabelled to None are not
-    checked), in canonical pair order."""
+def _relabel_violations(base, targets, actual, relabel):
+    """Violations for the pairs (x, y) of each base class ``cls`` whose y is in no row
+    ``targets[j][x]`` with j among the allowed class indexes of ``relabel(cls)``, a triple
+    (check, expected, allowed); ``actual(x, y)`` names the class found instead.  Classes
+    relabelled to None are not checked.  In canonical pair order."""
     found = []
     for k, cls in enumerate(ALL_CLASSES):
         want = relabel(cls)
         if want is None:
             continue
-        target = other.rows[CLASS_INDEX[want]]
         for x, ys in enumerate(base.rows[k]):
-            found.extend((x, y, want) for y in bits(ys & ~target[x]))
+            for j in want[2]:
+                ys &= ~targets[j][x]
+            found.extend((x, y, want) for y in bits(ys))
     names = base.poset.elements
-    return [Violation(check, (names[x], names[y]), want, other.class_of(x, y))
-            for x, y, want in sorted(found, key=lambda f: f[:2])]
+    return [Violation(check, (names[x], names[y]), expected, actual(x, y))
+            for x, y, (check, expected, _) in sorted(found, key=lambda f: f[:2])]
+
+
+def _only(check, cls):
+    "The relabelling to the one class ``cls``, under the name ``check``."
+    return check, cls, (CLASS_INDEX[cls],)
+
+
+def _dual_class(cls):
+    """Where the dual poset puts (y, x): kind 1 with up=2 goes to the other order and up=1;
+    kind 2 to the other order and gate, with span=1 if the span was 2."""
+    if cls.kind == 1:
+        return None if cls.up == 1 else _only("dual/kind1", PairClass(1, 3 - cls.order, up=1))
+    order, gate = 3 - cls.order, 3 - cls.gate
+    spans, note = ((1,), " span=1") if cls.span == 2 else ((1, 2), "")
+    return ("dual/kind2", "kind=2 order=%d gate=%d%s" % (order, gate, note),
+            [CLASS_INDEX[PairClass(2, order, span=sp, gate=gate)] for sp in spans])
 
 
 def _reversed_class(cls):
     if cls.kind == 1:
-        return PairClass(1, 3 - cls.order, up=cls.up)
-    return PairClass(2, 3 - cls.order, span=cls.span, gate=3 - cls.gate)
+        return _only("reversed", PairClass(1, 3 - cls.order, up=cls.up))
+    return _only("reversed", PairClass(2, 3 - cls.order, span=cls.span, gate=3 - cls.gate))
 
 
 def _swapped_class(cls):
     if cls.kind == 2 and cls.order == 2 and cls.gate == 1:
-        return PairClass(2, 1, span=cls.span, gate=cls.gate)
+        return _only("child-swap", PairClass(2, 1, span=cls.span, gate=cls.gate))
     return None
 
 
@@ -377,41 +395,13 @@ def metamorphic_check(base):
     reversed decomposition and the size-2 child swap, and compare against the
     signature relabelings these transformations are guaranteed to produce.
     Returns the list of violations (empty on a correct implementation)."""
-    poset = base.poset
-    decomp = base.decomp
-    names = poset.elements
-    report = []
-
-    # The dual poset under the same decomposition: (x, y) maps to (y, x).
-    dual = SignatureRows(poset.dual(), decomp)
-    dual_cols = dual.transposed()
-    found = []
-    for k, cls in enumerate(ALL_CLASSES):
-        if cls.kind == 1:
-            if cls.up == 1:
-                continue
-            check = "dual/kind1"
-            expected = PairClass(1, 3 - cls.order, up=1)
-            allowed = [dual_cols[CLASS_INDEX[expected]]]
-        else:
-            check = "dual/kind2"
-            expected = "kind=2 order=%d gate=%d%s" % (
-                3 - cls.order, 3 - cls.gate, " span=1" if cls.span == 2 else "")
-            spans = (1,) if cls.span == 2 else (1, 2)
-            allowed = [dual_cols[CLASS_INDEX[PairClass(2, 3 - cls.order, span=sp, gate=3 - cls.gate)]]
-                       for sp in spans]
-        for x, ys in enumerate(base.rows[k]):
-            for col in allowed:
-                ys &= ~col[x]
-            found.extend((x, y, check, expected) for y in bits(ys))
-    report.extend(Violation(check, (names[x], names[y]), expected, dual.class_of(y, x))
-                  for x, y, check, expected in sorted(found, key=lambda f: f[:2]))
-
-    report.extend(_relabel_violations("reversed", base, SignatureRows(poset, decomp.reverse()),
-                                      _reversed_class))
-    report.extend(_relabel_violations("child-swap", base,
-                                      SignatureRows(poset, decomp.swap_size2_children()),
-                                      _swapped_class))
+    poset, decomp, names = base.poset, base.decomp, base.poset.elements
+    dual = SignatureRows(poset.dual(), decomp)  # the same decomposition: (x, y) maps to (y, x)
+    report = _relabel_violations(base, dual.transposed(), lambda x, y: dual.class_of(y, x), _dual_class)
+    rev = SignatureRows(poset, decomp.reverse())
+    report += _relabel_violations(base, rev.rows, rev.class_of, _reversed_class)
+    swap = SignatureRows(poset, decomp.swap_size2_children())
+    report += _relabel_violations(base, swap.rows, swap.class_of, _swapped_class)
 
     found = sorted((x, y) for x, ys in base.terminal_pair_conflicts() for y in bits(ys))
     report.extend(Violation("terminal-pair-exclusion", (names[x], names[y]),
@@ -422,13 +412,8 @@ def metamorphic_check(base):
 
 # -- realizer JSON -------------------------------------------------------------
 
-def realizer_to_json(realizer):
-    return [{"signature": None if cls is None else cls.to_json(),
-             "extension": list(ext)} for cls, ext in realizer.extensions]
-
-
 def dumps_realizer(realizer):
-    "``json.dumps(realizer_to_json(realizer), indent=2)``, written from a fixed template."
+    "The entries ``{signature, extension}`` as ``json.dumps(entries, indent=2)`` writes them, from a template."
     out = []
     for cls, ext in realizer.extensions:
         sig = "null" if cls is None else "{\n      %s\n    }" % ",\n      ".join(

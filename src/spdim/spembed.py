@@ -63,9 +63,6 @@ class SPNode:
     def __repr__(self):
         return "SPNode(%s, %s->%s)" % (self.kind, self.source, self.sink)
 
-    def leaves(self):
-        return sum(1 for node in walk_postorder(self) if node.kind == EDGE)
-
 
 def edge_node(u, v):
     if u == v:
@@ -168,10 +165,6 @@ def _checked_preorder(root):
     return columns, problems
 
 
-def validate_sp_tree(root):
-    return not sp_tree_violations(root)
-
-
 @dataclass(frozen=True)
 class Embedding:
     """A graph embedded in a two-terminal series-parallel host.
@@ -197,13 +190,9 @@ class Embedding:
                              for node in walk_postorder(self.sp) if node.kind == EDGE))
 
 
-def _reduces_to_empty(adj):
-    "Whether ``_reduce`` empties the adjacency-set dict."
-    return not _reduce(adj)
-
-
 def _reduce(adj, pinned=(), keep=0):
-    "Destructive partial-2-tree reduction of ``adj``; spares ``pinned``, stops at ``keep`` left."
+    """Destructive partial-2-tree reduction of ``adj``; spares ``pinned``, stops at ``keep`` left.
+    A full reduction (nothing spared, ``keep`` 0) empties a graph iff its treewidth is at most 2."""
     queue = [v for v, nb in adj.items() if len(nb) <= 2]
     while queue and len(adj) > keep:
         v = queue.pop()
@@ -220,13 +209,6 @@ def _reduce(adj, pinned=(), keep=0):
             if len(adj[u]) <= 2:
                 queue.append(u)
     return adj
-
-
-def has_treewidth_at_most_2(graph):
-    """Standard partial-2-tree reduction: repeatedly delete vertices of degree
-    <= 1 and suppress degree-2 vertices (joining their neighbors); the graph
-    has treewidth <= 2 iff this empties it."""
-    return _reduces_to_empty({v: set(nb) for v, nb in enumerate(graph.adjacency())})
 
 
 class _Names:
@@ -372,10 +354,10 @@ def _batch_verdicts(comp, comp_edges, batch, untested):
         adj = {v: set(nb) for v, nb in kernel.items()}
         adj[s].add(t)
         adj[t].add(s)
-        ok = _reduces_to_empty(adj)
+        ok = not _reduce(adj)
         if not ok and untested:
             untested = False
-            if not _reduces_to_empty({v: set(nb) for v, nb in kernel.items()}):
+            if _reduce({v: set(nb) for v, nb in kernel.items()}):
                 raise NotTreewidth2("input graph has treewidth greater than 2")
         yield ok
 

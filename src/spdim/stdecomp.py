@@ -45,10 +45,6 @@ class DecompNode(NamedTuple):
                                        % (self.id, self.bag, self.s, self.t))
         return rest[0]
 
-    @property
-    def is_leaf(self):
-        return self.left is None
-
 
 class STDecomposition:
     """An s-t tree-decomposition of a two-terminal graph (immutable); ``names[v]``
@@ -57,14 +53,16 @@ class STDecomposition:
     ``s[k]`` and ``t[k]``; ``nodes[k]`` is the same node as a ``DecompNode``,
     a view built on first read.  Every parent's id is below its children's.
 
-    ``STDecomposition(nodes, root, names)`` takes hand-made nodes, ``nodes[k]``
-    with id k, and raises ``PreconditionViolated`` on a parent id that is not
-    below its child's.
+    ``STDecomposition(nodes, root, names)`` takes hand-made nodes and raises
+    ``PreconditionViolated`` unless ``nodes[k]`` has id k and every parent id
+    is below its child's.
     """
 
     def __init__(self, nodes, root, names):
         self.nodes = tuple(nodes)
-        for nid, parent, *_ in self.nodes:
+        for k, (nid, parent, *_) in enumerate(self.nodes):
+            if nid != k:
+                raise PreconditionViolated("node %d is at position %d" % (nid, k))
             if parent is not None and parent >= nid:
                 raise PreconditionViolated("node %d has parent %d, not a lower id" % (nid, parent))
         _, self.parent, self.left, self.right, self.bag, self.s, self.t = map(list, zip(*self.nodes))
@@ -103,21 +101,6 @@ class STDecomposition:
 
     def __len__(self):
         return len(self.bag)
-
-    def in_order(self):
-        "Node ids in in-order traversal (left subtree, node, right subtree)."
-        left, right = self.left, self.right
-        out = []
-        stack = []
-        cur = self.root
-        while stack or cur is not None:
-            while cur is not None:
-                stack.append(cur)
-                cur = left[cur]
-            cur = stack.pop()
-            out.append(cur)
-            cur = right[cur]
-        return out
 
     def depth(self, u):
         return self._depth[u]
@@ -182,16 +165,8 @@ def build_st_decomposition(sp_root, names):
 
 # -- JSON export -------------------------------------------------------------
 
-def decomposition_to_json(decomp):
-    names, left = decomp.names, decomp.left
-    return [{"id": nid, "parent": parent,
-             "side": None if parent is None else "left" if left[parent] == nid else "right",
-             "bag": [names[v] for v in bag], "s": names[s], "t": names[t]}
-            for nid, (parent, bag, s, t) in enumerate(zip(decomp.parent, decomp.bag, decomp.s, decomp.t))]
-
-
 def dumps_decomposition(decomp):
-    "``json.dumps(decomposition_to_json(decomp), indent=2)``, from one f-string per bag size."
+    "The node records ``{id, parent, side, bag, s, t}`` as ``json.dumps(records, indent=2)`` writes them."
     quoted = [_string(name) for name in decomp.names]
     left = decomp.left
     out = []

@@ -16,7 +16,8 @@ test per ordered pair, the thinning of random 2-trees by a whole-graph
 search per drawn deletion, the poset text and the ``verify`` bundle by one
 test per line.  The validation, the separation predicates and the in-order
 comparison of s-t decompositions live here too, with the order, graph and
-tree queries that only tests need.
+tree queries that only tests need, standard-example containment by
+backtracking, and the JSON records the hand-written writers must match.
 
 Decompositions and embeddings carry vertex ids; ``id_host`` gives the host
 graph over those ids, which the decomposition checks take.
@@ -37,14 +38,16 @@ def cover_edges(poset):
     return frozenset(poset.covers())
 
 
+class NotComparable(Exception):
+    "``covering_chain`` was asked for a chain between elements that are not ordered."
+
+
 def covering_chain(poset, x, y):
     """A chain x = z1 < z2 < ... < zk = y where each step is a cover.
 
     Tie-break: always step to the smallest cover (canonical order) above
     the current element that still lies below y.
     """
-    from spdim.errors import NotComparable
-
     if not poset.leq(x, y):
         raise NotComparable("%r is not below %r" % (x, y))
     ups = {}
@@ -79,7 +82,7 @@ def is_alternating_cycle(poset, cycle):
     cycle = list(cycle)
     if len(cycle) < 2:
         return False
-    if any(not poset.incomparable(x, y) for x, y in cycle):
+    if any(poset.leq(x, y) or poset.leq(y, x) for x, y in cycle):
         return False
     m = len(cycle)
     return all(poset.leq(cycle[i][0], cycle[(i + 1) % m][1]) for i in range(m))
@@ -98,6 +101,11 @@ def has_edge(graph, u, v):
     return graph.edge(u, v) in graph.edges
 
 
+def neighbors(graph, v):
+    "The neighbours of vertex v, in canonical order."
+    return [graph.vertices[j] for j in sorted(graph.adjacency()[graph.index(v)])]
+
+
 def is_connected_set(graph, subset):
     "True iff the induced subgraph on ``subset`` is connected (and nonempty)."
     subset = set(subset)
@@ -109,7 +117,7 @@ def is_connected_set(graph, subset):
     seen = {start}
     stack = [start]
     while stack:
-        for w in graph.neighbors(stack.pop()):
+        for w in neighbors(graph, stack.pop()):
             if w in subset and w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -269,7 +277,7 @@ def has_k4_minor(graph):
     n = len(verts)
     if n < 4 or len(graph.edges) < 6:
         return False
-    branch_candidates = [v for v in verts if graph.degree(v) >= 3]
+    branch_candidates = [v for v, nb in zip(verts, graph.adjacency()) if len(nb) >= 3]
     if len(branch_candidates) < 4:
         return False
     from itertools import combinations, product
@@ -347,11 +355,12 @@ class ReferenceClassifier:
             self.t_idx.append(node.t if node.t < n else None)
         # For every element, the set of nodes u such that some ancestor-or-self
         # of u has both terminals inside the up/down set of the element.
+        self.up, self.down = poset.closed_masks()
         self.up_span = {}
         self.down_span = {}
-        for x in poset.elements:
-            self.up_span[x] = self._span_mask(poset.upset_mask(x))
-            self.down_span[x] = self._span_mask(poset.downset_mask(x))
+        for i, x in enumerate(poset.elements):
+            self.up_span[x] = self._span_mask(self.up[i])
+            self.down_span[x] = self._span_mask(self.down[i])
 
     def _span_mask(self, member_mask):
         decomp = self.decomp
@@ -381,8 +390,8 @@ class ReferenceClassifier:
         if wx == wy:
             raise MalformedInstance("incomparable elements share a least node")
         meet = decomp.lca(wx, wy)
-        up_mask = poset.upset_mask(x)
-        down_mask = poset.downset_mask(y)
+        up_mask = self.up[poset.index(x)]
+        down_mask = self.down[poset.index(y)]
         up_hits = up_mask & self.bagmask[meet]
         down_hits = down_mask & self.bagmask[meet]
         order = 1 if self.in_pos[wx] < self.in_pos[wy] else 2
@@ -774,7 +783,7 @@ def reference_tw2_with_extra_edge(comp, comp_edges, s, t):
     for u, v in list(comp_edges) + [(s, t)]:
         adj[u].add(v)
         adj[v].add(u)
-    return spembed._reduces_to_empty(adj)
+    return not spembed._reduce(adj)
 
 
 def reference_terminal_candidates(graph, comp, comp_edges):
@@ -980,7 +989,7 @@ def reference_swap_size2_children(decomp):
     from spdim.stdecomp import DecompNode, STDecomposition
 
     return STDecomposition([DecompNode(n.id, n.parent, n.right, n.left, n.bag, n.s, n.t)
-                            if not n.is_leaf and len(n.bag) == 2 else n
+                            if n.left is not None and len(n.bag) == 2 else n
                             for n in decomp.nodes], decomp.root, decomp.names)
 
 
@@ -1003,10 +1012,23 @@ def reference_depths_and_least(decomp):
     return depth, least
 
 
+def in_order(decomp):
+    "Node ids in in-order traversal (left subtree, node, right subtree)."
+    out, stack, cur = [], [], decomp.root
+    while stack or cur is not None:
+        while cur is not None:
+            stack.append(cur)
+            cur = decomp.left[cur]
+        cur = stack.pop()
+        out.append(cur)
+        cur = decomp.right[cur]
+    return out
+
+
 def in_order_positions(decomp):
     "The position of every node id in the decomposition's in-order."
     pos = [0] * len(decomp.nodes)
-    for k, nid in enumerate(decomp.in_order()):
+    for k, nid in enumerate(in_order(decomp)):
         pos[nid] = k
     return pos
 
@@ -1055,7 +1077,7 @@ def validation_errors(decomp, graph, source, sink):
         if node.s == node.t or node.s not in node.bag or node.t not in node.bag:
             problems.append("node %d: bad source/sink" % node.id)
             continue
-        if node.is_leaf:
+        if node.left is None:
             if len(node.bag) != 2:
                 problems.append("leaf %d has a bag of size %d" % (node.id, len(node.bag)))
             continue
@@ -1135,3 +1157,49 @@ def st_subset_witness(decomp, host, u1, u2, subgraph_vertices):
     if is_ancestor(decomp, u2, u1):
         return st_subset_witness(decomp.reverse(), host, u2, u1, H)
     raise PreconditionViolated("nodes are not comparable in the tree")
+
+
+def contains_standard_example(poset, n):
+    """Whether 2n elements of the poset induce exactly the order-n standard
+    example: minimal a_1..a_n, maximal b_1..b_n, a_i < b_j iff i != j."""
+    from spdim.errors import BadParameter
+    from spdim.exactdim import _index_pairs
+
+    if n < 2:
+        raise BadParameter("standard examples start at order 2")
+    inc = _index_pairs(poset)
+    up = poset.closed_masks()[0]
+
+    def compatible(a, b, chosen):
+        "Four distinct elements, a < b2 and a2 < b, the a's and the b's each incomparable."
+        return all(len({a, b, a2, b2}) == 4 and up[a] >> b2 & 1 and up[a2] >> b & 1
+                   and not (up[a] >> a2 & 1 or up[a2] >> a & 1 or up[b] >> b2 & 1 or up[b2] >> b & 1)
+                   for a2, b2 in chosen)
+
+    def extend(chosen):
+        if len(chosen) == n:
+            return True
+        floor = chosen[-1][0] if chosen else -1
+        for a, b in inc:
+            if a <= floor:
+                continue
+            if compatible(a, b, chosen) and extend(chosen + [(a, b)]):
+                return True
+        return False
+
+    return extend([])
+
+
+def decomposition_to_json(decomp):
+    "The records ``spdim.stdecomp.dumps_decomposition`` writes, one dict per node id."
+    names, left = decomp.names, decomp.left
+    return [{"id": nid, "parent": parent,
+             "side": None if parent is None else "left" if left[parent] == nid else "right",
+             "bag": [names[v] for v in bag], "s": names[s], "t": names[t]}
+            for nid, (parent, bag, s, t) in enumerate(zip(decomp.parent, decomp.bag, decomp.s, decomp.t))]
+
+
+def realizer_to_json(realizer):
+    "The entries ``spdim.realizer.dumps_realizer`` writes, one dict per extension."
+    return [{"signature": None if cls is None else cls.to_json(),
+             "extension": list(ext)} for cls, ext in realizer.extensions]

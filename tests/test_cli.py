@@ -208,6 +208,23 @@ def printed_witness(stderr):
     return cycle, json.loads(lines["signature"])
 
 
+class TestFileOptions:
+    @pytest.mark.parametrize("args", [["realize", "--poset"], ["verify", "--realizer"]])
+    def test_directory_is_a_usage_error(self, args, tmp_path):
+        res = run(args + [str(tmp_path)], stdin=gen_text("chain", 3))
+        assert res.exit_code == 2
+        assert "is a directory" in res.stderr
+
+    def test_undecodable_file_is_read_as_stdin_is(self, tmp_path):
+        # Bytes that are not UTF-8 reach the parser as surrogate escapes, as
+        # on stdin, and are refused there: exit 2, not a traceback.
+        path = tmp_path / "poset.txt"
+        path.write_bytes(b"elements: a b\na < \xff\n")
+        res = run(["realize", "--poset", str(path)])
+        assert res.exit_code == 2
+        assert res.stderr == "error: line 2: unknown element '\\udcff'\n"
+
+
 class TestReversibilityFailure:
     def test_realize_prints_witness(self, one_class):
         res = run(["realize"], stdin=gen_text("standard_example", 2))
@@ -242,6 +259,12 @@ class TestDecomposeClassify:
         assert res.exit_code == 0
         assert res.output.startswith("graph G {")
         assert "style=dashed" in res.output  # connector/bridge edges are fills
+
+    def test_decompose_json_and_dot_is_a_usage_error(self):
+        res = run(["decompose", "--json", "--dot"], stdin="elements: a b c\na < b\n")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: --json and --dot exclude each other\n"
 
     def test_classify_table(self):
         res = run(["classify"], stdin=gen_text("standard_example", 2))

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdim.errors import BadParameter, Exceeded, TooLarge
-from spdim.exactdim import contains_standard_example, dimension_exact
+from spdim.exactdim import dimension_exact
 from spdim.generators import antichain, chain, kelly, random_tw2_poset, standard_example
 from spdim.poset import Poset
 
-from oracles import brute_dimension, is_reversible, less
+from oracles import brute_dimension, contains_standard_example, is_reversible, less
 
 
 class TestDimension:

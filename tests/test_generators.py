@@ -5,7 +5,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdim.errors import BadParameter
+from spdim.errors import BadParameter, NotTreewidth2
 from spdim.exactdim import dimension_exact
 from spdim.generators import (
     MAX_N,
@@ -19,7 +19,7 @@ from spdim.generators import (
     standard_example,
 )
 from spdim.poset import dumps
-from spdim.spembed import has_treewidth_at_most_2
+from spdim.spembed import embed_into_sp
 
 from oracles import less, reference_forest_poset, reference_random_tw2_poset
 from test_acceptance import CORPUS
@@ -80,9 +80,10 @@ class TestKelly:
                     assert not aa and not bb
 
     def test_treewidth(self):
-        assert has_treewidth_at_most_2(kelly(2).cover_graph())
-        assert not has_treewidth_at_most_2(kelly(3).cover_graph())
-        assert not has_treewidth_at_most_2(kelly(4).cover_graph())
+        embed_into_sp(kelly(2).cover_graph())
+        for n in (3, 4):
+            with pytest.raises(NotTreewidth2):
+                embed_into_sp(kelly(n).cover_graph())
 
     def test_dimension_at_least_two(self):
         assert dimension_exact(kelly(2), cap=200).dimension >= 2
@@ -125,7 +126,7 @@ class TestRandomFamilies:
     def test_random_tw2_always_in_class(self):
         for seed in range(150):
             p = random_tw2_poset(1 + seed % 35, seed)
-            assert has_treewidth_at_most_2(p.cover_graph())
+            embed_into_sp(p.cover_graph())  # NotTreewidth2 above treewidth 2
 
     def test_singleton(self):
         assert len(random_tw2_poset(1, 0)) == 1
@@ -134,7 +135,7 @@ class TestRandomFamilies:
         for seed in range(40):
             g = forest_poset(1 + seed % 10, seed).cover_graph()
             assert len(g.edges) < len(g.vertices) or len(g.vertices) == 0
-            assert has_treewidth_at_most_2(g)
+            embed_into_sp(g)
 
     def test_forest_dimension_small_sample(self):
         for seed in range(40):
@@ -185,7 +186,7 @@ class TestRandomTw2AgainstReference:
         assert len(p) == MAX_N
         g = p.cover_graph()
         assert len(g.components()) == 1
-        assert has_treewidth_at_most_2(g)
+        embed_into_sp(g)
         assert spent < 10.0
 
 

@@ -21,11 +21,11 @@ import json
 from spdim import spembed
 from spdim.generators import chain, forest_poset, random_tw2_poset
 from spdim.poset import Poset
-from spdim.realizer import Realizer, dumps_realizer, realize_tw2, realizer_to_json
+from spdim.realizer import Realizer, dumps_realizer, realize_tw2
 from spdim.spembed import augment_with_fresh_terminals, embed_into_sp
-from spdim.stdecomp import build_st_decomposition, decomposition_to_json, dumps_decomposition
+from spdim.stdecomp import build_st_decomposition, dumps_decomposition
 
-from oracles import reference_resolve
+from oracles import decomposition_to_json, realizer_to_json, reference_resolve
 from test_acceptance import CORPUS
 
 GOLDEN_SHA256 = "25aa797dd2fb1137f74e6267e965f2246421f9524708705622597ab4b1e93cf7"

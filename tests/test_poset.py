@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from spdim.errors import (
     CycleError,
-    NotComparable,
     NotReversible,
     PairNotIncomparable,
     ParseError,
@@ -15,10 +14,11 @@ from spdim.errors import (
 )
 from spdim.generators import antichain, chain, forest_poset, kelly, random_tw2_poset, standard_example
 from spdim.graphs import Graph
-from spdim.poset import Poset, dumps, loads
+from spdim.poset import Poset, bits, dumps, loads
 from spdim.realizer import SignatureRows, decompose_poset, realize_tw2
 
 from oracles import (
+    NotComparable,
     brute_covering_chains,
     brute_is_reversible,
     brute_strict_alternating_cycles,
@@ -190,34 +190,39 @@ class TestConstruction:
                         assert less(p, x, z)
 
 
+def closed_sets(p, x):
+    "The upset and the downset of x, each including x, as name sets read off ``closed_masks``."
+    i = p.index(x)
+    return tuple({p.elements[j] for j in bits(masks[i])} for masks in p.closed_masks())
+
+
 class TestUpsetsDownsets:
     def test_chain_upset(self):
         p = Poset("abc", [("a", "b"), ("b", "c")])
-        assert p.upset("b") == {"b", "c"}
-        assert p.downset("b") == {"a", "b"}
+        assert closed_sets(p, "b") == ({"b", "c"}, {"a", "b"})
 
     def test_standard_example_upset(self):
         s2 = standard_example(2)
-        assert s2.upset("a1") == {"a1", "b2"}
+        assert closed_sets(s2, "a1")[0] == {"a1", "b2"}
 
     @settings(max_examples=40, deadline=None)
     @given(small_posets())
     def test_downset_is_dual_upset(self, p):
-        d = p.dual()
-        for x in p.elements:
-            assert p.downset(x) == d.upset(x)
+        up, down = p.closed_masks()
+        assert p.dual().closed_masks() == (down, up)
 
     @settings(max_examples=40, deadline=None)
     @given(small_posets())
     def test_upset_induces_connected_cover_subgraph(self, p):
         g = p.cover_graph()
         for x in p.elements:
-            assert is_connected_set(g, p.upset(x))
-            assert is_connected_set(g, p.downset(x))
+            upset, downset = closed_sets(p, x)
+            assert is_connected_set(g, upset)
+            assert is_connected_set(g, downset)
 
     def test_unknown(self):
         with pytest.raises(UnknownElement):
-            Poset("ab", []).upset("z")
+            Poset("ab", []).leq("a", "z")
 
 
 class TestCoveringChain:
@@ -457,12 +462,13 @@ def tw2_posets(max_n=30):
 
 def random_extension(p, data):
     "A linear extension of ``p`` drawn one minimal element at a time."
-    order, placed = [], set()
+    down = p.closed_masks()[1]
+    order, placed = [], 0
     while len(order) < len(p):
-        ready = [e for e in p.elements if e not in placed and p.downset(e) - {e} <= placed]
+        ready = [e for i, e in enumerate(p.elements) if down[i] & ~placed == 1 << i]
         e = data.draw(st.sampled_from(ready))
         order.append(e)
-        placed.add(e)
+        placed |= 1 << p.index(e)
     return order
 
 
@@ -749,7 +755,7 @@ class TestCoverGraph:
     def test_chain_is_path(self):
         g = chain(4).cover_graph()
         assert len(g.edges) == 3
-        assert all(g.degree(v) <= 2 for v in g.vertices)
+        assert all(len(nb) <= 2 for nb in g.adjacency())
 
     def test_antichain_edgeless(self):
         assert antichain(3).cover_graph().edges == frozenset()

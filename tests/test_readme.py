@@ -1,7 +1,12 @@
-"""The README's library quick tour runs as written."""
+"""The README's library quick tour and command-line examples run as written."""
 
 import pathlib
 import re
+import shlex
+
+from click.testing import CliRunner
+
+from spdim.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -10,3 +15,21 @@ def test_library_quick_tour_runs():
     tour = README.read_text(encoding="utf-8").split("## Library quick tour", 1)[1]
     block = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
     exec(compile(block, "README.md (library quick tour)", "exec"), {})
+
+
+def test_command_line_examples_run():
+    # Each line of the "Command line" block, its pipes included, in process:
+    # every stage exits 0, and the ``dim`` line prints 3 as its comment says.
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    lines = re.search(r"```sh\n(.*?)```", section, re.S).group(1).splitlines()
+    assert len(lines) == 8
+    for line in lines:
+        text = None
+        for stage in line.split("#", 1)[0].split("|"):
+            program, *args = shlex.split(stage)
+            assert program == "spdim", line
+            res = CliRunner().invoke(main, args, input=text, catch_exceptions=False)
+            assert res.exit_code == 0, (line, res.stderr)
+            text = res.stdout
+        if args == ["dim"]:
+            assert text == "3\n", line

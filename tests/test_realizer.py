@@ -254,15 +254,24 @@ class TestRealizePath:
     def test_treewidth_tested_once(self, monkeypatch):
         # A successful reduction proves treewidth <= 2, and a rejected terminal
         # pair tests its component on the kernel that judged it: the graph is
-        # never reduced as a whole, and treewidth 3 is refused with the same message.
+        # never reduced as a whole (only a kernel build, which spares the
+        # batch's vertices, starts from a whole component), and treewidth 3 is
+        # refused with the same message.
         calls = []
-        monkeypatch.setattr(spembed, "has_treewidth_at_most_2", calls.append)
+        reduce = spembed._reduce
+
+        def recorded(adj, pinned=(), keep=0):
+            calls.append((len(adj), bool(pinned)))
+            return reduce(adj, pinned, keep)
+
+        monkeypatch.setattr(spembed, "_reduce", recorded)
         for p in (random_tw2_poset(30, 5), random_tw2_poset(500, 1), chain(50), forest_poset(200, 1)):
+            calls.clear()
             spembed.embed_into_sp(p.cover_graph())
             realize_tw2(p)
+            assert (len(p), False) not in calls
         with pytest.raises(NotTreewidth2, match="^input graph has treewidth greater than 2$"):
             realize_tw2(kelly(3))
-        assert calls == []
 
     def test_one_sort_per_class(self, monkeypatch):
         calls = []

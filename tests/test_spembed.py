@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from spdim import spembed
 from spdim.errors import InvalidSPTree, NotTreewidth2
 from spdim.generators import chain, forest_poset, kelly, random_tw2_poset
-from spdim.graphs import Graph, dumps, dumps_dot, loads
+from spdim.graphs import Graph, dumps_dot
 from spdim.spembed import (
     EDGE,
     PARALLEL,
@@ -24,11 +24,9 @@ from spdim.spembed import (
     augment_with_fresh_terminals,
     edge_node,
     embed_into_sp,
-    has_treewidth_at_most_2,
     parallel,
     series,
     sp_tree_violations,
-    validate_sp_tree,
     walk_postorder,
 )
 from spdim.stdecomp import build_st_decomposition
@@ -45,7 +43,7 @@ from oracles import (
     reference_terminal_candidates,
     reference_tw2_with_extra_edge,
 )
-from test_acceptance import CORPUS
+from test_acceptance import CORPUS, embedding_refused
 
 
 def k4():
@@ -66,30 +64,36 @@ def leaf_edge_set(tree):
     return {frozenset((n.source, n.sink)) for n in walk_postorder(tree) if n.kind == EDGE}
 
 
+def named_components(graph):
+    "The vertex lists of the connected components, canonical order throughout."
+    return [[graph.vertices[i] for i in comp] for comp in graph.components()]
+
+
 class TestRecognition:
+    # The recognizer is the embedding itself: it refuses treewidth above 2.
     def test_k4_rejected(self):
-        assert not has_treewidth_at_most_2(k4())
+        assert embedding_refused(k4())
 
     def test_trees_and_cycles(self):
         path = Graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
         star = Graph("abcd", [("a", "b"), ("a", "c"), ("a", "d")])
-        assert has_treewidth_at_most_2(path)
-        assert has_treewidth_at_most_2(star)
-        assert has_treewidth_at_most_2(cycle_graph(5))
+        assert not embedding_refused(path)
+        assert not embedding_refused(star)
+        assert not embedding_refused(cycle_graph(5))
 
     def test_kelly3_cover_graph_is_not_tw2(self):
-        assert not has_treewidth_at_most_2(kelly(3).cover_graph())
+        assert embedding_refused(kelly(3).cover_graph())
 
     def test_agrees_with_minor_oracle_small(self):
         for n in range(1, 6):
             for g in all_labeled_graphs(n, Graph):
-                assert has_treewidth_at_most_2(g) == (not has_k4_minor(g))
+                assert embedding_refused(g) == has_k4_minor(g)
 
 
 class TestSPTreeAlgebra:
     def test_leaf(self):
         leaf = edge_node("a", "b")
-        assert validate_sp_tree(leaf)
+        assert sp_tree_violations(leaf) == []
         assert leaf.source == "a" and leaf.sink == "b"
 
     def test_series_needs_shared_terminal(self):
@@ -118,7 +122,7 @@ class TestSPTreeAlgebra:
                         series(edge_node("a", "c"), edge_node("c", "b")))
         rev = mirror(tree)
         assert rev.source == "b" and rev.sink == "a"
-        assert validate_sp_tree(rev)
+        assert sp_tree_violations(rev) == []
         assert leaf_edge_set(rev) == leaf_edge_set(tree)
         again = mirror(rev)
         assert again.source == "a" and leaf_edge_set(again) == leaf_edge_set(tree)
@@ -294,7 +298,7 @@ class TestBalancedTree:
 
         monkeypatch.setattr(spembed, "SPNode", Counted)
         emb = embed_into_sp(random_path(3000, 5))
-        assert made[0] <= 4 * emb.sp.leaves()
+        assert made[0] <= 4 * len(leaf_edge_set(emb.sp))
 
 
 class TestEmbedding:
@@ -319,18 +323,18 @@ class TestEmbedding:
         emb = embed_into_sp(g)
         assert emb.host == g
         assert not emb.added_edges
-        assert validate_sp_tree(emb.sp)
+        assert sp_tree_violations(emb.sp) == []
 
     def test_isolated_vertices_get_connectors(self):
         g = Graph("ab", [])
         emb = embed_into_sp(g)
-        assert validate_sp_tree(emb.sp)
+        assert sp_tree_violations(emb.sp) == []
         assert set(g.vertices) <= set(emb.host.vertices)
         assert len(emb.added_vertices) == 2
 
     def test_empty_graph(self):
         emb = embed_into_sp(Graph([], []))
-        assert validate_sp_tree(emb.sp)
+        assert sp_tree_violations(emb.sp) == []
         assert len(emb.host.vertices) == 2
 
     def test_k4_refused(self):
@@ -352,11 +356,11 @@ class TestEmbedding:
             cliques += [(a, b, v), (a, c, v), (b, c, v)]
         g = Graph(range(n), edges)
         calls = []
-        original = spembed._reduces_to_empty
-        monkeypatch.setattr(spembed, "_reduces_to_empty", lambda adj: calls.append(1) or original(adj))
+        original = spembed._reduce
+        monkeypatch.setattr(spembed, "_reduce", lambda *args, **kw: calls.append(1) or original(*args, **kw))
         with pytest.raises(NotTreewidth2, match="^input graph has treewidth greater than 2$"):
             embed_into_sp(g)
-        assert len(calls) <= 2
+        assert len(calls) <= 3  # the kernel, the pair on it, and the component on it
 
     def test_pendants_on_k4_minus_edge_block(self):
         # The two degree-2 vertices of K4-e each carry a pendant; their
@@ -365,7 +369,7 @@ class TestEmbedding:
                   [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
                    ("c", "p"), ("d", "q")])
         emb = embed_into_sp(g)
-        assert validate_sp_tree(emb.sp)
+        assert sp_tree_violations(emb.sp) == []
         assert g.edges <= emb.host.edges
 
     @settings(max_examples=60, deadline=None)
@@ -375,18 +379,18 @@ class TestEmbedding:
         emb = embed_into_sp(g)
         assert g.edges <= emb.host.edges
         assert set(g.vertices) <= set(emb.host.vertices)
-        assert validate_sp_tree(emb.sp)
-        assert has_treewidth_at_most_2(emb.host)
+        assert sp_tree_violations(emb.sp) == []
+        embed_into_sp(emb.host)  # NotTreewidth2 if the host's treewidth were above 2
         assert emb.host.edges - g.edges == emb.added_edges
 
     def test_exhaustive_small_graphs_embed(self):
         for n in range(1, 6):
             for g in all_labeled_graphs(n, Graph):
-                if has_treewidth_at_most_2(g):
+                if not has_k4_minor(g):
                     emb = embed_into_sp(g)
-                    assert validate_sp_tree(emb.sp)
+                    assert sp_tree_violations(emb.sp) == []
                     assert g.edges <= emb.host.edges
-                    assert has_treewidth_at_most_2(emb.host)
+                    assert not has_k4_minor(emb.host)
 
     def test_vertex_in_no_leaf_refused(self, monkeypatch):
         # A reduction that loses a vertex is caught by the normalising pass,
@@ -418,7 +422,7 @@ def dropping_middles(reduce):
 def id_arguments(graph, comp, comp_edges):
     "The degrees, component and edges ``_terminal_candidates`` takes, over vertex ids."
     idx = graph.index
-    return ([graph.degree(v) for v in graph.vertices], [idx(v) for v in comp],
+    return ([len(nb) for nb in graph.adjacency()], [idx(v) for v in comp],
             [(idx(u), idx(v)) for u, v in comp_edges])
 
 
@@ -438,21 +442,21 @@ def candidates(graph, comp):
 
 class TestTerminalCandidates:
     def test_order_matches_reference_on_small_graphs(self, monkeypatch):
-        # Accepting every pair compares the whole order, not just the kept pairs.
+        # Accepting every pair compares the whole order, not just the kept pairs,
+        # on every connected graph of treewidth <= 2 (a full reduction empties it).
+        graphs = [g for n in range(2, 7) for g in all_labeled_graphs(n, Graph) if len(g.components()) == 1
+                  and not spembed._reduce({v: set(nb) for v, nb in enumerate(g.adjacency())})]
         monkeypatch.setattr(spembed, "_batch_verdicts", accept_all)
         monkeypatch.setattr(oracles, "reference_tw2_with_extra_edge", lambda *args: True)
-        for n in range(2, 7):
-            for g in all_labeled_graphs(n, Graph):
-                comps = g.connected_components()
-                if len(comps) == 1 and has_treewidth_at_most_2(g):
-                    got, want = candidates(g, comps[0])
-                    assert got == want
+        for g in graphs:
+            got, want = candidates(g, list(g.vertices))
+            assert got == want
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6))
     def test_matches_reference_on_random_cover_graphs(self, n, seed):
         g = random_partial_2tree(n, seed)
-        for comp in g.connected_components():
+        for comp in named_components(g):
             if len(comp) > 1:
                 got, want = candidates(g, comp)
                 assert got == want
@@ -531,7 +535,7 @@ class TestTerminalCandidates:
         emb = embed_into_sp(g)
         elapsed = time.process_time() - start
         assert tested == [False] * spembed.MAX_REJECTIONS
-        assert validate_sp_tree(emb.sp)
+        assert sp_tree_violations(emb.sp) == []
         assert g.edges <= emb.host.edges
         assert elapsed < 1.0
 
@@ -543,11 +547,16 @@ class TestTerminalCandidates:
         g = Graph(["a", "b"] + mids + ["p%d" % i for i in range(m)],
                   [(x, mid) for mid in mids for x in "ab"] + [(mid, "p" + mid[1:]) for mid in mids])
         verdicts, reductions = [], []
-        judge, reduces = spembed._batch_verdicts, spembed._reduces_to_empty
+        judge, reduce = spembed._batch_verdicts, spembed._reduce
+
+        def counted(adj, pinned=(), keep=0):
+            if not pinned and not keep:  # a test of treewidth, not a kernel or the fallback
+                reductions.append(len(adj))
+            return reduce(adj, pinned, keep)
+
         monkeypatch.setattr(spembed, "_batch_verdicts",
                             lambda *args: (verdicts.append(ok) or ok for ok in judge(*args)))
-        monkeypatch.setattr(spembed, "_reduces_to_empty",
-                            lambda adj: reductions.append(len(adj)) or reduces(adj))
+        monkeypatch.setattr(spembed, "_reduce", counted)
         embed_into_sp(g)
         assert verdicts == [False] * spembed.MAX_REJECTIONS
         assert len(reductions) == len(verdicts) + 1
@@ -735,20 +744,10 @@ class TestAugment:
         assert source not in g.vertices and sink not in g.vertices
         assert len(emb.host.vertices) == len(base.host.vertices) + 2
         assert len(emb.host.edges) == len(base.host.edges) + 2
-        assert validate_sp_tree(emb.sp)
+        assert sp_tree_violations(emb.sp) == []
 
 
 class TestGraphText:
-    def test_round_trip(self):
-        g = Graph("abc", [("a", "b"), ("b", "c")])
-        assert loads(dumps(g)) == g
-
-    def test_malformed_edge_line(self):
-        from spdim.errors import ParseError
-        with pytest.raises(ParseError) as err:
-            loads("vertices: a b\na -- z\n")
-        assert err.value.line == 2
-
     def test_dot_dashed_fill_edges(self):
         g = Graph("abc", [("a", "b"), ("b", "c")])
         dot = dumps_dot(g, dashed_edges=[("b", "c")])

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 
@@ -8,14 +9,16 @@ from spdim.errors import PreconditionViolated, VertexNotInDecomposition
 from spdim.generators import chain, random_tw2_poset
 from spdim.graphs import Graph
 from spdim.spembed import augment_with_fresh_terminals, edge_node, embed_into_sp
-from spdim.stdecomp import DecompNode, STDecomposition, build_st_decomposition, decomposition_to_json
+from spdim.stdecomp import DecompNode, STDecomposition, build_st_decomposition, dumps_decomposition
 
 from test_acceptance import CORPUS
 from oracles import (
     id_host,
+    in_order,
     in_order_less,
     in_order_positions,
     is_ancestor,
+    neighbors,
     reference_decomposition,
     reference_depths_and_least,
     reference_reverse,
@@ -90,12 +93,12 @@ class TestBuild:
         d = build_st_decomposition(emb.sp, emb.names)
         root = d.nodes[d.root]
         assert len(root.bag) == 2
-        assert len(d) == emb.sp.leaves() * 2 - 1
+        assert len(d) == len(emb.host.edges) * 2 - 1  # one leaf per host edge
         assert validate_decomposition(d, id_host(emb), emb.source, emb.sink)
 
     def test_node_count_matches_sp_tree(self):
         emb, d = random_decomposition(18, 5)
-        sp_nodes = 2 * emb.sp.leaves() - 1
+        sp_nodes = 2 * len(emb.host.edges) - 1
         assert len(d) == sp_nodes
 
     def test_long_chain_stays_linear_in_memory(self):
@@ -236,6 +239,13 @@ class TestParentsFirstTables:
         with pytest.raises(PreconditionViolated, match="node 0 has parent"):
             STDecomposition(nodes, 1, "ab")
 
+    def test_node_ids_must_be_positions(self):
+        # The columns are read by position, so node k must carry id k.
+        nodes = [DecompNode(0, None, 2, 1, (0, 1, 2), 0, 2), DecompNode(2, 0, None, None, (1, 2), 1, 2),
+                 DecompNode(1, 0, None, None, (0, 1), 0, 1)]
+        with pytest.raises(PreconditionViolated, match="node 2 is at position 1"):
+            STDecomposition(nodes, 0, "abc")
+
 
 class TestColumns:
     """The columns against decompositions built one ``DecompNode`` per node."""
@@ -261,7 +271,7 @@ class TestColumns:
         g = random_tw2_poset(40, 3).cover_graph()
         emb = embed_into_sp(g)
         d = build_st_decomposition(emb.sp, emb.names)
-        assert len(d.nodes) == len(d) == 2 * emb.sp.leaves() - 1
+        assert len(d.nodes) == len(d) == 2 * len(emb.host.edges) - 1
         assert max(d.depth(node.id) for node in d.nodes) == max(reference_depths_and_least(d)[0])
         assert len(emb.added_edges) == len(emb.host.edges - g.edges)
         assert len(emb.added_vertices) == len(emb.host.vertices) - len(g.vertices)
@@ -281,7 +291,7 @@ class TestReverse:
 
     def test_in_order_exactly_reversed(self):
         _, d = random_decomposition(20, 2)
-        assert d.reverse().in_order() == list(reversed(d.in_order()))
+        assert in_order(d.reverse()) == list(reversed(in_order(d)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=2, max_value=25), st.integers(min_value=0, max_value=10**6))
@@ -321,7 +331,7 @@ class TestSwapSize2:
 def grow_connected_subset(graph, rng, start, must_include=()):
     "Random connected vertex set containing start (and targets, via paths)."
     chosen = {start}
-    frontier = set(graph.neighbors(start))
+    frontier = set(neighbors(graph, start))
     for target in must_include:
         # walk a BFS path from the current set to the target
         from collections import deque
@@ -331,7 +341,7 @@ def grow_connected_subset(graph, rng, start, must_include=()):
             u = queue.popleft()
             if u == target:
                 break
-            for w in graph.neighbors(u):
+            for w in neighbors(graph, u):
                 if w not in parent:
                     parent[w] = u
                     queue.append(w)
@@ -339,13 +349,13 @@ def grow_connected_subset(graph, rng, start, must_include=()):
         while v is not None and v not in chosen:
             chosen.add(v)
             v = parent[v]
-        frontier |= {w for v in chosen for w in graph.neighbors(v)} - chosen
+        frontier |= {w for v in chosen for w in neighbors(graph, v)} - chosen
     for _ in range(rng.randrange(0, 6)):
         if not frontier:
             break
         v = rng.choice(sorted(frontier, key=graph.index))
         chosen.add(v)
-        frontier |= set(graph.neighbors(v)) - chosen
+        frontier |= set(neighbors(graph, v)) - chosen
         frontier.discard(v)
     return chosen
 
@@ -444,7 +454,7 @@ class TestJsonExport:
         from spdim.poset import Poset
         from spdim.realizer import decompose_poset
 
-        assert decomposition_to_json(decompose_poset(Poset("abc", [("a", "b")]))) == [
+        assert json.loads(dumps_decomposition(decompose_poset(Poset("abc", [("a", "b")])))) == [
             {"id": 0, "parent": None, "side": None, "bag": ["+s", "a", "+t"], "s": "+s", "t": "+t"},
             {"id": 1, "parent": 0, "side": "left", "bag": ["+s", "a"], "s": "+s", "t": "a"},
             {"id": 2, "parent": 0, "side": "right", "bag": ["a", "+c1", "+t"], "s": "a", "t": "+t"},
@@ -458,7 +468,7 @@ class TestJsonExport:
 
     def test_schema(self):
         emb, d = path_decomposition()
-        data = decomposition_to_json(d)
+        data = json.loads(dumps_decomposition(d))
         assert [row["id"] for row in data] == [n.id for n in d.nodes]
         root_row = data[d.root]
         assert root_row["parent"] is None and root_row["side"] is None
