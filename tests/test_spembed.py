@@ -64,11 +64,6 @@ def leaf_edge_set(tree):
     return {frozenset((n.source, n.sink)) for n in walk_postorder(tree) if n.kind == EDGE}
 
 
-def named_components(graph):
-    "The vertex lists of the connected components, canonical order throughout."
-    return [[graph.vertices[i] for i in comp] for comp in graph.components()]
-
-
 class TestRecognition:
     # The recognizer is the embedding itself: it refuses treewidth above 2.
     def test_k4_rejected(self):
@@ -456,9 +451,9 @@ class TestTerminalCandidates:
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6))
     def test_matches_reference_on_random_cover_graphs(self, n, seed):
         g = random_partial_2tree(n, seed)
-        for comp in named_components(g):
+        for comp in g.components():
             if len(comp) > 1:
-                got, want = candidates(g, comp)
+                got, want = candidates(g, [g.vertices[i] for i in comp])
                 assert got == want
 
     @settings(max_examples=60, deadline=None)
