@@ -62,10 +62,11 @@ def _witness_lines(exc):
 
 
 def _read_text(poset_file):
+    "The text of ``poset_file``, or of stdin: UTF-8, with other bytes kept as surrogate escapes."
     if poset_file is not None:
         with open(poset_file, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return fh.read()
-    return sys.stdin.read()
+    return sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
 
 
 def _read_poset(poset_file):

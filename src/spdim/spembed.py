@@ -13,8 +13,8 @@ original graph is untouched: missing structure is added as fresh *fill* edges
 and fresh connector vertices, never by identifying existing vertices.  The
 tree is built with O(1) reversals (``FLIP`` views), which are resolved before
 it is returned, balanced by leaf weight: paths and forests get depth O(log n).
-Terminal pairs are tested in batches, one partly reduced kernel per batch; after
-``MAX_REJECTIONS`` rejections the last two vertices of a reduction are taken.
+A sparse component takes its two vertices of least degree as terminals; any other
+component takes the last two vertices of one reduction, which also tests its treewidth.
 
 Vertices are integer ids throughout: a graph vertex's id is its position in
 the graph, fresh vertices get the next ids in the order they are made, and
@@ -22,11 +22,11 @@ id order is the canonical order of every tie-break.  ``Embedding.names``
 maps ids back to names; the host graph is built only when it is read.
 """
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, nsmallest
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, combinations, islice
+from itertools import accumulate
 
 from .errors import InvalidSPTree, NotTreewidth2
 from .graphs import Graph
@@ -35,7 +35,6 @@ SERIES = "series"
 PARALLEL = "parallel"
 EDGE = "edge"
 FLIP = "flip"  # private: a reversed view of its left child, resolved inside embed_into_sp
-MAX_REJECTIONS = 64  # rejected terminal pairs per component before the fallback pair
 
 
 class SPNode:
@@ -190,13 +189,13 @@ class Embedding:
                              for node in walk_postorder(self.sp) if node.kind == EDGE))
 
 
-def _reduce(adj, pinned=(), keep=0):
-    """Destructive partial-2-tree reduction of ``adj``; spares ``pinned``, stops at ``keep`` left.
-    A full reduction (nothing spared, ``keep`` 0) empties a graph iff its treewidth is at most 2."""
+def _reduce(adj, keep=0):
+    """Destructive partial-2-tree reduction of ``adj``; stops at ``keep`` left.
+    A full reduction (``keep`` 0) empties a graph iff its treewidth is at most 2."""
     queue = [v for v, nb in adj.items() if len(nb) <= 2]
     while queue and len(adj) > keep:
         v = queue.pop()
-        if v not in adj or len(adj[v]) > 2 or v in pinned:
+        if v not in adj or len(adj[v]) > 2:
             continue
         nb = list(adj.pop(v))
         for u in nb:
@@ -334,97 +333,32 @@ def _rebracket(inner, ops, counts):
     return built, prefix[-1:]
 
 
-def _adjacency(comp, comp_edges):
+def _terminals(degree, comp, comp_edges):
+    """The terminal pair (s, t), lower id first, of a component: one for which the
+    component plus the edge st has treewidth <= 2, so that ``_reduce_component`` builds a
+    host on it (any host tolerates a parallel st edge, and with it contains component + st
+    as a subgraph).  ``comp`` is a whole component, ascending, and ``degree[v]`` is the
+    graph degree of vertex v.
+
+    With at most as many edges as vertices, the component plus st has cyclomatic number
+    at most 2, K4 needs 3, so every pair passes: the two vertices of least degree are
+    taken, the lower id first among equals, so that paths keep their ends as terminals.
+    Otherwise the last two vertices of one reduction are taken, and that reduction is the
+    component's treewidth test: each step keeps "treewidth <= 2" both ways, and minimum
+    degree 3 forces treewidth 3, so it stops with more than two vertices left iff the
+    treewidth is above 2.  The two left pass: a step on a vertex outside {s, t} sees the
+    same neighbours with or without st, so the same steps reduce component + st to st.
+    """
+    if len(comp_edges) <= len(comp):
+        return tuple(sorted(nsmallest(2, comp, key=degree.__getitem__)))
     adj = {v: set() for v in comp}
     for u, v in comp_edges:
         adj[u].add(v)
         adj[v].add(u)
-    return adj
-
-
-def _batch_verdicts(comp, comp_edges, batch, untested):
-    """Whether the component plus st has treewidth <= 2, lazily for each pair (s, t) of the
-    batch.  One kernel, the component reduced sparing every vertex the batch names,
-    serves them all: a pair costs one reduction of a copy of the kernel plus st.  If the
-    component is ``untested``, at the first rejection a copy of the kernel, reduced sparing
-    nothing, tests the component itself: one of treewidth > 2, which no pair can pass,
-    raises ``NotTreewidth2``."""
-    kernel = _reduce(_adjacency(comp, comp_edges), {v for pair in batch for v in pair})
-    for s, t in batch:
-        adj = {v: set(nb) for v, nb in kernel.items()}
-        adj[s].add(t)
-        adj[t].add(s)
-        ok = not _reduce(adj)
-        if not ok and untested:
-            untested = False
-            if _reduce({v: set(nb) for v, nb in kernel.items()}):
-                raise NotTreewidth2("input graph has treewidth greater than 2")
-        yield ok
-
-
-def _terminal_candidates(degree, comp, comp_edges):
-    """Terminal pairs to try, best first, generated lazily.
-
-    A pair (s, t) admits a series-parallel host containing the component iff
-    the component plus the edge st still has treewidth <= 2 (any host would
-    tolerate a parallel st edge, and with it contains component + st as a
-    subgraph).  Pairs of vertices of degree <= 2 come first, by degree sum,
-    then id, so that paths keep their ends as terminals and fills stay rare;
-    then the edges with an endpoint of higher degree (an edge always
-    qualifies).  ``comp`` is a whole component, ascending, and ``degree[v]``
-    is the graph degree of vertex v.
-
-    With at most as many edges as vertices, the component plus st has
-    cyclomatic number at most 2, K4 needs 3, so every pair passes untested.
-    Otherwise batches of 8, 16, 32, ... pairs are each tested on one kernel
-    (``_batch_verdicts``), exactly: a step on a vertex outside {s, t} sees the
-    same neighbours with or without st, so the kernel's steps begin a reduction
-    of the component plus st; each step keeps "treewidth <= 2" both ways, and
-    minimum degree 3 forces treewidth 3, so any maximal reduction empties a
-    graph iff its treewidth is <= 2, and the kernel also tests the component
-    itself, once, at its first rejection.  A pair is yielded with its batch's
-    verdicts and kernel freed, before the caller builds the tree.  After
-    ``MAX_REJECTIONS`` rejections and no pass (never on ordinary inputs;
-    K_{2,m} with pendants rejects every pendant pair), the search ends with the
-    last two vertices of one unpinned reduction, lower id first: by the same
-    argument they pass.
-    """
-    ones = [v for v in comp if degree[v] == 1]
-    twos = [v for v in comp if degree[v] == 2]
-    stream = chain(combinations(ones, 2), _mixed_pairs(degree, comp, ones, twos),
-                   combinations(twos, 2),
-                   ((u, v) for u, v in comp_edges if degree[u] > 2 or degree[v] > 2))
-    if len(comp_edges) <= len(comp):
-        yield from stream
-        return
-    size, rejections, passed = 8, 0, False
-    while batch := list(islice(stream, size)):
-        size *= 2
-        while batch:
-            for k, ok in enumerate(_batch_verdicts(comp, comp_edges, batch, not rejections)):
-                if ok:
-                    break
-                rejections += 1
-                if rejections == MAX_REJECTIONS and not passed:
-                    last = _reduce(_adjacency(comp, comp_edges), keep=2)
-                    if len(last) == 2:
-                        yield min(last), max(last)
-                    return
-            else:
-                break
-            passed = True
-            pair, batch = batch[k], batch[k + 1:]  # the kernel went with the verdicts
-            yield pair
-
-
-def _mixed_pairs(degree, comp, ones, twos):
-    "Pairs of one degree-1 and one degree-2 vertex, in id order."
-    seen = {1: 0, 2: 0}  # vertices of each degree up to u
-    for u in comp:
-        d = degree[u]
-        if d <= 2:
-            seen[d] += 1
-            yield from ((u, v) for v in islice((twos, ones)[d - 1], seen[3 - d], None))
+    last = _reduce(adj, keep=2)
+    if len(last) > 2:
+        raise NotTreewidth2("input graph has treewidth greater than 2")
+    return min(last), max(last)
 
 
 def _reduce_component(comp, comp_edges, s, t):
@@ -498,9 +432,9 @@ def embed_into_sp(graph):
     edge so that the host is never empty.  The tree is returned normalised:
     no ``FLIP`` view, and every series or parallel run balanced.
 
-    A component's treewidth is tested only when a terminal pair is rejected,
-    on the kernel that judged the pair, never on the whole graph: reducing every
-    component proves treewidth <= 2, and one of treewidth > 2 rejects its first pair.
+    A component is reduced at most twice: once to pick its terminals and test its
+    treewidth (``_terminals``; a component with no more edges than vertices needs
+    neither), once to build its tree.  The graph is never tested as a whole.
     """
     names = _Names(graph.vertices)
     added_edges = []
@@ -517,11 +451,7 @@ def embed_into_sp(graph):
             trees.append(edge_node(v, c))
             continue
         comp_edges = [(u, v) for u in comp for v in sorted(adjacency[u]) if u < v]  # index_edges() order
-        result = None
-        for s, t in _terminal_candidates(degree, comp, comp_edges):
-            result = _reduce_component(comp, comp_edges, s, t)
-            if result is not None:
-                break
+        result = _reduce_component(comp, comp_edges, *_terminals(degree, comp, comp_edges))
         if result is None:
             raise NotTreewidth2("component cannot be reduced to a series-parallel host")
         tree, fills = result

@@ -775,8 +775,7 @@ def reference_realizer_violations(poset, extensions):
 
 def reference_tw2_with_extra_edge(comp, comp_edges, s, t):
     """Treewidth-<=2 test of the component plus the edge st by one fresh
-    reduction of the whole of it: the verdict ``spdim.spembed._batch_verdicts``
-    must give on every pair of a batch."""
+    reduction of the whole of it: whether (s, t) may be the component's terminals."""
     from spdim import spembed
 
     adj = {v: set() for v in comp}
@@ -787,10 +786,11 @@ def reference_tw2_with_extra_edge(comp, comp_edges, s, t):
 
 
 def reference_terminal_candidates(graph, comp, comp_edges):
-    """The terminal pairs ``spdim.spembed._terminal_candidates`` must yield, in
-    order: every pair of vertices of degree <= 2, sorted by degree sum and
-    then by canonical index, then each remaining edge; each kept only when
-    ``reference_tw2_with_extra_edge`` accepts it."""
+    """The terminal pairs in order of preference: every pair of vertices of
+    degree <= 2, sorted by degree sum and then by canonical index, then each
+    remaining edge; each kept only when ``reference_tw2_with_extra_edge``
+    accepts it.  On a component with no more edges than vertices every pair is
+    kept, and the first is the pair ``spdim.spembed._terminals`` must pick."""
     idx = graph.index
     degree = {v: 0 for v in comp}
     for u, v in comp_edges:

@@ -224,6 +224,13 @@ class TestFileOptions:
         assert res.exit_code == 2
         assert res.stderr == "error: line 2: unknown element '\\udcff'\n"
 
+    def test_undecodable_stdin_in_process(self):
+        # The same bytes on stdin, in process under click's CliRunner: exit 2, as
+        # in a ``python -m spdim`` process, not a UnicodeDecodeError.
+        res = run(["realize"], stdin=b"elements: a b\na < \xff\n")
+        assert res.exit_code == 2
+        assert res.stderr == "error: line 2: unknown element '\\udcff'\n"
+
 
 class TestReversibilityFailure:
     def test_realize_prints_witness(self, one_class):

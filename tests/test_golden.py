@@ -12,7 +12,15 @@ The composition tree is balanced: each series or parallel run is re-bracketed
 at the midpoint of its leaf counts, which changes the decomposition and the
 signature classes.  With the balancing pass replaced by the reference
 resolver (eager mirrors, no re-bracketing), the output is the one the
-left-deep tree gave, and its earlier digests still hold.
+left-deep tree gives, pinned by the two unbalanced digests.
+
+All four digests moved once on purpose, when the terminal-pair search was
+replaced by one reduction per component: a component with more edges than
+vertices now takes as terminals the last two vertices of the reduction that
+tests its treewidth, not the first pair a batched search accepted.  Forests
+and chains, whose components have no more edges than vertices, keep their
+terminals and their bytes.  ``python tests/test_golden.py`` (with ``src`` and
+``tests`` on ``PYTHONPATH``) prints the four digests to re-pin them.
 """
 
 import hashlib
@@ -28,10 +36,10 @@ from spdim.stdecomp import build_st_decomposition, dumps_decomposition
 from oracles import decomposition_to_json, realizer_to_json, reference_resolve
 from test_acceptance import CORPUS
 
-GOLDEN_SHA256 = "25aa797dd2fb1137f74e6267e965f2246421f9524708705622597ab4b1e93cf7"
-DECOMPOSE_SHA256 = "3cb597a2f512647e1ca3dd484f86ca4c3d85676cdf4df79854e3159dbca2af06"
-UNBALANCED_GOLDEN_SHA256 = "917f6c5bbfafcea3a604850dc2b244688c518ddd2f4b1d42547df148e5e8e8c6"
-UNBALANCED_DECOMPOSE_SHA256 = "ff9446405028aa55f5dde0578f5f71e26ec001007c4aecef090c9091622d868d"
+GOLDEN_SHA256 = "6b77d7c240bae61cfb0a1624a0520f344cbd4b396f5cbc7253c5849180965221"
+DECOMPOSE_SHA256 = "454c8e0a8398d8afd8717704bafde0416300a02779064dec7df7cbd3292067a2"
+UNBALANCED_GOLDEN_SHA256 = "47cec669084bd6b46cf20d75144dd2b09da5ae7646929ca4ef1c2c8c1b03d884"
+UNBALANCED_DECOMPOSE_SHA256 = "c1c3cba37ae1a3cae1a2cc63bddd4171f56e351ea5cd57b8337d72b61ace50d7"
 
 
 def golden_instances():
@@ -99,3 +107,13 @@ def test_writers_match_json_dumps():
         assert dumps_decomposition(d) == json.dumps(decomposition_to_json(d), indent=2) + "\n"
     assert realize_tw2(chain(5)).extensions[0][0] is None
     assert dumps_realizer(Realizer(())) == json.dumps([], indent=2) + "\n"
+
+
+if __name__ == "__main__":
+    # Print the four digests, to re-pin them after an intended output change:
+    # PYTHONPATH=src:tests python tests/test_golden.py
+    print("GOLDEN_SHA256 =", golden_digest())
+    print("DECOMPOSE_SHA256 =", decompose_digest())
+    spembed._normalized = reference_resolve  # as the unbalanced tests patch it
+    print("UNBALANCED_GOLDEN_SHA256 =", golden_digest())
+    print("UNBALANCED_DECOMPOSE_SHA256 =", decompose_digest())

@@ -252,26 +252,29 @@ class TestRealizePath:
         assert p.verify_realizer(r.orders())
 
     def test_treewidth_tested_once(self, monkeypatch):
-        # A successful reduction proves treewidth <= 2, and a rejected terminal
-        # pair tests its component on the kernel that judged it: the graph is
-        # never reduced as a whole (only a kernel build, which spares the
-        # batch's vertices, starts from a whole component), and treewidth 3 is
+        # One reduction per component picks its terminals and tests its
+        # treewidth; a component with no more edges than vertices needs none.
+        # The graph is never tested again as a whole, and treewidth 3 is
         # refused with the same message.
         calls = []
         reduce = spembed._reduce
 
-        def recorded(adj, pinned=(), keep=0):
-            calls.append((len(adj), bool(pinned)))
-            return reduce(adj, pinned, keep)
+        def recorded(adj, keep=0):
+            calls.append(keep)
+            return reduce(adj, keep)
 
         monkeypatch.setattr(spembed, "_reduce", recorded)
-        for p in (random_tw2_poset(30, 5), random_tw2_poset(500, 1), chain(50), forest_poset(200, 1)):
+        # Each random_tw2 poset is one component with more edges than
+        # vertices; the chain and the forest's 44 components have none.
+        for p, dense in ((random_tw2_poset(30, 5), 1), (random_tw2_poset(500, 1), 1),
+                         (chain(50), 0), (forest_poset(200, 1), 0)):
             calls.clear()
-            spembed.embed_into_sp(p.cover_graph())
             realize_tw2(p)
-            assert (len(p), False) not in calls
+            assert calls == [2] * dense
+        calls.clear()
         with pytest.raises(NotTreewidth2, match="^input graph has treewidth greater than 2$"):
             realize_tw2(kelly(3))
+        assert calls == [2]
 
     def test_one_sort_per_class(self, monkeypatch):
         calls = []

@@ -3,11 +3,8 @@ import os
 import random
 import subprocess
 import sys
-import time
-import tracemalloc
-import weakref
 from collections import Counter
-from itertools import combinations, islice
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +28,6 @@ from spdim.spembed import (
 )
 from spdim.stdecomp import build_st_decomposition
 
-import oracles
 from oracles import (
     all_labeled_graphs,
     has_k4_minor,
@@ -43,7 +39,7 @@ from oracles import (
     reference_terminal_candidates,
     reference_tw2_with_extra_edge,
 )
-from test_acceptance import CORPUS, embedding_refused
+from test_acceptance import embedding_refused
 
 
 def k4():
@@ -337,10 +333,9 @@ class TestEmbedding:
             embed_into_sp(k4())
 
     def test_treewidth3_refused_after_two_reductions(self, monkeypatch):
-        # A guard against unbounded work that does not depend on timing: a
-        # random 3-tree rejects its first terminal pair, and the test of the
-        # component on that pair's kernel then refuses it, so no further
-        # candidate is tried.
+        # A guard against unbounded work that does not depend on timing: the
+        # reduction that picks a random 3-tree's terminals stops with vertices
+        # of degree 3 left, which refuses it, and no tree is built.
         rng = random.Random(3)
         n = 2000
         edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
@@ -350,12 +345,12 @@ class TestEmbedding:
             edges += [(a, v), (b, v), (c, v)]
             cliques += [(a, b, v), (a, c, v), (b, c, v)]
         g = Graph(range(n), edges)
-        calls = []
-        original = spembed._reduce
-        monkeypatch.setattr(spembed, "_reduce", lambda *args, **kw: calls.append(1) or original(*args, **kw))
+        calls = Counter()
+        for name in ("_reduce", "_reduce_component"):
+            monkeypatch.setattr(spembed, name, counting(calls, name, getattr(spembed, name)))
         with pytest.raises(NotTreewidth2, match="^input graph has treewidth greater than 2$"):
             embed_into_sp(g)
-        assert len(calls) <= 3  # the kernel, the pair on it, and the component on it
+        assert calls == Counter({"_reduce": 1})
 
     def test_pendants_on_k4_minus_edge_block(self):
         # The two degree-2 vertices of K4-e each carry a pendant; their
@@ -415,53 +410,30 @@ def dropping_middles(reduce):
 
 
 def id_arguments(graph, comp, comp_edges):
-    "The degrees, component and edges ``_terminal_candidates`` takes, over vertex ids."
+    "The degrees, component and edges ``_terminals`` takes, over vertex ids."
     idx = graph.index
     return ([len(nb) for nb in graph.adjacency()], [idx(v) for v in comp],
             [(idx(u), idx(v)) for u, v in comp_edges])
 
 
-def accept_all(comp, comp_edges, batch, untested):
-    "``_batch_verdicts`` accepting every pair."
-    return (True for _ in batch)
+def terminals_by_name(graph):
+    "``_terminals`` of a connected graph, as names."
+    s, t = spembed._terminals(*id_arguments(graph, graph.vertices, graph.sorted_edges()))
+    return graph.vertices[s], graph.vertices[t]
 
 
-def candidates(graph, comp):
-    comp_set = set(comp)
-    comp_edges = [e for e in graph.sorted_edges() if e[0] in comp_set]
-    names = graph.vertices
-    return ([(names[s], names[t]) for s, t in
-             spembed._terminal_candidates(*id_arguments(graph, comp, comp_edges))],
-            list(reference_terminal_candidates(graph, comp, comp_edges)))
+def connected_graphs(max_n):
+    "Every connected labeled graph on 2 to ``max_n`` vertices."
+    return [g for n in range(2, max_n + 1) for g in all_labeled_graphs(n, Graph) if len(g.components()) == 1]
 
 
 class TestTerminalCandidates:
-    def test_order_matches_reference_on_small_graphs(self, monkeypatch):
-        # Accepting every pair compares the whole order, not just the kept pairs,
-        # on every connected graph of treewidth <= 2 (a full reduction empties it).
-        graphs = [g for n in range(2, 7) for g in all_labeled_graphs(n, Graph) if len(g.components()) == 1
-                  and not spembed._reduce({v: set(nb) for v, nb in enumerate(g.adjacency())})]
-        monkeypatch.setattr(spembed, "_batch_verdicts", accept_all)
-        monkeypatch.setattr(oracles, "reference_tw2_with_extra_edge", lambda *args: True)
-        for g in graphs:
-            got, want = candidates(g, list(g.vertices))
-            assert got == want
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6))
-    def test_matches_reference_on_random_cover_graphs(self, n, seed):
-        g = random_partial_2tree(n, seed)
-        for comp in g.components():
-            if len(comp) > 1:
-                got, want = candidates(g, [g.vertices[i] for i in comp])
-                assert got == want
-
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6),
            st.booleans())
     def test_sparse_components_pass_every_pair(self, n, seed, chord):
         # A connected graph with m <= n edges plus any edge st has cyclomatic
-        # number <= 2 and so no K4 minor: the skipped filter would pass every pair.
+        # number <= 2 and so no K4 minor: a sparse component's pair needs no test.
         rng = random.Random(seed)
         edges = {(rng.randrange(v), v) for v in range(1, n)}
         if chord and n > 2:
@@ -471,148 +443,74 @@ class TestTerminalCandidates:
         for s, t in combinations(comp, 2):
             assert reference_tw2_with_extra_edge(comp, sorted(edges), s, t), (s, t)
 
-    def test_first_candidate_of_a_long_path_is_cheap(self, monkeypatch):
-        # A guard against quadratic work that does not depend on timing: the
-        # ends of a path come first, found with at most one treewidth test and
-        # no list of all 2 * 10**8 low-degree pairs.  The bare path has no
-        # more edges than vertices, so its pairs pass untested; two vertices
-        # joined to both v5000 and v5001 give it more edges, and one test.
-        verts = ["v%d" % i for i in range(20000)]
-        path = list(zip(verts, verts[1:]))
-        thetas = [(w, v) for w in ("w0", "w1") for v in ("v5000", "v5001")]
-        for g, tests in ((Graph(verts, path), 0), (Graph(verts + ["w0", "w1"], path + thetas), 1)):
-            arguments = id_arguments(g, g.vertices, g.sorted_edges())
-            calls = []
-            monkeypatch.setattr(spembed, "_batch_verdicts",
-                                lambda comp, comp_edges, batch, _: (calls.append(pair) or True for pair in batch))
-            tracemalloc.start()
-            try:
-                first = next(spembed._terminal_candidates(*arguments))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert (g.vertices[first[0]], g.vertices[first[1]]) == ("v0", "v19999")
-            assert calls == [first] * tests
-            assert peak < 2 * 10**6
+
+class TestTerminals:
+    def test_sparse_pair_is_the_first_candidate_on_small_graphs(self):
+        # The two vertices of least degree are the first pair of the reference
+        # order: ends of paths first, then by degree sum and index.
+        sparse = [g for g in connected_graphs(6) if len(g.edges) <= len(g.vertices)]
+        assert sparse
+        for g in sparse:
+            comp = list(g.vertices)
+            assert terminals_by_name(g) == next(reference_terminal_candidates(g, comp, g.sorted_edges()))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6),
-           st.integers(min_value=0, max_value=4), st.integers(min_value=2, max_value=10))
-    def test_kernel_verdicts_match_reference(self, n, seed, extra, pins):
-        # Extra edges make K4 minors common, so both verdicts occur; every pair
-        # inside the pinned set is judged on the one kernel of that set.  A
-        # component of treewidth > 2 (the component plus one of its own edges
-        # fails the reference) is refused at its first rejection instead.
-        rng = random.Random(-seed)
-        for comp, comp_edges in components_with_edges(partial_2tree_plus(n, seed, extra)):
-            batch = list(combinations(sorted(rng.sample(comp, min(pins, len(comp)))), 2))
-            verdicts = spembed._batch_verdicts(comp, comp_edges, batch, True)
-            if reference_tw2_with_extra_edge(comp, comp_edges, *comp_edges[0]):
-                assert list(verdicts) == [reference_tw2_with_extra_edge(comp, comp_edges, s, t)
-                                          for s, t in batch]
-            else:
-                with pytest.raises(NotTreewidth2, match="^input graph has treewidth greater than 2$"):
-                    next(verdicts)
+    @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=10**6),
+           st.booleans())
+    def test_sparse_pair_is_the_first_candidate_on_random_graphs(self, n, seed, chord):
+        # A random tree, unicyclic with ``chord``, and each component of a forest's cover graph.
+        rng = random.Random(seed)
+        verts = ["v%d" % i for i in range(n)]
+        edges = {(verts[rng.randrange(v)], verts[v]) for v in range(1, n)}
+        if chord and n > 2:
+            edges.add(tuple(sorted(rng.sample(verts, 2), key=verts.index)))
+        graphs = [Graph(verts, edges)]
+        forest = forest_poset(n, seed).cover_graph()
+        graphs += [Graph([forest.vertices[v] for v in comp],
+                         [(forest.vertices[u], forest.vertices[v]) for u, v in comp_edges])
+                   for comp, comp_edges in components_with_edges(forest)]
+        for g in graphs:
+            assert len(g.edges) <= len(g.vertices)
+            comp = list(g.vertices)
+            assert terminals_by_name(g) == next(reference_terminal_candidates(g, comp, g.sorted_edges()))
 
-    def test_k2m_with_pendants_stops_at_the_cap(self, monkeypatch):
-        # A guard against unbounded work, counted: every pair of pendants is
-        # rejected, so without the cap the search would test ~m**2 / 2 pairs.
-        # After MAX_REJECTIONS it takes the last two vertices of a reduction.
+    def test_dense_pair_passes_the_minor_oracle(self):
+        # Every connected graph of treewidth <= 2 with more edges than vertices:
+        # the component plus st has no K4 minor, by an oracle that does not reduce.
+        dense = [g for g in connected_graphs(6) if len(g.edges) > len(g.vertices) and not has_k4_minor(g)]
+        assert dense
+        for g in dense:
+            s, t = terminals_by_name(g)
+            assert not has_k4_minor(Graph(g.vertices, list(g.edges) + [(s, t)])), (g.edges, s, t)
+
+    def test_k2m_with_pendants_takes_one_reduction(self, monkeypatch):
+        # A guard against unbounded work, counted: K_{2,m} with a pendant on
+        # every middle vertex, where every pair of pendants fails, takes one
+        # reduction, which picks a pair that passes.
         m = 1000
         mids = ["m%d" % i for i in range(m)]
         g = Graph(["a", "b"] + mids + ["p%d" % i for i in range(m)],
                   [(x, mid) for mid in mids for x in "ab"] + [(mid, "p" + mid[1:]) for mid in mids])
-        tested = []
-        original = spembed._batch_verdicts
-        monkeypatch.setattr(spembed, "_batch_verdicts",
-                            lambda *args: (tested.append(ok) or ok for ok in original(*args)))
-        start = time.process_time()
+        calls = Counter()
+        monkeypatch.setattr(spembed, "_reduce", counting(calls, "_reduce", spembed._reduce))
         emb = embed_into_sp(g)
-        elapsed = time.process_time() - start
-        assert tested == [False] * spembed.MAX_REJECTIONS
+        assert calls == Counter({"_reduce": 1})
         assert sp_tree_violations(emb.sp) == []
         assert g.edges <= emb.host.edges
-        assert elapsed < 1.0
 
-    def test_component_tested_once_across_batches(self, monkeypatch):
-        # Every pair of pendants is rejected, in batches of 8, 16, 32 and 8:
-        # one reduction per verdict, plus the component's own test once.
-        m = 100
-        mids = ["m%d" % i for i in range(m)]
-        g = Graph(["a", "b"] + mids + ["p%d" % i for i in range(m)],
-                  [(x, mid) for mid in mids for x in "ab"] + [(mid, "p" + mid[1:]) for mid in mids])
-        verdicts, reductions = [], []
-        judge, reduce = spembed._batch_verdicts, spembed._reduce
+    def test_long_path_ends_without_reduction(self, monkeypatch):
+        # A guard against extra work that does not depend on timing: a path has
+        # no more edges than vertices, so its ends are its terminals, unreduced.
+        verts = ["v%d" % i for i in range(20000)]
+        g = Graph(verts, list(zip(verts, verts[1:])))
 
-        def counted(adj, pinned=(), keep=0):
-            if not pinned and not keep:  # a test of treewidth, not a kernel or the fallback
-                reductions.append(len(adj))
-            return reduce(adj, pinned, keep)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a sparse component was reduced")
 
-        monkeypatch.setattr(spembed, "_batch_verdicts",
-                            lambda *args: (verdicts.append(ok) or ok for ok in judge(*args)))
-        monkeypatch.setattr(spembed, "_reduce", counted)
-        embed_into_sp(g)
-        assert verdicts == [False] * spembed.MAX_REJECTIONS
-        assert len(reductions) == len(verdicts) + 1
-
-    def test_kernel_builds_grow_logarithmically_on_wide_inputs(self, monkeypatch):
-        # A component builds one kernel per batch of 8, 16, 32, ... pairs,
-        # not one reduction per tested pair.
-        log = {}
-        original = spembed._batch_verdicts
-
-        def counted(comp, comp_edges, batch, untested):
-            entry = log.setdefault(comp[0], [0, 0])  # kernels, tested pairs
-            entry[0] += 1
-            for ok in original(comp, comp_edges, batch, untested):
-                entry[1] += 1
-                yield ok
-
-        monkeypatch.setattr(spembed, "_batch_verdicts", counted)
-        most = 0
-        for seed in range(4):
-            log.clear()
-            embed_into_sp(random_tw2_poset(500, seed).cover_graph())
-            for kernels, tested in log.values():
-                assert kernels <= 1 + math.ceil(math.log2(tested / 8 + 1)), (seed, kernels, tested)
-                most = max(most, tested)
-        assert most > 2  # a kernel per tested pair would break the bound
-
-    def test_kernel_freed_before_the_tree_is_built(self, monkeypatch):
-        # The verdicts of a batch hold its kernel: none may be alive while
-        # ``_reduce_component`` builds the tree for the accepted pair.
-        alive = []
-        verdicts, reduce_component = spembed._batch_verdicts, spembed._reduce_component
-
-        def tracked(*args):
-            judged = verdicts(*args)
-            alive.append(weakref.ref(judged))
-            return judged
-
-        def checked(*args):
-            assert all(ref() is None for ref in alive)
-            return reduce_component(*args)
-
-        monkeypatch.setattr(spembed, "_batch_verdicts", tracked)
-        monkeypatch.setattr(spembed, "_reduce_component", checked)
-        for seed in range(162, 166):
-            embed_into_sp(random_tw2_poset(500, seed).cover_graph())
-        assert alive
-
-    def test_one_component_reduction_per_component_on_corpus(self, monkeypatch):
-        # Every whole-component reduction starts from ``_adjacency`` (a kernel,
-        # the fallback pair) or is ``_reduce_component`` (the tree, built once).
-        calls = Counter()
-        for name in ("_adjacency", "_batch_verdicts", "_reduce_component"):
-            monkeypatch.setattr(spembed, name, counting(calls, name, getattr(spembed, name)))
-        components = 0
-        for seed, n in CORPUS:
-            g = random_tw2_poset(n, seed).cover_graph()
-            components += sum(1 for _ in components_with_edges(g))
-            embed_into_sp(g)
-        assert calls["_batch_verdicts"] > 0
-        assert calls["_adjacency"] + calls["_reduce_component"] <= components + calls["_batch_verdicts"]
+        monkeypatch.setattr(spembed, "_reduce", forbidden)
+        assert terminals_by_name(g) == ("v0", "v19999")
+        emb = embed_into_sp(g)
+        assert (emb.names[emb.source], emb.names[emb.sink]) == ("v0", "v19999")
 
 
 def components_with_edges(graph):
@@ -668,22 +566,6 @@ class TestReduceComponent:
         for comp, comp_edges in components_with_edges(partial_2tree_plus(n, seed, extra)):
             assert_same_reduction(comp, comp_edges, combinations(comp, 2))
 
-    def test_matches_reference_on_corpus_components(self, monkeypatch):
-        # The first batch of each unfiltered candidate stream, passing or not
-        # (the whole streams of 200 components are 61,000 pairs).
-        monkeypatch.setattr(spembed, "_batch_verdicts", accept_all)
-        done = 0
-        for seed, n in CORPUS:
-            g = random_tw2_poset(n, seed).cover_graph()
-            degree = [len(nb) for nb in g.adjacency()]
-            for comp, comp_edges in islice(components_with_edges(g), 200 - done):
-                assert_same_reduction(comp, comp_edges, islice(
-                    spembed._terminal_candidates(degree, comp, comp_edges), 8))
-                done += 1
-            if done == 200:
-                break
-        assert done == 200
-
 
 BENCH_SHAPES = [("chain", lambda: chain(1500))] + [
     ("forest-%d" % s, lambda s=s: forest_poset(800, s)) for s in (3, 4, 5)] + [
@@ -693,7 +575,7 @@ BENCH_SHAPES = [("chain", lambda: chain(1500))] + [
 class TestBenchmarkShapes:
     """The rewritten kernels at the sizes the benchmark runs: one series run of
     1,499 operands, ~200 forest components with singletons and bridges, and
-    components whose first terminal pairs are rejected."""
+    components whose terminals one reduction picks."""
 
     @pytest.mark.parametrize("make", [pytest.param(make, id=k) for k, make in BENCH_SHAPES])
     def test_kernels_match_references(self, make, monkeypatch):
