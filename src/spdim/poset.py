@@ -1,9 +1,10 @@
 """Finite posets with reachability stored as dense bitmask rows.
 
-Elements are arbitrary space-free string identifiers.  The canonical order of
-elements is their declaration order; every deterministic tie-break in the
-package refers back to it.  A poset is immutable after construction and safe
-to share between threads.
+Elements are space-free string identifiers that start with neither ``#`` nor
+``elements:``, which the text format would read back as a comment or as a second
+header.  The canonical order of elements is their declaration order; every
+deterministic tie-break in the package refers back to it.  A poset is immutable
+after construction and safe to share between threads.
 
 Text format (one poset per stream)::
 
@@ -53,6 +54,9 @@ class Poset:
             if e in index:
                 raise UnknownElement("duplicate element %r" % (e,))
             index[e] = len(index)
+        problem = _unwritable(elements)
+        if problem:
+            raise UnknownElement(problem)
         arcs = []
         for x, y in relations:
             if x not in index or y not in index:
@@ -416,6 +420,14 @@ def dumps(poset):
     return "\n".join(lines) + "\n"
 
 
+def _unwritable(names):
+    "Why the text format cannot write ``names`` back (a line would start a comment or a header), or None."
+    for name in names:
+        if name.startswith(("#", "elements:")):
+            return "element %r starts with '#' or 'elements:'" % (name,)
+    return None
+
+
 def loads(text):
     """Parse the poset text format; strict, with line numbers on errors.  The lines are split
     once and checked column by column; only refused text is read again line by line."""
@@ -427,7 +439,7 @@ def loads(text):
         xs, ops, ys = zip(*rows[1:]) if len(rows) > 1 else ((),) * 3
         heads, tails = list(map(index.get, xs)), list(map(index.get, ys))
         if (len(index) == len(elements) and ops.count("<") == len(ops) and None not in heads
-                and None not in tails and not any(map(str.startswith, xs, repeat("elements:")))):
+                and None not in tails and not _unwritable(elements)):
             return Poset.__new__(Poset)._close(elements, index, zip(heads, tails))
     known = None  # refused: read the lines in turn, to name the first bad one
     for lineno, tokens in enumerate(map(str.split, lines), start=1):
@@ -437,6 +449,9 @@ def loads(text):
             if known is not None:
                 raise ParseError("duplicate elements line", lineno)
             elements, elements_line = " ".join(tokens)[len("elements:"):].split(), lineno
+            problem = _unwritable(elements)
+            if problem:
+                raise ParseError(problem, lineno)
             known = set(elements)
         elif known is None:
             raise ParseError("expected an 'elements:' line first", lineno)

@@ -292,7 +292,8 @@ def _bag_unions(masks, bags, left):
 
 def decompose_poset(poset):
     """The s-t tree-decomposition the classes are read from: the cover graph embedded in an SP
-    graph (testing its treewidth once, ``NotTreewidth2`` above 2), with fresh outer terminals."""
+    graph by one reduction per component, which also tests its treewidth (``NotTreewidth2``
+    above 2), with fresh outer terminals."""
     embedding = augment_with_fresh_terminals(embed_into_sp(poset.cover_graph()))
     return build_st_decomposition(embedding.sp, embedding.names)
 

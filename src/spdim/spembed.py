@@ -13,8 +13,9 @@ original graph is untouched: missing structure is added as fresh *fill* edges
 and fresh connector vertices, never by identifying existing vertices.  The
 tree is built with O(1) reversals (``FLIP`` views), which are resolved before
 it is returned, balanced by leaf weight: paths and forests get depth O(log n).
-A sparse component takes its two vertices of least degree as terminals; any other
-component takes the last two vertices of one reduction, which also tests its treewidth.
+Each component is reduced once, and that reduction is also its treewidth test.  A
+component with no more edges than vertices pins its two vertices of least degree
+as terminals; any other component ends on two vertices, which become its terminals.
 
 Vertices are integer ids throughout: a graph vertex's id is its position in
 the graph, fresh vertices get the next ids in the order they are made, and
@@ -189,27 +190,6 @@ class Embedding:
                              for node in walk_postorder(self.sp) if node.kind == EDGE))
 
 
-def _reduce(adj, keep=0):
-    """Destructive partial-2-tree reduction of ``adj``; stops at ``keep`` left.
-    A full reduction (``keep`` 0) empties a graph iff its treewidth is at most 2."""
-    queue = [v for v, nb in adj.items() if len(nb) <= 2]
-    while queue and len(adj) > keep:
-        v = queue.pop()
-        if v not in adj or len(adj[v]) > 2:
-            continue
-        nb = list(adj.pop(v))
-        for u in nb:
-            adj[u].discard(v)
-        if len(nb) == 2:
-            u, w = nb
-            adj[u].add(w)
-            adj[w].add(u)
-        for u in nb:
-            if len(adj[u]) <= 2:
-                queue.append(u)
-    return adj
-
-
 class _Names:
     "The vertex names by id, extended by fresh names that avoid every existing one."
 
@@ -333,66 +313,45 @@ def _rebracket(inner, ops, counts):
     return built, prefix[-1:]
 
 
-def _terminals(degree, comp, comp_edges):
-    """The terminal pair (s, t), lower id first, of a component: one for which the
-    component plus the edge st has treewidth <= 2, so that ``_reduce_component`` builds a
-    host on it (any host tolerates a parallel st edge, and with it contains component + st
-    as a subgraph).  ``comp`` is a whole component, ascending, and ``degree[v]`` is the
-    graph degree of vertex v.
+def _reduce_component(comp, comp_edges, pinned):
+    """Build the composition tree of one connected component, ascending ``comp``; returns
+    the tree and the fill edges used.
 
-    With at most as many edges as vertices, the component plus st has cyclomatic number
-    at most 2, K4 needs 3, so every pair passes: the two vertices of least degree are
-    taken, the lower id first among equals, so that paths keep their ends as terminals.
-    Otherwise the last two vertices of one reduction are taken, and that reduction is the
-    component's treewidth test: each step keeps "treewidth <= 2" both ways, and minimum
-    degree 3 forces treewidth 3, so it stops with more than two vertices left iff the
-    treewidth is above 2.  The two left pass: a step on a vertex outside {s, t} sees the
-    same neighbours with or without st, so the same steps reduce component + st to st.
-    """
-    if len(comp_edges) <= len(comp):
-        return tuple(sorted(nsmallest(2, comp, key=degree.__getitem__)))
-    adj = {v: set() for v in comp}
-    for u, v in comp_edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    last = _reduce(adj, keep=2)
-    if len(last) > 2:
-        raise NotTreewidth2("input graph has treewidth greater than 2")
-    return min(last), max(last)
+    The component is reduced by repeatedly suppressing a vertex of degree 2 outside
+    ``pinned`` (a series composition of its two incident bundles, merged as a parallel
+    composition with any bundle already joining its neighbours).  A vertex of degree 1
+    first receives a fill edge to another neighbour of its only neighbour, which makes
+    it suppressible.  Ties go to the least id.  The two vertices left are the terminals,
+    lower id first: the ``pinned`` pair, or the last two of the reduction when ``pinned``
+    is empty.  Each vertex maps every neighbour to the bundle joining them, one tree for
+    both ends (``adj[u][v] is adj[v][u]``).
 
-
-def _reduce_component(comp, comp_edges, s, t):
-    """Build the composition tree of one connected component on terminals (s, t).
-
-    The component is reduced by repeatedly suppressing a non-terminal vertex
-    of degree 2 (a series composition of its two incident bundles, merged as
-    a parallel composition with any bundle already joining its neighbors).
-    A non-terminal vertex of degree 1 first receives a fill edge to another
-    neighbor of its only neighbor, which makes it suppressible.  Returns the
-    tree and the fill edges used, or None when the reduction cannot finish on
-    these terminals.  Ties go to the least id.  Each vertex maps every neighbour
-    to the bundle joining them, one tree for both ends (``adj[u][v] is adj[v][u]``).
+    Each step takes a minor (a contraction, or the deletion of a pendant after its fill),
+    and a graph of minimum degree 3 has treewidth 3 or more: so an unpinned reduction
+    stops with more than two vertices left, raising ``NotTreewidth2``, iff the
+    component's treewidth is above 2, in whatever order it takes vertices.  A pinned
+    pair always finishes on a component with no more edges than vertices: with the edge
+    between the pair its cyclomatic number is at most 2, and a K4 minor needs 3.
     """
     adj = {v: {} for v in comp}
     for u, v in comp_edges:
         adj[u][v] = adj[v][u] = SPNode(EDGE, None, None, u, v)
     fills = []
-    # The least reducible vertex: a min-heap of non-terminal ids (comp is
-    # sorted, so the list starts as a heap), re-checked when popped and pushed
-    # again when its degree drops to 2.
-    ready = [v for v in comp if len(adj[v]) <= 2 and v != s and v != t]
+    # The least reducible vertex: a min-heap of unpinned ids (comp is sorted, so
+    # the list starts as a heap), re-checked when popped and pushed again when
+    # its degree drops to 2.
+    ready = [v for v in comp if len(adj[v]) <= 2 and v not in pinned]
     while len(adj) > 2:
         while ready:
             pick = heappop(ready)
             if pick in adj and len(adj[pick]) <= 2:
                 break
         else:
-            return None
+            raise NotTreewidth2("input graph has treewidth greater than 2")
         nb = adj.pop(pick)
         if len(nb) == 1:
             (u,) = nb
-            w = min((w for w in adj[u] if w != pick), default=None)
-            assert w is not None, "dangling vertex with no fill partner"
+            w = min(w for w in adj[u] if w != pick)
             fill = (pick, w) if pick < w else (w, pick)
             fills.append(fill)
             nb[w] = adj[w][pick] = SPNode(EDGE, None, None, *fill)
@@ -414,10 +373,10 @@ def _reduce_component(comp, comp_edges, s, t):
             old, tree = _one_flipped(old, tree)
         at_u[w] = at_w[u] = SPNode(PARALLEL, old, tree, old.source, old.sink)
         for v in (u, w):  # one fewer neighbour: reducible now if down to 2
-            if len(adj[v]) == 2 and v != s and v != t:
+            if len(adj[v]) == 2 and v not in pinned:
                 heappush(ready, v)
 
-    assert set(adj) == {s, t} and len(adj[s]) == 1
+    s, t = sorted(adj)
     tree = adj[s][t]
     return (tree if tree.source == s else _flipped(tree)), fills
 
@@ -432,9 +391,11 @@ def embed_into_sp(graph):
     edge so that the host is never empty.  The tree is returned normalised:
     no ``FLIP`` view, and every series or parallel run balanced.
 
-    A component is reduced at most twice: once to pick its terminals and test its
-    treewidth (``_terminals``; a component with no more edges than vertices needs
-    neither), once to build its tree.  The graph is never tested as a whole.
+    Each component is reduced once, by ``_reduce_component``, which also tests its
+    treewidth; the graph is never tested as a whole.  A component with no more
+    edges than vertices pins its two vertices of least degree as terminals, the
+    lower id first among equals, so that a path keeps its ends; any other
+    component is reduced unpinned and ends on its terminals.
     """
     names = _Names(graph.vertices)
     added_edges = []
@@ -451,10 +412,8 @@ def embed_into_sp(graph):
             trees.append(edge_node(v, c))
             continue
         comp_edges = [(u, v) for u in comp for v in sorted(adjacency[u]) if u < v]  # index_edges() order
-        result = _reduce_component(comp, comp_edges, *_terminals(degree, comp, comp_edges))
-        if result is None:
-            raise NotTreewidth2("component cannot be reduced to a series-parallel host")
-        tree, fills = result
+        pinned = sorted(nsmallest(2, comp, key=degree.__getitem__)) if len(comp_edges) <= len(comp) else ()
+        tree, fills = _reduce_component(comp, comp_edges, pinned)
         added_edges.extend(fills)
         trees.append(tree)
     if not trees:

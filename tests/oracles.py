@@ -529,6 +529,9 @@ def reference_loads(text):
             if elements is not None:
                 raise ParseError("duplicate elements line", lineno)
             elements = line[len("elements:"):].split()
+            for name in elements:
+                if name.startswith("#") or name.startswith("elements:"):
+                    raise ParseError("element %r starts with '#' or 'elements:'" % (name,), lineno)
             known, elements_line = set(elements), lineno
             continue
         if elements is None:
@@ -773,16 +776,36 @@ def reference_realizer_violations(poset, extensions):
     return problems
 
 
+def reference_reduce(adj):
+    """Destructive partial-2-tree reduction of a set adjacency, in stack order: repeatedly
+    delete a vertex of degree <= 2, joining its two neighbours.  What is left is empty iff
+    the graph's treewidth is at most 2."""
+    queue = [v for v, nb in adj.items() if len(nb) <= 2]
+    while queue and adj:
+        v = queue.pop()
+        if v not in adj or len(adj[v]) > 2:
+            continue
+        nb = list(adj.pop(v))
+        for u in nb:
+            adj[u].discard(v)
+        if len(nb) == 2:
+            u, w = nb
+            adj[u].add(w)
+            adj[w].add(u)
+        for u in nb:
+            if len(adj[u]) <= 2:
+                queue.append(u)
+    return adj
+
+
 def reference_tw2_with_extra_edge(comp, comp_edges, s, t):
     """Treewidth-<=2 test of the component plus the edge st by one fresh
     reduction of the whole of it: whether (s, t) may be the component's terminals."""
-    from spdim import spembed
-
     adj = {v: set() for v in comp}
     for u, v in list(comp_edges) + [(s, t)]:
         adj[u].add(v)
         adj[v].add(u)
-    return not spembed._reduce(adj)
+    return not reference_reduce(adj)
 
 
 def reference_terminal_candidates(graph, comp, comp_edges):
@@ -790,7 +813,7 @@ def reference_terminal_candidates(graph, comp, comp_edges):
     degree <= 2, sorted by degree sum and then by canonical index, then each
     remaining edge; each kept only when ``reference_tw2_with_extra_edge``
     accepts it.  On a component with no more edges than vertices every pair is
-    kept, and the first is the pair ``spdim.spembed._terminals`` must pick."""
+    kept, and the first is the pair ``spdim.spembed.embed_into_sp`` must pin."""
     idx = graph.index
     degree = {v: 0 for v in comp}
     for u, v in comp_edges:
@@ -809,10 +832,12 @@ def reference_terminal_candidates(graph, comp, comp_edges):
             yield s, t
 
 
-def reference_reduce_component(comp, comp_edges, s, t):
-    """The composition tree of one component on terminals (s, t), built step by
-    step through the checked constructors: the same tree and fills as
-    ``spdim.spembed._reduce_component``, or None when it gives None."""
+def reference_reduce_component(comp, comp_edges, pinned):
+    """The composition tree of one component, never reducing a vertex of ``pinned``,
+    built step by step through the checked constructors: the same tree and fills as
+    ``spdim.spembed._reduce_component``, or the same ``NotTreewidth2`` when it stops
+    with more than two vertices left."""
+    from spdim.errors import NotTreewidth2
     from spdim.spembed import _flipped, _one_flipped, edge_node, parallel, series
 
     adj = {v: set() for v in comp}
@@ -837,14 +862,14 @@ def reference_reduce_component(comp, comp_edges, s, t):
             adj[v].add(u)
 
     def reducible(v):
-        return v != s and v != t and v in adj and len(adj[v]) <= 2
+        return v not in pinned and v in adj and len(adj[v]) <= 2
 
     ready = [v for v in comp if reducible(v)]
     while len(adj) > 2:
         while ready and not reducible(ready[0]):
             heapq.heappop(ready)
         if not ready:
-            return None
+            raise NotTreewidth2("input graph has treewidth greater than 2")
         pick = heapq.heappop(ready)
         if len(adj[pick]) == 1:
             (u,) = adj[pick]
@@ -865,8 +890,9 @@ def reference_reduce_component(comp, comp_edges, s, t):
             if reducible(v):
                 heapq.heappush(ready, v)
 
-    assert set(adj) == {s, t} and len(bundles) == 1
-    tree = bundles[s * N + t if s < t else t * N + s]
+    assert len(bundles) == 1
+    s, t = sorted(adj)
+    tree = bundles[s * N + t]
     return (tree if tree.source == s else _flipped(tree)), fills
 
 

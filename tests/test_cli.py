@@ -183,6 +183,14 @@ class TestRealizeVerify:
         assert "Traceback" not in res.output
         assert res.stderr.startswith("error: line 1:")
 
+    @pytest.mark.parametrize("name", ["#a", "elements:x"])
+    def test_unwritable_name_exit_2(self, name):
+        # Written back, the relation line would read as a comment or a second header.
+        res = run(["realize"], stdin="elements: %s b\n%s < b\n" % (name, name))
+        assert res.exit_code == 2
+        assert res.stderr == "error: line 1: element %r starts with '#' or 'elements:'\n" % name
+        assert res.stdout == ""
+
     def test_realize_rejects_treewidth_3_exit_2(self):
         res = run(["realize"], stdin=gen_text("kelly", 3))
         assert res.exit_code == 2

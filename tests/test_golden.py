@@ -14,13 +14,16 @@ signature classes.  With the balancing pass replaced by the reference
 resolver (eager mirrors, no re-bracketing), the output is the one the
 left-deep tree gives, pinned by the two unbalanced digests.
 
-All four digests moved once on purpose, when the terminal-pair search was
-replaced by one reduction per component: a component with more edges than
-vertices now takes as terminals the last two vertices of the reduction that
-tests its treewidth, not the first pair a batched search accepted.  Forests
-and chains, whose components have no more edges than vertices, keep their
-terminals and their bytes.  ``python tests/test_golden.py`` (with ``src`` and
-``tests`` on ``PYTHONPATH``) prints the four digests to re-pin them.
+All four digests moved twice on purpose, each time because a component with
+more edges than vertices got other terminals.  First, when the terminal-pair
+search was replaced by one reduction per component, such a component took the
+last two vertices of a set-based reduction that tested its treewidth, not the
+first pair a batched search accepted.  Then, when the reduction that builds the
+tree became the only one, it took the last two vertices of that min-heap
+reduction, run with no pinned vertex.  Forests and chains, whose components
+have no more edges than vertices, kept their terminals and their bytes both
+times.  ``python tests/test_golden.py`` (with ``src`` and ``tests`` on
+``PYTHONPATH``) prints the four digests to re-pin them.
 """
 
 import hashlib
@@ -36,10 +39,10 @@ from spdim.stdecomp import build_st_decomposition, dumps_decomposition
 from oracles import decomposition_to_json, realizer_to_json, reference_resolve
 from test_acceptance import CORPUS
 
-GOLDEN_SHA256 = "6b77d7c240bae61cfb0a1624a0520f344cbd4b396f5cbc7253c5849180965221"
-DECOMPOSE_SHA256 = "454c8e0a8398d8afd8717704bafde0416300a02779064dec7df7cbd3292067a2"
-UNBALANCED_GOLDEN_SHA256 = "47cec669084bd6b46cf20d75144dd2b09da5ae7646929ca4ef1c2c8c1b03d884"
-UNBALANCED_DECOMPOSE_SHA256 = "c1c3cba37ae1a3cae1a2cc63bddd4171f56e351ea5cd57b8337d72b61ace50d7"
+GOLDEN_SHA256 = "c7f61387fd74f57df2b5a41cc251f0493da43777e3d56bba1927e1b9135f4594"
+DECOMPOSE_SHA256 = "f8a5dee6b1cb5e410441ac2b04cdcac078ff56227e0e6d7407a7e92b77028384"
+UNBALANCED_GOLDEN_SHA256 = "bd5bde03a8d26ddebd120b488aeff0235cc35230083bb7fbcd50a078e4c82434"
+UNBALANCED_DECOMPOSE_SHA256 = "a39bc1cc5b4a95baff0f69e0bc8f83e5dd8387fe26a4b4270a2d2e3e2ef03e27"
 
 
 def golden_instances():

@@ -773,6 +773,17 @@ class TestTextFormat:
         for p in (chain(4), antichain(3), standard_example(3)):
             assert loads(dumps(p)) == p
 
+    def test_names_that_would_not_round_trip_are_refused(self):
+        # "#a < b" reads back as a comment and "elements:x < b" as a second header.
+        for name in ("#a", "elements:x", "elements:"):
+            with pytest.raises(UnknownElement, match="starts with '#' or 'elements:'"):
+                Poset([name, "b"], [(name, "b")])
+            with pytest.raises(ParseError, match="starts with '#' or 'elements:'") as err:
+                loads("# c\nelements: %s b\n" % name)
+            assert err.value.line == 2
+        p = Poset(["a#", "b", "x-elements:"], [("a#", "b")])
+        assert loads(dumps(p)) == p
+
     def test_comments_and_blanks(self):
         p = loads("# hi\n\nelements: a b\n# more\na < b\n")
         assert less(p, "a", "b")

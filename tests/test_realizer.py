@@ -252,29 +252,30 @@ class TestRealizePath:
         assert p.verify_realizer(r.orders())
 
     def test_treewidth_tested_once(self, monkeypatch):
-        # One reduction per component picks its terminals and tests its
-        # treewidth; a component with no more edges than vertices needs none.
-        # The graph is never tested again as a whole, and treewidth 3 is
-        # refused with the same message.
+        # One reduction per component of two or more vertices builds its tree
+        # and tests its treewidth: pinned at two vertices when the component has
+        # no more edges than vertices, unpinned otherwise.  The graph is never
+        # tested again as a whole, and treewidth 3 is refused with the same message.
         calls = []
-        reduce = spembed._reduce
+        reduce_component = spembed._reduce_component
 
-        def recorded(adj, keep=0):
-            calls.append(keep)
-            return reduce(adj, keep)
+        def recorded(comp, comp_edges, pinned):
+            calls.append(len(pinned))
+            return reduce_component(comp, comp_edges, pinned)
 
-        monkeypatch.setattr(spembed, "_reduce", recorded)
-        # Each random_tw2 poset is one component with more edges than
-        # vertices; the chain and the forest's 44 components have none.
-        for p, dense in ((random_tw2_poset(30, 5), 1), (random_tw2_poset(500, 1), 1),
-                         (chain(50), 0), (forest_poset(200, 1), 0)):
+        monkeypatch.setattr(spembed, "_reduce_component", recorded)
+        # Each random_tw2 poset is one component with more edges than vertices;
+        # the forest has 17 components of two or more vertices, each with no more
+        # edges than vertices; a chain is realized without an embedding.
+        for p, pins in ((random_tw2_poset(30, 5), [0]), (random_tw2_poset(500, 1), [0]),
+                        (chain(50), []), (forest_poset(200, 1), [2] * 17)):
             calls.clear()
             realize_tw2(p)
-            assert calls == [2] * dense
+            assert calls == pins
         calls.clear()
         with pytest.raises(NotTreewidth2, match="^input graph has treewidth greater than 2$"):
             realize_tw2(kelly(3))
-        assert calls == [2]
+        assert calls == [0]
 
     def test_one_sort_per_class(self, monkeypatch):
         calls = []
