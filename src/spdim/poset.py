@@ -53,6 +53,8 @@ class Poset:
         for e in elements:
             if e in index:
                 raise UnknownElement("duplicate element %r" % (e,))
+            if e.split() != [e]:  # the text format splits lines at whitespace
+                raise UnknownElement("element %r is empty or holds whitespace" % (e,))
             index[e] = len(index)
         problem = _unwritable(elements)
         if problem:

@@ -135,13 +135,10 @@ class SignatureRows:
         pad = [0] * (len(decomp.names) - n)
         up += pad
         down += pad
-        self._up_s = [up[v] for v in s]
-        self._up_t = [up[v] for v in t]
-        self._down_s = [down[v] for v in s]
-        self._down_t = [down[v] for v in t]
+        self._up, self._down = up, down
         self._under = _bag_unions(down, bag, left)
         self._over = _bag_unions(up, bag, left)
-        self._span_up = _top_down(decomp.parent, self._down_s, self._down_t)
+        self._span_up = _top_down(decomp, down)
         sub = [0] * len(bag)  # a middle's only least node is its own: homes are distinct
         for i, h in enumerate(home):
             sub[h] = 1 << i
@@ -165,9 +162,8 @@ class SignatureRows:
         4·o - 3 + 2·span + gate (kind 2), its ``ALL_CLASSES`` index."""
         n = len(inc)
         rows = [[0] * n for _ in ALL_CLASSES]
-        bag = self.decomp.bag
-        under, over, span_up = self._under, self._over, self._span_up
-        up_s, up_t, down_s, down_t = self._up_s, self._up_t, self._down_s, self._down_t
+        bag, s, t = self.decomp.bag, self.decomp.s, self.decomp.t
+        under, over, span_up, up, down = self._under, self._over, self._span_up, self._up, self._down
         step, meet, other, side = self._step, self._meet, self._other, self._side
         start = len(bag)
         stray = {}
@@ -198,11 +194,12 @@ class SignatureRows:
                     continue
                 # Size-2 bag {s, t}: x must reach exactly one terminal and y
                 # lie above exactly the other one.
-                s_up, t_up = down_s[a] & bit, down_t[a] & bit
+                sa, ta = s[a], t[a]
+                s_up, t_up = down[sa] & bit, down[ta] & bit
                 if s_up and not t_up:
-                    gate, split = 1, up_t[a] & ~up_s[a]
+                    gate, split = 1, up[ta] & ~up[sa]
                 elif t_up and not s_up:
-                    gate, split = 2, up_s[a] & ~up_t[a]
+                    gate, split = 2, up[sa] & ~up[ta]
                 else:
                     gate, split = 1, 0
                 bad = hit & ~split
@@ -259,7 +256,7 @@ class SignatureRows:
         """Pairs (x, y) for which some ancestor-or-self of the meeting node has
         both terminals in the upset of x and some has both in the downset of
         y, as (x, ys) masks; the construction guarantees there are none."""
-        span_down = _top_down(self.decomp.parent, self._up_s, self._up_t)
+        span_down = _top_down(self.decomp, self._up)
         step, meet, other, span_up = self._step, self._meet, self._other, self._span_up
         out = []
         for x, row in enumerate(self.poset.incomparable_masks()):
@@ -274,10 +271,10 @@ class SignatureRows:
         return out
 
 
-def _top_down(parent, a_masks, b_masks):
-    "Per node, the union of a_masks[u] & b_masks[u] over its ancestors-or-self u, by id."
-    out = [a & b for a, b in zip(a_masks, b_masks)]
-    for nid, p in enumerate(parent):
+def _top_down(decomp, masks):
+    "Per node, the union of masks[s] & masks[t] over its ancestors-or-self with terminals s, t, by id."
+    out = [masks[s] & masks[t] for s, t in zip(decomp.s, decomp.t)]
+    for nid, p in enumerate(decomp.parent):
         if p is not None:
             out[nid] |= out[p]
     return out

@@ -958,10 +958,11 @@ def mirror(root):
 
 def reference_resolve(root, names=()):
     """The composition tree as the embedding built it before balancing: every
-    ``FLIP`` view replaced by an eager ``mirror`` of its resolved subtree, and
-    no run re-bracketed.  A drop-in for ``spdim.spembed._normalized`` that
-    skips its leaf-coverage check (``names`` is not read)."""
-    from spdim.spembed import EDGE, FLIP, SERIES, parallel, series
+    node whose ``flipped`` bit is set replaced by an eager ``mirror`` of its
+    children's join, and no run re-bracketed.  A drop-in for
+    ``spdim.spembed._normalized`` that skips its leaf-coverage check (``names``
+    is not read)."""
+    from spdim.spembed import EDGE, SERIES, parallel, series
 
     done = {}
     stack = [(root, False)]
@@ -971,12 +972,11 @@ def reference_resolve(root, names=()):
             done[id(node)] = node
         elif not ready:
             stack.append((node, True))
-            stack.extend((child, False) for child in (node.left, node.right) if child is not None)
-        elif node.kind == FLIP:
-            done[id(node)] = mirror(done[id(node.left)])
+            stack.extend(((node.left, False), (node.right, False)))
         else:
             join = series if node.kind == SERIES else parallel
-            done[id(node)] = join(done[id(node.left)], done[id(node.right)])
+            tree = join(done[id(node.left)], done[id(node.right)])
+            done[id(node)] = mirror(tree) if node.flipped else tree
     return done[id(root)]
 
 

@@ -92,8 +92,9 @@ def test_unbalanced_tree_keeps_earlier_decompose_digest(monkeypatch):
 
 
 def relabelled(p):
-    "The poset with names that JSON must escape: quotes, backslashes, non-ASCII."
-    odd = ['q"uote', "back\\slash", "caf\u00e9", "\u65e5\u672c", "tab\there", "\U0001d11e"]
+    """The poset with names that JSON must escape: quotes, backslashes, control characters
+    (not whitespace, which no name holds), non-ASCII."""
+    odd = ['q"uote', "back\\slash", "caf\u00e9", "\u65e5\u672c", "bs\bbell\x07", "\U0001d11e"]
     names = {e: "%s%d" % (odd[k % len(odd)], k) for k, e in enumerate(p.elements)}
     return Poset([names[e] for e in p.elements], [(names[x], names[y]) for x, y in p.covers()])
 

@@ -781,8 +781,15 @@ class TestTextFormat:
             with pytest.raises(ParseError, match="starts with '#' or 'elements:'") as err:
                 loads("# c\nelements: %s b\n" % name)
             assert err.value.line == 2
-        p = Poset(["a#", "b", "x-elements:"], [("a#", "b")])
+        p = Poset(["a#", "b", "x-elements:", "caf\u00e9", "bell\x07"], [("a#", "b")])
         assert loads(dumps(p)) == p
+
+    @pytest.mark.parametrize("name", ["a b", "", "x\u2028y", "\t", "c\n", "d\x1c"])
+    def test_empty_or_whitespace_names_are_refused(self, name):
+        # Written back, "a b" would read as two elements, "" as none, and
+        # "x\u2028y" would break its line in two.
+        with pytest.raises(UnknownElement, match="empty or holds whitespace"):
+            Poset(["z", name], [("z", name)])
 
     def test_comments_and_blanks(self):
         p = loads("# hi\n\nelements: a b\n# more\na < b\n")

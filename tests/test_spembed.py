@@ -231,7 +231,7 @@ def random_path(n, seed):
 
 
 def all_nodes(root):
-    "Every node of a tree, including any unary FLIP view."
+    "Every node of a tree."
     out = []
     stack = [root]
     while stack:
@@ -266,7 +266,7 @@ class TestBalancedTree:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spembed, "_normalized", reference_resolve)
             ref = embed_into_sp(graph)
-        assert all(node.kind != spembed.FLIP for node in all_nodes(emb.sp))
+        assert not any(node.flipped for node in all_nodes(augment_with_fresh_terminals(emb).sp))
         assert sp_tree_violations(emb.sp) == []
         assert (Counter(frozenset(e) for e in leaf_sequence(emb.sp))
                 == Counter(frozenset(e) for e in leaf_sequence(ref.sp)))
@@ -290,6 +290,28 @@ class TestBalancedTree:
         monkeypatch.setattr(spembed, "SPNode", Counted)
         emb = embed_into_sp(random_path(3000, 5))
         assert made[0] <= 4 * len(leaf_edge_set(emb.sp))
+
+
+def small_bundle():
+    "A parallel node over the path 0-1-2 and the edge 0-2."
+    return parallel(series(edge_node(0, 1), edge_node(1, 2)), edge_node(0, 2))
+
+
+class TestFlipped:
+    @pytest.mark.parametrize("make", [lambda: edge_node(0, 1), small_bundle], ids=["leaf", "internal"])
+    def test_twice_restores_terminals_and_bit(self, make):
+        tree = make()
+        left, right, s, t = before = tree.left, tree.right, tree.source, tree.sink
+        assert spembed._flipped(tree) is tree  # in place: no node is made
+        assert (tree.left, tree.right, tree.source, tree.sink) == (left, right, t, s)
+        assert tree.flipped == (tree.kind != EDGE)  # a leaf needs no bit
+        assert spembed._flipped(tree) is tree
+        assert (tree.left, tree.right, tree.source, tree.sink, tree.flipped) == (*before, False)
+
+    def test_normalised_flip_is_the_mirror(self):
+        got = spembed._normalized(spembed._flipped(small_bundle()), "abc")
+        assert shape(got) == shape(mirror(small_bundle()))
+        assert shape(reference_resolve(spembed._flipped(small_bundle()))) == shape(got)
 
 
 class TestEmbedding:
@@ -542,11 +564,11 @@ def counting(calls, name, function):
 
 
 def shape(tree):
-    "The (kind, source, sink) of every node in post-order, ``FLIP`` views included."
+    "The (kind, source, sink, flipped) of every node in post-order."
     out, stack = [], [tree]
     while stack:
         node = stack.pop()
-        out.append((node.kind, node.source, node.sink))
+        out.append((node.kind, node.source, node.sink, node.flipped))
         stack.extend(child for child in (node.left, node.right) if child is not None)
     return out[::-1]
 
