@@ -114,14 +114,24 @@ class Graph:
         return comps
 
 
+def _dot_id(v):
+    "A vertex's DOT ID: its name quoted, or an HTML string if a quote or a backslash is in it."
+    name = str(v)
+    if '"' not in name and "\\" not in name:
+        return '"%s"' % name
+    from html import escape  # not at the top: html loads a 2,000-entry table on import
+
+    return "<%s>" % escape(name)
+
+
 def dumps_dot(graph, dashed_edges=(), name="G"):
     "DOT text for the graph; edges in ``dashed_edges`` are styled dashed."
     dashed = {graph.edge(u, v) for u, v in dashed_edges}
     lines = ["graph %s {" % name]
     for v in graph.vertices:
-        lines.append('  "%s";' % v)
+        lines.append("  %s;" % _dot_id(v))
     for u, v in graph.sorted_edges():
         style = " [style=dashed]" if (u, v) in dashed else ""
-        lines.append('  "%s" -- "%s"%s;' % (u, v, style))
+        lines.append("  %s -- %s%s;" % (_dot_id(u), _dot_id(v), style))
     lines.append("}")
     return "\n".join(lines) + "\n"

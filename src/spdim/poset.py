@@ -113,7 +113,7 @@ class Poset:
         return hash((self.elements, self._above))
 
     def __repr__(self):
-        return "Poset(%d elements, %d cover relations)" % (len(self), len(self.covers()))
+        return "Poset(%d elements, %d cover relations)" % (len(self), sum(map(int.bit_count, self._cover_up)))
 
     def index(self, x):
         try:
@@ -129,14 +129,6 @@ class Poset:
         "Per element index i, the masks of the upset and of the downset of i, each including i."
         return ([above | 1 << i for i, above in enumerate(self._above)],
                 [below | 1 << i for i, below in enumerate(self._below)])
-
-    def covers(self):
-        "All cover relations (x, y) with y covering x, in canonical order."
-        out = []
-        for i, row in enumerate(self._cover_up):
-            for j in bits(row):
-                out.append((self.elements[i], self.elements[j]))
-        return out
 
     def cover_graph(self):
         "The cover graph over the elements, built by index: vertex i is element i."
@@ -165,7 +157,7 @@ class Poset:
         return sum(map(int.bit_count, self.incomparable_masks()))
 
     def dual(self):
-        "The poset with all comparabilities flipped; same cover graph.  Its rows are this poset's, swapped."
+        "The poset with all comparabilities reversed; same cover graph.  Its rows are this poset's, swapped."
         p = Poset.__new__(Poset)
         p.elements, p._index, p._inc = self.elements, self._index, self._inc  # incomparability is self-dual
         p._above, p._below = self._below, self._above

@@ -11,8 +11,9 @@ whose positions, a parents-first order, become the decomposition's node ids.
 two-terminal series-parallel, together with its composition tree.  The
 original graph is untouched: missing structure is added as fresh *fill* edges
 and fresh connector vertices, never by identifying existing vertices.  The
-tree is built with O(1) in-place reversals (a ``flipped`` bit), resolved before
-it is returned, balanced by leaf weight: paths and forests get depth O(log n).
+reduction stores every bundle from its lower-id end to its higher-id end and
+reverses nothing; one final pass orients the tree from its root and balances
+it by leaf weight: paths and forests get depth O(log n).
 Each component is reduced once, and that reduction is also its treewidth test.  A
 component with no more edges than vertices pins its two vertices of least degree
 as terminals; any other component ends on two vertices, which become its terminals.
@@ -43,15 +44,15 @@ class SPNode:
 
     A leaf (kind ``EDGE``) is the edge source-sink; a series node glues its
     left child's sink onto its right child's source; a parallel node
-    identifies both terminals of its children.  ``flipped`` is set only inside
-    ``embed_into_sp``, on an internal node whose source and sink were exchanged
-    in place: its children still compose the unreversed orientation.
+    identifies both terminals of its children.  Inside ``embed_into_sp`` every
+    node runs from its lower id to its higher id, a series node's left child
+    holding its source, so a child may run against what its parent composes.
     The constructors below check only the terminals of the two children;
     whether the children's subgraphs meet exactly where they should is a
     property of the whole tree, checked by ``sp_tree_violations``.
     """
 
-    __slots__ = ("kind", "left", "right", "source", "sink", "flipped")
+    __slots__ = ("kind", "left", "right", "source", "sink")
 
     def __init__(self, kind, left, right, source, sink):
         self.kind = kind
@@ -59,7 +60,6 @@ class SPNode:
         self.right = right
         self.source = source
         self.sink = sink
-        self.flipped = False
 
     def __repr__(self):
         return "SPNode(%s, %s->%s)" % (self.kind, self.source, self.sink)
@@ -213,35 +213,19 @@ class _Names:
         return frozenset((names[u], names[v]) if u < v else (names[v], names[u]) for u, v in pairs)
 
 
-def _flipped(tree):
-    """The tree with source and sink exchanged in place, in O(1) (a tree under
-    construction has one owner); an internal node toggles its ``flipped`` bit."""
-    tree.source, tree.sink = tree.sink, tree.source
-    if tree.kind != EDGE:
-        tree.flipped = not tree.flipped
-    return tree
-
-
-def _one_flipped(a, b):
-    """Reverse one of two trees: a leaf or a flipped node if there is one, else a.  The choice
-    is kept only for byte-identical output: the golden digests hold if a is always reversed."""
-    if a.flipped or a.kind == EDGE or not (b.flipped or b.kind == EDGE):
-        return _flipped(a), b
-    return a, _flipped(b)
-
-
 def _normalized(root, names):
-    """Resolve the ``flipped`` bits and re-bracket each maximal series or parallel run;
+    """Orient the tree from its root and re-bracket each maximal series or parallel run;
     ``InvalidSPTree`` unless every vertex id, an index of ``names``, is in a leaf.
 
-    A flip parity is carried down, each node's bit folded into it and cleared: under odd
-    parity leaves are reversed and series operands are read right to left.  A run's operands
-    are normalised first, then joined on the run's own internal nodes at the midpoints of
-    their leaf counts.  Every node has one parent, so the pass rewires nodes in place and
-    allocates no node.  ``todo`` is one flat stack of (node, parity) pairs, parity 2 marking
-    a run of two operands to join and 3 a longer run's internal nodes; ``trees`` and
-    ``counts`` hold the operands done and their leaf counts.  A run of two operands, the
-    most common, is joined here and not by ``_rebracket``, which made the SP path 8-21% slower.
+    The root keeps its terminals, and a flip parity is carried down: a left child whose source,
+    or a right child whose sink, is not its parent's flips it, so a tree stored lower id first
+    comes out oriented.  Under odd parity leaves are reversed and series operands are read right
+    to left.  A run's operands are normalised first, then joined on the run's own internal nodes
+    at the midpoints of their leaf counts.  Every node has one parent, so the pass rewires nodes
+    in place and allocates no node.  ``todo`` is one flat stack of (node, parity) pairs, parity 2
+    marking a run of two operands to join and 3 a longer run's internal nodes; ``trees`` and
+    ``counts`` hold the operands done and their leaf counts.  A run of two operands, the most
+    common, is joined here and not by ``_rebracket``, which made the SP path 8-21% slower.
     """
     seen = bytearray(len(names))
     trees, counts = [], []
@@ -264,24 +248,23 @@ def _normalized(root, names):
             trees.append(node)
             counts.append(1)
         else:
-            if node.flipped:
-                node.flipped, parity = False, parity ^ 1
             kind = node.kind
-            first, second = (node.right, node.left) if parity and kind == SERIES else (node.left, node.right)
-            if first.kind != kind and second.kind != kind:
-                todo += node, 2, second, parity, first, parity
+            left, right = node.left, node.right
+            lp, rp = parity ^ (left.source != node.source), parity ^ (right.sink != node.sink)
+            pair = (left, lp, right, rp) if parity and kind == SERIES else (right, rp, left, lp)
+            if left.kind != kind and right.kind != kind:
+                todo += node, 2, *pair
                 continue
-            inner, ops, stack = [], [], [node, parity]
+            inner, ops, stack = [node], [], list(pair)
             while stack:
                 parity, run = stack.pop(), stack.pop()
                 if run.kind != kind:
                     ops += parity, run
                     continue
-                if run.flipped:
-                    run.flipped, parity = False, parity ^ 1
                 inner.append(run)
-                first, second = (run.right, run.left) if parity and kind == SERIES else (run.left, run.right)
-                stack += second, parity, first, parity
+                left, right = run.left, run.right
+                lp, rp = parity ^ (left.source != run.source), parity ^ (right.sink != run.sink)
+                stack += (left, lp, right, rp) if parity and kind == SERIES else (right, rp, left, lp)
             todo += inner, 3, *reversed(ops)
     if 0 in seen:
         raise InvalidSPTree("host vertex %r is in no leaf" % (names[seen.index(0)],))
@@ -326,6 +309,10 @@ def _reduce_component(comp, comp_edges, pinned):
     is empty.  Each vertex maps every neighbour to the bundle joining them, one tree for
     both ends (``adj[u][v] is adj[v][u]``).
 
+    Nothing is reversed: every bundle runs from its lower id to its higher id.  Suppressing
+    ``pick`` between u < w makes the series node u -> w whose left child is the bundle at u;
+    a parallel node keeps the bundle already there on the left.  ``_normalized`` orients.
+
     Each step takes a minor (a contraction, or the deletion of a pendant after its fill),
     and a graph of minimum degree 3 has treewidth 3 or more: so an unpinned reduction
     stops with more than two vertices left, raising ``NotTreewidth2``, iff the
@@ -358,27 +345,20 @@ def _reduce_component(comp, comp_edges, pinned):
         (u, left), (w, right) = nb.items()
         if u > w:
             u, w, left, right = w, u, right, left
-        if (left.sink == pick) != (right.source == pick):
-            left, right = _one_flipped(left, right)
-        if left.sink != pick:
-            left, right = right, left
-        tree = SPNode(SERIES, left, right, left.source, right.sink)
+        tree = SPNode(SERIES, left, right, u, w)
         at_u, at_w = adj[u], adj[w]
         del at_u[pick], at_w[pick]
         old = at_u.get(w)
         if old is None:  # u and w keep their degrees
             at_u[w] = at_w[u] = tree
             continue
-        if old.source != tree.source:
-            old, tree = _one_flipped(old, tree)
-        at_u[w] = at_w[u] = SPNode(PARALLEL, old, tree, old.source, old.sink)
+        at_u[w] = at_w[u] = SPNode(PARALLEL, old, tree, u, w)
         for v in (u, w):  # one fewer neighbour: reducible now if down to 2
             if len(adj[v]) == 2 and v not in pinned:
                 heappush(ready, v)
 
     s, t = sorted(adj)
-    tree = adj[s][t]
-    return (tree if tree.source == s else _flipped(tree)), fills
+    return adj[s][t], fills
 
 
 def embed_into_sp(graph):
@@ -388,8 +368,9 @@ def embed_into_sp(graph):
     chained with fresh bridge edges (component i's sink to component i+1's
     source).  Isolated vertices are first tied to a fresh connector vertex by
     one fill edge.  An edgeless input with no vertices becomes a single fresh
-    edge so that the host is never empty.  The tree is returned normalised:
-    no node left ``flipped``, and every series or parallel run balanced.
+    edge so that the host is never empty.  Each component's tree is stored lower
+    id to higher id, its root from its lower terminal; the tree is returned
+    normalised: oriented from the root's source, every series or parallel run balanced.
 
     Each component is reduced once, by ``_reduce_component``, which also tests its
     treewidth; the graph is never tested as a whole.  A component with no more

@@ -13,10 +13,11 @@ cycles by one breadth-first search per pair, linear extensions by sorting,
 realizers by comparing positions pair by pair, decompositions one record
 per node, their depths by a walk from the root, incomparable pairs by one
 test per ordered pair, the thinning of random 2-trees by a whole-graph
-search per drawn deletion, the poset text and the ``verify`` bundle by one
-test per line.  The validation, the separation predicates and the in-order
-comparison of s-t decompositions live here too, with the order, graph and
-tree queries that only tests need, standard-example containment by
+search per drawn deletion, composition trees oriented from the root by
+vertex membership, DOT IDs by one pattern, the poset text and the ``verify``
+bundle by one test per line.  The validation, the separation predicates and
+the in-order comparison of s-t decompositions live here too, with the order,
+graph and tree queries that only tests need, standard-example containment by
 backtracking, and the JSON records the hand-written writers must match.
 
 Decompositions and embeddings carry vertex ids; ``id_host`` gives the host
@@ -24,6 +25,8 @@ graph over those ids, which the decomposition checks take.
 """
 
 import heapq
+import html
+import re
 from itertools import permutations
 
 
@@ -34,8 +37,32 @@ def less(poset, x, y):
     return poset.leq(x, y) and poset.index(x) != poset.index(y)
 
 
+def covers(poset):
+    "All cover relations (x, y) with y covering x, in canonical order: by x, then by y."
+    from spdim.poset import bits
+
+    names = poset.elements
+    return [(names[i], names[j]) for i, row in enumerate(poset._cover_up) for j in bits(row)]
+
+
+DOT_ID = re.compile(r'"([^"]*)"|<([^<>]*)>')
+
+
+def read_dot(text):
+    """The node names and the edges, as name pairs, of DOT text as ``spdim.graphs.dumps_dot``
+    writes it: one ID per node line, two per edge line, each quoted or an HTML string."""
+    nodes, edges = [], []
+    for line in text.splitlines()[1:-1]:
+        ids = [html.unescape(html_id) if html_id else quoted for quoted, html_id in DOT_ID.findall(line)]
+        if len(ids) == 1:
+            nodes.append(ids[0])
+        else:
+            edges.append(tuple(ids))
+    return nodes, edges
+
+
 def cover_edges(poset):
-    return frozenset(poset.covers())
+    return frozenset(covers(poset))
 
 
 class NotComparable(Exception):
@@ -51,7 +78,7 @@ def covering_chain(poset, x, y):
     if not poset.leq(x, y):
         raise NotComparable("%r is not below %r" % (x, y))
     ups = {}
-    for a, b in poset.covers():
+    for a, b in covers(poset):
         ups.setdefault(a, []).append(b)
     chain = [x]
     while chain[-1] != y:
@@ -157,7 +184,7 @@ def brute_is_reversible(poset, pairs):
     pairs = list(pairs)
     for perm in permutations(poset.elements):
         pos = {e: k for k, e in enumerate(perm)}
-        if any(pos[x] > pos[y] for x, y in poset.covers()):
+        if any(pos[x] > pos[y] for x, y in covers(poset)):
             continue
         if all(pos[y] < pos[x] for x, y in pairs):
             return True
@@ -220,11 +247,11 @@ def brute_dimension(poset, max_d=6):
 def _maximal_reversed_sets(poset, inc):
     """Per permutation of the ground set that puts every cover in order, the
     mask of the pairs of ``inc`` it reverses; only the maximal masks are kept."""
-    covers = poset.covers()
+    pairs = covers(poset)
     found = set()
     for perm in permutations(poset.elements):
         pos = {e: k for k, e in enumerate(perm)}
-        if any(pos[x] > pos[y] for x, y in covers):
+        if any(pos[x] > pos[y] for x, y in pairs):
             continue
         found.add(sum(1 << k for k, (x, y) in enumerate(inc) if pos[y] < pos[x]))
     return [m for m in found if not any(m != o and m & o == m for o in found)]
@@ -251,16 +278,16 @@ def _assign(reversible, m, k, parts, d):
 
 def brute_covering_chains(poset, x, y):
     "All covering chains from x to y, by depth-first path enumeration."
-    covers = {}
-    for a, b in poset.covers():
-        covers.setdefault(a, []).append(b)
+    ups = {}
+    for a, b in covers(poset):
+        ups.setdefault(a, []).append(b)
     out = []
 
     def grow(path):
         if path[-1] == y:
             out.append(list(path))
             return
-        for nxt in covers.get(path[-1], []):
+        for nxt in ups.get(path[-1], []):
             if poset.leq(nxt, y):
                 grow(path + [nxt])
 
@@ -553,9 +580,9 @@ def reference_loads(text):
 
 
 def reference_dumps(poset):
-    "The text ``spdim.poset.dumps`` must write: the elements line, then one line per pair of ``covers()``."
+    "The text ``spdim.poset.dumps`` must write: the elements line, then one line per pair of ``covers``."
     return "".join(["elements: %s\n" % " ".join(poset.elements)]
-                   + ["%s < %s\n" % pair for pair in poset.covers()])
+                   + ["%s < %s\n" % pair for pair in covers(poset)])
 
 
 def reference_split_bundle(text):
@@ -585,7 +612,7 @@ def reference_topological_order(poset, rows):
     n = len(poset)
     succ = [[] for _ in range(n)]
     indeg = [0] * n
-    for x, y in poset.covers():
+    for x, y in covers(poset):
         succ[poset.index(x)].append(poset.index(y))
         indeg[poset.index(y)] += 1
     for i, row in enumerate(rows):
@@ -618,7 +645,7 @@ def reference_witness_cycle(poset, pairs):
 
     index = poset.index
     succ = [[] for _ in range(len(poset))]
-    for x, y in poset.covers():
+    for x, y in covers(poset):
         succ[index(x)].append(index(y))
     arc_pair = {}
     for x, y in pairs:
@@ -756,7 +783,7 @@ def reference_is_linear_extension(poset, order):
     if any(e not in poset for e in order):
         return False
     pos = {e: k for k, e in enumerate(order)}
-    return all(pos[x] < pos[y] for x, y in poset.covers())
+    return all(pos[x] < pos[y] for x, y in covers(poset))
 
 
 def reference_realizer_violations(poset, extensions):
@@ -834,11 +861,13 @@ def reference_terminal_candidates(graph, comp, comp_edges):
 
 def reference_reduce_component(comp, comp_edges, pinned):
     """The composition tree of one component, never reducing a vertex of ``pinned``,
-    built step by step through the checked constructors: the same tree and fills as
-    ``spdim.spembed._reduce_component``, or the same ``NotTreewidth2`` when it stops
-    with more than two vertices left."""
+    built step by step through the checked constructors, each bundle oriented (a ``mirror``
+    where two bundles disagree) and the root from the lower terminal: the tree
+    ``spdim.spembed._reduce_component`` builds once ``reference_resolve`` orients it, and
+    the same fills, or the same ``NotTreewidth2`` when it stops with more than two
+    vertices left."""
     from spdim.errors import NotTreewidth2
-    from spdim.spembed import _flipped, _one_flipped, edge_node, parallel, series
+    from spdim.spembed import edge_node, parallel, series
 
     adj = {v: set() for v in comp}
     bundles = {}  # keyed u * N + v for the bundle joining u < v
@@ -853,9 +882,7 @@ def reference_reduce_component(comp, comp_edges, pinned):
         key = u * N + v if u < v else v * N + u
         if key in bundles:
             old = bundles[key]
-            if old.source != tree.source:
-                old, tree = _one_flipped(old, tree)
-            bundles[key] = parallel(old, tree)
+            bundles[key] = parallel(old, tree if tree.source == old.source else mirror(tree))
         else:
             bundles[key] = tree
             adj[u].add(v)
@@ -878,14 +905,16 @@ def reference_reduce_component(comp, comp_edges, pinned):
             fills.append(fill)
             put_bundle(pick, w, edge_node(*fill))
         u, w = sorted(adj[pick])
-        left = bundles.pop(u * N + pick if u < pick else pick * N + u)
-        right = bundles.pop(pick * N + w if pick < w else w * N + pick)
-        if (left.sink == pick) != (right.source == pick):
-            left, right = _one_flipped(left, right)
+        into = bundles.pop(u * N + pick if u < pick else pick * N + u)
+        out = bundles.pop(pick * N + w if pick < w else w * N + pick)
+        if into.sink != pick:
+            into = mirror(into)
+        if out.source != pick:
+            out = mirror(out)
         adj[u].discard(pick)
         adj[w].discard(pick)
         del adj[pick]
-        put_bundle(u, w, series(left, right) if left.sink == pick else series(right, left))
+        put_bundle(u, w, series(into, out))
         for v in (u, w):
             if reducible(v):
                 heapq.heappush(ready, v)
@@ -893,7 +922,7 @@ def reference_reduce_component(comp, comp_edges, pinned):
     assert len(bundles) == 1
     s, t = sorted(adj)
     tree = bundles[s * N + t]
-    return (tree if tree.source == s else _flipped(tree)), fills
+    return (tree if tree.source == s else mirror(tree)), fills
 
 
 def reference_sp_tree_violations(root):
@@ -957,26 +986,31 @@ def mirror(root):
 
 
 def reference_resolve(root, names=()):
-    """The composition tree as the embedding built it before balancing: every
-    node whose ``flipped`` bit is set replaced by an eager ``mirror`` of its
-    children's join, and no run re-bracketed.  A drop-in for
-    ``spdim.spembed._normalized`` that skips its leaf-coverage check (``names``
-    is not read)."""
-    from spdim.spembed import EDGE, SERIES, parallel, series
+    """The composition tree oriented from its root's source down, rebuilt through the
+    checked constructors, and no run re-bracketed.  Each node is read from the vertex it
+    is entered at: a leaf runs from it, a series node reads first the child whose
+    terminals hold it, and a parallel node passes it to both children, in order.  A
+    drop-in for ``spdim.spembed._normalized`` that skips its leaf-coverage check
+    (``names`` is not read); the input is not changed."""
+    from spdim.spembed import EDGE, SERIES, edge_node, parallel, series
 
     done = {}
-    stack = [(root, False)]
+    stack = [(root, root.source, None)]  # (node, the vertex it is entered at, its operands once read)
     while stack:
-        node, ready = stack.pop()
+        node, s, ops = stack.pop()
         if node.kind == EDGE:
-            done[id(node)] = node
-        elif not ready:
-            stack.append((node, True))
-            stack.extend(((node.left, False), (node.right, False)))
-        else:
+            done[id(node)] = edge_node(s, node.sink if s == node.source else node.source)
+        elif ops is not None:
             join = series if node.kind == SERIES else parallel
-            tree = join(done[id(node.left)], done[id(node.right)])
-            done[id(node)] = mirror(tree) if node.flipped else tree
+            done[id(node)] = join(*(done[id(op)] for op in ops))
+        elif node.kind == SERIES:
+            first, second = node.left, node.right
+            if s not in (first.source, first.sink):
+                first, second = second, first
+            shared = first.sink if s == first.source else first.source
+            stack += (node, s, (first, second)), (second, shared, None), (first, s, None)
+        else:
+            stack += (node, s, (node.left, node.right)), (node.right, s, None), (node.left, s, None)
     return done[id(root)]
 
 

@@ -17,7 +17,7 @@ from spdim.generators import MAX_N, random_tw2_poset, standard_example
 from spdim.poset import dumps as dumps_poset
 from spdim.realizer import ALL_CLASSES, SignatureRows, dumps_realizer, realize_tw2
 
-from oracles import is_strict_alternating_cycle, reference_split_bundle
+from oracles import is_strict_alternating_cycle, read_dot, reference_split_bundle
 
 
 def run(args, stdin=None):
@@ -274,6 +274,13 @@ class TestDecomposeClassify:
         assert res.exit_code == 0
         assert res.output.startswith("graph G {")
         assert "style=dashed" in res.output  # connector/bridge edges are fills
+
+    def test_decompose_dot_quotes_and_backslashes(self):
+        res = run(["decompose", "--dot"], stdin='elements: a"b c\\ d\na"b < c\\\nc\\ < d\n')
+        assert res.exit_code == 0
+        nodes, edges = read_dot(res.output)
+        assert nodes[:3] == ['a"b', "c\\", "d"]
+        assert {('a"b', "c\\"), ("c\\", "d")} <= set(edges)
 
     def test_decompose_json_and_dot_is_a_usage_error(self):
         res = run(["decompose", "--json", "--dot"], stdin="elements: a b c\na < b\n")

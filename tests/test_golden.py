@@ -11,8 +11,8 @@ alters the output on purpose has to say why and update the digest.
 The composition tree is balanced: each series or parallel run is re-bracketed
 at the midpoint of its leaf counts, which changes the decomposition and the
 signature classes.  With the balancing pass replaced by the reference
-resolver (eager mirrors, no re-bracketing), the output is the one the
-left-deep tree gives, pinned by the two unbalanced digests.
+resolver (oriented from the root by vertex membership, no re-bracketing), the
+output is the one the left-deep tree gives, pinned by the two unbalanced digests.
 
 All four digests moved twice on purpose, each time because a component with
 more edges than vertices got other terminals.  First, when the terminal-pair
@@ -36,7 +36,7 @@ from spdim.realizer import Realizer, dumps_realizer, realize_tw2
 from spdim.spembed import augment_with_fresh_terminals, embed_into_sp
 from spdim.stdecomp import build_st_decomposition, dumps_decomposition
 
-from oracles import decomposition_to_json, realizer_to_json, reference_resolve
+from oracles import covers, decomposition_to_json, realizer_to_json, reference_resolve
 from test_acceptance import CORPUS
 
 GOLDEN_SHA256 = "c7f61387fd74f57df2b5a41cc251f0493da43777e3d56bba1927e1b9135f4594"
@@ -96,7 +96,7 @@ def relabelled(p):
     (not whitespace, which no name holds), non-ASCII."""
     odd = ['q"uote', "back\\slash", "caf\u00e9", "\u65e5\u672c", "bs\bbell\x07", "\U0001d11e"]
     names = {e: "%s%d" % (odd[k % len(odd)], k) for k, e in enumerate(p.elements)}
-    return Poset([names[e] for e in p.elements], [(names[x], names[y]) for x, y in p.covers()])
+    return Poset([names[e] for e in p.elements], [(names[x], names[y]) for x, y in covers(p)])
 
 
 def test_writers_match_json_dumps():

@@ -23,6 +23,7 @@ from oracles import (
     brute_is_reversible,
     brute_strict_alternating_cycles,
     cover_edges,
+    covers,
     covering_chain,
     find_strict_alternating_cycle,
     has_edge,
@@ -178,6 +179,10 @@ class TestConstruction:
     def test_transitive_input_absorbed(self):
         p = Poset("abc", [("a", "b"), ("b", "c"), ("a", "c")])
         assert cover_edges(p) == frozenset({("a", "b"), ("b", "c")})
+
+    def test_repr_counts_covers(self):
+        for p in (Poset("abc", [("a", "b"), ("b", "c"), ("a", "c")]), kelly(3), Poset([])):
+            assert repr(p) == "Poset(%d elements, %d cover relations)" % (len(p), len(covers(p)))
 
     @settings(max_examples=40, deadline=None)
     @given(small_posets())
@@ -573,7 +578,7 @@ class TestSortAndRowCheck:
         inc = p.incomparable_masks()
         assert p.incomparable_masks() is inc
         assert p.dual().incomparable_masks() is inc
-        assert inc == Poset(p.elements, p.covers()).incomparable_masks()
+        assert inc == Poset(p.elements, covers(p)).incomparable_masks()
 
 
 class TestIncomparableMasks:
@@ -722,7 +727,7 @@ class TestDual:
                 swap["b%d" % i] = "a%d" % i
             d = sn.dual()
             relabeled = Poset(sn.elements,
-                              [(swap[x], swap[y]) for x, y in d.covers()])
+                              [(swap[x], swap[y]) for x, y in covers(d)])
             assert relabeled == sn
 
     @settings(max_examples=40, deadline=None)
@@ -735,8 +740,8 @@ class TestDual:
     def test_covers_reversed_and_rows_restored(self, p):
         # dual() swaps the cover rows kept from the closure instead of transposing them.
         index = p.index
-        reversed_covers = sorted(((y, x) for x, y in p.covers()), key=lambda c: (index(c[0]), index(c[1])))
-        assert reversed_covers and p.dual().covers() == reversed_covers
+        reversed_covers = sorted(((y, x) for x, y in covers(p)), key=lambda c: (index(c[0]), index(c[1])))
+        assert reversed_covers and covers(p.dual()) == reversed_covers
         assert p.dual().dual() == p
         assert closure_rows(p.dual().dual()) == closure_rows(p)
 
@@ -746,7 +751,7 @@ class TestCoverGraph:
         for seed, n in CORPUS:
             p = random_tw2_poset(n, seed)
             g = p.cover_graph()
-            want = Graph(p.elements, p.covers())
+            want = Graph(p.elements, covers(p))
             assert g == want
             assert g.adjacency() == want.adjacency()
             assert g.index_edges() == want.index_edges()

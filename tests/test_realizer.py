@@ -24,6 +24,7 @@ from spdim.stdecomp import DecompNode, STDecomposition
 
 from oracles import (
     ReferenceClassifier,
+    covers,
     is_reversible,
     reference_classification,
     reference_metamorphic_check,
@@ -397,7 +398,7 @@ class TestRealize:
             a = random_tw2_poset(1 + seed % 9, seed)
             b = random_tw2_poset(1 + (seed * 3) % 9, seed + 999)
             elements = list(a.elements) + ["u" + e for e in b.elements]
-            rels = list(a.covers()) + [("u" + x, "u" + y) for x, y in b.covers()]
+            rels = covers(a) + [("u" + x, "u" + y) for x, y in covers(b)]
             p = Poset(elements, rels)
             r = realize_tw2(p)
             assert len(r) <= 12

@@ -32,6 +32,7 @@ from oracles import (
     all_labeled_graphs,
     has_k4_minor,
     mirror,
+    read_dot,
     reference_decomposition,
     reference_reduce_component,
     reference_resolve,
@@ -230,6 +231,13 @@ def random_path(n, seed):
     return Graph(names, list(zip(walk, walk[1:])))
 
 
+def family_graph(family, n, seed):
+    "A random path, or the cover graph of a random treewidth-2 poset or forest."
+    if family == "path":
+        return random_path(n, seed)
+    return {"random_tw2": random_tw2_poset, "forest": forest_poset}[family](n, seed).cover_graph()
+
+
 def all_nodes(root):
     "Every node of a tree."
     out = []
@@ -258,15 +266,11 @@ class TestBalancedTree:
     @given(st.sampled_from(["random_tw2", "forest", "path"]),
            st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=10**6))
     def test_same_embedding_as_reference(self, family, n, seed):
-        if family == "path":
-            graph = random_path(n, seed)
-        else:
-            graph = {"random_tw2": random_tw2_poset, "forest": forest_poset}[family](n, seed).cover_graph()
+        graph = family_graph(family, n, seed)
         emb = embed_into_sp(graph)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spembed, "_normalized", reference_resolve)
             ref = embed_into_sp(graph)
-        assert not any(node.flipped for node in all_nodes(augment_with_fresh_terminals(emb).sp))
         assert sp_tree_violations(emb.sp) == []
         assert (Counter(frozenset(e) for e in leaf_sequence(emb.sp))
                 == Counter(frozenset(e) for e in leaf_sequence(ref.sp)))
@@ -292,26 +296,56 @@ class TestBalancedTree:
         assert made[0] <= 4 * len(leaf_edge_set(emb.sp))
 
 
-def small_bundle():
-    "A parallel node over the path 0-1-2 and the edge 0-2."
-    return parallel(series(edge_node(0, 1), edge_node(1, 2)), edge_node(0, 2))
+def raw_tree(graph):
+    "The tree ``embed_into_sp`` hands to its normaliser, stored lower id to higher id, and the vertex names."
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spembed, "_normalized", lambda root, names: got.append((root, names)) or root)
+        embed_into_sp(graph)
+    return got[0]
 
 
-class TestFlipped:
-    @pytest.mark.parametrize("make", [lambda: edge_node(0, 1), small_bundle], ids=["leaf", "internal"])
-    def test_twice_restores_terminals_and_bit(self, make):
-        tree = make()
-        left, right, s, t = before = tree.left, tree.right, tree.source, tree.sink
-        assert spembed._flipped(tree) is tree  # in place: no node is made
-        assert (tree.left, tree.right, tree.source, tree.sink) == (left, right, t, s)
-        assert tree.flipped == (tree.kind != EDGE)  # a leaf needs no bit
-        assert spembed._flipped(tree) is tree
-        assert (tree.left, tree.right, tree.source, tree.sink, tree.flipped) == (*before, False)
+def reversed_children(root, rng):
+    """A copy of an oriented tree with each node below the root stored reversed at random:
+    its terminals exchanged and, on a series node, its children too, so that a left child
+    still holds its parent's source."""
+    done = {}
+    for node in walk_postorder(root):
+        flip = node is not root and rng.random() < 0.5
+        s, t = (node.sink, node.source) if flip else (node.source, node.sink)
+        left, right = done.get(id(node.left)), done.get(id(node.right))
+        if flip and node.kind == SERIES:
+            left, right = right, left
+        done[id(node)] = SPNode(node.kind, left, right, s, t)
+    return done[id(root)]
 
-    def test_normalised_flip_is_the_mirror(self):
-        got = spembed._normalized(spembed._flipped(small_bundle()), "abc")
-        assert shape(got) == shape(mirror(small_bundle()))
-        assert shape(reference_resolve(spembed._flipped(small_bundle()))) == shape(got)
+
+class TestOrientation:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6),
+           st.integers(min_value=0, max_value=2))
+    def test_reduction_stores_lower_to_higher(self, n, seed, extra):
+        for comp, comp_edges in components_with_edges(partial_2tree_plus(n, seed, extra)):
+            for pinned in [()] + list(combinations(comp, 2)):
+                try:
+                    tree, _ = spembed._reduce_component(comp, comp_edges, pinned)
+                except NotTreewidth2:
+                    continue
+                for node in all_nodes(tree):
+                    assert node.source < node.sink
+                    if node.kind == SERIES:
+                        assert node.source in (node.left.source, node.left.sink)
+                        assert node.sink in (node.right.source, node.right.sink)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["random_tw2", "forest", "path"]),
+           st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=10**6))
+    def test_reversed_children_normalise_as_the_oriented_tree(self, family, n, seed):
+        root, names = raw_tree(family_graph(family, n, seed))
+        oriented = reference_resolve(root)
+        want = shape(spembed._normalized(reference_resolve(oriented), names))
+        assert shape(spembed._normalized(reversed_children(oriented, random.Random(seed)), names)) == want
+        assert shape(spembed._normalized(root, names)) == want
 
 
 class TestEmbedding:
@@ -564,22 +598,22 @@ def counting(calls, name, function):
 
 
 def shape(tree):
-    "The (kind, source, sink, flipped) of every node in post-order."
+    "The (kind, source, sink) of every node in post-order."
     out, stack = [], [tree]
     while stack:
         node = stack.pop()
-        out.append((node.kind, node.source, node.sink, node.flipped))
+        out.append((node.kind, node.source, node.sink))
         stack.extend(child for child in (node.left, node.right) if child is not None)
     return out[::-1]
 
 
 def reduction(reduce, comp, comp_edges, pinned):
-    "The fills and tree shape ``reduce`` builds, or the message of its refusal."
+    "The fills and the shape of the tree ``reduce`` builds, oriented from its root, or the message of its refusal."
     try:
         tree, fills = reduce(comp, comp_edges, pinned)
     except NotTreewidth2 as exc:
         return str(exc)
-    return fills, shape(tree)
+    return fills, shape(reference_resolve(tree))
 
 
 class TestReduceComponent:
@@ -610,7 +644,7 @@ class TestBenchmarkShapes:
 
         def checked(*args):  # compared before the normaliser rewires the tree
             got, want = reduce_component(*args), reference_reduce_component(*args)
-            assert got[1] == want[1] and shape(got[0]) == shape(want[0]), args[2]
+            assert got[1] == want[1] and shape(reference_resolve(got[0])) == shape(want[0]), args[2]
             reductions.append(args[2])
             return got
 
@@ -654,3 +688,11 @@ class TestGraphText:
         dot = dumps_dot(g, dashed_edges=[("b", "c")])
         assert '"a" -- "b";' in dot
         assert '"b" -- "c" [style=dashed];' in dot
+
+    def test_dot_ids_decode_to_names(self):
+        names = ['a"b', "c\\", "d", "<e&f>", "g'h\\\"", "\u00e9"]
+        g = Graph(names, list(zip(names, names[1:])))
+        dot = dumps_dot(g, dashed_edges=[("c\\", "d")])
+        assert read_dot(dot) == (names, g.sorted_edges())
+        assert '  <a&quot;b> -- <c\\>;' in dot.splitlines()
+        assert '  <c\\> -- "d" [style=dashed];' in dot.splitlines()
