@@ -12,6 +12,7 @@ import json
 import os
 import re
 import sys
+from contextlib import nullcontext
 
 import click
 
@@ -161,13 +162,16 @@ def verify(poset_file, realizer_file):
         if realizer_file is not None:
             p = posetio.loads(_read_text(poset_file))
             with open(realizer_file, "r", encoding="utf-8", errors="surrogateescape") as fh:
-                r = loads_realizer(fh.read())
+                tail = fh.read()
         else:
             head, tail = _split_bundle(_read_text(poset_file))
             if tail is None:
                 raise ParseError("no realizer JSON found on stdin (use --realizer)", 1)
             p = posetio.loads(head)
+        try:
             r = loads_realizer(tail)
+        except ParseError as exc:  # a schema error: name the line the JSON starts on
+            raise ParseError(exc.message, len((head + "^").splitlines())) from None
     except json.JSONDecodeError as exc:  # a syntax error: name its line and column as str.splitlines breaks lines
         lines = (head + exc.doc[:exc.pos] + "^").splitlines()  # "^" stands for the character at fault
         _fail_usage(ParseError("%s (column %d)" % (exc.msg, len(lines[-1])), len(lines)))
@@ -259,21 +263,19 @@ def batch(family, n, count, seed, jobs, oracle_cap):
         generators.check_request(family, n)
     except (BadParameter, TooLarge) as exc:
         _fail_usage(exc)
-    tasks = [(family, n, seed + k, oracle_cap) for k in range(count)]
-    if jobs > 1:
-        import multiprocessing
+    import multiprocessing  # here, not at the top: the other verbs would pay for its import
 
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_batch_one, tasks)
-    else:
-        results = [_batch_one(t) for t in tasks]
-    failures = [r for r in results if r["error"]]
-    max_ext = max((r["extensions"] for r in results if r["extensions"]), default=0)
-    dims = [r["dimension"] for r in results if r["dimension"]]
-    _echo("instances: %d  failures: %d  max extensions: %d"
-          % (len(results), len(failures), max_ext))
-    if dims:
-        _echo("max exact dimension observed: %d" % max(dims))
+    tasks = ((family, n, seed + k, oracle_cap) for k in range(count))  # made as they are run
+    failures, max_ext, max_dim = [], 0, 0  # no other result is kept
+    with multiprocessing.Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        chunk = min(64, max(1, count // (4 * jobs)))  # as Pool.map sizes chunks, but at most 64
+        for r in pool.imap(_batch_one, tasks, chunk) if pool else map(_batch_one, tasks):
+            if r["error"]:
+                failures.append(r)
+            max_ext, max_dim = max(max_ext, r["extensions"]), max(max_dim, r["dimension"] or 0)
+    _echo("instances: %d  failures: %d  max extensions: %d" % (count, len(failures), max_ext))
+    if max_dim:
+        _echo("max exact dimension observed: %d" % max_dim)
     for r in failures:
         _echo("failed seed %d: %s" % (r["seed"], r["error"]), err=True)
         for line in r["witness"]:

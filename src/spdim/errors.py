@@ -34,7 +34,7 @@ class ParseError(SpdimError):
 
     def __init__(self, message, line):
         super().__init__("line %d: %s" % (line, message))
-        self.line = line
+        self.message, self.line = message, line
 
 
 class NotTreewidth2(SpdimError):

@@ -8,7 +8,8 @@ a non-reversible assignment is rejected the moment it closes a cycle.
 Two sound accelerations keep standard-example instances tractable:
 
 * pairs that close an alternating cycle of length two can never share a part,
-  and a greedy clique in that conflict graph is a lower bound on the answer;
+  and a greedy clique in that conflict graph is a lower bound on the answer
+  (its rows are ANDs of per-element masks: no step runs per pair of pairs);
 * pairs are assigned most-conflicted first, while the part chosen for a pair
   is still restricted to the already-used parts plus at most one fresh part.
 """
@@ -40,23 +41,17 @@ def dimension_exact(poset, max_d=12, cap=60):
         raise TooLarge("%d incomparable pairs exceed the cap of %d" % (len(inc), cap))
     if not inc:
         return DimensionResult(1, [poset.canonical_extension()], [])
-    up = poset.closed_masks()[0]
+    up, down = poset.closed_masks()
 
     m = len(inc)
-    conflict = [0] * m
-    for a, (x1, y1) in enumerate(inc):
-        for b in range(a + 1, m):
-            x2, y2 = inc[b]
-            if up[x1] >> y2 & 1 and up[x2] >> y1 & 1:
-                conflict[a] |= 1 << b
-                conflict[b] |= 1 << a
-    degrees = [bin(c).count("1") for c in conflict]
-
-    lower = max(2, _greedy_clique(conflict, degrees))
+    above, below = _conflict_masks(inc, up, down, range(m))
+    degrees = [(above[x] & below[y]).bit_count() for x, y in inc]
+    order = sorted(range(m), key=lambda k: (-degrees[k], k))
+    rank = sorted(range(m), key=order.__getitem__)  # pair k is at position rank[k] of order
+    lower = max(2, _greedy_clique([inc[k] for k in order], *_conflict_masks(inc, up, down, rank)))
     if lower > max_d:
         raise Exceeded(max_d)
 
-    order = sorted(range(m), key=lambda k: (-degrees[k], k))
     names = poset.elements
     for d in range(lower, max_d + 1):
         assignment = _search(len(poset), inc, order, up, d)
@@ -72,17 +67,31 @@ def dimension_exact(poset, max_d=12, cap=60):
     raise Exceeded(max_d)
 
 
-def _greedy_clique(conflict, degrees):
-    m = len(conflict)
-    ranked = sorted(range(m), key=lambda k: (-degrees[k], k))
-    best = 1 if m else 0
-    for start in range(m):
-        size = 1
-        cand = conflict[start]
+def _conflict_masks(inc, up, down, bit):
+    """Per element x in a pair, ``above[x]``, the pairs (x', y') with y' in up(x), and ``below[x]``,
+    those with x' in down(x), pair k at bit ``bit[k]``.  Pairs (x, y) and (x', y') conflict iff
+    x <= y' and x' <= y, so the conflict row of (x, y) is ``above[x] & below[y]``."""
+    first, second = {}, {}
+    for (x, y), b in zip(inc, bit):
+        first[x] = first.get(x, 0) | 1 << b
+        second[y] = second.get(y, 0) | 1 << b
+    paired = sum(1 << x for x in first)  # Inc is symmetric: the same elements come second
+    # Each pair has one first and one second element: the masks summed are disjoint, so sum is OR.
+    above = {x: sum(second[z] for z in bits(up[x] & paired)) for x in first}
+    below = {y: sum(first[w] for w in bits(down[y] & paired)) for y in second}
+    return above, below
+
+
+def _greedy_clique(ranked, above, below):
+    """The largest greedy clique of the conflict graph, one from each pair, whose row is
+    ``above[x] & below[y]``; pair ``ranked[r]`` is bit r, so the best-ranked next member is the lowest."""
+    best = 1 if ranked else 0
+    for x, y in ranked:
+        size, cand = 1, above[x] & below[y]
         while cand:
-            pick = next(k for k in ranked if cand >> k & 1)
+            x, y = ranked[(cand & -cand).bit_length() - 1]
             size += 1
-            cand &= conflict[pick]
+            cand &= above[x] & below[y]
         best = max(best, size)
     return best
 

@@ -21,7 +21,7 @@ as terminals; any other component ends on two vertices, which become its termina
 Vertices are integer ids throughout: a graph vertex's id is its position in
 the graph, fresh vertices get the next ids in the order they are made, and
 id order is the canonical order of every tie-break.  ``Embedding.names``
-maps ids back to names; the host graph is built only when it is read.
+maps ids back to names; the host graph and its fill edges are built only when read.
 """
 
 from heapq import heappop, heappush, nsmallest
@@ -168,27 +168,41 @@ def _checked_preorder(root):
 
 @dataclass(frozen=True)
 class Embedding:
-    """A graph embedded in a two-terminal series-parallel host.
+    """The graph ``graph`` embedded in a two-terminal series-parallel host, the leaves of ``sp``.
 
-    The vertices of ``sp``, ``source`` and ``sink`` are ids: ``names[i]`` is
-    the name of vertex i, the input graph's vertices first, in their order.
-    ``added_edges`` (canonical name pairs) and ``added_vertices`` (names) are
-    the fresh fill material.
+    The vertices of ``sp`` are ids: ``names[i]`` is the name of vertex i, the graph's own
+    vertices first, in their order, then the fresh ones.  The rest is read off these three:
+    the terminals off the root, the fresh vertices off ``names``, the fill edges off the host.
     """
 
+    graph: Graph
     sp: SPNode
     names: tuple
-    added_edges: frozenset
-    added_vertices: frozenset
-    source: int
-    sink: int
+
+    @property
+    def source(self):
+        return self.sp.source
+
+    @property
+    def sink(self):
+        return self.sp.sink
 
     @cached_property
     def host(self):
-        "The graph of the leaf edges of ``sp``, over ``names``; the input graph is a subgraph of it."
+        "The graph of the leaf edges of ``sp``, over ``names``; ``graph`` is a subgraph of it."
         names = self.names
         return Graph(names, ((names[node.source], names[node.sink])
                              for node in walk_postorder(self.sp) if node.kind == EDGE))
+
+    @cached_property
+    def added_edges(self):
+        "The host's edges that ``graph`` lacks (canonical name pairs): fills, bridges, fresh-vertex edges."
+        return self.host.edges - self.graph.edges
+
+    @property
+    def added_vertices(self):
+        "The names of the fresh vertices, in the order they were made."
+        return self.names[len(self.graph):]
 
 
 class _Names:
@@ -206,11 +220,6 @@ class _Names:
         self.taken.add(name)
         self.names.append(name)
         return len(self.names) - 1
-
-    def edges(self, pairs):
-        "The id pairs as canonical name pairs (lower id first)."
-        names = self.names
-        return frozenset((names[u], names[v]) if u < v else (names[v], names[u]) for u, v in pairs)
 
 
 def _normalized(root, names):
@@ -297,8 +306,7 @@ def _rebracket(inner, ops, counts):
 
 
 def _reduce_component(comp, comp_edges, pinned):
-    """Build the composition tree of one connected component, ascending ``comp``; returns
-    the tree and the fill edges used.
+    """Build the composition tree of one connected component, ascending ``comp``.
 
     The component is reduced by repeatedly suppressing a vertex of degree 2 outside
     ``pinned`` (a series composition of its two incident bundles, merged as a parallel
@@ -323,7 +331,6 @@ def _reduce_component(comp, comp_edges, pinned):
     adj = {v: {} for v in comp}
     for u, v in comp_edges:
         adj[u][v] = adj[v][u] = SPNode(EDGE, None, None, u, v)
-    fills = []
     # The least reducible vertex: a min-heap of unpinned ids (comp is sorted, so
     # the list starts as a heap), re-checked when popped and pushed again when
     # its degree drops to 2.
@@ -339,9 +346,7 @@ def _reduce_component(comp, comp_edges, pinned):
         if len(nb) == 1:
             (u,) = nb
             w = min(w for w in adj[u] if w != pick)
-            fill = (pick, w) if pick < w else (w, pick)
-            fills.append(fill)
-            nb[w] = adj[w][pick] = SPNode(EDGE, None, None, *fill)
+            nb[w] = adj[w][pick] = SPNode(EDGE, None, None, *((pick, w) if pick < w else (w, pick)))
         (u, left), (w, right) = nb.items()
         if u > w:
             u, w, left, right = w, u, right, left
@@ -358,7 +363,7 @@ def _reduce_component(comp, comp_edges, pinned):
                 heappush(ready, v)
 
     s, t = sorted(adj)
-    return adj[s][t], fills
+    return adj[s][t]
 
 
 def embed_into_sp(graph):
@@ -379,51 +384,30 @@ def embed_into_sp(graph):
     component is reduced unpinned and ends on its terminals.
     """
     names = _Names(graph.vertices)
-    added_edges = []
-    added_vertices = []
     trees = []
     adjacency = graph.adjacency()
     degree = [len(nb) for nb in adjacency]
     for k, comp in enumerate(graph.components()):
         if len(comp) == 1:
-            v = comp[0]
-            c = names.make("+c%d" % k)
-            added_vertices.append(c)
-            added_edges.append((v, c))
-            trees.append(edge_node(v, c))
+            trees.append(edge_node(comp[0], names.make("+c%d" % k)))
             continue
         comp_edges = [(u, v) for u in comp for v in sorted(adjacency[u]) if u < v]  # index_edges() order
         pinned = sorted(nsmallest(2, comp, key=degree.__getitem__)) if len(comp_edges) <= len(comp) else ()
-        tree, fills = _reduce_component(comp, comp_edges, pinned)
-        added_edges.extend(fills)
-        trees.append(tree)
+        trees.append(_reduce_component(comp, comp_edges, pinned))
     if not trees:
-        a = names.make("+c0")
-        b = names.make("+c1")
-        added_vertices += [a, b]
-        added_edges.append((a, b))
-        trees.append(edge_node(a, b))
+        trees.append(edge_node(names.make("+c0"), names.make("+c1")))
     root = trees[0]
     for tree in trees[1:]:
-        bridge = (root.sink, tree.source)
-        added_edges.append(bridge)
-        root = series(root, series(edge_node(*bridge), tree))
-    root = _normalized(root, names.names)
-    return Embedding(sp=root, names=tuple(names.names), added_edges=names.edges(added_edges),
-                     added_vertices=frozenset(names.names[v] for v in added_vertices),
-                     source=root.source, sink=root.sink)
+        root = series(root, series(edge_node(root.sink, tree.source), tree))
+    names = tuple(names.names)
+    return Embedding(graph, _normalized(root, names), names)
 
 
 def augment_with_fresh_terminals(embedding):
     """Extend the host by fresh outer terminals so that neither terminal is a
     vertex of the original graph: series(edge(s*, s), series(tree, edge(t, t*)))."""
     names = _Names(embedding.names)
-    s_new = names.make("+s")
-    t_new = names.make("+t")
-    tree = series(edge_node(s_new, embedding.source),
-                  series(embedding.sp, edge_node(embedding.sink, t_new)))
-    extra = names.edges([(s_new, embedding.source), (embedding.sink, t_new)])
-    return Embedding(sp=tree, names=tuple(names.names),
-                     added_edges=embedding.added_edges | extra,
-                     added_vertices=embedding.added_vertices | {names.names[s_new], names.names[t_new]},
-                     source=s_new, sink=t_new)
+    s, t = names.make("+s"), names.make("+t")
+    sp = embedding.sp
+    tree = series(edge_node(s, sp.source), series(sp, edge_node(sp.sink, t)))
+    return Embedding(embedding.graph, tree, tuple(names.names))

@@ -3,7 +3,8 @@
 Everything here is deliberately naive and structurally unrelated to the
 implementations under test: reversibility by trying every permutation,
 K4 minors via explicit subdivisions, covering chains by path enumeration,
-signatures by one lowest-common-ancestor walk per pair, the closure by
+signatures by one lowest-common-ancestor walk per pair, conflicting pairs
+of incomparable pairs by one test per pair of pairs, the closure by
 Warshall's loop, terminal candidates by sorting every pair and testing
 each by a fresh reduction of the whole component, component reductions
 through the checked constructors, composition trees by re-deriving every
@@ -242,6 +243,37 @@ def brute_dimension(poset, max_d=6):
         if _assign(reversible, len(inc), 0, [], d):
             return d
     raise AssertionError("dimension above %d" % max_d)
+
+
+def reference_conflict_rows(inc, up):
+    """Per index pair of ``inc``, the mask of the pairs it conflicts with (the two close an
+    alternating cycle of length two), by one test per pair of pairs; ``up`` are the closed upsets."""
+    m = len(inc)
+    conflict = [0] * m
+    for a, (x1, y1) in enumerate(inc):
+        for b in range(a + 1, m):
+            x2, y2 = inc[b]
+            if up[x1] >> y2 & 1 and up[x2] >> y1 & 1:
+                conflict[a] |= 1 << b
+                conflict[b] |= 1 << a
+    return conflict
+
+
+def reference_greedy_clique(conflict):
+    """The largest greedy clique over the conflict rows, one from each pair, each next member
+    found by scanning every pair by rank (degree down, then index)."""
+    m = len(conflict)
+    ranked = sorted(range(m), key=lambda k: (-bin(conflict[k]).count("1"), k))
+    best = 1 if m else 0
+    for start in range(m):
+        size = 1
+        cand = conflict[start]
+        while cand:
+            pick = next(k for k in ranked if cand >> k & 1)
+            size += 1
+            cand &= conflict[pick]
+        best = max(best, size)
+    return best
 
 
 def _maximal_reversed_sets(poset, inc):

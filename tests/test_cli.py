@@ -157,11 +157,37 @@ class TestRealizeVerify:
         res = run(["verify", "--realizer", str(realizer_path)], stdin="elements: a\n")
         assert res.exit_code == 2
         assert res.stderr == "error: line 2: Expecting value (column 4)\n"
-        # A well-formed JSON value of the wrong shape keeps its message.
+        # A well-formed JSON value of the wrong shape keeps its message, at the line the JSON starts on.
         res = run(["verify"], stdin="elements: a b c\na < b\n[1]\n")
         assert res.exit_code == 2
-        assert res.stderr == ("error: line 1: realizer entry 0 needs a signature"
+        assert res.stderr == ("error: line 3: realizer entry 0 needs a signature"
                               " and a string list extension\n")
+
+    @pytest.mark.parametrize("head, line", [("elements: a b\n", 2), ("elements: a b\n\n \n\n", 5),
+                                            ("# c\n\nelements: a b\r\na < b\n\n  ", 6)],
+                             ids=["line-2", "after-blank-lines", "after-crlf-and-indent"])
+    @pytest.mark.parametrize("entry, message", [
+        ('{"signature": null, "extension": [1]}',
+         "realizer entry 0 needs a signature and a string list extension"),
+        ('{"signature": {"kind": 9}, "extension": ["a", "b"]}', 'signature needs kind 1 or 2: {"kind": 9}'),
+        ('{"signature": {"kind": 1, "order": 3, "up": 1}, "extension": ["a", "b"]}',
+         'invalid signature {"kind": 1, "order": 3, "up": 1}'),
+    ], ids=["bad-entry", "bad-kind", "bad-signature"])
+    def test_realizer_schema_error_names_the_line_the_json_starts_on(self, head, line, entry, message,
+                                                                     tmp_path):
+        res = run(["verify"], stdin=head + "[" + entry + "]\n")
+        assert res.exit_code == 2
+        assert res.stderr == "error: line %d: %s\n" % (line, message)
+        # A syntax error on that line names the same line.
+        res = run(["verify"], stdin=head + "[" + entry + ",]\n")
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: line %d: Expecting" % line)
+        # A --realizer file is numbered from its own first line.
+        realizer_path = tmp_path / "realizer.json"
+        realizer_path.write_text("\n[" + entry + "]\n")
+        res = run(["verify", "--realizer", str(realizer_path)], stdin="elements: a b\n")
+        assert res.exit_code == 2
+        assert res.stderr == "error: line 1: %s\n" % message
 
     @pytest.mark.parametrize("entries", [
         [1],
@@ -176,12 +202,12 @@ class TestRealizeVerify:
     ], ids=["not-an-object", "no-extension", "kind-7", "kind-1-as-kind-2",
             "bad-order", "non-string-extension", "not-a-list", "bool-field", "float-kind"])
     def test_malformed_realizer_json_exit_2(self, entries):
-        text = dumps_poset(standard_example(2)) + json.dumps(entries) + "\n"
-        res = CliRunner().invoke(main, ["verify"], input=text)
+        head = dumps_poset(standard_example(2))
+        res = CliRunner().invoke(main, ["verify"], input=head + json.dumps(entries) + "\n")
         assert res.exit_code == 2, res.output
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
-        assert res.stderr.startswith("error: line 1:")
+        assert res.stderr.startswith("error: line %d:" % (head.count("\n") + 1))
 
     @pytest.mark.parametrize("name", ["#a", "elements:x"])
     def test_unwritable_name_exit_2(self, name):
@@ -359,6 +385,27 @@ class TestBatch:
         assert res.exit_code == 2
         assert res.stderr.startswith("error: --jobs must be between 1 and")
         assert "instances:" not in res.output
+
+
+    def test_serial_batch_memory_does_not_grow_with_count(self, monkeypatch):
+        # Seeds are made as they run and only failures are kept: the peak of a
+        # serial batch of 50,000 stubbed instances stays near a few records.
+        def stub(task):
+            return {"seed": task[2], "error": "stub" if task[2] % 25000 == 0 else None,
+                    "extensions": task[2] % 13, "dimension": None, "witness": []}
+
+        monkeypatch.setattr("spdim.cli._batch_one", stub)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = run(["batch", "--n", "5", "--count", "50000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == 1
+        assert res.stdout == "instances: 50000  failures: 2  max extensions: 12\n"
+        assert res.stderr == "failed seed 0: stub\nfailed seed 25000: stub\n"
+        assert peak < 1_000_000, peak
 
 
 class TestRepeatedInvocation:

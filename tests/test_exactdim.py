@@ -1,12 +1,16 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdim.errors import BadParameter, Exceeded, TooLarge
+from spdim import exactdim
 from spdim.exactdim import dimension_exact
 from spdim.generators import antichain, chain, kelly, random_tw2_poset, standard_example
 from spdim.poset import Poset
 
-from oracles import brute_dimension, contains_standard_example, is_reversible, less
+from oracles import (brute_dimension, contains_standard_example, is_reversible, less,
+                     reference_conflict_rows, reference_greedy_clique)
 
 
 class TestDimension:
@@ -80,9 +84,7 @@ class TestDimension:
         # Random orders, not only treewidth-2 ones, so the search backtracks:
         # the result is a least partition of Inc into parts, each reversed by
         # its own witness extension.
-        names = ["e%d" % i for i in range(n)]
-        p = Poset(names, [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
-                          if data.draw(st.booleans())])
+        p = random_order(n, data)
         result = dimension_exact(p, cap=100)
         assert result.dimension == brute_dimension(p)
         assert sorted(pair for part in result.parts for pair in part) == p.incomparable_pairs()
@@ -110,6 +112,48 @@ class TestDimension:
                 if x != y and less(p, x, y)]
         sub = Poset(sub_elements, rels)
         assert dimension_exact(sub, cap=100).dimension <= dimension_exact(p, cap=100).dimension
+
+
+def random_order(n, data):
+    "A random order on e0..e(n-1), not only a treewidth-2 one."
+    names = ["e%d" % i for i in range(n)]
+    return Poset(names, [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+                         if data.draw(st.booleans())])
+
+
+class TestConflictRows:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=12), st.data())
+    def test_rows_and_clique_match_the_pair_loop(self, n, data):
+        if data.draw(st.booleans()):
+            p = random_order(n, data)
+        else:
+            p = random_tw2_poset(n, data.draw(st.integers(min_value=0, max_value=10**6)))
+        inc = exactdim._index_pairs(p)
+        up, down = p.closed_masks()
+        want = reference_conflict_rows(inc, up)
+        above, below = exactdim._conflict_masks(inc, up, down, range(len(inc)))
+        assert [above[x] & below[y] for x, y in inc] == want
+        order = sorted(range(len(inc)), key=lambda k: (-want[k].bit_count(), k))
+        rank = {k: r for r, k in enumerate(order)}
+        masks = exactdim._conflict_masks(inc, up, down, [rank[k] for k in range(len(inc))])
+        assert exactdim._greedy_clique([inc[k] for k in order], *masks) == reference_greedy_clique(want)
+
+    @pytest.mark.parametrize("make", [lambda: kelly(3), lambda: standard_example(5), lambda: antichain(40)],
+                             ids=["kelly-3", "standard-5", "antichain-40"])
+    def test_rows_match_on_named_instances(self, make):
+        p = make()
+        inc = exactdim._index_pairs(p)
+        up, down = p.closed_masks()
+        above, below = exactdim._conflict_masks(inc, up, down, range(len(inc)))
+        assert [above[x] & below[y] for x, y in inc] == reference_conflict_rows(inc, up)
+
+    def test_antichain_60_without_a_loop_over_pairs_of_pairs(self):
+        # 3,540 pairs: a loop over pairs of pairs, or a clique member found by
+        # scanning the ranked pairs, takes seconds here.
+        start = time.process_time()
+        assert dimension_exact(antichain(60), cap=4000).dimension == 2
+        assert time.process_time() - start < 1.0
 
 
 class TestContainsStandardExample:

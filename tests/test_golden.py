@@ -4,8 +4,10 @@ The first digest pins the exact bytes ``dumps_realizer(realize_tw2(p))``
 produces on the acceptance corpus plus two n=300 instances (a forest, whose
 decomposition is deep, and a random treewidth-2 poset).  The second pins
 ``dumps_decomposition`` of the embedding ``decompose`` prints, on the corpus
-plus a chain and a forest at n=300.  A refactor of the closure, the embedding,
-the classifier or the extension sort must leave both unchanged; a change that
+plus a chain and a forest at n=300.  The third pins ``decompose --dot``, the
+DOT text of the augmented host with its fill edges dashed, on the same
+instances.  A refactor of the closure, the embedding,
+the classifier or the extension sort must leave all three unchanged; a change that
 alters the output on purpose has to say why and update the digest.
 
 The composition tree is balanced: each series or parallel run is re-bracketed
@@ -23,7 +25,7 @@ tree became the only one, it took the last two vertices of that min-heap
 reduction, run with no pinned vertex.  Forests and chains, whose components
 have no more edges than vertices, kept their terminals and their bytes both
 times.  ``python tests/test_golden.py`` (with ``src`` and ``tests`` on
-``PYTHONPATH``) prints the four digests to re-pin them.
+``PYTHONPATH``) prints the five digests to re-pin them.
 """
 
 import hashlib
@@ -31,6 +33,7 @@ import json
 
 from spdim import spembed
 from spdim.generators import chain, forest_poset, random_tw2_poset
+from spdim.graphs import dumps_dot
 from spdim.poset import Poset
 from spdim.realizer import Realizer, dumps_realizer, realize_tw2
 from spdim.spembed import augment_with_fresh_terminals, embed_into_sp
@@ -41,6 +44,7 @@ from test_acceptance import CORPUS
 
 GOLDEN_SHA256 = "c7f61387fd74f57df2b5a41cc251f0493da43777e3d56bba1927e1b9135f4594"
 DECOMPOSE_SHA256 = "f8a5dee6b1cb5e410441ac2b04cdcac078ff56227e0e6d7407a7e92b77028384"
+DOT_SHA256 = "b0b6eb3cf03e6059d2ec1b5ef570da8b5377c40d18b79470d5c6ce4928e84cc5"
 UNBALANCED_GOLDEN_SHA256 = "bd5bde03a8d26ddebd120b488aeff0235cc35230083bb7fbcd50a078e4c82434"
 UNBALANCED_DECOMPOSE_SHA256 = "a39bc1cc5b4a95baff0f69e0bc8f83e5dd8387fe26a4b4270a2d2e3e2ef03e27"
 
@@ -69,16 +73,34 @@ def decomposition_of(p):
     return build_st_decomposition(embedding.sp, embedding.names)
 
 
+def decompose_instances():
+    yield from (random_tw2_poset(n, seed) for seed, n in CORPUS)
+    yield chain(300)
+    yield forest_poset(300, 1)
+
+
 def decompose_digest():
     h = hashlib.sha256()
-    instances = [random_tw2_poset(n, seed) for seed, n in CORPUS]
-    for p in instances + [chain(300), forest_poset(300, 1)]:
+    for p in decompose_instances():
         h.update(dumps_decomposition(decomposition_of(p)).encode("utf-8"))
     return h.hexdigest()
 
 
 def test_decompose_output_matches_golden_digest():
     assert decompose_digest() == DECOMPOSE_SHA256
+
+
+def dot_digest():
+    "The digest of what ``decompose --dot`` prints: the augmented host, fill edges dashed."
+    h = hashlib.sha256()
+    for p in decompose_instances():
+        emb = augment_with_fresh_terminals(embed_into_sp(p.cover_graph()))
+        h.update(dumps_dot(emb.host, emb.added_edges).encode("utf-8"))
+    return h.hexdigest()
+
+
+def test_decompose_dot_output_matches_golden_digest():
+    assert dot_digest() == DOT_SHA256
 
 
 def test_unbalanced_tree_keeps_earlier_realizer_digest(monkeypatch):
@@ -114,10 +136,11 @@ def test_writers_match_json_dumps():
 
 
 if __name__ == "__main__":
-    # Print the four digests, to re-pin them after an intended output change:
+    # Print the five digests, to re-pin them after an intended output change:
     # PYTHONPATH=src:tests python tests/test_golden.py
     print("GOLDEN_SHA256 =", golden_digest())
     print("DECOMPOSE_SHA256 =", decompose_digest())
+    print("DOT_SHA256 =", dot_digest())
     spembed._normalized = reference_resolve  # as the unbalanced tests patch it
     print("UNBALANCED_GOLDEN_SHA256 =", golden_digest())
     print("UNBALANCED_DECOMPOSE_SHA256 =", decompose_digest())
