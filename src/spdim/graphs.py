@@ -124,10 +124,10 @@ def _dot_id(v):
     return "<%s>" % escape(name)
 
 
-def dumps_dot(graph, dashed_edges=(), name="G"):
+def dumps_dot(graph, dashed_edges=()):
     "DOT text for the graph; edges in ``dashed_edges`` are styled dashed."
     dashed = {graph.edge(u, v) for u, v in dashed_edges}
-    lines = ["graph %s {" % name]
+    lines = ["graph G {"]
     for v in graph.vertices:
         lines.append("  %s;" % _dot_id(v))
     for u, v in graph.sorted_edges():

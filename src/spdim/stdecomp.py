@@ -8,17 +8,20 @@ middle vertex (left child runs source -> middle, right child middle -> sink).
 Vertices are the integer ids of the embedding; ``STDecomposition.names`` maps
 them to names, which only the writers and error messages use.
 
-A decomposition is stored as columns indexed by node id (``parent``, ``left``,
-``right``, ``bag``, ``s``, ``t``), read off the walk that checks the
-series-parallel tree; ``nodes``, the same nodes as ``DecompNode`` records, is
-a view built only when read.  Node ids mirror the series-parallel tree
-(pre-order), and are preserved by ``reverse`` and ``swap_size2_children`` so
-that nodes can be compared across transformed decompositions.  The ids are a
-parents-first order: one pass over them runs top-down, one in reverse bottom-up.
+A decomposition is its columns indexed by node id (``parent``, ``left``,
+``right``, ``bag``, ``s``, ``t``) and its names, and ``STDecomposition(parent,
+left, right, bag, s, t, names)`` is the one way to make one; ``nodes``, the same
+nodes as ``DecompNode`` records, is a view built only when read.  Node ids mirror
+the series-parallel tree (pre-order), and are preserved by ``reverse`` and
+``swap_size2_children`` so that nodes can be compared across transformed
+decompositions.  The ids are a parents-first order, so node 0 is the root: one
+pass over them runs top-down, one in reverse bottom-up.
 """
 
 from json.encoder import encode_basestring_ascii as _string
 from functools import cached_property
+from itertools import islice
+from operator import lt
 from typing import NamedTuple
 
 from .errors import InvalidSPTree, PreconditionViolated, VertexNotInDecomposition
@@ -51,22 +54,33 @@ class STDecomposition:
     is the name of vertex id v.  Node k is stored across the columns
     ``parent[k]``, ``left[k]``, ``right[k]`` (None where absent), ``bag[k]``,
     ``s[k]`` and ``t[k]``; ``nodes[k]`` is the same node as a ``DecompNode``,
-    a view built on first read.  Every parent's id is below its children's.
+    a view built on first read.  Node 0 is the root, and every other node's
+    parent id is below its own.
 
-    ``STDecomposition(nodes, root, names)`` takes hand-made nodes and raises
-    ``PreconditionViolated`` unless ``nodes[k]`` has id k and every parent id
-    is below its child's.
+    ``STDecomposition(parent, left, right, bag, s, t, names)`` raises
+    ``PreconditionViolated`` unless the columns are non-empty and of one
+    length, node 0 has no parent, and every other node has a lower parent id.
     """
 
-    def __init__(self, nodes, root, names):
-        self.nodes = tuple(nodes)
-        for k, (nid, parent, *_) in enumerate(self.nodes):
-            if nid != k:
-                raise PreconditionViolated("node %d is at position %d" % (nid, k))
-            if parent is not None and parent >= nid:
-                raise PreconditionViolated("node %d has parent %d, not a lower id" % (nid, parent))
-        _, self.parent, self.left, self.right, self.bag, self.s, self.t = map(list, zip(*self.nodes))
-        self.root, self.names = root, tuple(names)
+    root = 0
+
+    def __init__(self, parent, left, right, bag, s, t, names):
+        count = len(bag)
+        if not count or not len(parent) == len(left) == len(right) == len(s) == len(t) == count:
+            raise PreconditionViolated("columns of lengths %s, not one length above 0"
+                                       % [len(column) for column in (parent, left, right, bag, s, t)])
+        try:
+            parents_first = parent[0] is None and all(map(lt, islice(parent, 1, None), range(1, count)))
+        except TypeError:  # a None, or a parent that is not an id, past node 0
+            parents_first = False
+        if not parents_first:
+            for nid, up in enumerate(parent):
+                if up is None and nid:
+                    raise PreconditionViolated("node %d has no parent: only node 0 is a root" % nid)
+                if up is not None and not (nid and isinstance(up, int) and up < nid):
+                    raise PreconditionViolated("node %d has parent %r, not a lower id" % (nid, up))
+        self.parent, self.left, self.right, self.bag, self.s, self.t = parent, left, right, bag, s, t
+        self.names = tuple(names)
 
     @cached_property
     def nodes(self):
@@ -93,28 +107,17 @@ class STDecomposition:
 
     @property
     def source(self):
-        return self.s[self.root]
+        return self.s[0]
 
     @property
     def sink(self):
-        return self.t[self.root]
+        return self.t[0]
 
     def __len__(self):
         return len(self.bag)
 
     def depth(self, u):
         return self._depth[u]
-
-    def lca(self, u, v):
-        depth, parent = self._depth, self.parent
-        while depth[u] > depth[v]:
-            u = parent[u]
-        while depth[v] > depth[u]:
-            v = parent[v]
-        while u != v:
-            u = parent[u]
-            v = parent[v]
-        return u
 
     def least_node(self, vertex):
         "The node closest to the root whose bag contains the vertex id."
@@ -129,24 +132,16 @@ class STDecomposition:
         """Swap children everywhere and exchange every (source, sink); the
         result decomposes the same host with the outer terminals exchanged,
         and its in-order is the exact reverse."""
-        return _from_columns(self.parent, self.right, self.left, [bag[::-1] for bag in self.bag],
-                             self.t, self.s, self.root, self.names)
+        return STDecomposition(self.parent, self.right, self.left, [bag[::-1] for bag in self.bag],
+                               self.t, self.s, self.names)
 
     def swap_size2_children(self):
         "Swap the children of every size-2 internal node; bags and terminals stay."
         swap = [left is not None and len(bag) == 2 for left, bag in zip(self.left, self.bag)]
-        return _from_columns(
+        return STDecomposition(
             self.parent, [r if sw else l for sw, l, r in zip(swap, self.left, self.right)],
             [l if sw else r for sw, l, r in zip(swap, self.left, self.right)],
-            self.bag, self.s, self.t, self.root, self.names)
-
-
-def _from_columns(parent, left, right, bag, s, t, root, names):
-    "A decomposition over columns whose parents-first order the caller guarantees."
-    d = STDecomposition.__new__(STDecomposition)
-    d.parent, d.left, d.right, d.bag, d.s, d.t = parent, left, right, bag, s, t
-    d.root, d.names = root, tuple(names)
-    return d
+            self.bag, self.s, self.t, self.names)
 
 
 def build_st_decomposition(sp_root, names):
@@ -160,7 +155,7 @@ def build_st_decomposition(sp_root, names):
     columns, problems = _checked_preorder(sp_root)
     if problems:
         raise InvalidSPTree("refusing to decompose an invalid composition tree")
-    return _from_columns(*columns, 0, names)
+    return STDecomposition(*columns, names)
 
 
 # -- JSON export -------------------------------------------------------------

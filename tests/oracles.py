@@ -159,9 +159,22 @@ def is_ancestor(decomp, u, v):
     return v == u
 
 
+def lca(decomp, u, v):
+    "The lowest common ancestor of nodes u and v, by walking their root paths in step."
+    depth, parent = decomp._depth, decomp.parent
+    while depth[u] > depth[v]:
+        u = parent[u]
+    while depth[v] > depth[u]:
+        v = parent[v]
+    while u != v:
+        u = parent[u]
+        v = parent[v]
+    return u
+
+
 def tree_path(decomp, u, v):
     "Node ids along the unique tree path from u to v, inclusive."
-    w = decomp.lca(u, v)
+    w = lca(decomp, u, v)
     up, down = [], []
     for x, out in ((u, up), (v, down)):
         while x != w:
@@ -448,7 +461,7 @@ class ReferenceClassifier:
         wx, wy = self.home[x], self.home[y]
         if wx == wy:
             raise MalformedInstance("incomparable elements share a least node")
-        meet = decomp.lca(wx, wy)
+        meet = lca(decomp, wx, wy)
         up_mask = self.up[poset.index(x)]
         down_mask = self.down[poset.index(y)]
         up_hits = up_mask & self.bagmask[meet]
@@ -476,7 +489,7 @@ class ReferenceClassifier:
 
     def terminal_pair_conflict(self, x, y):
         "Both the upset of x and the downset of y span an ancestor of the meet."
-        meet = self.decomp.lca(self.home[x], self.home[y])
+        meet = lca(self.decomp, self.home[x], self.home[y])
         return bool(self.up_span[x] >> meet & 1 and self.down_span[y] >> meet & 1)
 
 
@@ -1046,13 +1059,23 @@ def reference_resolve(root, names=()):
     return done[id(root)]
 
 
+def decomposition_of_records(nodes, names):
+    "The decomposition whose node k is the ``DecompNode`` record ``nodes[k]``: the records' fields as columns."
+    from spdim.stdecomp import STDecomposition
+
+    ids, *columns = zip(*nodes)
+    if ids != tuple(range(len(nodes))):
+        raise ValueError("record ids %r are not their positions" % (ids,))
+    return STDecomposition(*columns, names)
+
+
 def reference_decomposition(sp_root, names):
     """The s-t decomposition of a composition tree built one ``DecompNode`` per
     node, as ``build_st_decomposition`` once did: ids by a pre-order walk,
     leaves and parallel nodes with bag (source, sink), series nodes with bag
     (source, shared vertex, sink)."""
     from spdim.spembed import EDGE, SERIES
-    from spdim.stdecomp import DecompNode, STDecomposition
+    from spdim.stdecomp import DecompNode
 
     fields = []  # per id: [parent, left, right, bag, s, t]
     stack = [(sp_root, None, None)]  # (node, parent id, 1 for a left child or 2 for a right one)
@@ -1065,24 +1088,24 @@ def reference_decomposition(sp_root, names):
         fields.append([parent, None, None, bag, sp.source, sp.sink])
         if sp.kind != EDGE:
             stack += ((sp.right, nid, 2), (sp.left, nid, 1))
-    return STDecomposition([DecompNode(nid, *f) for nid, f in enumerate(fields)], 0, names)
+    return decomposition_of_records([DecompNode(nid, *f) for nid, f in enumerate(fields)], names)
 
 
 def reference_reverse(decomp):
     "``STDecomposition.reverse``, one ``DecompNode`` per node."
-    from spdim.stdecomp import DecompNode, STDecomposition
+    from spdim.stdecomp import DecompNode
 
-    return STDecomposition([DecompNode(n.id, n.parent, n.right, n.left, tuple(reversed(n.bag)), n.t, n.s)
-                            for n in decomp.nodes], decomp.root, decomp.names)
+    return decomposition_of_records([DecompNode(n.id, n.parent, n.right, n.left, tuple(reversed(n.bag)), n.t, n.s)
+                                     for n in decomp.nodes], decomp.names)
 
 
 def reference_swap_size2_children(decomp):
     "``STDecomposition.swap_size2_children``, one ``DecompNode`` per node."
-    from spdim.stdecomp import DecompNode, STDecomposition
+    from spdim.stdecomp import DecompNode
 
-    return STDecomposition([DecompNode(n.id, n.parent, n.right, n.left, n.bag, n.s, n.t)
-                            if n.left is not None and len(n.bag) == 2 else n
-                            for n in decomp.nodes], decomp.root, decomp.names)
+    return decomposition_of_records([DecompNode(n.id, n.parent, n.right, n.left, n.bag, n.s, n.t)
+                                     if n.left is not None and len(n.bag) == 2 else n
+                                     for n in decomp.nodes], decomp.names)
 
 
 def reference_depths_and_least(decomp):

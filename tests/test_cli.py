@@ -308,6 +308,20 @@ class TestDecomposeClassify:
         assert nodes[:3] == ['a"b', "c\\", "d"]
         assert {('a"b', "c\\"), ("c\\", "d")} <= set(edges)
 
+    def test_fresh_names_avoid_element_names(self):
+        # The elements take the names the fresh vertices would get, so each fresh
+        # vertex is primed until it is new.
+        text = "elements: +s +t +c0 +c1\n+s < +t\n"
+        elements = ["+s", "+t", "+c0", "+c1"]
+        assert run(["verify"], stdin=run(["realize"], stdin=text).output).exit_code == 0
+        rows = json.loads(run(["decompose", "--json"], stdin=text).output)
+        in_bags = {v for row in rows for v in row["bag"]}
+        nodes, _ = read_dot(run(["decompose", "--dot"], stdin=text).output)
+        assert nodes[:4] == elements and len(set(nodes)) == len(nodes)
+        fresh = nodes[4:]
+        assert in_bags == set(nodes)
+        assert {"+s'", "+t'"} <= set(fresh) and not set(fresh) & set(elements)
+
     def test_decompose_json_and_dot_is_a_usage_error(self):
         res = run(["decompose", "--json", "--dot"], stdin="elements: a b c\na < b\n")
         assert res.exit_code == 2

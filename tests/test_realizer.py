@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdim import spembed
+from spdim import realizer, spembed
 from spdim.errors import MalformedInstance, NotTreewidth2, PreconditionViolated
 from spdim.generators import chain, forest_poset, generate, kelly, random_tw2_poset, standard_example
 from spdim.poset import Poset, bits
@@ -20,11 +20,12 @@ from spdim.realizer import (
     metamorphic_check,
     realize_tw2,
 )
-from spdim.stdecomp import DecompNode, STDecomposition
+from spdim.stdecomp import DecompNode
 
 from oracles import (
     ReferenceClassifier,
     covers,
+    decomposition_of_records,
     is_reversible,
     reference_classification,
     reference_metamorphic_check,
@@ -71,8 +72,8 @@ class TestSignatureSpace:
                 "try:\n    DecompNode(0, None, None, None, (0, 1), 0, 1).middle\n"
                 "except PreconditionViolated:\n    pass\n"
                 "else:\n    raise SystemExit('middle of a size-2 bag')\n"
-                "try:\n    STDecomposition([DecompNode(0, 1, None, None, (0, 1), 0, 1),\n"
-                "                     DecompNode(1, None, 0, None, (0, 1), 0, 1)], 1, 'ab')\n"
+                "try:\n    STDecomposition([1, None], [None, 0], [None, None], [(0, 1), (0, 1)],\n"
+                "                    [0, 0], [1, 1], 'ab')\n"
                 "except PreconditionViolated:\n    pass\n"
                 "else:\n    raise SystemExit('parent id above its child id')\n")
         res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
@@ -205,7 +206,7 @@ class TestRowsMatchReference:
     def test_least_node_without_middle(self):
         # a's least node is a size-2 leaf: both classifiers refuse it.
         p = Poset("ab", [])
-        d = STDecomposition([DecompNode(0, None, None, None, (0, 1), 0, 1)], 0, "ab")
+        d = decomposition_of_records([DecompNode(0, None, None, None, (0, 1), 0, 1)], "ab")
         with pytest.raises(MalformedInstance, match="middle vertex"):
             SignatureRows(p, d)
         with pytest.raises(MalformedInstance, match="middle vertex"):
@@ -234,7 +235,7 @@ def test_least_node_repeating_a_terminal(bag, s, t):
     # A size-3 bag laid out as (s, a, t) but with a a terminal has no middle:
     # both classifiers refuse it.
     p = Poset("a", [])
-    d = STDecomposition([DecompNode(0, None, None, None, bag, s, t)], 0, "ab")
+    d = decomposition_of_records([DecompNode(0, None, None, None, bag, s, t)], "ab")
     with pytest.raises((PreconditionViolated, MalformedInstance)):
         SignatureRows(p, d)
     with pytest.raises((PreconditionViolated, MalformedInstance)):
@@ -243,14 +244,17 @@ def test_least_node_repeating_a_terminal(bag, s, t):
 
 class TestRealizePath:
     def test_no_per_pair_work(self, monkeypatch):
-        # The realize path walks rows: no lca call.
+        # The realize path walks rows: neither per-pair listing left in the
+        # library, bits() in the realizer or Poset.pairs_of_rows, is called.
         def forbidden(*args, **kwargs):
             raise AssertionError("per-pair step on the realize path")
 
-        monkeypatch.setattr(STDecomposition, "lca", forbidden)
-        p = forest_poset(60, 4)
-        r = realize_tw2(p)
-        assert p.verify_realizer(r.orders())
+        for p in (forest_poset(60, 4), random_tw2_poset(200, 3)):
+            with monkeypatch.context() as patched:
+                patched.setattr(realizer, "bits", forbidden)
+                patched.setattr(Poset, "pairs_of_rows", forbidden)
+                r = realize_tw2(p)
+            assert p.verify_realizer(r.orders())
 
     def test_treewidth_tested_once(self, monkeypatch):
         # One reduction per component of two or more vertices builds its tree

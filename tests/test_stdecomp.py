@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -13,11 +16,13 @@ from spdim.stdecomp import DecompNode, STDecomposition, build_st_decomposition, 
 
 from test_acceptance import CORPUS
 from oracles import (
+    decomposition_of_records,
     id_host,
     in_order,
     in_order_less,
     in_order_positions,
     is_ancestor,
+    lca,
     neighbors,
     reference_decomposition,
     reference_depths_and_least,
@@ -129,11 +134,11 @@ class TestValidateRejections:
         g = Graph(range(2), [(0, 1)])
         base = dict(id=0, parent=None, left=None, right=None, bag=(0, 1), s=0, t=1)
         base.update(root_kw)
-        return STDecomposition([DecompNode(**base)], 0, "ab"), g
+        return decomposition_of_records([DecompNode(**base)], "ab"), g
 
     def test_size3_leaf_rejected(self):
         g = Graph(range(3), [(0, 1), (1, 2)])
-        d = STDecomposition([DecompNode(0, None, None, None, (0, 1, 2), 0, 2)], 0, "abc")
+        d = decomposition_of_records([DecompNode(0, None, None, None, (0, 1, 2), 0, 2)], "abc")
         errors = validation_errors(d, g, 0, 2)
         assert any("leaf" in e for e in errors)
 
@@ -143,8 +148,8 @@ class TestValidateRejections:
 
     def test_missing_edge_coverage(self):
         g = Graph(range(3), [(0, 1), (1, 2)])
-        d = STDecomposition([DecompNode(0, None, None, None, (0, 1), 0, 1),
-                             DecompNode(1, 0, None, None, (0, 2), 0, 2)], 0, "abc")
+        d = decomposition_of_records([DecompNode(0, None, None, None, (0, 1), 0, 1),
+                                      DecompNode(1, 0, None, None, (0, 2), 0, 2)], "abc")
         # node 0 has one child only, bag of (b, c) nowhere
         errors = validation_errors(d, g, 0, 1)
         assert errors
@@ -154,7 +159,7 @@ class TestOrderUtilities:
     def test_lca_self(self):
         _, d = path_decomposition()
         for node in d.nodes:
-            assert d.lca(node.id, node.id) == node.id
+            assert lca(d, node.id, node.id) == node.id
 
     def test_in_order_root_between_children(self):
         _, d = path_decomposition()
@@ -168,7 +173,7 @@ class TestOrderUtilities:
         def by_formula(u, v):
             if u == v:
                 return False
-            w = d.lca(u, v)
+            w = lca(d, u, v)
             r, l = d.nodes[w].right, d.nodes[w].left
             no_right_above_u = not (r is not None and is_ancestor(d, r, u))
             no_left_above_v = not (l is not None and is_ancestor(d, l, v))
@@ -233,18 +238,44 @@ class TestParentsFirstTables:
 
     @pytest.mark.parametrize("parent", [0, 1], ids=["self", "higher"])
     def test_parent_id_must_be_lower(self, parent):
-        # Node 0 hangs below itself or below node 1, the root.
-        nodes = [DecompNode(0, parent, None, None, (0, 1), 0, 1),
-                 DecompNode(1, None, 0, None, (0, 1), 0, 1)]
+        # Node 0 hangs below itself or below node 1, which has no parent.
         with pytest.raises(PreconditionViolated, match="node 0 has parent"):
-            STDecomposition(nodes, 1, "ab")
+            STDecomposition([parent, None], [None, 0], [None, None], [(0, 1), (0, 1)], [0, 0], [1, 1], "ab")
 
-    def test_node_ids_must_be_positions(self):
-        # The columns are read by position, so node k must carry id k.
-        nodes = [DecompNode(0, None, 2, 1, (0, 1, 2), 0, 2), DecompNode(2, 0, None, None, (1, 2), 1, 2),
-                 DecompNode(1, 0, None, None, (0, 1), 0, 1)]
-        with pytest.raises(PreconditionViolated, match="node 2 is at position 1"):
-            STDecomposition(nodes, 0, "abc")
+    def test_parent_id_must_be_lower_past_the_root(self):
+        # Node 2 hangs below itself; nodes 0 and 1 are in order.
+        with pytest.raises(PreconditionViolated, match="node 2 has parent 2, not a lower id"):
+            STDecomposition([None, 0, 2], [1, None, None], [2, None, None],
+                            [(0, 1, 2), (0, 1), (1, 2)], [0, 0, 1], [2, 1, 2], "abc")
+
+    def test_second_parentless_node(self):
+        # Node 1 is a second root: the record form could list it, a decomposition cannot.
+        with pytest.raises(PreconditionViolated, match="node 1 has no parent: only node 0 is a root"):
+            STDecomposition([None, None], [None, None], [None, None], [(0, 1), (0, 1)], [0, 0], [1, 1], "ab")
+
+    @pytest.mark.parametrize("columns", [dict(parent=[], left=[], right=[], bag=[], s=[], t=[]),
+                                         dict(t=[1, 1]), dict(parent=[None, 0]), dict(bag=[])],
+                             ids=["empty", "t-longer", "parent-longer", "bag-shorter"])
+    def test_columns_of_one_length_above_zero(self, columns):
+        one_leaf = dict(parent=[None], left=[None], right=[None], bag=[(0, 1)], s=[0], t=[1])
+        with pytest.raises(PreconditionViolated, match="columns of lengths"):
+            STDecomposition(**{**one_leaf, **columns}, names="ab")
+
+    def test_refusals_survive_optimized_mode(self):
+        # Under python -O every assert is stripped; a second root, a parent id
+        # not below its child's and unequal or empty columns must still raise.
+        code = ("from spdim.stdecomp import STDecomposition\n"
+                "from spdim.errors import PreconditionViolated\n"
+                "leaf = dict(parent=[None], left=[None], right=[None], bag=[(0, 1)], s=[0], t=[1])\n"
+                "two = dict(left=[None, None], right=[None, None], bag=[(0, 1)] * 2, s=[0, 0], t=[1, 1])\n"
+                "for columns in (dict(two, parent=[None, None]), dict(two, parent=[None, 1]),\n"
+                "                dict(leaf, t=[1, 1]), {name: [] for name in leaf}):\n"
+                "    try:\n        STDecomposition(**columns, names='ab')\n"
+                "    except PreconditionViolated:\n        pass\n"
+                "    else:\n        raise SystemExit('accepted %r' % (columns,))\n")
+        res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert res.returncode == 0, res.stderr + res.stdout
 
 
 class TestColumns:
