@@ -36,7 +36,6 @@ from .realizer import (
 from .spembed import (
     Embedding,
     SPNode,
-    augment_with_fresh_terminals,
     edge_node,
     embed_into_sp,
     parallel,

@@ -31,7 +31,7 @@ from .errors import (
 from .graphs import dumps_dot
 from .realizer import (ALL_CLASSES, SignatureRows, decompose_poset, dumps_realizer, loads_realizer,
                        metamorphic_check, realize_tw2)
-from .spembed import augment_with_fresh_terminals, embed_into_sp
+from .spembed import embed_into_sp
 
 INPUT_ERRORS = (ParseError, CycleError, UnknownElement, BadParameter, NotTreewidth2, TooLarge)
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where ``str.splitlines`` breaks
@@ -199,7 +199,7 @@ def decompose(poset_file, as_json, as_dot):
         _fail_usage("--json and --dot exclude each other")
     p = _read_poset(poset_file)
     try:
-        embedding = augment_with_fresh_terminals(embed_into_sp(p.cover_graph()))
+        embedding = embed_into_sp(p.cover_graph())
     except NotTreewidth2 as exc:
         _fail_usage(exc)
     if as_dot:

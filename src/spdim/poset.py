@@ -34,7 +34,7 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class Poset:
-    """A finite strict partial order over named elements.
+    """A finite strict partial order over elements named by strings.
 
     ``relations`` may be any set of ordered pairs (x, y) meaning x < y; the
     transitive closure is taken and pairs implied by transitivity are absorbed
@@ -51,6 +51,8 @@ class Poset:
         elements = tuple(elements)
         index = {}
         for e in elements:
+            if not isinstance(e, str):
+                raise UnknownElement("element %r is not a string" % (e,))
             if e in index:
                 raise UnknownElement("duplicate element %r" % (e,))
             if e.split() != [e]:  # the text format splits lines at whitespace

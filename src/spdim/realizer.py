@@ -34,7 +34,7 @@ from operator import ne, or_
 
 from .errors import MalformedInstance, NotReversible, ParseError, ReversibilityViolation
 from .poset import bits
-from .spembed import augment_with_fresh_terminals, embed_into_sp
+from .spembed import embed_into_sp
 from .stdecomp import build_st_decomposition
 
 
@@ -288,10 +288,10 @@ def _bag_unions(masks, bags, left):
 
 
 def decompose_poset(poset):
-    """The s-t tree-decomposition the classes are read from: the cover graph embedded in an SP
-    graph by one reduction per component, which also tests its treewidth (``NotTreewidth2``
-    above 2), with fresh outer terminals."""
-    embedding = augment_with_fresh_terminals(embed_into_sp(poset.cover_graph()))
+    """The s-t tree-decomposition the classes are read from: the cover graph embedded by
+    ``embed_into_sp`` in an SP graph with fresh outer terminals, by one reduction per component,
+    which also tests its treewidth (``NotTreewidth2`` above 2)."""
+    embedding = embed_into_sp(poset.cover_graph())
     return build_st_decomposition(embedding.sp, embedding.names)
 
 

@@ -8,8 +8,9 @@ composition rules are checked by one linear pre-order walk (``sp_tree_violations
 whose positions, a parents-first order, become the decomposition's node ids.
 
 ``embed_into_sp`` turns any treewidth-<=2 graph into a supergraph that is
-two-terminal series-parallel, together with its composition tree.  The
-original graph is untouched: missing structure is added as fresh *fill* edges
+two-terminal series-parallel, together with its composition tree, and ends it
+at two fresh outer terminals, so that neither terminal is a vertex of the graph.
+The original graph is untouched: missing structure is added as fresh *fill* edges
 and fresh connector vertices, never by identifying existing vertices.  The
 reduction stores every bundle from its lower-id end to its higher-id end and
 reverses nothing; one final pass orients the tree from its root and balances
@@ -171,7 +172,8 @@ class Embedding:
     """The graph ``graph`` embedded in a two-terminal series-parallel host, the leaves of ``sp``.
 
     The vertices of ``sp`` are ids: ``names[i]`` is the name of vertex i, the graph's own
-    vertices first, in their order, then the fresh ones.  The rest is read off these three:
+    vertices first, in their order, then the fresh ones.  ``embed_into_sp`` makes the outer
+    terminals last, so ``sp`` runs between the last two names.  The rest is read off these three:
     the terminals off the root, the fresh vertices off ``names``, the fill edges off the host.
     """
 
@@ -374,8 +376,10 @@ def embed_into_sp(graph):
     source).  Isolated vertices are first tied to a fresh connector vertex by
     one fill edge.  An edgeless input with no vertices becomes a single fresh
     edge so that the host is never empty.  Each component's tree is stored lower
-    id to higher id, its root from its lower terminal; the tree is returned
+    id to higher id, its root from its lower terminal; the tree is then
     normalised: oriented from the root's source, every series or parallel run balanced.
+    Last come two fresh outer terminals, ``+s`` and ``+t`` (primed if taken), each joined
+    by one edge: the tree returned is ``series(edge(+s, s), series(tree, edge(t, +t)))``.
 
     Each component is reduced once, by ``_reduce_component``, which also tests its
     treewidth; the graph is never tested as a whole.  A component with no more
@@ -399,15 +403,7 @@ def embed_into_sp(graph):
     root = trees[0]
     for tree in trees[1:]:
         root = series(root, series(edge_node(root.sink, tree.source), tree))
-    names = tuple(names.names)
-    return Embedding(graph, _normalized(root, names), names)
-
-
-def augment_with_fresh_terminals(embedding):
-    """Extend the host by fresh outer terminals so that neither terminal is a
-    vertex of the original graph: series(edge(s*, s), series(tree, edge(t, t*)))."""
-    names = _Names(embedding.names)
+    tree = _normalized(root, names.names)
     s, t = names.make("+s"), names.make("+t")
-    sp = embedding.sp
-    tree = series(edge_node(s, sp.source), series(sp, edge_node(sp.sink, t)))
-    return Embedding(embedding.graph, tree, tuple(names.names))
+    return Embedding(graph, series(edge_node(s, tree.source), series(tree, edge_node(tree.sink, t))),
+                     tuple(names.names))

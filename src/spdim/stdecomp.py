@@ -59,7 +59,7 @@ class STDecomposition:
 
     ``STDecomposition(parent, left, right, bag, s, t, names)`` raises
     ``PreconditionViolated`` unless the columns are non-empty and of one
-    length, node 0 has no parent, and every other node has a lower parent id.
+    length, node 0 has no parent, and every other node's parent is an int id below its own.
     """
 
     root = 0
@@ -69,15 +69,14 @@ class STDecomposition:
         if not count or not len(parent) == len(left) == len(right) == len(s) == len(t) == count:
             raise PreconditionViolated("columns of lengths %s, not one length above 0"
                                        % [len(column) for column in (parent, left, right, bag, s, t)])
-        try:
-            parents_first = parent[0] is None and all(map(lt, islice(parent, 1, None), range(1, count)))
-        except TypeError:  # a None, or a parent that is not an id, past node 0
-            parents_first = False
-        if not parents_first:
+        # One C-level pass per test on the good path; the loop only names the offender.
+        if not (parent[0] is None and set(map(type, islice(parent, 1, None))) <= {int}
+                and min(islice(parent, 1, None), default=0) >= 0
+                and all(map(lt, islice(parent, 1, None), range(1, count)))):
             for nid, up in enumerate(parent):
                 if up is None and nid:
                     raise PreconditionViolated("node %d has no parent: only node 0 is a root" % nid)
-                if up is not None and not (nid and isinstance(up, int) and up < nid):
+                if up is not None and not (nid and type(up) is int and 0 <= up < nid):
                     raise PreconditionViolated("node %d has parent %r, not a lower id" % (nid, up))
         self.parent, self.left, self.right, self.bag, self.s, self.t = parent, left, right, bag, s, t
         self.names = tuple(names)

@@ -191,6 +191,12 @@ def id_host(embedding):
     return Graph(range(len(host)), [(host.index(u), host.index(v)) for u, v in host.edges])
 
 
+def raw_embedding(embedding):
+    """The tree ``embed_into_sp`` builds before its fresh outer terminals, the middle operand of
+    ``series(edge(+s, s), series(tree, edge(t, +t)))``, and the names of that tree's vertices."""
+    return embedding.sp.right.left, embedding.names[:-2]
+
+
 # -- brute force -------------------------------------------------------------
 
 def brute_is_reversible(poset, pairs):
@@ -395,7 +401,8 @@ class ReferenceClassifier:
 
     This is the classifier the row-wise ``SignatureRows`` replaced, kept as
     an independent reference: every field is computed for the pair itself,
-    and the span test uses one top-down tree walk per element.
+    and the span test uses one top-down tree walk per element and side, made
+    on the first read of that side's span.
     """
 
     def __init__(self, poset, decomp):
@@ -425,16 +432,24 @@ class ReferenceClassifier:
             self.bagmask.append(mask)
             self.s_idx.append(node.s if node.s < n else None)
             self.t_idx.append(node.t if node.t < n else None)
-        # For every element, the set of nodes u such that some ancestor-or-self
-        # of u has both terminals inside the up/down set of the element.
         self.up, self.down = poset.closed_masks()
-        self.up_span = {}
-        self.down_span = {}
-        for i, x in enumerate(poset.elements):
-            self.up_span[x] = self._span_mask(self.up[i])
-            self.down_span[x] = self._span_mask(self.down[i])
+        self.up_spans, self.down_spans = {}, {}
+
+    def up_span(self, x):
+        "The span mask of the upset of x, walked on first read."
+        if x not in self.up_spans:
+            self.up_spans[x] = self._span_mask(self.up[self.poset.index(x)])
+        return self.up_spans[x]
+
+    def down_span(self, x):
+        "The span mask of the downset of x, walked on first read."
+        if x not in self.down_spans:
+            self.down_spans[x] = self._span_mask(self.down[self.poset.index(x)])
+        return self.down_spans[x]
 
     def _span_mask(self, member_mask):
+        """The set of nodes u such that some ancestor-or-self of u has both
+        terminals inside ``member_mask``, by one top-down walk."""
         decomp = self.decomp
         out = 0
         stack = [(decomp.root, False)]
@@ -469,7 +484,7 @@ class ReferenceClassifier:
         order = 1 if self.in_pos[wx] < self.in_pos[wy] else 2
         if not up_hits or not down_hits:
             return PairClass(1, order, up=(1 if not up_hits else 2))
-        span = 2 if self.up_span[x] >> meet & 1 else 1
+        span = 2 if self.up_span(x) >> meet & 1 else 1
         if len(decomp.nodes[meet].bag) == 3:
             gate = order
         else:
@@ -490,7 +505,7 @@ class ReferenceClassifier:
     def terminal_pair_conflict(self, x, y):
         "Both the upset of x and the downset of y span an ancestor of the meet."
         meet = lca(self.decomp, self.home[x], self.home[y])
-        return bool(self.up_span[x] >> meet & 1 and self.down_span[y] >> meet & 1)
+        return bool(self.up_span(x) >> meet & 1 and self.down_span(y) >> meet & 1)
 
 
 def reference_classification(poset, decomp):

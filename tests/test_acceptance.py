@@ -15,7 +15,7 @@ from spdim.exactdim import dimension_exact
 from spdim.generators import forest_poset, kelly, random_tw2_poset, standard_example
 from spdim.graphs import Graph
 from spdim.realizer import SignatureRows, decompose_poset, metamorphic_check, realize_tw2
-from spdim.spembed import augment_with_fresh_terminals, embed_into_sp
+from spdim.spembed import embed_into_sp
 from spdim.stdecomp import build_st_decomposition
 
 from oracles import (
@@ -119,7 +119,7 @@ def test_criterion_07_structural_validators():
     ok = True
     for seed, n in CORPUS:
         p = random_tw2_poset(n, seed)
-        emb = augment_with_fresh_terminals(embed_into_sp(p.cover_graph()))
+        emb = embed_into_sp(p.cover_graph())
         d = build_st_decomposition(emb.sp, emb.names)
         host = id_host(emb)
         if not validate_decomposition(d, host, emb.source, emb.sink):
@@ -163,7 +163,7 @@ def test_criterion_09_separation_witness_trials():
     pool = []
     for seed in range(80):
         p = random_tw2_poset(2 + seed % 30, seed)
-        emb = augment_with_fresh_terminals(embed_into_sp(p.cover_graph()))
+        emb = embed_into_sp(p.cover_graph())
         pool.append((id_host(emb), build_st_decomposition(emb.sp, emb.names)))
     while sep_trials + wit_trials < 10000:
         g, d = pool[rng.randrange(len(pool))]

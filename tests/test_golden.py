@@ -36,7 +36,7 @@ from spdim.generators import chain, forest_poset, random_tw2_poset
 from spdim.graphs import dumps_dot
 from spdim.poset import Poset
 from spdim.realizer import Realizer, dumps_realizer, realize_tw2
-from spdim.spembed import augment_with_fresh_terminals, embed_into_sp
+from spdim.spembed import embed_into_sp
 from spdim.stdecomp import build_st_decomposition, dumps_decomposition
 
 from oracles import covers, decomposition_to_json, realizer_to_json, reference_resolve
@@ -69,7 +69,7 @@ def test_realizer_output_matches_golden_digest():
 
 def decomposition_of(p):
     "The decomposition ``decompose`` prints."
-    embedding = augment_with_fresh_terminals(embed_into_sp(p.cover_graph()))
+    embedding = embed_into_sp(p.cover_graph())
     return build_st_decomposition(embedding.sp, embedding.names)
 
 
@@ -94,7 +94,7 @@ def dot_digest():
     "The digest of what ``decompose --dot`` prints: the augmented host, fill edges dashed."
     h = hashlib.sha256()
     for p in decompose_instances():
-        emb = augment_with_fresh_terminals(embed_into_sp(p.cover_graph()))
+        emb = embed_into_sp(p.cover_graph())
         h.update(dumps_dot(emb.host, emb.added_edges).encode("utf-8"))
     return h.hexdigest()
 

@@ -796,6 +796,13 @@ class TestTextFormat:
         with pytest.raises(UnknownElement, match="empty or holds whitespace"):
             Poset(["z", name], [("z", name)])
 
+    @pytest.mark.parametrize("name", [1, None, b"a"], ids=["int", "none", "bytes"])
+    def test_names_that_are_not_strings_are_refused(self, name):
+        # A library caller gets the package's own error, not an AttributeError
+        # from reading the name as text.
+        with pytest.raises(UnknownElement, match="is not a string"):
+            Poset(["z", name], [("z", name)])
+
     def test_comments_and_blanks(self):
         p = loads("# hi\n\nelements: a b\n# more\na < b\n")
         assert less(p, "a", "b")

@@ -17,8 +17,8 @@ from spdim.spembed import (
     EDGE,
     PARALLEL,
     SERIES,
+    Embedding,
     SPNode,
-    augment_with_fresh_terminals,
     edge_node,
     embed_into_sp,
     parallel,
@@ -32,6 +32,7 @@ from oracles import (
     all_labeled_graphs,
     has_k4_minor,
     mirror,
+    raw_embedding,
     read_dot,
     reference_decomposition,
     reference_reduce_component,
@@ -203,9 +204,7 @@ class TestLinearValidator:
            st.booleans(), st.integers(min_value=0, max_value=2))
     def test_agrees_with_reference_on_mutated_trees(self, data, family, n, seed, augment, k):
         emb = embed_into_sp(family(n, seed).cover_graph())
-        if augment:
-            emb = augment_with_fresh_terminals(emb)
-        tree = emb.sp
+        tree = emb.sp if augment else raw_embedding(emb)[0]
         for _ in range(k):
             tree = mutate(data, tree)
         got = sp_tree_violations(tree)
@@ -258,7 +257,7 @@ class TestBalancedTree:
                              ids=["chain", "forest"])
     def test_decomposition_depth_is_logarithmic(self, make):
         p = make()
-        emb = augment_with_fresh_terminals(embed_into_sp(p.cover_graph()))
+        emb = embed_into_sp(p.cover_graph())
         d = build_st_decomposition(emb.sp, emb.names)
         assert max(d.depth(u) for u in range(len(d))) <= 2 * math.log2(len(p)) + 8
 
@@ -297,10 +296,11 @@ class TestBalancedTree:
 
 
 def raw_tree(graph):
-    "The tree ``embed_into_sp`` hands to its normaliser, stored lower id to higher id, and the vertex names."
+    """The tree ``embed_into_sp`` hands to its normaliser, stored lower id to higher id, and the
+    vertex names it has then (the fresh outer terminals are named later)."""
     got = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spembed, "_normalized", lambda root, names: got.append((root, names)) or root)
+        mp.setattr(spembed, "_normalized", lambda root, names: got.append((root, tuple(names))) or root)
         embed_into_sp(graph)
     return got[0]
 
@@ -348,17 +348,22 @@ class TestOrientation:
         assert shape(spembed._normalized(root, names)) == want
 
 
+def raw_embedded(graph):
+    "``embed_into_sp(graph)`` as it was before its fresh outer terminals."
+    return Embedding(graph, *raw_embedding(embed_into_sp(graph)))
+
+
 class TestEmbedding:
     def test_single_edge(self):
         g = Graph("ab", [("a", "b")])
-        emb = embed_into_sp(g)
+        emb = raw_embedded(g)
         assert emb.sp.kind == EDGE
         assert emb.host == g
         assert not emb.added_edges and not emb.added_vertices
 
     def test_path_series_of_two_leaves(self):
         g = Graph("abc", [("a", "b"), ("b", "c")])
-        emb = embed_into_sp(g)
+        emb = raw_embedded(g)
         assert emb.host == g
         assert not emb.added_edges
         assert (emb.names[emb.source], emb.names[emb.sink]) == ("a", "c")
@@ -367,20 +372,20 @@ class TestEmbedding:
 
     def test_four_cycle_host_unchanged(self):
         g = cycle_graph(4)
-        emb = embed_into_sp(g)
+        emb = raw_embedded(g)
         assert emb.host == g
         assert not emb.added_edges
         assert sp_tree_violations(emb.sp) == []
 
     def test_isolated_vertices_get_connectors(self):
         g = Graph("ab", [])
-        emb = embed_into_sp(g)
+        emb = raw_embedded(g)
         assert sp_tree_violations(emb.sp) == []
         assert set(g.vertices) <= set(emb.host.vertices)
         assert len(emb.added_vertices) == 2
 
     def test_empty_graph(self):
-        emb = embed_into_sp(Graph([], []))
+        emb = raw_embedded(Graph([], []))
         assert sp_tree_violations(emb.sp) == []
         assert len(emb.host.vertices) == 2
 
@@ -479,8 +484,8 @@ def dropping_middles(reduce):
 
 
 def terminals_by_name(graph):
-    "The terminals ``embed_into_sp`` gives a connected graph, as names."
-    emb = embed_into_sp(graph)
+    "The terminals ``embed_into_sp`` gives a connected graph, inside its fresh outer terminals, as names."
+    emb = raw_embedded(graph)
     return emb.names[emb.source], emb.names[emb.sink]
 
 
@@ -671,14 +676,13 @@ class TestBenchmarkShapes:
         ref = embed_into_sp(graph)
         assert leaf_sequence(emb.sp) == leaf_sequence(ref.sp)
         assert sp_tree_violations(emb.sp) == []
-        aug = augment_with_fresh_terminals(emb)
-        assert (build_st_decomposition(aug.sp, aug.names).nodes
-                == reference_decomposition(aug.sp, aug.names).nodes)
+        assert (build_st_decomposition(emb.sp, emb.names).nodes
+                == reference_decomposition(emb.sp, emb.names).nodes)
 
 
 class TestAugment:
     def test_single_edge_becomes_three_path(self):
-        emb = augment_with_fresh_terminals(embed_into_sp(Graph("ab", [("a", "b")])))
+        emb = embed_into_sp(Graph("ab", [("a", "b")]))
         assert len(emb.host.vertices) == 4
         assert len(emb.host.edges) == 3
         source, sink = emb.names[emb.source], emb.names[emb.sink]
@@ -688,10 +692,11 @@ class TestAugment:
     @given(st.integers(min_value=1, max_value=25), st.integers(min_value=0, max_value=10**6))
     def test_fresh_terminals_and_counts(self, n, seed):
         g = random_partial_2tree(n, seed)
-        base = embed_into_sp(g)
-        emb = augment_with_fresh_terminals(base)
+        emb = embed_into_sp(g)
+        base = raw_embedded(g)
         source, sink = emb.names[emb.source], emb.names[emb.sink]
         assert source not in g.vertices and sink not in g.vertices
+        assert (emb.source, emb.sink) == (len(emb.names) - 2, len(emb.names) - 1)
         assert len(emb.host.vertices) == len(base.host.vertices) + 2
         assert len(emb.host.edges) == len(base.host.edges) + 2
         assert sp_tree_violations(emb.sp) == []

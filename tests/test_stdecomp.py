@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from spdim.errors import PreconditionViolated, VertexNotInDecomposition
 from spdim.generators import chain, random_tw2_poset
 from spdim.graphs import Graph
-from spdim.spembed import augment_with_fresh_terminals, edge_node, embed_into_sp
+from spdim.spembed import Embedding, edge_node, embed_into_sp
 from spdim.stdecomp import DecompNode, STDecomposition, build_st_decomposition, dumps_decomposition
 
 from test_acceptance import CORPUS
@@ -24,6 +25,7 @@ from oracles import (
     is_ancestor,
     lca,
     neighbors,
+    raw_embedding,
     reference_decomposition,
     reference_depths_and_least,
     reference_reverse,
@@ -37,7 +39,7 @@ from oracles import (
 
 
 def decompose_graph(g):
-    emb = augment_with_fresh_terminals(embed_into_sp(g))
+    emb = embed_into_sp(g)
     return emb, build_st_decomposition(emb.sp, emb.names)
 
 
@@ -46,10 +48,15 @@ def random_decomposition(n, seed):
     return decompose_graph(g)
 
 
-def path_decomposition():
-    "Plain path a-b-c embedded without augmentation: one size-3 root."
-    emb = embed_into_sp(Graph("abc", [("a", "b"), ("b", "c")]))
+def raw_decomposition(g):
+    "The embedding of ``g`` before its fresh outer terminals, and its decomposition."
+    emb = Embedding(g, *raw_embedding(embed_into_sp(g)))
     return emb, build_st_decomposition(emb.sp, emb.names)
+
+
+def path_decomposition():
+    "Plain path a-b-c embedded without fresh outer terminals: one size-3 root."
+    return raw_decomposition(Graph("abc", [("a", "b"), ("b", "c")]))
 
 
 def named(d, vertices):
@@ -64,9 +71,7 @@ def ids(d, names):
 
 class TestBuild:
     def test_single_leaf(self):
-        g = Graph("ab", [("a", "b")])
-        emb = embed_into_sp(g)
-        d = build_st_decomposition(emb.sp, emb.names)
+        _, d = raw_decomposition(Graph("ab", [("a", "b")]))
         assert len(d) == 1
         assert named(d, d.nodes[0].bag) == ("a", "b")
         assert named(d, (d.source, d.sink)) == ("a", "b")
@@ -94,8 +99,7 @@ class TestBuild:
     def test_four_cycle_shape(self):
         verts = ["v%d" % i for i in range(4)]
         g = Graph(verts, list(zip(verts, verts[1:])) + [(verts[-1], verts[0])])
-        emb = embed_into_sp(g)
-        d = build_st_decomposition(emb.sp, emb.names)
+        emb, d = raw_decomposition(g)
         root = d.nodes[d.root]
         assert len(root.bag) == 2
         assert len(d) == len(emb.host.edges) * 2 - 1  # one leaf per host edge
@@ -113,7 +117,7 @@ class TestBuild:
         g = chain(3000).cover_graph()
         tracemalloc.start()
         try:
-            emb = augment_with_fresh_terminals(embed_into_sp(g))
+            emb = embed_into_sp(g)
             d = build_st_decomposition(emb.sp, emb.names)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -247,6 +251,13 @@ class TestParentsFirstTables:
         with pytest.raises(PreconditionViolated, match="node 2 has parent 2, not a lower id"):
             STDecomposition([None, 0, 2], [1, None, None], [2, None, None],
                             [(0, 1, 2), (0, 1), (1, 2)], [0, 0, 1], [2, 1, 2], "abc")
+        # A negative id (read from the end of a column) and a float compare below
+        # their child's id, and are still no id of a lower node.
+        for parent, nid in (([None, -1], 1), ([None, 0, -2], 2), ([None, 0.5, 0], 1)):
+            k = len(parent)
+            with pytest.raises(PreconditionViolated,
+                               match=re.escape("node %d has parent %r, not a lower id" % (nid, parent[nid]))):
+                STDecomposition(parent, [None] * k, [None] * k, [(0, 1)] * k, [0] * k, [1] * k, "ab")
 
     def test_second_parentless_node(self):
         # Node 1 is a second root: the record form could list it, a decomposition cannot.
@@ -263,12 +274,16 @@ class TestParentsFirstTables:
 
     def test_refusals_survive_optimized_mode(self):
         # Under python -O every assert is stripped; a second root, a parent id
-        # not below its child's and unequal or empty columns must still raise.
+        # not below its child's, a negative or float parent id and unequal or
+        # empty columns must still raise.
         code = ("from spdim.stdecomp import STDecomposition\n"
                 "from spdim.errors import PreconditionViolated\n"
                 "leaf = dict(parent=[None], left=[None], right=[None], bag=[(0, 1)], s=[0], t=[1])\n"
                 "two = dict(left=[None, None], right=[None, None], bag=[(0, 1)] * 2, s=[0, 0], t=[1, 1])\n"
+                "three = dict(left=[None] * 3, right=[None] * 3, bag=[(0, 1)] * 3, s=[0] * 3, t=[1] * 3)\n"
                 "for columns in (dict(two, parent=[None, None]), dict(two, parent=[None, 1]),\n"
+                "                dict(two, parent=[None, -1]), dict(three, parent=[None, 0, -2]),\n"
+                "                dict(three, parent=[None, 0.5, 0]),\n"
                 "                dict(leaf, t=[1, 1]), {name: [] for name in leaf}):\n"
                 "    try:\n        STDecomposition(**columns, names='ab')\n"
                 "    except PreconditionViolated:\n        pass\n"
@@ -283,7 +298,7 @@ class TestColumns:
 
     def test_match_per_node_reference_on_corpus(self):
         for seed, n in CORPUS:
-            emb = augment_with_fresh_terminals(embed_into_sp(random_tw2_poset(n, seed).cover_graph()))
+            emb = embed_into_sp(random_tw2_poset(n, seed).cover_graph())
             d = build_st_decomposition(emb.sp, emb.names)
             ref = reference_decomposition(emb.sp, emb.names)
             for got, want in ((d, ref), (d.reverse(), reference_reverse(ref)),
@@ -346,8 +361,7 @@ class TestSwapSize2:
     def test_four_cycle_root_children_exchanged(self):
         verts = ["v%d" % i for i in range(4)]
         g = Graph(verts, list(zip(verts, verts[1:])) + [(verts[-1], verts[0])])
-        emb = embed_into_sp(g)
-        d = build_st_decomposition(emb.sp, emb.names)
+        _, d = raw_decomposition(g)
         s = d.swap_size2_children()
         root = d.nodes[d.root]
         sroot = s.nodes[s.root]
