@@ -6,6 +6,8 @@ by the realizer JSON) so that ``gen | realize | verify`` works; ``verify``
 also accepts a plain poset on stdin with ``--realizer FILE``.
 
 Exit codes: 0 success/verified, 1 property violated, 2 usage or input error.
+The verbs raise spdim errors, and ``_Main.invoke`` is the one place that maps
+them to exit codes.
 """
 
 import json
@@ -50,11 +52,6 @@ def _echo(message, err=False, nl=True):
     stream.flush()
 
 
-def _fail_usage(exc):
-    _echo("error: %s" % exc, err=True)
-    sys.exit(2)
-
-
 def _witness_lines(exc):
     "The witness cycle and the signature of a ``ReversibilityViolation``, as JSON lines."
     signature = None if exc.signature is None else exc.signature.to_json()
@@ -62,19 +59,16 @@ def _witness_lines(exc):
             "signature: %s" % json.dumps(signature)]
 
 
-def _read_text(poset_file):
-    "The text of ``poset_file``, or of stdin: UTF-8, with other bytes kept as surrogate escapes."
-    if poset_file is not None:
-        with open(poset_file, "r", encoding="utf-8", errors="surrogateescape") as fh:
+def _read_text(path):
+    "The text of the file at ``path``, or of stdin if None: UTF-8, with other bytes kept as surrogate escapes."
+    if path is not None:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return fh.read()
     return sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
 
 
 def _read_poset(poset_file):
-    try:
-        return posetio.loads(_read_text(poset_file))
-    except INPUT_ERRORS as exc:
-        _fail_usage(exc)
+    return posetio.loads(_read_text(poset_file))
 
 
 def _split_bundle(text):
@@ -96,7 +90,25 @@ poset_option = click.option("--poset", "-f", "poset_file", type=click.Path(exist
                             default=None, help="Read the poset from FILE instead of stdin.")
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        """Run the verb: the one place a spdim error becomes an exit code.  An input error
+        exits 2; a dimension above ``--max-d``, or a class that is not reversible (with its
+        witness), exits 1.  Any other error is a bug and keeps its traceback."""
+        try:
+            return super().invoke(ctx)
+        except INPUT_ERRORS as exc:
+            _echo("error: %s" % exc, err=True)
+            sys.exit(2)
+        except Exceeded as exc:
+            _echo(str(exc), err=True)
+            sys.exit(1)
+        except ReversibilityViolation as exc:
+            _echo("\n".join(["error: %s" % exc] + _witness_lines(exc)), err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Main)
 def main():
     "Realizers, exact dimension and decompositions for treewidth-2 posets."
 
@@ -108,11 +120,7 @@ def main():
 @click.option("--seed", type=int, default=0, show_default=True)
 def gen(family, n, seed):
     "Generate a poset and write it in the poset text format."
-    try:
-        p = generators.generate(family, n, seed)
-    except (BadParameter, TooLarge) as exc:
-        _fail_usage(exc)
-    _echo(posetio.dumps(p), nl=False)
+    _echo(posetio.dumps(generators.generate(family, n, seed)), nl=False)
 
 
 @main.command()
@@ -122,15 +130,7 @@ def gen(family, n, seed):
               help="Refuse instances with more incomparable ordered pairs.")
 def dim(poset_file, max_d, cap):
     "Print the exact dimension (brute-force oracle)."
-    p = _read_poset(poset_file)
-    try:
-        result = exactdim.dimension_exact(p, max_d=max_d, cap=cap)
-    except (BadParameter, TooLarge) as exc:
-        _fail_usage(exc)
-    except Exceeded as exc:
-        _echo("dimension exceeds %d" % exc.max_d, err=True)
-        sys.exit(1)
-    _echo(str(result.dimension))
+    _echo(str(exactdim.dimension_exact(_read_poset(poset_file), max_d=max_d, cap=cap).dimension))
 
 
 @main.command()
@@ -138,15 +138,7 @@ def dim(poset_file, max_d, cap):
 def realize(poset_file):
     "Emit the poset followed by its realizer JSON (at most 12 extensions)."
     p = _read_poset(poset_file)
-    try:
-        r = realize_tw2(p)
-    except NotTreewidth2 as exc:
-        _fail_usage(exc)
-    except ReversibilityViolation as exc:
-        _echo("error: %s" % exc, err=True)
-        for line in _witness_lines(exc):
-            _echo(line, err=True)
-        sys.exit(1)
+    r = realize_tw2(p)
     _echo(posetio.dumps(p), nl=False)
     _echo(dumps_realizer(r), nl=False)
 
@@ -158,25 +150,20 @@ def realize(poset_file):
 def verify(poset_file, realizer_file):
     "Check that the given extensions realize the poset; exit 1 if not."
     head = ""  # the input before the realizer JSON
+    if realizer_file is not None:
+        p, tail = _read_poset(poset_file), _read_text(realizer_file)
+    else:
+        head, tail = _split_bundle(_read_text(poset_file))
+        if tail is None:
+            raise ParseError("no realizer JSON found on stdin (use --realizer)", 1)
+        p = posetio.loads(head)
     try:
-        if realizer_file is not None:
-            p = posetio.loads(_read_text(poset_file))
-            with open(realizer_file, "r", encoding="utf-8", errors="surrogateescape") as fh:
-                tail = fh.read()
-        else:
-            head, tail = _split_bundle(_read_text(poset_file))
-            if tail is None:
-                raise ParseError("no realizer JSON found on stdin (use --realizer)", 1)
-            p = posetio.loads(head)
-        try:
-            r = loads_realizer(tail)
-        except ParseError as exc:  # a schema error: name the line the JSON starts on
-            raise ParseError(exc.message, len((head + "^").splitlines())) from None
+        r = loads_realizer(tail)
+    except ParseError as exc:  # a schema error: name the line the JSON starts on
+        raise ParseError(exc.message, len((head + "^").splitlines())) from None
     except json.JSONDecodeError as exc:  # a syntax error: name its line and column as str.splitlines breaks lines
         lines = (head + exc.doc[:exc.pos] + "^").splitlines()  # "^" stands for the character at fault
-        _fail_usage(ParseError("%s (column %d)" % (exc.msg, len(lines[-1])), len(lines)))
-    except INPUT_ERRORS as exc:
-        _fail_usage(exc)
+        raise ParseError("%s (column %d)" % (exc.msg, len(lines[-1])), len(lines)) from None
     problems = p.realizer_violations(r.orders())
     if len(r) > 12:
         problems.append("realizer uses %d extensions (more than 12)" % len(r))
@@ -196,12 +183,8 @@ def verify(poset_file, realizer_file):
 def decompose(poset_file, as_json, as_dot):
     "Embed the cover graph and print the s-t tree-decomposition."
     if as_json and as_dot:
-        _fail_usage("--json and --dot exclude each other")
-    p = _read_poset(poset_file)
-    try:
-        embedding = embed_into_sp(p.cover_graph())
-    except NotTreewidth2 as exc:
-        _fail_usage(exc)
+        raise BadParameter("--json and --dot exclude each other")
+    embedding = embed_into_sp(_read_poset(poset_file).cover_graph())
     if as_dot:
         _echo(dumps_dot(embedding.host, embedding.added_edges), nl=False)
         return
@@ -210,12 +193,9 @@ def decompose(poset_file, as_json, as_dot):
 
 
 def _read_signature_rows(poset_file):
-    "The signature class rows of the input poset; exit 2 if its cover graph has treewidth above 2."
+    "The signature class rows of the input poset; ``NotTreewidth2`` if its cover graph has treewidth above 2."
     p = _read_poset(poset_file)
-    try:
-        return SignatureRows(p, decompose_poset(p))
-    except NotTreewidth2 as exc:
-        _fail_usage(exc)
+    return SignatureRows(p, decompose_poset(p))
 
 
 @main.command()
@@ -254,15 +234,12 @@ def batch(family, n, count, seed, jobs, oracle_cap):
     "Generate COUNT instances, realize and verify each, print a summary."
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
-        _fail_usage("--jobs must be between 1 and %d (the CPU count)" % cpus)
+        raise BadParameter("--jobs must be between 1 and %d (the CPU count)" % cpus)
     if count < 1:
-        _fail_usage("--count must be at least 1")
+        raise BadParameter("--count must be at least 1")
     if oracle_cap < 0:
-        _fail_usage("--oracle-cap must be at least 0")
-    try:
-        generators.check_request(family, n)
-    except (BadParameter, TooLarge) as exc:
-        _fail_usage(exc)
+        raise BadParameter("--oracle-cap must be at least 0")
+    generators.check_request(family, n)
     import multiprocessing  # here, not at the top: the other verbs would pay for its import
 
     tasks = ((family, n, seed + k, oracle_cap) for k in range(count))  # made as they are run

@@ -126,14 +126,14 @@ def random_tw2_poset(n, seed, delete_prob=0.3):
     return _oriented_poset(n, [(u, v) for u, v in edges if v in adj[u]], rng)
 
 
-def forest_poset(n, seed, root_prob=0.25):
+def forest_poset(n, seed):
     "Random forest, randomly oriented; dimension is at most 3."
     if n < 1:
         raise BadParameter("need n >= 1")
     rng = random.Random(seed)
     edges = []
     for v in range(1, n):
-        if rng.random() >= root_prob:
+        if rng.random() >= 0.25:  # about a quarter of the vertices are roots
             edges.append((rng.randrange(v), v))
     return _oriented_poset(n, edges, rng)
 

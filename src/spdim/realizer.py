@@ -171,8 +171,6 @@ class SignatureRows:
             if not row:
                 continue
             bit = 1 << x
-            if row & bit:  # x's least node is x's alone
-                raise MalformedInstance("incomparable elements share a least node")
             c = start + x
             while c is not None:
                 ys = row & other[c]

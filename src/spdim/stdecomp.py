@@ -20,8 +20,8 @@ pass over them runs top-down, one in reverse bottom-up.
 
 from json.encoder import encode_basestring_ascii as _string
 from functools import cached_property
-from itertools import islice
-from operator import lt
+from itertools import compress, islice, repeat
+from operator import eq, is_not, lt
 from typing import NamedTuple
 
 from .errors import InvalidSPTree, PreconditionViolated, VertexNotInDecomposition
@@ -59,7 +59,10 @@ class STDecomposition:
 
     ``STDecomposition(parent, left, right, bag, s, t, names)`` raises
     ``PreconditionViolated`` unless the columns are non-empty and of one
-    length, node 0 has no parent, and every other node's parent is an int id below its own.
+    length, node 0 has no parent, every other node's parent is an int id below
+    its own, and ``left`` and ``right`` agree with ``parent``: each node has no
+    children or two distinct ones whose parent it is, and every other node is
+    a child of its parent.
     """
 
     root = 0
@@ -78,6 +81,24 @@ class STDecomposition:
                     raise PreconditionViolated("node %d has no parent: only node 0 is a root" % nid)
                 if up is not None and not (nid and type(up) is int and 0 <= up < nid):
                     raise PreconditionViolated("node %d has parent %r, not a lower id" % (nid, up))
+        # Children: ``right`` is set wherever ``left`` is and nowhere else (equal None counts,
+        # int ids only).  Ids in 1..count-1 whose parent is the node listing them, unequal at
+        # each node, are unequal everywhere, so count - 1 of them are every node but the root.
+        inner = list(map(is_not, left, repeat(None)))
+        lk, rk = list(compress(left, inner)), list(compress(right, inner))
+        kids = lk + rk
+        if not (left.count(None) == right.count(None) and len(kids) == count - 1
+                and set(map(type, kids)) <= {int} and 0 < min(kids, default=1) and max(kids, default=0) < count
+                and list(map(parent.__getitem__, lk)) == list(compress(range(count), inner))
+                == list(map(parent.__getitem__, rk)) and not any(map(eq, lk, rk))):
+            for nid, pair in enumerate(zip(left, right)):
+                if pair != (None, None) and not (pair[0] != pair[1] and all(
+                        type(c) is int and 0 < c < count and parent[c] == nid for c in pair)):
+                    raise PreconditionViolated("node %d has children %r, not none or two distinct"
+                                               " nodes whose parent it is" % (nid, pair))
+            for nid in range(1, count):
+                if nid not in (left[parent[nid]], right[parent[nid]]):
+                    raise PreconditionViolated("node %d is no child of its parent %d" % (nid, parent[nid]))
         self.parent, self.left, self.right, self.bag, self.s, self.t = parent, left, right, bag, s, t
         self.names = tuple(names)
 

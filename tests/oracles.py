@@ -790,12 +790,12 @@ def reference_random_tw2_poset(n, seed, delete_prob=0.3):
     return reference_oriented_poset(n, keep, rng)
 
 
-def reference_forest_poset(n, seed, root_prob=0.25):
+def reference_forest_poset(n, seed):
     "The poset ``spdim.generators.forest_poset`` must return, from the same draws."
     import random
 
     rng = random.Random(seed)
-    edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() >= root_prob]
+    edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() >= 0.25]
     return reference_oriented_poset(n, edges, rng)
 
 

@@ -152,11 +152,15 @@ class TestValidateRejections:
 
     def test_missing_edge_coverage(self):
         g = Graph(range(3), [(0, 1), (1, 2)])
-        d = decomposition_of_records([DecompNode(0, None, None, None, (0, 1), 0, 1),
+        d = decomposition_of_records([DecompNode(0, None, 1, 2, (0, 1), 0, 1),
+                                      DecompNode(1, 0, None, None, (0, 2), 0, 2),
+                                      DecompNode(2, 0, None, None, (0, 1), 0, 1)], "abc")
+        # the bag of (b, c) is nowhere
+        assert "edge (1, 2) is in no bag" in validation_errors(d, g, 0, 1)
+        # A node with one child is no decomposition at all.
+        with pytest.raises(PreconditionViolated, match="node 1 is no child of its parent 0"):
+            decomposition_of_records([DecompNode(0, None, None, None, (0, 1), 0, 1),
                                       DecompNode(1, 0, None, None, (0, 2), 0, 2)], "abc")
-        # node 0 has one child only, bag of (b, c) nowhere
-        errors = validation_errors(d, g, 0, 1)
-        assert errors
 
 
 class TestOrderUtilities:
@@ -259,6 +263,17 @@ class TestParentsFirstTables:
                                match=re.escape("node %d has parent %r, not a lower id" % (nid, parent[nid]))):
                 STDecomposition(parent, [None] * k, [None] * k, [(0, 1)] * k, [0] * k, [1] * k, "ab")
 
+    @pytest.mark.parametrize("left, right, message", [
+        ([None] * 3, [None] * 3, "node 1 is no child of its parent 0"),
+        ([1, None, None], [1, None, None], "node 0 has children (1, 1), not none or two distinct"),
+        ([1, None, None], [None] * 3, "node 0 has children (1, None), not none or two distinct"),
+        ([2, None, None], [1, 2, None], "node 1 has children (None, 2), not none or two distinct"),
+    ], ids=["no-children", "one-child-twice", "one-child", "grandchild"])
+    def test_children_must_agree_with_parent(self, left, right, message):
+        # Node 0 is the parent of nodes 1 and 2 by ``parent``.
+        with pytest.raises(PreconditionViolated, match=re.escape(message)):
+            STDecomposition([None, 0, 0], left, right, [(0, 1)] * 3, [0] * 3, [1] * 3, "ab")
+
     def test_second_parentless_node(self):
         # Node 1 is a second root: the record form could list it, a decomposition cannot.
         with pytest.raises(PreconditionViolated, match="node 1 has no parent: only node 0 is a root"):
@@ -274,8 +289,8 @@ class TestParentsFirstTables:
 
     def test_refusals_survive_optimized_mode(self):
         # Under python -O every assert is stripped; a second root, a parent id
-        # not below its child's, a negative or float parent id and unequal or
-        # empty columns must still raise.
+        # not below its child's, a negative or float parent id, children that
+        # disagree with the parents and unequal or empty columns must still raise.
         code = ("from spdim.stdecomp import STDecomposition\n"
                 "from spdim.errors import PreconditionViolated\n"
                 "leaf = dict(parent=[None], left=[None], right=[None], bag=[(0, 1)], s=[0], t=[1])\n"
@@ -283,7 +298,8 @@ class TestParentsFirstTables:
                 "three = dict(left=[None] * 3, right=[None] * 3, bag=[(0, 1)] * 3, s=[0] * 3, t=[1] * 3)\n"
                 "for columns in (dict(two, parent=[None, None]), dict(two, parent=[None, 1]),\n"
                 "                dict(two, parent=[None, -1]), dict(three, parent=[None, 0, -2]),\n"
-                "                dict(three, parent=[None, 0.5, 0]),\n"
+                "                dict(three, parent=[None, 0.5, 0]), dict(three, parent=[None, 0, 0]),\n"
+                "                dict(three, parent=[None, 0, 0], left=[1, None, None], right=[1, None, None]),\n"
                 "                dict(leaf, t=[1, 1]), {name: [] for name in leaf}):\n"
                 "    try:\n        STDecomposition(**columns, names='ab')\n"
                 "    except PreconditionViolated:\n        pass\n"
