@@ -116,17 +116,16 @@ def sp_tree_violations(root):
 def _checked_preorder(root):
     """The walk behind ``sp_tree_violations``, over a flat stack of (node, parent
     position) pairs.  Node positions are pre-order (parents first, a left child right
-    after its parent); by position, it fills the decomposition columns ``(parent, left,
-    right, bag, s, t)`` of ``build_st_decomposition`` and returns them with the problems."""
+    after its parent); by position, it fills the decomposition columns ``(left, right,
+    bag, s, t)`` of ``build_st_decomposition`` and returns them with the problems."""
     problems = []
     shared = {root.source, root.sink}
     edges = set()
-    parent, left, right, bag, source, sink = columns = [], [], [], [], [], []
+    left, right, bag, source, sink = columns = [], [], [], [], []
     todo, pos = [root, -1], -1
     while todo:
         up, node = todo.pop(), todo.pop()
         pos += 1
-        parent.append(up)
         right.append(None)
         if pos - up > 1:  # a right child, placed after its parent's left subtree
             right[up] = pos
@@ -163,7 +162,6 @@ def _checked_preorder(root):
             problems.append("node %d: unknown kind %r" % (pos, kind))
             continue
         todo += b, pos, a, pos
-    parent[0] = None
     return columns, problems
 
 

@@ -8,20 +8,20 @@ middle vertex (left child runs source -> middle, right child middle -> sink).
 Vertices are the integer ids of the embedding; ``STDecomposition.names`` maps
 them to names, which only the writers and error messages use.
 
-A decomposition is its columns indexed by node id (``parent``, ``left``,
-``right``, ``bag``, ``s``, ``t``) and its names, and ``STDecomposition(parent,
-left, right, bag, s, t, names)`` is the one way to make one; ``nodes``, the same
-nodes as ``DecompNode`` records, is a view built only when read.  Node ids mirror
-the series-parallel tree (pre-order), and are preserved by ``reverse`` and
-``swap_size2_children`` so that nodes can be compared across transformed
-decompositions.  The ids are a parents-first order, so node 0 is the root: one
-pass over them runs top-down, one in reverse bottom-up.
+A decomposition is its child columns ``left`` and ``right``, indexed by node id,
+its columns ``bag``, ``s`` and ``t``, and its names, and ``STDecomposition(left,
+right, bag, s, t, names)`` is the one way to make one.  The constructor reads
+``parent`` off the child columns in the same pass that checks they are a tree;
+``nodes``, the same nodes as ``DecompNode`` records, is a view built only when
+read.  Node ids mirror the series-parallel tree (pre-order), and are preserved by
+``reverse`` and ``swap_size2_children`` so that nodes can be compared across
+transformed decompositions.  Every child id is above its parent's, so node 0 is
+the root: one pass over the ids runs top-down, one in reverse bottom-up.
 """
 
 from json.encoder import encode_basestring_ascii as _string
 from functools import cached_property
-from itertools import compress, islice, repeat
-from operator import eq, is_not, lt
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .errors import InvalidSPTree, PreconditionViolated, VertexNotInDecomposition
@@ -51,56 +51,52 @@ class DecompNode(NamedTuple):
 
 class STDecomposition:
     """An s-t tree-decomposition of a two-terminal graph (immutable); ``names[v]``
-    is the name of vertex id v.  Node k is stored across the columns
-    ``parent[k]``, ``left[k]``, ``right[k]`` (None where absent), ``bag[k]``,
-    ``s[k]`` and ``t[k]``; ``nodes[k]`` is the same node as a ``DecompNode``,
-    a view built on first read.  Node 0 is the root, and every other node's
-    parent id is below its own.
+    is the name of vertex id v.  Node k is stored across the columns ``left[k]``
+    and ``right[k]`` (None where absent), ``bag[k]``, ``s[k]`` and ``t[k]``, and
+    ``parent[k]`` (None at the root) is read off the child columns;
+    ``nodes[k]`` is the same node as a ``DecompNode``, a view built on first read.
+    Node 0 is the root, and every other node's parent id is below its own.
 
-    ``STDecomposition(parent, left, right, bag, s, t, names)`` raises
+    ``STDecomposition(left, right, bag, s, t, names)`` raises
     ``PreconditionViolated`` unless the columns are non-empty and of one
-    length, node 0 has no parent, every other node's parent is an int id below
-    its own, and ``left`` and ``right`` agree with ``parent``: each node has no
-    children or two distinct ones whose parent it is, and every other node is
-    a child of its parent.
+    length, the child columns are a full binary tree rooted at node 0 with
+    every child id above its parent's (each node has children ``(None, None)``
+    or two int ids above its own that no other node lists, and every node
+    but 0 is some node's child), and every bag member, source and sink is an
+    int from 0 to ``len(names) - 1``.
     """
 
     root = 0
 
-    def __init__(self, parent, left, right, bag, s, t, names):
+    def __init__(self, left, right, bag, s, t, names):
         count = len(bag)
-        if not count or not len(parent) == len(left) == len(right) == len(s) == len(t) == count:
+        if not count or not len(left) == len(right) == len(s) == len(t) == count:
             raise PreconditionViolated("columns of lengths %s, not one length above 0"
-                                       % [len(column) for column in (parent, left, right, bag, s, t)])
-        # One C-level pass per test on the good path; the loop only names the offender.
-        if not (parent[0] is None and set(map(type, islice(parent, 1, None))) <= {int}
-                and min(islice(parent, 1, None), default=0) >= 0
-                and all(map(lt, islice(parent, 1, None), range(1, count)))):
-            for nid, up in enumerate(parent):
-                if up is None and nid:
-                    raise PreconditionViolated("node %d has no parent: only node 0 is a root" % nid)
-                if up is not None and not (nid and type(up) is int and 0 <= up < nid):
-                    raise PreconditionViolated("node %d has parent %r, not a lower id" % (nid, up))
-        # Children: ``right`` is set wherever ``left`` is and nowhere else (equal None counts,
-        # int ids only).  Ids in 1..count-1 whose parent is the node listing them, unequal at
-        # each node, are unequal everywhere, so count - 1 of them are every node but the root.
-        inner = list(map(is_not, left, repeat(None)))
-        lk, rk = list(compress(left, inner)), list(compress(right, inner))
-        kids = lk + rk
-        if not (left.count(None) == right.count(None) and len(kids) == count - 1
-                and set(map(type, kids)) <= {int} and 0 < min(kids, default=1) and max(kids, default=0) < count
-                and list(map(parent.__getitem__, lk)) == list(compress(range(count), inner))
-                == list(map(parent.__getitem__, rk)) and not any(map(eq, lk, rk))):
-            for nid, pair in enumerate(zip(left, right)):
-                if pair != (None, None) and not (pair[0] != pair[1] and all(
-                        type(c) is int and 0 < c < count and parent[c] == nid for c in pair)):
-                    raise PreconditionViolated("node %d has children %r, not none or two distinct"
-                                               " nodes whose parent it is" % (nid, pair))
-            for nid in range(1, count):
-                if nid not in (left[parent[nid]], right[parent[nid]]):
-                    raise PreconditionViolated("node %d is no child of its parent %d" % (nid, parent[nid]))
+                                       % [len(column) for column in (left, right, bag, s, t)])
+        # One loop reads the parents off the children and is the whole tree check:
+        # a child id above its parent's that no node listed before is a tree edge.
+        parent = [None] * count
+        for nid, a, b in zip(range(count), left, right):
+            if a is None is b:
+                continue
+            if not (type(a) is int is type(b) and nid < a < count and nid < b < count and a != b
+                    and parent[a] is None is parent[b]):
+                raise PreconditionViolated("node %d has children %r, not none or two ids above"
+                                           " its own that no other node lists" % (nid, (a, b)))
+            parent[a] = parent[b] = nid
+        if None in islice(parent, 1, None):
+            raise PreconditionViolated("node %d is no node's child" % parent.index(None, 1))
+        # Vertex ids index ``names``: C-level passes on the good path; the loop only names the offender.
+        names = tuple(names)
+        ids = [*chain.from_iterable(bag), *s, *t]
+        if not (set(map(type, ids)) <= {int} and 0 <= min(distinct := set(ids)) and max(distinct) < len(names)):
+            for nid, (members, u, w) in enumerate(zip(bag, s, t)):
+                for v in (*members, u, w):
+                    if not (type(v) is int and 0 <= v < len(names)):
+                        raise PreconditionViolated("node %d has vertex id %r, not an int from 0 to %d"
+                                                   % (nid, v, len(names) - 1))
         self.parent, self.left, self.right, self.bag, self.s, self.t = parent, left, right, bag, s, t
-        self.names = tuple(names)
+        self.names = names
 
     @cached_property
     def nodes(self):
@@ -152,14 +148,14 @@ class STDecomposition:
         """Swap children everywhere and exchange every (source, sink); the
         result decomposes the same host with the outer terminals exchanged,
         and its in-order is the exact reverse."""
-        return STDecomposition(self.parent, self.right, self.left, [bag[::-1] for bag in self.bag],
+        return STDecomposition(self.right, self.left, [bag[::-1] for bag in self.bag],
                                self.t, self.s, self.names)
 
     def swap_size2_children(self):
         "Swap the children of every size-2 internal node; bags and terminals stay."
         swap = [left is not None and len(bag) == 2 for left, bag in zip(self.left, self.bag)]
         return STDecomposition(
-            self.parent, [r if sw else l for sw, l, r in zip(swap, self.left, self.right)],
+            [r if sw else l for sw, l, r in zip(swap, self.left, self.right)],
             [l if sw else r for sw, l, r in zip(swap, self.left, self.right)],
             self.bag, self.s, self.t, self.names)
 
@@ -169,8 +165,9 @@ def build_st_decomposition(sp_root, names):
 
     Leaf -> bag {source, sink}; parallel -> bag {source, sink}; series ->
     the size-3 bag {source, shared vertex, sink}.  Node ids are assigned in
-    pre-order by the walk that checks the tree, and the columns are read off
-    that walk; its vertices index ``names``.
+    pre-order by the walk that checks the tree, and the child, bag and terminal
+    columns are read off that walk; the constructor reads the parents off the
+    child columns.  Its vertices index ``names``.
     """
     columns, problems = _checked_preorder(sp_root)
     if problems:

@@ -1075,13 +1075,38 @@ def reference_resolve(root, names=()):
 
 
 def decomposition_of_records(nodes, names):
-    "The decomposition whose node k is the ``DecompNode`` record ``nodes[k]``: the records' fields as columns."
+    """The decomposition whose node k is the ``DecompNode`` record ``nodes[k]``: the records'
+    fields but ``parent`` as columns, and the records' parents must be the ones read off them."""
     from spdim.stdecomp import STDecomposition
 
-    ids, *columns = zip(*nodes)
+    ids, parents, *columns = zip(*nodes)
     if ids != tuple(range(len(nodes))):
         raise ValueError("record ids %r are not their positions" % (ids,))
-    return STDecomposition(*columns, names)
+    decomp = STDecomposition(*columns, names)
+    if list(parents) != decomp.parent:
+        raise ValueError("record parents %r are not the parents %r of the child columns"
+                         % (parents, decomp.parent))
+    return decomp
+
+
+def tree_parents(left, right):
+    """The parent of every node if the child columns are a full binary tree rooted at node 0
+    whose every child id is above its parent's, else None: by a walk from the root that must
+    reach each node exactly once."""
+    count = len(left)
+    parent, seen, stack = [None] * count, {0}, [0]
+    while stack:
+        nid = stack.pop()
+        kids = (left[nid], right[nid])
+        if kids == (None, None):
+            continue
+        for c in kids:
+            if type(c) is not int or c not in range(nid + 1, count) or c in seen:
+                return None
+            seen.add(c)
+            parent[c] = nid
+            stack.append(c)
+    return parent if len(seen) == count else None
 
 
 def reference_decomposition(sp_root, names):

@@ -36,10 +36,6 @@ class TestGen:
         assert out.startswith("elements: a1 a2 b1 b2\n")
         assert "a1 < b2" in out
 
-    def test_bad_parameter_exit_2(self):
-        res = run(["gen", "--family", "chain", "--n", "0"])
-        assert res.exit_code == 2
-
     @pytest.mark.parametrize("family, n", [("chain", MAX_N + 1), ("random_tw2", MAX_N + 1),
                                            ("standard_example", math.isqrt(MAX_N) + 1)])
     def test_size_guard_exit_2(self, family, n, monkeypatch):
@@ -70,14 +66,6 @@ class TestDim:
             assert res.exit_code == 0
             assert res.output.strip() == str(n)
 
-    def test_max_d_exceeded_exit_1(self):
-        res = run(["dim", "--max-d", "1"], stdin=gen_text("standard_example", 2))
-        assert res.exit_code == 1
-
-    def test_too_large_exit_2(self):
-        res = run(["dim", "--cap", "4"], stdin=gen_text("antichain", 4))
-        assert res.exit_code == 2
-
     def test_search_deeper_than_recursion_limit(self):
         # 1,056 incomparable pairs: one search level per pair.
         res = run(["dim", "--cap", "100000"], stdin=gen_text("antichain", 33))
@@ -91,11 +79,6 @@ class TestDim:
         assert res.exit_code == 2
         assert res.stderr.startswith("error: need max_d >= 1 and cap >= 0")
         assert res.stdout == ""
-
-    def test_parse_error_exit_2(self):
-        res = run(["dim"], stdin="elements: a b\na <\n")
-        assert res.exit_code == 2
-        assert "line 2" in res.stderr
 
 
 class TestRealizeVerify:
@@ -117,12 +100,6 @@ class TestRealizeVerify:
         res = run(["verify"], stdin=bundle)
         assert res.exit_code == 0, res.stderr
         assert res.stdout == "verified: 1 extension(s), 0 incomparable pairs\n"
-
-    def test_empty_realizer_exit_1(self):
-        res = run(["verify"], stdin="elements: a b c\na < b\nb < c\n[]\n")
-        assert res.exit_code == 1
-        assert res.stdout == ""
-        assert res.stderr == "violation: realizer has no extensions\n"
 
     def test_verify_with_file_flag(self, tmp_path):
         p = standard_example(2)
@@ -216,11 +193,6 @@ class TestRealizeVerify:
         assert res.exit_code == 2
         assert res.stderr == "error: line 1: element %r starts with '#' or 'elements:'\n" % name
         assert res.stdout == ""
-
-    def test_realize_rejects_treewidth_3_exit_2(self):
-        res = run(["realize"], stdin=gen_text("kelly", 3))
-        assert res.exit_code == 2
-        assert res.stderr == "error: input graph has treewidth greater than 2\n"
 
 
 @pytest.fixture
@@ -322,12 +294,6 @@ class TestDecomposeClassify:
         assert in_bags == set(nodes)
         assert {"+s'", "+t'"} <= set(fresh) and not set(fresh) & set(elements)
 
-    def test_decompose_json_and_dot_is_a_usage_error(self):
-        res = run(["decompose", "--json", "--dot"], stdin="elements: a b c\na < b\n")
-        assert res.exit_code == 2
-        assert res.stdout == ""
-        assert res.stderr == "error: --json and --dot exclude each other\n"
-
     def test_classify_table(self):
         res = run(["classify"], stdin=gen_text("standard_example", 2))
         assert res.exit_code == 0
@@ -339,13 +305,6 @@ class TestDecomposeClassify:
         res = run(["classify"], stdin=gen_text("chain", 5))
         assert res.exit_code == 0
         assert res.output.strip().splitlines()[-1].split()[-1] == "0"
-
-    @pytest.mark.parametrize("verb", ["classify", "check-claims"])
-    def test_treewidth_3_exit_2(self, verb):
-        res = run([verb], stdin=gen_text("kelly", 3))
-        assert res.exit_code == 2
-        assert res.stderr == "error: input graph has treewidth greater than 2\n"
-        assert res.stdout == ""
 
 
 # -- the exit-code contract of every error branch, pinned byte for byte ----------

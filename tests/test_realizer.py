@@ -63,7 +63,7 @@ class TestSignatureSpace:
 
     def test_checks_survive_optimized_mode(self):
         # Under python -O every assert is stripped; the field, middle and
-        # parents-first checks must still raise.
+        # tree checks must still raise.
         code = ("from spdim.realizer import PairClass\n"
                 "from spdim.stdecomp import DecompNode, STDecomposition\n"
                 "from spdim.errors import PreconditionViolated\n"
@@ -72,10 +72,10 @@ class TestSignatureSpace:
                 "try:\n    DecompNode(0, None, None, None, (0, 1), 0, 1).middle\n"
                 "except PreconditionViolated:\n    pass\n"
                 "else:\n    raise SystemExit('middle of a size-2 bag')\n"
-                "try:\n    STDecomposition([1, None], [None, 0], [None, None], [(0, 1), (0, 1)],\n"
-                "                    [0, 0], [1, 1], 'ab')\n"
+                "try:\n    STDecomposition([None, 0, None], [None, 2, None], [(0, 1)] * 3,\n"
+                "                    [0] * 3, [1] * 3, 'ab')\n"
                 "except PreconditionViolated:\n    pass\n"
-                "else:\n    raise SystemExit('parent id above its child id')\n")
+                "else:\n    raise SystemExit('child id below its parent id')\n")
         res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert res.returncode == 0, res.stderr + res.stdout

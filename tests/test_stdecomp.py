@@ -32,6 +32,7 @@ from oracles import (
     reference_swap_size2_children,
     separation_hits,
     st_subset_witness,
+    tree_parents,
     tree_path,
     validate_decomposition,
     validation_errors,
@@ -158,9 +159,16 @@ class TestValidateRejections:
         # the bag of (b, c) is nowhere
         assert "edge (1, 2) is in no bag" in validation_errors(d, g, 0, 1)
         # A node with one child is no decomposition at all.
-        with pytest.raises(PreconditionViolated, match="node 1 is no child of its parent 0"):
+        with pytest.raises(PreconditionViolated, match="node 1 is no node's child"):
             decomposition_of_records([DecompNode(0, None, None, None, (0, 1), 0, 1),
                                       DecompNode(1, 0, None, None, (0, 2), 0, 2)], "abc")
+
+    def test_records_must_carry_the_parents_of_the_child_columns(self):
+        # Node 2 is node 0's child by the child columns, not node 1's as its record says.
+        with pytest.raises(ValueError, match="record parents"):
+            decomposition_of_records([DecompNode(0, None, 1, 2, (0, 1), 0, 1),
+                                      DecompNode(1, 0, None, None, (0, 1), 0, 1),
+                                      DecompNode(2, 1, None, None, (0, 1), 0, 1)], "ab")
 
 
 class TestOrderUtilities:
@@ -246,61 +254,138 @@ class TestParentsFirstTables:
 
     @pytest.mark.parametrize("parent", [0, 1], ids=["self", "higher"])
     def test_parent_id_must_be_lower(self, parent):
-        # Node 0 hangs below itself or below node 1, which has no parent.
-        with pytest.raises(PreconditionViolated, match="node 0 has parent"):
-            STDecomposition([parent, None], [None, 0], [None, None], [(0, 1), (0, 1)], [0, 0], [1, 1], "ab")
+        # Node 0 lists itself, or node 1 lists node 0: a child id not above its parent's.
+        left, right = [None, None, None], [None, None, None]
+        left[parent], right[parent] = 0, 2
+        with pytest.raises(PreconditionViolated,
+                           match=re.escape("node %d has children (0, 2), not none or two ids above" % parent)):
+            STDecomposition(left, right, [(0, 1)] * 3, [0] * 3, [1] * 3, "ab")
 
     def test_parent_id_must_be_lower_past_the_root(self):
-        # Node 2 hangs below itself; nodes 0 and 1 are in order.
-        with pytest.raises(PreconditionViolated, match="node 2 has parent 2, not a lower id"):
-            STDecomposition([None, 0, 2], [1, None, None], [2, None, None],
-                            [(0, 1, 2), (0, 1), (1, 2)], [0, 0, 1], [2, 1, 2], "abc")
-        # A negative id (read from the end of a column) and a float compare below
-        # their child's id, and are still no id of a lower node.
-        for parent, nid in (([None, -1], 1), ([None, 0, -2], 2), ([None, 0.5, 0], 1)):
-            k = len(parent)
+        # Node 2 lists itself, or lists node 1 that no other node lists; node 0's children are in order.
+        with pytest.raises(PreconditionViolated, match=re.escape("node 2 has children (2, 3), not none")):
+            STDecomposition([1, None, 2, None], [2, None, 3, None],
+                            [(0, 1)] * 4, [0] * 4, [1] * 4, "ab")
+        with pytest.raises(PreconditionViolated, match=re.escape("node 2 has children (4, 1), not none")):
+            STDecomposition([2, None, 4, None, None], [3, None, 1, None, None],
+                            [(0, 1)] * 5, [0] * 5, [1] * 5, "ab")
+        # Node 0 lists itself on either side.  A negative id would index a column from
+        # its end; a float or a bool compares above its parent's id or equal to a node's,
+        # and is still no node id.
+        for kids in ((0, 2), (2, 0), (-1, 2), (1, -1), (0.5, 2), (1, 1.0), (True, 2), (1, True)):
             with pytest.raises(PreconditionViolated,
-                               match=re.escape("node %d has parent %r, not a lower id" % (nid, parent[nid]))):
-                STDecomposition(parent, [None] * k, [None] * k, [(0, 1)] * k, [0] * k, [1] * k, "ab")
+                               match=re.escape("node 0 has children %r, not none or two ids above" % (kids,))):
+                STDecomposition([kids[0], None, None], [kids[1], None, None],
+                                [(0, 1)] * 3, [0] * 3, [1] * 3, "ab")
 
     @pytest.mark.parametrize("left, right, message", [
-        ([None] * 3, [None] * 3, "node 1 is no child of its parent 0"),
-        ([1, None, None], [1, None, None], "node 0 has children (1, 1), not none or two distinct"),
-        ([1, None, None], [None] * 3, "node 0 has children (1, None), not none or two distinct"),
-        ([2, None, None], [1, 2, None], "node 1 has children (None, 2), not none or two distinct"),
-    ], ids=["no-children", "one-child-twice", "one-child", "grandchild"])
+        ([None] * 3, [None] * 3, "node 1 is no node's child"),
+        ([1, None, None], [1, None, None], "node 0 has children (1, 1), not none or two ids above"),
+        ([1, None, None], [None] * 3, "node 0 has children (1, None), not none or two ids above"),
+        ([2, None, None], [1, 2, None], "node 1 has children (None, 2), not none or two ids above"),
+        ([1, 3, None, None, None], [3, 4, None, None, None], "node 1 has children (3, 4), not none"),
+        ([1, 4, None, None, None], [3, 3, None, None, None], "node 1 has children (4, 3), not none"),
+    ], ids=["no-children", "one-child-twice", "one-child", "grandchild", "listed-twice-left", "listed-twice-right"])
     def test_children_must_agree_with_parent(self, left, right, message):
-        # Node 0 is the parent of nodes 1 and 2 by ``parent``.
+        # Each node but the root is listed by exactly one node, which becomes its parent;
+        # in the last two, node 1 lists node 3 after node 0 did.
+        k = len(left)
         with pytest.raises(PreconditionViolated, match=re.escape(message)):
-            STDecomposition([None, 0, 0], left, right, [(0, 1)] * 3, [0] * 3, [1] * 3, "ab")
+            STDecomposition(left, right, [(0, 1)] * k, [0] * k, [1] * k, "ab")
 
     def test_second_parentless_node(self):
         # Node 1 is a second root: the record form could list it, a decomposition cannot.
-        with pytest.raises(PreconditionViolated, match="node 1 has no parent: only node 0 is a root"):
-            STDecomposition([None, None], [None, None], [None, None], [(0, 1), (0, 1)], [0, 0], [1, 1], "ab")
+        with pytest.raises(PreconditionViolated, match="node 1 is no node's child"):
+            STDecomposition([None, None], [None, None], [(0, 1), (0, 1)], [0, 0], [1, 1], "ab")
+        # Node 3 is no node's child while nodes 0-2 are a tree.
+        with pytest.raises(PreconditionViolated, match="node 3 is no node's child"):
+            STDecomposition([1, None, None, None], [2, None, None, None],
+                            [(0, 1)] * 4, [0] * 4, [1] * 4, "ab")
 
-    @pytest.mark.parametrize("columns", [dict(parent=[], left=[], right=[], bag=[], s=[], t=[]),
-                                         dict(t=[1, 1]), dict(parent=[None, 0]), dict(bag=[])],
-                             ids=["empty", "t-longer", "parent-longer", "bag-shorter"])
+    @settings(max_examples=1000, deadline=None)
+    @given(st.data())
+    def test_constructor_against_its_definition(self, data):
+        # A random tree: each node splits an earlier leaf, and at an even count the last
+        # node is left out or listed by a leaf beside any node, itself included.  Its ids are
+        # renamed or not, and then a few entries are overwritten by draws from None,
+        # -1..count, 0.5 and True.  Before and after, the constructor must refuse exactly
+        # what is no full binary tree rooted at 0 with every child id above its
+        # parent's, and otherwise read off the tree's parents.
+        count = data.draw(st.integers(min_value=1, max_value=7))
+        ids = data.draw(st.just(range(count)) | st.permutations(range(count)))
+        left, right = [None] * count, [None] * count
+        for nid in range(1, count, 2):
+            leaf = data.draw(st.sampled_from([ids[k] for k in range(nid) if left[ids[k]] is None]))
+            other = nid + 1 if nid + 1 < count else data.draw(st.integers(-1, count - 1))
+            if other < 0:
+                break
+            kids = ids[nid], ids[other]
+            left[leaf], right[leaf] = data.draw(st.sampled_from([kids, kids[::-1]]))
+
+        def check():
+            want = tree_parents(left, right)
+            columns = left, right, [(0, 1)] * count, [0] * count, [1] * count, "ab"
+            if want is None:
+                with pytest.raises(PreconditionViolated):
+                    STDecomposition(*columns)
+            else:
+                assert STDecomposition(*columns).parent == want
+
+        check()
+        entry = st.sampled_from([None, *range(-1, count + 1), 0.5, True])
+        for in_left, nid, value in data.draw(st.lists(st.tuples(st.booleans(), st.integers(0, count - 1), entry),
+                                                      max_size=4)):
+            (left if in_left else right)[nid] = value
+        check()
+
+    @pytest.mark.parametrize("columns", [dict(left=[], right=[], bag=[], s=[], t=[]),
+                                         dict(t=[1, 1]), dict(left=[None, None]), dict(bag=[])],
+                             ids=["empty", "t-longer", "left-longer", "bag-shorter"])
     def test_columns_of_one_length_above_zero(self, columns):
-        one_leaf = dict(parent=[None], left=[None], right=[None], bag=[(0, 1)], s=[0], t=[1])
+        one_leaf = dict(left=[None], right=[None], bag=[(0, 1)], s=[0], t=[1])
         with pytest.raises(PreconditionViolated, match="columns of lengths"):
             STDecomposition(**{**one_leaf, **columns}, names="ab")
 
+    @pytest.mark.parametrize("bag, s, t, v", [((0, 5), 0, 5, 5), ((0, -1), 0, -1, -1), ((0, 1), 0, 2, 2),
+                                              ((0, 1.0), 0, 1, 1.0), ((0, 1), 0.0, 1, 0.0),
+                                              ((0, True), 0, 1, True), ((None, 1), 0, 1, None)],
+                             ids=["bag-above", "bag-negative", "sink-above", "bag-float", "source-float",
+                                  "bag-bool", "bag-none"])
+    def test_vertex_ids_must_index_names(self, bag, s, t, v):
+        # Accepted, an id past the names would make least_node and the JSON writer raise
+        # IndexError, and -1 would silently name the last vertex.
+        with pytest.raises(PreconditionViolated,
+                           match=re.escape("node 0 has vertex id %r, not an int from 0 to 1" % (v,))):
+            STDecomposition([None], [None], [bag], [s], [t], "ab")
+        # The offender is named past the root too.
+        with pytest.raises(PreconditionViolated, match=re.escape("node 2 has vertex id %r" % (v,))):
+            STDecomposition([1, None, None], [2, None, None], [(0, 1), (0, 1), bag], [0, 0, s], [1, 1, t], "ab")
+
     def test_refusals_survive_optimized_mode(self):
-        # Under python -O every assert is stripped; a second root, a parent id
-        # not below its child's, a negative or float parent id, children that
-        # disagree with the parents and unequal or empty columns must still raise.
+        # Under python -O every assert is stripped; a second root, a child id not
+        # above its parent's, a negative, float or bool child id, a child listed
+        # twice by one node or by two, one child only, a node no node lists,
+        # unequal or empty columns and vertex ids that are no index of the names
+        # must still raise.
         code = ("from spdim.stdecomp import STDecomposition\n"
                 "from spdim.errors import PreconditionViolated\n"
-                "leaf = dict(parent=[None], left=[None], right=[None], bag=[(0, 1)], s=[0], t=[1])\n"
-                "two = dict(left=[None, None], right=[None, None], bag=[(0, 1)] * 2, s=[0, 0], t=[1, 1])\n"
-                "three = dict(left=[None] * 3, right=[None] * 3, bag=[(0, 1)] * 3, s=[0] * 3, t=[1] * 3)\n"
-                "for columns in (dict(two, parent=[None, None]), dict(two, parent=[None, 1]),\n"
-                "                dict(two, parent=[None, -1]), dict(three, parent=[None, 0, -2]),\n"
-                "                dict(three, parent=[None, 0.5, 0]), dict(three, parent=[None, 0, 0]),\n"
-                "                dict(three, parent=[None, 0, 0], left=[1, None, None], right=[1, None, None]),\n"
-                "                dict(leaf, t=[1, 1]), {name: [] for name in leaf}):\n"
+                "leaf = dict(left=[None], right=[None], bag=[(0, 1)], s=[0], t=[1])\n"
+                "three = dict(bag=[(0, 1)] * 3, s=[0] * 3, t=[1] * 3)\n"
+                "five = dict(bag=[(0, 1)] * 5, s=[0] * 5, t=[1] * 5)\n"
+                "for columns in (dict(leaf, left=[None, None], right=[None, None], bag=[(0, 1)] * 2,\n"
+                "                     s=[0, 0], t=[1, 1]),\n"
+                "                dict(three, left=[None, 0, None], right=[None, 2, None]),\n"
+                "                dict(three, left=[0, None, None], right=[2, None, None]),\n"
+                "                dict(three, left=[-1, None, None], right=[2, None, None]),\n"
+                "                dict(three, left=[0.5, None, None], right=[2, None, None]),\n"
+                "                dict(three, left=[True, None, None], right=[2, None, None]),\n"
+                "                dict(three, left=[1, None, None], right=[1, None, None]),\n"
+                "                dict(three, left=[1, None, None], right=[None, None, None]),\n"
+                "                dict(three, left=[None] * 3, right=[None] * 3),\n"
+                "                dict(five, left=[1, 3, None, None, None], right=[3, 4, None, None, None]),\n"
+                "                dict(leaf, t=[1, 1]), dict(leaf, left=[None, None]), {name: [] for name in leaf},\n"
+                "                dict(leaf, bag=[(0, 5)], t=[5]), dict(leaf, bag=[(0, -1)], t=[-1]),\n"
+                "                dict(leaf, bag=[(0, 1.0)]), dict(leaf, s=[0.0])):\n"
                 "    try:\n        STDecomposition(**columns, names='ab')\n"
                 "    except PreconditionViolated:\n        pass\n"
                 "    else:\n        raise SystemExit('accepted %r' % (columns,))\n")
