@@ -165,7 +165,7 @@ def verify(poset_file, realizer_file):
         lines = (head + exc.doc[:exc.pos] + "^").splitlines()  # "^" stands for the character at fault
         raise ParseError("%s (column %d)" % (exc.msg, len(lines[-1])), len(lines)) from None
     problems = p.realizer_violations(r.orders())
-    if len(r) > 12:
+    if len(r) > len(ALL_CLASSES):
         problems.append("realizer uses %d extensions (more than 12)" % len(r))
     if problems:
         for line in problems:
@@ -268,7 +268,7 @@ def _batch_one(task):
         p = generators.generate(family, n, seed)
         r = realize_tw2(p)
         out["extensions"] = len(r)
-        if len(r) > 12:
+        if len(r) > len(ALL_CLASSES):
             out["error"] = "more than 12 extensions"
         elif not p.verify_realizer(r.orders()):
             out["error"] = "realizer does not verify"

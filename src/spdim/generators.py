@@ -17,9 +17,7 @@ import random
 from collections import deque
 
 from .errors import BadParameter, TooLarge
-from .poset import Poset
-
-MAX_N = 20_000  # the largest n ``generate`` accepts; see ``check_request``
+from .poset import MAX_N, Poset
 
 
 def standard_example(n):

@@ -26,11 +26,13 @@ from .errors import (
     NotReversible,
     PairNotIncomparable,
     ParseError,
+    TooLarge,
     UnknownElement,
 )
 from .graphs import Graph
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
+MAX_N = 20_000  # the largest poset ``loads`` reads and the largest n ``generators.generate`` takes
 
 
 class Poset:
@@ -42,7 +44,8 @@ class Poset:
     topological order of the relation arcs, then two bigint ORs per arc for
     the upsets and two for the downsets.  It fails with ``CycleError``,
     naming the lowest-index element below itself, if the relation has a cycle.
-    The incomparable rows are computed on first read and kept.
+    The incomparable rows are computed on first read and kept.  Any size is
+    taken; ``loads`` refuses text of more than ``MAX_N`` elements.
     """
 
     __slots__ = ("elements", "_index", "_above", "_below", "_cover_up", "_cover_down", "_inc")
@@ -190,14 +193,13 @@ class Poset:
 
     def canonical_extension(self):
         "The linear extension picked by canonical-order tie-breaking."
-        return self.linear_extension_reversing(())
+        return self.linear_extension_reversing([0] * len(self.elements))
 
-    def linear_extension_reversing(self, pairs=(), rows=None):
-        """A linear extension placing y before x for every pair (x, y).
+    def linear_extension_reversing(self, rows):
+        """A linear extension placing y before x for every pair (x, y) of ``rows``.
 
-        The pairs may be given instead as ``rows``: one bitmask per element
-        index i, holding the index of y for every pair (element i, y); named
-        pairs are turned into rows on entry.  Topological order of the cover
+        ``rows`` holds one bitmask per element index i, with the index of y
+        for every pair (element i, y).  Topological order of the cover
         digraph plus the arcs y -> x, with ties broken by canonical element
         order; each element waits on one mask, its row and its downset, not
         on arcs.  When impossible, raises ``NotReversible`` carrying a strict
@@ -205,14 +207,9 @@ class Poset:
         sort left unplaced: its cost is bounded by n and the cycle's length,
         not by the number of pairs.
         """
-        n = len(self.elements)
-        if rows is None:
-            rows = [0] * n
-            for x, y in pairs:
-                rows[self.index(x)] |= 1 << self.index(y)
         self._check_rows(rows)
         order = self._topological_order(rows)
-        if len(order) != n:
+        if len(order) != len(self.elements):
             raise NotReversible("pair set is not reversible", self._unplaced_cycle(rows, order))
         return [self.elements[i] for i in order]
 
@@ -426,17 +423,21 @@ def _unwritable(names):
 
 def loads(text):
     """Parse the poset text format; strict, with line numbers on errors.  The lines are split
-    once and checked column by column; only refused text is read again line by line."""
+    once and checked column by column; only refused text is read again line by line.  A header
+    of more than ``MAX_N`` names raises ``TooLarge`` first: on either path it is the first row."""
     lines = text.splitlines()
     rows = [row for row in map(str.split, lines) if row and row[0][0] != "#"]
-    if rows and rows[0][0].startswith("elements:") and set(map(len, rows[1:])) <= {3}:
+    if rows and rows[0][0].startswith("elements:"):
         elements = tuple(" ".join(rows[0])[len("elements:"):].split())
-        index = dict(zip(elements, range(len(elements))))
-        xs, ops, ys = zip(*rows[1:]) if len(rows) > 1 else ((),) * 3
-        heads, tails = list(map(index.get, xs)), list(map(index.get, ys))
-        if (len(index) == len(elements) and ops.count("<") == len(ops) and None not in heads
-                and None not in tails and not _unwritable(elements)):
-            return Poset.__new__(Poset)._close(elements, index, zip(heads, tails))
+        if len(elements) > MAX_N:
+            raise TooLarge("%d elements are above the largest poset size, %d" % (len(elements), MAX_N))
+        if set(map(len, rows[1:])) <= {3}:
+            index = dict(zip(elements, range(len(elements))))
+            xs, ops, ys = zip(*rows[1:]) if len(rows) > 1 else ((),) * 3
+            heads, tails = list(map(index.get, xs)), list(map(index.get, ys))
+            if (len(index) == len(elements) and ops.count("<") == len(ops) and None not in heads
+                    and None not in tails and not _unwritable(elements)):
+                return Poset.__new__(Poset)._close(elements, index, zip(heads, tails))
     known = None  # refused: read the lines in turn, to name the first bad one
     for lineno, tokens in enumerate(map(str.split, lines), start=1):
         if not tokens or tokens[0].startswith("#"):

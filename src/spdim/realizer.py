@@ -27,10 +27,9 @@ is made, and each class is certified and emitted by a single sort.
 
 import json
 from dataclasses import dataclass
-from functools import reduce
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _string
-from operator import ne, or_
+from operator import ne
 
 from .errors import MalformedInstance, NotReversible, ParseError, ReversibilityViolation
 from .poset import bits
@@ -91,8 +90,10 @@ class SignatureRows:
     ``rows[k][i]`` holds bit j iff (element i, element j) is an incomparable
     pair with signature ``ALL_CLASSES[k]``; ``home[i]`` is element i's least
     node.  The decomposition's vertex id of element i is i, so its first
-    names must be the poset's elements.  Per-node masks (each over element
-    indices):
+    names must be the poset's elements.  Only the shape ``build_st_decomposition``
+    makes is taken, and ``MalformedInstance`` refuses any other: every bag has 2 or 3
+    members, and element i's least node is internal with bag exactly ``(s, i, t)``,
+    i neither terminal.  Per-node masks (each over element indices):
 
     * ``sub[a]``     -- elements whose least node lies in a's subtree;
     * ``under[a]``   -- elements below some bag member (upset of x meets the bag);
@@ -116,18 +117,17 @@ class SignatureRows:
         bag, s, t, left = decomp.bag, decomp.s, decomp.t, decomp.left
         home = list(map(decomp.least_node, range(n)))
         hs, ht = list(map(s.__getitem__, home)), list(map(t.__getitem__, home))
-        # Element i's least node must carry it as its middle.  The checked walk
-        # lays a size-3 bag out as (s, middle, t), three distinct vertices, which
-        # C-level passes accept; other bags are tested element by element: i is
-        # in the bag, so it is the middle iff it is no terminal and the other two are.
-        if (list(map(bag.__getitem__, home)) != list(zip(hs, range(n), ht))
-                or not all(map(ne, hs, range(n))) or not all(map(ne, ht, range(n)))):
-            for i, (x, w) in enumerate(zip(poset.elements, home)):
-                st = s[w], t[w]
-                if len(bag[w]) != 3 or i in st or sum(map(st.__contains__, bag[w])) != 2:
-                    if len(bag[w]) == 3:
-                        decomp.nodes[w].middle  # PreconditionViolated if the bag has no middle at all
-                    raise MalformedInstance("least node of %r does not carry it as its middle vertex" % (x,))
+        # The shape ``build_st_decomposition`` makes, and no other: C-level passes
+        # are the whole test, and the loops only name the first offender.
+        if not (set(map(len, bag)) <= {2, 3} and None not in map(left.__getitem__, home)
+                and list(map(bag.__getitem__, home)) == list(zip(hs, range(n), ht))
+                and all(map(ne, hs, range(n))) and all(map(ne, ht, range(n)))):
+            for nid, members in enumerate(bag):
+                if len(members) not in (2, 3):
+                    raise MalformedInstance("node %d has a bag of size %d, not 2 or 3" % (nid, len(members)))
+            x = next(x for i, (x, w) in enumerate(zip(poset.elements, home))
+                     if left[w] is None or bag[w] != (s[w], i, t[w]) or i in (s[w], t[w]))
+            raise MalformedInstance("least node of %r is no internal node with it as its middle vertex" % (x,))
         self.home = home
 
         # Per vertex id, its upset and downset masks; 0 for the fresh vertices.
@@ -150,8 +150,8 @@ class SignatureRows:
         self._side = [1 if p is None or left[p] == c else 2 for c, p in enumerate(parent)]
         self._meet = parent + home
         self._step = [None if p is None or parent[p] is None else p for p in parent]
-        self._step += [h if right[h] is None else right[h] for h in home]
-        self._other += [0 if right[h] is None else sub[right[h]] for h in home]
+        self._step += [right[h] for h in home]
+        self._other += [sub[right[h]] for h in home]
         self._side += [1] * n
         self.rows = self._classify(poset.incomparable_masks())
 
@@ -217,10 +217,11 @@ class SignatureRows:
         return [sum(row.bit_count() for row in rows) for rows in self.rows]
 
     def classification(self):
-        "Signature of every incomparable ordered pair, in canonical pair order."
-        names = self.poset.elements
-        return {(names[x], names[y]): self.class_of(x, y)
-                for x, row in enumerate(self.poset.incomparable_masks()) for y in bits(row)}
+        "Signature of every incomparable ordered pair, in canonical pair order; each class row is read once."
+        out = dict.fromkeys(self.poset.incomparable_pairs())
+        for cls, rows in zip(ALL_CLASSES, self.rows):
+            out.update(zip(self.poset.pairs_of_rows(rows), repeat(cls)))
+        return out
 
     def class_of(self, x, y):
         "The class of the pair (element x, element y), or None."
@@ -279,10 +280,9 @@ def _top_down(decomp, masks):
 
 
 def _bag_unions(masks, bags, left):
-    """Per internal node, the union of masks[v] over the bag's members (bags of 2 or 3
-    without a loop); 0 at a leaf, which is no meeting node."""
-    return [0 if l is None else masks[b[0]] | masks[b[1]] | masks[b[-1]] if 1 < len(b) < 4
-            else reduce(or_, map(masks.__getitem__, b), 0) for b, l in zip(bags, left)]
+    """Per internal node, the union of masks[v] over the bag's 2 or 3 members, without a
+    loop; 0 at a leaf, which is no meeting node."""
+    return [0 if l is None else masks[b[0]] | masks[b[1]] | masks[b[-1]] for b, l in zip(bags, left)]
 
 
 def decompose_poset(poset):

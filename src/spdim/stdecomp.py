@@ -188,11 +188,11 @@ def dumps_decomposition(decomp):
         else:
             side = '"left"' if left[parent] == nid else '"right"'
         if len(bag) == 3:
-            out.append(f'  {{\n    "id": {nid},\n    "parent": {parent},\n    "side": {side},\n    "bag": [\n'
-                       f'      {quoted[bag[0]]},\n      {quoted[bag[1]]},\n      {quoted[bag[2]]}\n'
-                       f'    ],\n    "s": {quoted[s]},\n    "t": {quoted[t]}\n  }}')
+            members = f'{quoted[bag[0]]},\n      {quoted[bag[1]]},\n      {quoted[bag[2]]}'
+        elif len(bag) == 2:
+            members = f'{quoted[bag[0]]},\n      {quoted[bag[1]]}'
         else:
-            out.append(f'  {{\n    "id": {nid},\n    "parent": {parent},\n    "side": {side},\n    "bag": [\n'
-                       f'      {quoted[bag[0]]},\n      {quoted[bag[1]]}\n'
-                       f'    ],\n    "s": {quoted[s]},\n    "t": {quoted[t]}\n  }}')
+            raise PreconditionViolated("node %d has a bag of size %d, not 2 or 3" % (nid, len(bag)))
+        out.append(f'  {{\n    "id": {nid},\n    "parent": {parent},\n    "side": {side},\n    "bag": [\n'
+                   f'      {members}\n    ],\n    "s": {quoted[s]},\n    "t": {quoted[t]}\n  }}')
     return "[\n%s\n]\n" % ",\n".join(out)

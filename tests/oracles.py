@@ -62,6 +62,14 @@ def read_dot(text):
     return nodes, edges
 
 
+def rows_of_pairs(poset, pairs):
+    "The named pairs (x, y) as rows, by element index: bit y of row x per pair; ``UnknownElement`` for a bad name."
+    rows = [0] * len(poset)
+    for x, y in pairs:
+        rows[poset.index(x)] |= 1 << poset.index(y)
+    return rows
+
+
 def cover_edges(poset):
     return frozenset(covers(poset))
 
@@ -100,7 +108,7 @@ def find_strict_alternating_cycle(poset, pairs):
     from spdim.errors import NotReversible
 
     try:
-        poset.linear_extension_reversing(pairs)
+        poset.linear_extension_reversing(rows_of_pairs(poset, pairs))
     except NotReversible as exc:
         return exc.cycle
     return None

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdim import generators, realizer
+from spdim import generators, poset as posetio, realizer
 from spdim.cli import _split_bundle, main
 from spdim.generators import MAX_N, random_tw2_poset, standard_example
 from spdim.poset import dumps as dumps_poset
@@ -206,6 +206,12 @@ def one_class(monkeypatch):
     monkeypatch.setattr(realizer, "SignatureRows", OneClass)
 
 
+@pytest.fixture
+def max_n_3(monkeypatch):
+    "Let ``loads`` take at most 3 elements, so that no test builds a large poset."
+    monkeypatch.setattr(posetio, "MAX_N", 3)
+
+
 def printed_witness(stderr):
     "The cycle and signature a failed realize printed, parsed back."
     lines = dict(line.strip().split(": ", 1) for line in stderr.splitlines()
@@ -316,57 +322,59 @@ WITNESS = ('witness: [["b2", "b1"], ["b1", "b2"]]\n'
            'signature: {"kind": 1, "order": 1, "up": 1}\n')
 NOT_REVERSIBLE = "signature class kind=1 order=1 up=1 is not reversible\n"
 
-# (verb arguments, stdin, whether every pair goes to one class, exit code, stdout, stderr)
+# (verb arguments, stdin, fixture to apply or None, exit code, stdout, stderr)
 ERROR_CONTRACT = {
-    "gen-bad-n": (["gen", "--family", "chain", "--n", "0"], None, False,
+    "gen-bad-n": (["gen", "--family", "chain", "--n", "0"], None, None,
                   2, "", "error: chain needs n >= 1\n"),
-    "gen-too-large": (["gen", "--family", "chain", "--n", str(MAX_N + 1)], None, False,
+    "gen-too-large": (["gen", "--family", "chain", "--n", str(MAX_N + 1)], None, None,
                       2, "", "error: n = 20001 is above the largest chain size, 20000\n"),
-    "dim-cap": (["dim", "--cap", "4"], dumps_poset(generators.antichain(4)), False,
+    "dim-cap": (["dim", "--cap", "4"], dumps_poset(generators.antichain(4)), None,
                 2, "", "error: 12 incomparable pairs exceed the cap of 4\n"),
-    "dim-max-d-exceeded": (["dim", "--max-d", "1"], STANDARD_2, False, 1, "", "dimension exceeds 1\n"),
-    "dim-bad-max-d": (["dim", "--max-d", "0"], STANDARD_2, False,
+    "dim-max-d-exceeded": (["dim", "--max-d", "1"], STANDARD_2, None, 1, "", "dimension exceeds 1\n"),
+    "dim-bad-max-d": (["dim", "--max-d", "0"], STANDARD_2, None,
                       2, "", "error: need max_d >= 1 and cap >= 0, got max_d = 0, cap = 60\n"),
-    "dim-bad-cap": (["dim", "--cap", "-1"], STANDARD_2, False,
+    "dim-bad-cap": (["dim", "--cap", "-1"], STANDARD_2, None,
                     2, "", "error: need max_d >= 1 and cap >= 0, got max_d = 12, cap = -1\n"),
-    "dim-parse-error": (["dim"], "elements: a b\na <\n", False,
+    "dim-parse-error": (["dim"], "elements: a b\na <\n", None,
                         2, "", "error: line 2: expected a cover relation 'x < y'\n"),
-    "realize-treewidth-3": (["realize"], KELLY_3, False, 2, "", TW3),
-    "realize-cycle": (["realize"], "elements: a b\na < b\nb < a\n", False,
+    "realize-treewidth-3": (["realize"], KELLY_3, None, 2, "", TW3),
+    "realize-cycle": (["realize"], "elements: a b\na < b\nb < a\n", None,
                       2, "", "error: relation has a directed cycle through 'a'\n"),
-    "realize-duplicate-names": (["realize"], "elements: a a\n", False,
+    "realize-duplicate-names": (["realize"], "elements: a a\n", None,
                                 2, "", "error: line 1: duplicate identifiers in elements line\n"),
-    "realize-empty-input": (["realize"], "", False, 2, "", "error: line 1: missing 'elements:' line\n"),
-    "realize-witness": (["realize"], STANDARD_2, True, 1, "", "error: " + NOT_REVERSIBLE + WITNESS),
-    "decompose-treewidth-3": (["decompose"], KELLY_3, False, 2, "", TW3),
-    "decompose-json-and-dot": (["decompose", "--json", "--dot"], "elements: a b\n", False,
+    "realize-too-large": (["realize"], "elements: a b c d\n", "max_n_3", 2, "",
+                          "error: 4 elements are above the largest poset size, 3\n"),
+    "realize-empty-input": (["realize"], "", None, 2, "", "error: line 1: missing 'elements:' line\n"),
+    "realize-witness": (["realize"], STANDARD_2, "one_class", 1, "", "error: " + NOT_REVERSIBLE + WITNESS),
+    "decompose-treewidth-3": (["decompose"], KELLY_3, None, 2, "", TW3),
+    "decompose-json-and-dot": (["decompose", "--json", "--dot"], "elements: a b\n", None,
                                2, "", "error: --json and --dot exclude each other\n"),
-    "decompose-parse-error": (["decompose", "--dot"], "elements: a\nb < a\n", False,
+    "decompose-parse-error": (["decompose", "--dot"], "elements: a\nb < a\n", None,
                               2, "", "error: line 2: unknown element 'b'\n"),
-    "classify-treewidth-3": (["classify"], KELLY_3, False, 2, "", TW3),
-    "check-claims-treewidth-3": (["check-claims"], KELLY_3, False, 2, "", TW3),
-    "verify-no-json": (["verify"], "elements: a b\na < b\n", False,
+    "classify-treewidth-3": (["classify"], KELLY_3, None, 2, "", TW3),
+    "check-claims-treewidth-3": (["check-claims"], KELLY_3, None, 2, "", TW3),
+    "verify-no-json": (["verify"], "elements: a b\na < b\n", None,
                        2, "", "error: line 1: no realizer JSON found on stdin (use --realizer)\n"),
-    "verify-syntax-error": (["verify"], "elements: a b c\na < b\n[not json\n", False,
+    "verify-syntax-error": (["verify"], "elements: a b c\na < b\n[not json\n", None,
                             2, "", "error: line 3: Expecting value (column 2)\n"),
-    "verify-schema-error": (["verify"], "elements: a b c\na < b\n[1]\n", False, 2, "",
+    "verify-schema-error": (["verify"], "elements: a b c\na < b\n[1]\n", None, 2, "",
                             "error: line 3: realizer entry 0 needs a signature and a string list extension\n"),
-    "verify-empty-realizer": (["verify"], "elements: a b c\na < b\nb < c\n[]\n", False,
+    "verify-empty-realizer": (["verify"], "elements: a b c\na < b\nb < c\n[]\n", None,
                               1, "", "violation: realizer has no extensions\n"),
-    "verify-poset-error": (["verify"], "elements: a\nb < a\n[]\n", False,
+    "verify-poset-error": (["verify"], "elements: a\nb < a\n[]\n", None,
                            2, "", "error: line 2: unknown element 'b'\n"),
-    "batch-count": (["batch", "--n", "5", "--count", "0"], None, False,
+    "batch-count": (["batch", "--n", "5", "--count", "0"], None, None,
                     2, "", "error: --count must be at least 1\n"),
-    "batch-jobs": (["batch", "--n", "5", "--count", "0", "--jobs", "0"], None, False, 2, "",
+    "batch-jobs": (["batch", "--n", "5", "--count", "0", "--jobs", "0"], None, None, 2, "",
                    "error: --jobs must be between 1 and %d (the CPU count)\n" % (os.cpu_count() or 1)),
-    "batch-oracle-cap": (["batch", "--n", "5", "--count", "1", "--oracle-cap", "-1"], None, False,
+    "batch-oracle-cap": (["batch", "--n", "5", "--count", "1", "--oracle-cap", "-1"], None, None,
                          2, "", "error: --oracle-cap must be at least 0\n"),
-    "batch-bad-n": (["batch", "--family", "kelly", "--n", "1", "--count", "1"], None, False,
+    "batch-bad-n": (["batch", "--family", "kelly", "--n", "1", "--count", "1"], None, None,
                     2, "", "error: kelly needs n >= 2\n"),
-    "batch-too-large": (["batch", "--n", str(MAX_N + 1), "--count", "1"], None, False,
+    "batch-too-large": (["batch", "--n", str(MAX_N + 1), "--count", "1"], None, None,
                         2, "", "error: n = 20001 is above the largest random_tw2 size, 20000\n"),
     "batch-failing-instances": (["batch", "--family", "standard_example", "--n", "2", "--count", "2"], None,
-                                True, 1, "instances: 2  failures: 2  max extensions: 0\n",
+                                "one_class", 1, "instances: 2  failures: 2  max extensions: 0\n",
                                 "".join("failed seed %d: %s" % (seed, NOT_REVERSIBLE)
                                         + "".join("  " + line + "\n" for line in WITNESS.splitlines())
                                         for seed in (0, 1))),
@@ -376,9 +384,9 @@ ERROR_CONTRACT = {
 class TestErrorContract:
     @pytest.mark.parametrize("case", ERROR_CONTRACT)
     def test_exit_code_and_output(self, case, request):
-        args, stdin, one_class_only, code, stdout, stderr = ERROR_CONTRACT[case]
-        if one_class_only:
-            request.getfixturevalue("one_class")
+        args, stdin, fixture, code, stdout, stderr = ERROR_CONTRACT[case]
+        if fixture:
+            request.getfixturevalue(fixture)
         res = run(args, stdin=stdin)
         assert (res.exit_code, res.stdout, res.stderr) == (code, stdout, stderr)
 

@@ -20,7 +20,7 @@ from spdim.realizer import (
     metamorphic_check,
     realize_tw2,
 )
-from spdim.stdecomp import DecompNode
+from spdim.stdecomp import DecompNode, STDecomposition
 
 from oracles import (
     ReferenceClassifier,
@@ -232,14 +232,53 @@ class TestRowsMatchReference:
 
 @pytest.mark.parametrize("bag, s, t", [((0, 0, 1), 0, 1), ((1, 0, 0), 1, 0)])
 def test_least_node_repeating_a_terminal(bag, s, t):
-    # A size-3 bag laid out as (s, a, t) but with a a terminal has no middle:
-    # both classifiers refuse it.
+    # An internal home bag laid out as (s, a, t) but with a a terminal has no
+    # middle: both classifiers refuse it.
     p = Poset("a", [])
-    d = decomposition_of_records([DecompNode(0, None, None, None, bag, s, t)], "ab")
-    with pytest.raises((PreconditionViolated, MalformedInstance)):
+    d = STDecomposition([1, None, None], [2, None, None], [bag, (0, 1), (0, 1)], [s, 0, 0], [t, 1, 1], "ab")
+    with pytest.raises(MalformedInstance, match="least node of 'a' .* middle vertex"):
         SignatureRows(p, d)
     with pytest.raises((PreconditionViolated, MalformedInstance)):
         ReferenceClassifier(p, d)
+
+
+def _with_bag(decomp, nid, bag):
+    "The decomposition with node nid's bag replaced."
+    bags = list(decomp.bag)
+    bags[nid] = bag
+    return STDecomposition(decomp.left, decomp.right, bags, decomp.s, decomp.t, decomp.names)
+
+
+class TestDecompositionShape:
+    """``SignatureRows`` takes the shape ``build_st_decomposition`` makes and
+    refuses any other with ``MalformedInstance``."""
+
+    def test_home_bag_laid_out_middle_first(self):
+        # The same three members as (i, s, t): the per-pair reference, which
+        # looks for a middle in any order, would accept it.
+        p = random_tw2_poset(12, 3)
+        d = decompose_poset(p)
+        w = d.least_node(0)
+        assert d.bag[w] == (d.s[w], 0, d.t[w])
+        with pytest.raises(MalformedInstance, match="least node of %r .* middle vertex" % (p.elements[0],)):
+            SignatureRows(p, _with_bag(d, w, (0, d.s[w], d.t[w])))
+
+    def test_size_3_leaf_as_a_home(self):
+        d = STDecomposition([None], [None], [(1, 0, 2)], [1], [2], "abc")
+        with pytest.raises(MalformedInstance, match="least node of 'a' is no internal node .* middle vertex"):
+            SignatureRows(Poset("a", []), d)
+
+    @pytest.mark.parametrize("size", [1, 4])
+    def test_bag_of_other_size(self, size):
+        # A size-2 internal bag with the outer terminals added, or cut to one
+        # member: the classifier read the census of the unchanged bags before.
+        p = random_tw2_poset(12, 3)
+        d = decompose_poset(p)
+        nid = next(k for k, (bag, left) in enumerate(zip(d.bag, d.left))
+                   if left is not None and len(bag) == 2 and not {d.source, d.sink} & set(bag))
+        bag = d.bag[nid] + (d.source, d.sink) if size == 4 else d.bag[nid][:1]
+        with pytest.raises(MalformedInstance, match="node %d has a bag of size %d, not 2 or 3" % (nid, size)):
+            SignatureRows(p, _with_bag(d, nid, bag))
 
 
 class TestRealizePath:

@@ -623,3 +623,12 @@ class TestJsonExport:
             if row["parent"] is not None:
                 assert row["side"] in ("left", "right")
             assert set(row) == {"id", "parent", "side", "bag", "s", "t"}
+
+    @pytest.mark.parametrize("bag, s, t, names", [((0, 1, 2, 3), 0, 3, "abcd"), ((0,), 0, 0, "a")],
+                             ids=["four-members", "one-member"])
+    def test_bag_of_other_size_is_refused(self, bag, s, t, names):
+        # The writer had a size-3 branch and wrote any other bag as its first two
+        # members: a 4-member bag lost two, and a 1-member bag raised IndexError.
+        d = STDecomposition([None], [None], [bag], [s], [t], names)
+        with pytest.raises(PreconditionViolated, match="node 0 has a bag of size %d, not 2 or 3" % len(bag)):
+            dumps_decomposition(d)
