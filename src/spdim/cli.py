@@ -184,12 +184,12 @@ def decompose(poset_file, as_json, as_dot):
     "Embed the cover graph and print the s-t tree-decomposition."
     if as_json and as_dot:
         raise BadParameter("--json and --dot exclude each other")
-    embedding = embed_into_sp(_read_poset(poset_file).cover_graph())
+    p = _read_poset(poset_file)
     if as_dot:
+        embedding = embed_into_sp(p.cover_graph())
         _echo(dumps_dot(embedding.host, embedding.added_edges), nl=False)
-        return
-    decomp = stdecomp.build_st_decomposition(embedding.sp, embedding.names)
-    _echo(stdecomp.dumps_decomposition(decomp), nl=False)
+    else:
+        _echo(stdecomp.dumps_decomposition(decompose_poset(p)), nl=False)
 
 
 def _read_signature_rows(poset_file):

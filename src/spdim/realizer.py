@@ -29,9 +29,9 @@ import json
 from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _string
-from operator import ne
+from operator import itemgetter, ne
 
-from .errors import MalformedInstance, NotReversible, ParseError, ReversibilityViolation
+from .errors import MalformedInstance, NotReversible, ParseError, ReversibilityViolation, VertexNotInDecomposition
 from .poset import bits
 from .spembed import embed_into_sp
 from .stdecomp import build_st_decomposition
@@ -90,10 +90,11 @@ class SignatureRows:
     ``rows[k][i]`` holds bit j iff (element i, element j) is an incomparable
     pair with signature ``ALL_CLASSES[k]``; ``home[i]`` is element i's least
     node.  The decomposition's vertex id of element i is i, so its first
-    names must be the poset's elements.  Only the shape ``build_st_decomposition``
-    makes is taken, and ``MalformedInstance`` refuses any other: every bag has 2 or 3
-    members, and element i's least node is internal with bag exactly ``(s, i, t)``,
-    i neither terminal.  Per-node masks (each over element indices):
+    names must be the poset's elements.  A node's terminals are its bag's ends.  Only
+    the shape ``build_st_decomposition`` makes is taken, and ``MalformedInstance``
+    refuses any other: every element is in some bag, and element i's least node is
+    internal with a bag of 3 members whose middle is i, i neither end.  Per-node
+    masks (each over element indices):
 
     * ``sub[a]``     -- elements whose least node lies in a's subtree;
     * ``under[a]``   -- elements below some bag member (upset of x meets the bag);
@@ -114,19 +115,19 @@ class SignatureRows:
         n = len(poset)
         if decomp.names[:n] != poset.elements:
             raise MalformedInstance("the decomposition's first vertices are not the poset's elements")
-        bag, s, t, left = decomp.bag, decomp.s, decomp.t, decomp.left
-        home = list(map(decomp.least_node, range(n)))
-        hs, ht = list(map(s.__getitem__, home)), list(map(t.__getitem__, home))
+        bag, left = decomp.bag, decomp.left
+        try:
+            home = list(map(decomp.least_node, range(n)))
+        except VertexNotInDecomposition as exc:
+            raise MalformedInstance(*exc.args) from None
         # The shape ``build_st_decomposition`` makes, and no other: C-level passes
-        # are the whole test, and the loops only name the first offender.
-        if not (set(map(len, bag)) <= {2, 3} and None not in map(left.__getitem__, home)
-                and list(map(bag.__getitem__, home)) == list(zip(hs, range(n), ht))
+        # are the whole test, and the loop only names the first offender.
+        homes = list(map(bag.__getitem__, home))
+        hs, ht = list(map(itemgetter(0), homes)), list(map(itemgetter(-1), homes))
+        if not (None not in map(left.__getitem__, home) and homes == list(zip(hs, range(n), ht))
                 and all(map(ne, hs, range(n))) and all(map(ne, ht, range(n)))):
-            for nid, members in enumerate(bag):
-                if len(members) not in (2, 3):
-                    raise MalformedInstance("node %d has a bag of size %d, not 2 or 3" % (nid, len(members)))
             x = next(x for i, (x, w) in enumerate(zip(poset.elements, home))
-                     if left[w] is None or bag[w] != (s[w], i, t[w]) or i in (s[w], t[w]))
+                     if left[w] is None or homes[i] != (hs[i], i, ht[i]) or i in (hs[i], ht[i]))
             raise MalformedInstance("least node of %r is no internal node with it as its middle vertex" % (x,))
         self.home = home
 
@@ -162,7 +163,7 @@ class SignatureRows:
         4·o - 3 + 2·span + gate (kind 2), its ``ALL_CLASSES`` index."""
         n = len(inc)
         rows = [[0] * n for _ in ALL_CLASSES]
-        bag, s, t = self.decomp.bag, self.decomp.s, self.decomp.t
+        bag = self.decomp.bag
         under, over, span_up, up, down = self._under, self._over, self._span_up, self._up, self._down
         step, meet, other, side = self._step, self._meet, self._other, self._side
         start = len(bag)
@@ -192,7 +193,7 @@ class SignatureRows:
                     continue
                 # Size-2 bag {s, t}: x must reach exactly one terminal and y
                 # lie above exactly the other one.
-                sa, ta = s[a], t[a]
+                sa, ta = bag[a]
                 s_up, t_up = down[sa] & bit, down[ta] & bit
                 if s_up and not t_up:
                     gate, split = 1, up[ta] & ~up[sa]
@@ -272,7 +273,7 @@ class SignatureRows:
 
 def _top_down(decomp, masks):
     "Per node, the union of masks[s] & masks[t] over its ancestors-or-self with terminals s, t, by id."
-    out = [masks[s] & masks[t] for s, t in zip(decomp.s, decomp.t)]
+    out = [masks[b[0]] & masks[b[-1]] for b in decomp.bag]
     for nid, p in enumerate(decomp.parent):
         if p is not None:
             out[nid] |= out[p]

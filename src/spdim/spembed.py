@@ -117,11 +117,12 @@ def _checked_preorder(root):
     """The walk behind ``sp_tree_violations``, over a flat stack of (node, parent
     position) pairs.  Node positions are pre-order (parents first, a left child right
     after its parent); by position, it fills the decomposition columns ``(left, right,
-    bag, s, t)`` of ``build_st_decomposition`` and returns them with the problems."""
+    bag)`` of ``build_st_decomposition``, each bag running from the node's source to its
+    sink, and returns them with the problems."""
     problems = []
     shared = {root.source, root.sink}
     edges = set()
-    left, right, bag, source, sink = columns = [], [], [], [], []
+    left, right, bag = columns = [], [], []
     todo, pos = [root, -1], -1
     while todo:
         up, node = todo.pop(), todo.pop()
@@ -130,8 +131,6 @@ def _checked_preorder(root):
         if pos - up > 1:  # a right child, placed after its parent's left subtree
             right[up] = pos
         s, t = node.source, node.sink
-        source.append(s)
-        sink.append(t)
         if s == t:
             problems.append("node %d: source equals sink" % pos)
         kind = node.kind

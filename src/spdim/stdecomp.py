@@ -1,22 +1,22 @@
 """Binary tree-decompositions with per-bag source/sink terminals.
 
-Every node carries a bag of 2 or 3 host vertices plus two distinguished bag
-members, its source and sink.  Leaf bags have size 2; a size-2 internal node
-passes its terminals to both children; a size-3 internal node splits at its
-middle vertex (left child runs source -> middle, right child middle -> sink).
+Every node carries a bag ``(source, sink)`` or ``(source, middle, sink)`` of host
+vertices.  Leaf bags have size 2; a size-2 internal node passes its terminals to
+both children; a size-3 internal node splits at its middle vertex (left child
+runs source -> middle, right child middle -> sink).
 
 Vertices are the integer ids of the embedding; ``STDecomposition.names`` maps
 them to names, which only the writers and error messages use.
 
-A decomposition is its child columns ``left`` and ``right``, indexed by node id,
-its columns ``bag``, ``s`` and ``t``, and its names, and ``STDecomposition(left,
-right, bag, s, t, names)`` is the one way to make one.  The constructor reads
-``parent`` off the child columns in the same pass that checks they are a tree;
-``nodes``, the same nodes as ``DecompNode`` records, is a view built only when
-read.  Node ids mirror the series-parallel tree (pre-order), and are preserved by
-``reverse`` and ``swap_size2_children`` so that nodes can be compared across
-transformed decompositions.  Every child id is above its parent's, so node 0 is
-the root: one pass over the ids runs top-down, one in reverse bottom-up.
+A decomposition is its columns ``left``, ``right`` and ``bag``, indexed by node
+id, and its names, and ``STDecomposition(left, right, bag, names)`` is the one
+way to make one.  The constructor reads ``parent`` off the child columns in the
+same pass that checks they are a tree; ``nodes``, the same nodes as
+``DecompNode`` records, is a view built only when read.  Node ids mirror the
+series-parallel tree (pre-order), and are preserved by ``reverse`` and
+``swap_size2_children`` so that nodes can be compared across transformed
+decompositions.  Every child id is above its parent's, so node 0 is the root:
+one pass over the ids runs top-down, one in reverse bottom-up.
 """
 
 from json.encoder import encode_basestring_ascii as _string
@@ -52,27 +52,26 @@ class DecompNode(NamedTuple):
 class STDecomposition:
     """An s-t tree-decomposition of a two-terminal graph (immutable); ``names[v]``
     is the name of vertex id v.  Node k is stored across the columns ``left[k]``
-    and ``right[k]`` (None where absent), ``bag[k]``, ``s[k]`` and ``t[k]``, and
-    ``parent[k]`` (None at the root) is read off the child columns;
+    and ``right[k]`` (None where absent) and ``bag[k]``, whose ends are its source
+    and sink; ``parent[k]`` (None at the root) is read off the child columns, and
     ``nodes[k]`` is the same node as a ``DecompNode``, a view built on first read.
     Node 0 is the root, and every other node's parent id is below its own.
 
-    ``STDecomposition(left, right, bag, s, t, names)`` raises
-    ``PreconditionViolated`` unless the columns are non-empty and of one
-    length, the child columns are a full binary tree rooted at node 0 with
-    every child id above its parent's (each node has children ``(None, None)``
-    or two int ids above its own that no other node lists, and every node
-    but 0 is some node's child), and every bag member, source and sink is an
-    int from 0 to ``len(names) - 1``.
+    ``STDecomposition(left, right, bag, names)`` raises ``PreconditionViolated``
+    unless the columns are non-empty and of one length, the child columns are a
+    full binary tree rooted at node 0 with every child id above its parent's
+    (each node has children ``(None, None)`` or two int ids above its own that
+    no other node lists, and every node but 0 is some node's child), and every
+    bag has 2 or 3 members, each an int from 0 to ``len(names) - 1``.
     """
 
     root = 0
 
-    def __init__(self, left, right, bag, s, t, names):
+    def __init__(self, left, right, bag, names):
         count = len(bag)
-        if not count or not len(left) == len(right) == len(s) == len(t) == count:
+        if not count or not len(left) == len(right) == count:
             raise PreconditionViolated("columns of lengths %s, not one length above 0"
-                                       % [len(column) for column in (left, right, bag, s, t)])
+                                       % [len(column) for column in (left, right, bag)])
         # One loop reads the parents off the children and is the whole tree check:
         # a child id above its parent's that no node listed before is a tree edge.
         parent = [None] * count
@@ -86,22 +85,24 @@ class STDecomposition:
             parent[a] = parent[b] = nid
         if None in islice(parent, 1, None):
             raise PreconditionViolated("node %d is no node's child" % parent.index(None, 1))
-        # Vertex ids index ``names``: C-level passes on the good path; the loop only names the offender.
+        # Bags of 2 or 3 ids that index ``names``: C-level passes on the good path; the loop names the offender.
         names = tuple(names)
-        ids = [*chain.from_iterable(bag), *s, *t]
-        if not (set(map(type, ids)) <= {int} and 0 <= min(distinct := set(ids)) and max(distinct) < len(names)):
-            for nid, (members, u, w) in enumerate(zip(bag, s, t)):
-                for v in (*members, u, w):
+        ids = [*chain.from_iterable(bag)]
+        if not (set(map(len, bag)) <= {2, 3} and set(map(type, ids)) <= {int}
+                and 0 <= min(distinct := set(ids)) and max(distinct) < len(names)):
+            for nid, members in enumerate(bag):
+                if len(members) not in (2, 3):
+                    raise PreconditionViolated("node %d has a bag of size %d, not 2 or 3" % (nid, len(members)))
+                for v in members:
                     if not (type(v) is int and 0 <= v < len(names)):
                         raise PreconditionViolated("node %d has vertex id %r, not an int from 0 to %d"
                                                    % (nid, v, len(names) - 1))
-        self.parent, self.left, self.right, self.bag, self.s, self.t = parent, left, right, bag, s, t
-        self.names = names
+        self.parent, self.left, self.right, self.bag, self.names = parent, left, right, bag, names
 
     @cached_property
     def nodes(self):
         return tuple(map(DecompNode, range(len(self.bag)), self.parent, self.left, self.right,
-                         self.bag, self.s, self.t))
+                         self.bag, (b[0] for b in self.bag), (b[-1] for b in self.bag)))
 
     @cached_property
     def _depth(self):
@@ -123,11 +124,11 @@ class STDecomposition:
 
     @property
     def source(self):
-        return self.s[0]
+        return self.bag[0][0]
 
     @property
     def sink(self):
-        return self.t[0]
+        return self.bag[0][-1]
 
     def __len__(self):
         return len(self.bag)
@@ -145,11 +146,10 @@ class STDecomposition:
     # -- transforms ---------------------------------------------------------
 
     def reverse(self):
-        """Swap children everywhere and exchange every (source, sink); the
-        result decomposes the same host with the outer terminals exchanged,
-        and its in-order is the exact reverse."""
-        return STDecomposition(self.right, self.left, [bag[::-1] for bag in self.bag],
-                               self.t, self.s, self.names)
+        """Swap children everywhere and reverse every bag, which exchanges every
+        (source, sink); the result decomposes the same host with the outer
+        terminals exchanged, and its in-order is the exact reverse."""
+        return STDecomposition(self.right, self.left, [bag[::-1] for bag in self.bag], self.names)
 
     def swap_size2_children(self):
         "Swap the children of every size-2 internal node; bags and terminals stay."
@@ -157,17 +157,17 @@ class STDecomposition:
         return STDecomposition(
             [r if sw else l for sw, l, r in zip(swap, self.left, self.right)],
             [l if sw else r for sw, l, r in zip(swap, self.left, self.right)],
-            self.bag, self.s, self.t, self.names)
+            self.bag, self.names)
 
 
 def build_st_decomposition(sp_root, names):
     """Decomposition mirroring a series-parallel tree node for node.
 
     Leaf -> bag {source, sink}; parallel -> bag {source, sink}; series ->
-    the size-3 bag {source, shared vertex, sink}.  Node ids are assigned in
-    pre-order by the walk that checks the tree, and the child, bag and terminal
-    columns are read off that walk; the constructor reads the parents off the
-    child columns.  Its vertices index ``names``.
+    the size-3 bag (source, shared vertex, sink).  Node ids are assigned in
+    pre-order by the walk that checks the tree, and the child and bag columns
+    are read off that walk; the constructor reads the parents off the child
+    columns.  Its vertices index ``names``.
     """
     columns, problems = _checked_preorder(sp_root)
     if problems:
@@ -178,21 +178,20 @@ def build_st_decomposition(sp_root, names):
 # -- JSON export -------------------------------------------------------------
 
 def dumps_decomposition(decomp):
-    "The node records ``{id, parent, side, bag, s, t}`` as ``json.dumps(records, indent=2)`` writes them."
+    "``json.dumps(records, indent=2)`` of the records ``{id, parent, side, bag, s, t}``, s and t the bag's ends."
     quoted = [_string(name) for name in decomp.names]
     left = decomp.left
     out = []
-    for nid, (parent, bag, s, t) in enumerate(zip(decomp.parent, decomp.bag, decomp.s, decomp.t)):
+    for nid, (parent, bag) in enumerate(zip(decomp.parent, decomp.bag)):
         if parent is None:
             parent = side = "null"
         else:
             side = '"left"' if left[parent] == nid else '"right"'
+        s, t = quoted[bag[0]], quoted[bag[-1]]
         if len(bag) == 3:
-            members = f'{quoted[bag[0]]},\n      {quoted[bag[1]]},\n      {quoted[bag[2]]}'
-        elif len(bag) == 2:
-            members = f'{quoted[bag[0]]},\n      {quoted[bag[1]]}'
+            members = f'{s},\n      {quoted[bag[1]]},\n      {t}'
         else:
-            raise PreconditionViolated("node %d has a bag of size %d, not 2 or 3" % (nid, len(bag)))
+            members = f'{s},\n      {t}'
         out.append(f'  {{\n    "id": {nid},\n    "parent": {parent},\n    "side": {side},\n    "bag": [\n'
-                   f'      {members}\n    ],\n    "s": {quoted[s]},\n    "t": {quoted[t]}\n  }}')
+                   f'      {members}\n    ],\n    "s": {s},\n    "t": {t}\n  }}')
     return "[\n%s\n]\n" % ",\n".join(out)

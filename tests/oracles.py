@@ -1084,17 +1084,34 @@ def reference_resolve(root, names=()):
 
 def decomposition_of_records(nodes, names):
     """The decomposition whose node k is the ``DecompNode`` record ``nodes[k]``: the records'
-    fields but ``parent`` as columns, and the records' parents must be the ones read off them."""
+    child and bag fields as columns.  The records' parents must be the ones read off the child
+    columns, and each record's ``s`` and ``t`` the first and last members of its bag."""
     from spdim.stdecomp import STDecomposition
 
-    ids, parents, *columns = zip(*nodes)
+    ids, parents, left, right, bags, sources, sinks = zip(*nodes)
     if ids != tuple(range(len(nodes))):
         raise ValueError("record ids %r are not their positions" % (ids,))
-    decomp = STDecomposition(*columns, names)
+    decomp = STDecomposition(left, right, bags, names)
     if list(parents) != decomp.parent:
         raise ValueError("record parents %r are not the parents %r of the child columns"
                          % (parents, decomp.parent))
+    for nid, (bag, s, t) in enumerate(zip(bags, sources, sinks)):
+        if (s, t) != (bag[0], bag[-1]):
+            raise ValueError("record %d has terminals %r, not the ends of its bag %r" % (nid, (s, t), bag))
     return decomp
+
+
+def decomposition_parents(left, right, bag, names):
+    """The parents ``STDecomposition(left, right, bag, names)`` reads off its columns, or None
+    where it must refuse them: the columns are of one length above 0, every bag has 2 or 3
+    members, each an int from 0 to ``len(names) - 1``, and the child columns have
+    ``tree_parents``."""
+    if not (len(left) == len(right) == len(bag) > 0):
+        return None
+    for members in bag:
+        if len(members) not in (2, 3) or not all(type(v) is int and 0 <= v < len(names) for v in members):
+            return None
+    return tree_parents(left, right)
 
 
 def tree_parents(left, right):
@@ -1354,12 +1371,12 @@ def contains_standard_example(poset, n):
 
 
 def decomposition_to_json(decomp):
-    "The records ``spdim.stdecomp.dumps_decomposition`` writes, one dict per node id."
+    "The records ``spdim.stdecomp.dumps_decomposition`` writes, one dict per node id, from the ``nodes`` view."
     names, left = decomp.names, decomp.left
-    return [{"id": nid, "parent": parent,
-             "side": None if parent is None else "left" if left[parent] == nid else "right",
-             "bag": [names[v] for v in bag], "s": names[s], "t": names[t]}
-            for nid, (parent, bag, s, t) in enumerate(zip(decomp.parent, decomp.bag, decomp.s, decomp.t))]
+    return [{"id": n.id, "parent": n.parent,
+             "side": None if n.parent is None else "left" if left[n.parent] == n.id else "right",
+             "bag": [names[v] for v in n.bag], "s": names[n.s], "t": names[n.t]}
+            for n in decomp.nodes]
 
 
 def realizer_to_json(realizer):

@@ -72,8 +72,7 @@ class TestSignatureSpace:
                 "try:\n    DecompNode(0, None, None, None, (0, 1), 0, 1).middle\n"
                 "except PreconditionViolated:\n    pass\n"
                 "else:\n    raise SystemExit('middle of a size-2 bag')\n"
-                "try:\n    STDecomposition([None, 0, None], [None, 2, None], [(0, 1)] * 3,\n"
-                "                    [0] * 3, [1] * 3, 'ab')\n"
+                "try:\n    STDecomposition([None, 0, None], [None, 2, None], [(0, 1)] * 3, 'ab')\n"
                 "except PreconditionViolated:\n    pass\n"
                 "else:\n    raise SystemExit('child id below its parent id')\n")
         res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
@@ -222,6 +221,13 @@ class TestRowsMatchReference:
                 assert p.pairs_of_rows(row) == [(names[i], names[j])
                                                 for i, ys in enumerate(row) for j in bits(ys)]
 
+    def test_element_in_no_bag(self):
+        # b is in no bag: the classifier's door refuses it as malformed, naming it,
+        # like every other shape it does not take.
+        d = STDecomposition([1, None, None], [2, None, None], [(2, 0, 3), (2, 0), (0, 3)], "abst")
+        with pytest.raises(MalformedInstance, match="vertex 'b' is in no bag"):
+            SignatureRows(Poset("ab"), d)
+
     def test_decomposition_of_other_elements(self):
         # Element i is vertex id i, so a decomposition whose first vertices
         # are not the poset's elements is refused.
@@ -234,8 +240,9 @@ class TestRowsMatchReference:
 def test_least_node_repeating_a_terminal(bag, s, t):
     # An internal home bag laid out as (s, a, t) but with a a terminal has no
     # middle: both classifiers refuse it.
+    assert (bag[0], bag[-1]) == (s, t)  # a node's terminals are its bag's ends
     p = Poset("a", [])
-    d = STDecomposition([1, None, None], [2, None, None], [bag, (0, 1), (0, 1)], [s, 0, 0], [t, 1, 1], "ab")
+    d = STDecomposition([1, None, None], [2, None, None], [bag, (0, 1), (0, 1)], "ab")
     with pytest.raises(MalformedInstance, match="least node of 'a' .* middle vertex"):
         SignatureRows(p, d)
     with pytest.raises((PreconditionViolated, MalformedInstance)):
@@ -246,12 +253,13 @@ def _with_bag(decomp, nid, bag):
     "The decomposition with node nid's bag replaced."
     bags = list(decomp.bag)
     bags[nid] = bag
-    return STDecomposition(decomp.left, decomp.right, bags, decomp.s, decomp.t, decomp.names)
+    return STDecomposition(decomp.left, decomp.right, bags, decomp.names)
 
 
 class TestDecompositionShape:
     """``SignatureRows`` takes the shape ``build_st_decomposition`` makes and
-    refuses any other with ``MalformedInstance``."""
+    refuses any other with ``MalformedInstance``; the constructor refuses a bag
+    of other than 2 or 3 members before it reaches the classifier."""
 
     def test_home_bag_laid_out_middle_first(self):
         # The same three members as (i, s, t): the per-pair reference, which
@@ -259,26 +267,27 @@ class TestDecompositionShape:
         p = random_tw2_poset(12, 3)
         d = decompose_poset(p)
         w = d.least_node(0)
-        assert d.bag[w] == (d.s[w], 0, d.t[w])
+        s, middle, t = d.bag[w]
+        assert middle == 0
         with pytest.raises(MalformedInstance, match="least node of %r .* middle vertex" % (p.elements[0],)):
-            SignatureRows(p, _with_bag(d, w, (0, d.s[w], d.t[w])))
+            SignatureRows(p, _with_bag(d, w, (0, s, t)))
 
     def test_size_3_leaf_as_a_home(self):
-        d = STDecomposition([None], [None], [(1, 0, 2)], [1], [2], "abc")
+        d = STDecomposition([None], [None], [(1, 0, 2)], "abc")
         with pytest.raises(MalformedInstance, match="least node of 'a' is no internal node .* middle vertex"):
             SignatureRows(Poset("a", []), d)
 
     @pytest.mark.parametrize("size", [1, 4])
     def test_bag_of_other_size(self, size):
         # A size-2 internal bag with the outer terminals added, or cut to one
-        # member: the classifier read the census of the unchanged bags before.
+        # member: no decomposition holds it, so the classifier never reads one.
         p = random_tw2_poset(12, 3)
         d = decompose_poset(p)
         nid = next(k for k, (bag, left) in enumerate(zip(d.bag, d.left))
                    if left is not None and len(bag) == 2 and not {d.source, d.sink} & set(bag))
         bag = d.bag[nid] + (d.source, d.sink) if size == 4 else d.bag[nid][:1]
-        with pytest.raises(MalformedInstance, match="node %d has a bag of size %d, not 2 or 3" % (nid, size)):
-            SignatureRows(p, _with_bag(d, nid, bag))
+        with pytest.raises(PreconditionViolated, match="node %d has a bag of size %d, not 2 or 3" % (nid, size)):
+            _with_bag(d, nid, bag)
 
 
 class TestRealizePath:

@@ -18,6 +18,7 @@ from spdim.stdecomp import DecompNode, STDecomposition, build_st_decomposition, 
 from test_acceptance import CORPUS
 from oracles import (
     decomposition_of_records,
+    decomposition_parents,
     id_host,
     in_order,
     in_order_less,
@@ -32,7 +33,6 @@ from oracles import (
     reference_swap_size2_children,
     separation_hits,
     st_subset_witness,
-    tree_parents,
     tree_path,
     validate_decomposition,
     validation_errors,
@@ -148,8 +148,15 @@ class TestValidateRejections:
         assert any("leaf" in e for e in errors)
 
     def test_swapped_root_terminals_rejected(self):
-        d, g = self.two_node_patch(s=1, t=0)
+        d, g = self.two_node_patch(bag=(1, 0), s=1, t=0)
         assert not validate_decomposition(d, g, 0, 1)
+
+    @pytest.mark.parametrize("s, t", [(1, 0), (0, 0), (2, 1)])
+    def test_records_must_carry_the_ends_of_their_bags(self, s, t):
+        # A record's terminals are its bag's ends, and the columns store no others:
+        # swapped ends, a repeated one, or a vertex outside the bag is refused.
+        with pytest.raises(ValueError, match=re.escape("record 0 has terminals (%d, %d), not the ends" % (s, t))):
+            self.two_node_patch(s=s, t=t)
 
     def test_missing_edge_coverage(self):
         g = Graph(range(3), [(0, 1), (1, 2)])
@@ -259,16 +266,16 @@ class TestParentsFirstTables:
         left[parent], right[parent] = 0, 2
         with pytest.raises(PreconditionViolated,
                            match=re.escape("node %d has children (0, 2), not none or two ids above" % parent)):
-            STDecomposition(left, right, [(0, 1)] * 3, [0] * 3, [1] * 3, "ab")
+            STDecomposition(left, right, [(0, 1)] * 3, "ab")
 
     def test_parent_id_must_be_lower_past_the_root(self):
         # Node 2 lists itself, or lists node 1 that no other node lists; node 0's children are in order.
         with pytest.raises(PreconditionViolated, match=re.escape("node 2 has children (2, 3), not none")):
             STDecomposition([1, None, 2, None], [2, None, 3, None],
-                            [(0, 1)] * 4, [0] * 4, [1] * 4, "ab")
+                            [(0, 1)] * 4, "ab")
         with pytest.raises(PreconditionViolated, match=re.escape("node 2 has children (4, 1), not none")):
             STDecomposition([2, None, 4, None, None], [3, None, 1, None, None],
-                            [(0, 1)] * 5, [0] * 5, [1] * 5, "ab")
+                            [(0, 1)] * 5, "ab")
         # Node 0 lists itself on either side.  A negative id would index a column from
         # its end; a float or a bool compares above its parent's id or equal to a node's,
         # and is still no node id.
@@ -276,7 +283,7 @@ class TestParentsFirstTables:
             with pytest.raises(PreconditionViolated,
                                match=re.escape("node 0 has children %r, not none or two ids above" % (kids,))):
                 STDecomposition([kids[0], None, None], [kids[1], None, None],
-                                [(0, 1)] * 3, [0] * 3, [1] * 3, "ab")
+                                [(0, 1)] * 3, "ab")
 
     @pytest.mark.parametrize("left, right, message", [
         ([None] * 3, [None] * 3, "node 1 is no node's child"),
@@ -291,26 +298,27 @@ class TestParentsFirstTables:
         # in the last two, node 1 lists node 3 after node 0 did.
         k = len(left)
         with pytest.raises(PreconditionViolated, match=re.escape(message)):
-            STDecomposition(left, right, [(0, 1)] * k, [0] * k, [1] * k, "ab")
+            STDecomposition(left, right, [(0, 1)] * k, "ab")
 
     def test_second_parentless_node(self):
         # Node 1 is a second root: the record form could list it, a decomposition cannot.
         with pytest.raises(PreconditionViolated, match="node 1 is no node's child"):
-            STDecomposition([None, None], [None, None], [(0, 1), (0, 1)], [0, 0], [1, 1], "ab")
+            STDecomposition([None, None], [None, None], [(0, 1), (0, 1)], "ab")
         # Node 3 is no node's child while nodes 0-2 are a tree.
         with pytest.raises(PreconditionViolated, match="node 3 is no node's child"):
             STDecomposition([1, None, None, None], [2, None, None, None],
-                            [(0, 1)] * 4, [0] * 4, [1] * 4, "ab")
+                            [(0, 1)] * 4, "ab")
 
     @settings(max_examples=1000, deadline=None)
     @given(st.data())
     def test_constructor_against_its_definition(self, data):
         # A random tree: each node splits an earlier leaf, and at an even count the last
         # node is left out or listed by a leaf beside any node, itself included.  Its ids are
-        # renamed or not, and then a few entries are overwritten by draws from None,
-        # -1..count, 0.5 and True.  Before and after, the constructor must refuse exactly
-        # what is no full binary tree rooted at 0 with every child id above its
-        # parent's, and otherwise read off the tree's parents.
+        # renamed or not, a few bags get 1 to 4 members, and then a few child entries are
+        # overwritten by draws from None, -1..count, 0.5 and True.  Before and after, the
+        # constructor must refuse exactly what ``decomposition_parents`` refuses (a bag of
+        # other than 2 or 3 members, or no full binary tree rooted at 0 with every child
+        # id above its parent's), and otherwise read off the tree's parents.
         count = data.draw(st.integers(min_value=1, max_value=7))
         ids = data.draw(st.just(range(count)) | st.permutations(range(count)))
         left, right = [None] * count, [None] * count
@@ -322,9 +330,13 @@ class TestParentsFirstTables:
             kids = ids[nid], ids[other]
             left[leaf], right[leaf] = data.draw(st.sampled_from([kids, kids[::-1]]))
 
+        bags = [(0, 1)] * count
+        for nid, size in data.draw(st.lists(st.tuples(st.integers(0, count - 1), st.integers(1, 4)), max_size=2)):
+            bags[nid] = (0, 1, 1, 0)[:size]
+
         def check():
-            want = tree_parents(left, right)
-            columns = left, right, [(0, 1)] * count, [0] * count, [1] * count, "ab"
+            want = decomposition_parents(left, right, bags, "ab")
+            columns = left, right, bags, "ab"
             if want is None:
                 with pytest.raises(PreconditionViolated):
                     STDecomposition(*columns)
@@ -338,42 +350,38 @@ class TestParentsFirstTables:
             (left if in_left else right)[nid] = value
         check()
 
-    @pytest.mark.parametrize("columns", [dict(left=[], right=[], bag=[], s=[], t=[]),
-                                         dict(t=[1, 1]), dict(left=[None, None]), dict(bag=[])],
-                             ids=["empty", "t-longer", "left-longer", "bag-shorter"])
+    @pytest.mark.parametrize("columns", [dict(left=[], right=[], bag=[]), dict(left=[None, None]), dict(bag=[])],
+                             ids=["empty", "left-longer", "bag-shorter"])
     def test_columns_of_one_length_above_zero(self, columns):
-        one_leaf = dict(left=[None], right=[None], bag=[(0, 1)], s=[0], t=[1])
+        one_leaf = dict(left=[None], right=[None], bag=[(0, 1)])
         with pytest.raises(PreconditionViolated, match="columns of lengths"):
             STDecomposition(**{**one_leaf, **columns}, names="ab")
 
-    @pytest.mark.parametrize("bag, s, t, v", [((0, 5), 0, 5, 5), ((0, -1), 0, -1, -1), ((0, 1), 0, 2, 2),
-                                              ((0, 1.0), 0, 1, 1.0), ((0, 1), 0.0, 1, 0.0),
-                                              ((0, True), 0, 1, True), ((None, 1), 0, 1, None)],
-                             ids=["bag-above", "bag-negative", "sink-above", "bag-float", "source-float",
-                                  "bag-bool", "bag-none"])
-    def test_vertex_ids_must_index_names(self, bag, s, t, v):
+    @pytest.mark.parametrize("bag, v", [((0, 5), 5), ((0, -1), -1), ((0, 1.0), 1.0), ((0, True), True),
+                                        ((None, 1), None)],
+                             ids=["bag-above", "bag-negative", "bag-float", "bag-bool", "bag-none"])
+    def test_vertex_ids_must_index_names(self, bag, v):
         # Accepted, an id past the names would make least_node and the JSON writer raise
         # IndexError, and -1 would silently name the last vertex.
         with pytest.raises(PreconditionViolated,
                            match=re.escape("node 0 has vertex id %r, not an int from 0 to 1" % (v,))):
-            STDecomposition([None], [None], [bag], [s], [t], "ab")
+            STDecomposition([None], [None], [bag], "ab")
         # The offender is named past the root too.
         with pytest.raises(PreconditionViolated, match=re.escape("node 2 has vertex id %r" % (v,))):
-            STDecomposition([1, None, None], [2, None, None], [(0, 1), (0, 1), bag], [0, 0, s], [1, 1, t], "ab")
+            STDecomposition([1, None, None], [2, None, None], [(0, 1), (0, 1), bag], "ab")
 
     def test_refusals_survive_optimized_mode(self):
         # Under python -O every assert is stripped; a second root, a child id not
         # above its parent's, a negative, float or bool child id, a child listed
         # twice by one node or by two, one child only, a node no node lists,
-        # unequal or empty columns and vertex ids that are no index of the names
-        # must still raise.
+        # unequal or empty columns, bags of 1 or 4 members and vertex ids that
+        # are no index of the names must still raise.
         code = ("from spdim.stdecomp import STDecomposition\n"
                 "from spdim.errors import PreconditionViolated\n"
-                "leaf = dict(left=[None], right=[None], bag=[(0, 1)], s=[0], t=[1])\n"
-                "three = dict(bag=[(0, 1)] * 3, s=[0] * 3, t=[1] * 3)\n"
-                "five = dict(bag=[(0, 1)] * 5, s=[0] * 5, t=[1] * 5)\n"
-                "for columns in (dict(leaf, left=[None, None], right=[None, None], bag=[(0, 1)] * 2,\n"
-                "                     s=[0, 0], t=[1, 1]),\n"
+                "leaf = dict(left=[None], right=[None], bag=[(0, 1)])\n"
+                "three = dict(bag=[(0, 1)] * 3)\n"
+                "five = dict(bag=[(0, 1)] * 5)\n"
+                "for columns in (dict(leaf, left=[None, None], right=[None, None], bag=[(0, 1)] * 2),\n"
                 "                dict(three, left=[None, 0, None], right=[None, 2, None]),\n"
                 "                dict(three, left=[0, None, None], right=[2, None, None]),\n"
                 "                dict(three, left=[-1, None, None], right=[2, None, None]),\n"
@@ -383,9 +391,9 @@ class TestParentsFirstTables:
                 "                dict(three, left=[1, None, None], right=[None, None, None]),\n"
                 "                dict(three, left=[None] * 3, right=[None] * 3),\n"
                 "                dict(five, left=[1, 3, None, None, None], right=[3, 4, None, None, None]),\n"
-                "                dict(leaf, t=[1, 1]), dict(leaf, left=[None, None]), {name: [] for name in leaf},\n"
-                "                dict(leaf, bag=[(0, 5)], t=[5]), dict(leaf, bag=[(0, -1)], t=[-1]),\n"
-                "                dict(leaf, bag=[(0, 1.0)]), dict(leaf, s=[0.0])):\n"
+                "                dict(leaf, bag=[(0, 1)] * 2), dict(leaf, left=[None, None]), {name: [] for name in leaf},\n"
+                "                dict(leaf, bag=[(0,)]), dict(leaf, bag=[(0, 1, 0, 1)]),\n"
+                "                dict(leaf, bag=[(0, 5)]), dict(leaf, bag=[(0, -1)]), dict(leaf, bag=[(0, 1.0)])):\n"
                 "    try:\n        STDecomposition(**columns, names='ab')\n"
                 "    except PreconditionViolated:\n        pass\n"
                 "    else:\n        raise SystemExit('accepted %r' % (columns,))\n")
@@ -624,11 +632,10 @@ class TestJsonExport:
                 assert row["side"] in ("left", "right")
             assert set(row) == {"id", "parent", "side", "bag", "s", "t"}
 
-    @pytest.mark.parametrize("bag, s, t, names", [((0, 1, 2, 3), 0, 3, "abcd"), ((0,), 0, 0, "a")],
+    @pytest.mark.parametrize("bag, names", [((0, 1, 2, 3), "abcd"), ((0,), "a")],
                              ids=["four-members", "one-member"])
-    def test_bag_of_other_size_is_refused(self, bag, s, t, names):
-        # The writer had a size-3 branch and wrote any other bag as its first two
-        # members: a 4-member bag lost two, and a 1-member bag raised IndexError.
-        d = STDecomposition([None], [None], [bag], [s], [t], names)
+    def test_bag_of_other_size_is_refused(self, bag, names):
+        # The writer has a branch per bag size of 2 or 3: no decomposition holds
+        # a bag of another size for it to write.
         with pytest.raises(PreconditionViolated, match="node 0 has a bag of size %d, not 2 or 3" % len(bag)):
-            dumps_decomposition(d)
+            STDecomposition([None], [None], [bag], names)
