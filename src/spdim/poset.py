@@ -18,6 +18,7 @@ declares one cover relation.  ``loads``/``dumps`` round-trip exactly.
 """
 
 import heapq
+from functools import cache
 from itertools import compress, repeat
 from operator import and_, or_
 
@@ -241,13 +242,20 @@ class Poset:
         # an arc j -> i for every bit j of rows[i], by a min-heap.  The placed
         # set is always a downset, so "all of below[x] placed" holds exactly
         # when "every cover predecessor of x placed" does: x waits for its one
-        # mask rows[x] | below[x].  A waiting x is parked on its highest
-        # unplaced bit i, in a list threaded through head[i + 1] and nxt[x],
-        # and rechecked with one AND only when i is placed; the heap alone
-        # orders placements.  Shorter than n when the arcs close a cycle.
+        # mask rows[x] | below[x].  A waiting x is parked on an unplaced bit
+        # i of its mask, in a list threaded through head[i + 1] and nxt[x],
+        # and rechecked with one AND only when i is placed.  So x is pushed
+        # when the last bit of its mask is placed, wherever it parked: the
+        # heap alone orders placements.  Shorter than n when the arcs close a
+        # cycle.  x parks on its highest unplaced bit, unless that is the bit
+        # just below the one placed: placements then run downward through
+        # x's mask, and parking on the highest would recheck x at each one
+        # (about n^2/2 ANDs on an antichain's class).  There x parks on the
+        # first bit at or above the midpoint of its lowest..highest, so each
+        # recheck halves that range while placements run downward.
         heappop, heappush = heapq.heappop, heapq.heappush
         pred = list(map(or_, rows, self._below))
-        head = [None] * (len(pred) + 1)  # by highest set bit + 1
+        head = [None] * (len(pred) + 1)  # by parking bit + 1
         nxt = [None] * len(pred)
         ready = []  # built ascending, so already a heap
         for x, mask in enumerate(pred):
@@ -268,6 +276,10 @@ class Poset:
                 mask = pred[x] & unplaced
                 if mask:
                     top = mask.bit_length()
+                    if top == i:  # the highest is the bit just below i
+                        mid = ((mask & -mask).bit_length() + top) // 2 - 1
+                        above = mask >> mid
+                        top = mid + (above & -above).bit_length()
                     nxt[x], head[top] = head[top], x
                 else:
                     heappush(ready, x)
@@ -342,6 +354,48 @@ def bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def transpose(rows, n):
+    """The n columns of the bit matrix ``rows``, each row below ``1 << n``: bit i of
+    column j is bit j of ``rows[i]``.
+
+    The matrix is cut into square tiles, ``size`` bits a side, a power of two up to
+    1,024.  Each tile is read as one int, row after row, and transposed by log2(size)
+    masked delta swaps; each column is joined from its pieces, one per tile row.
+    """
+    if not n:
+        return []
+    size = min(1024, max(8, 1 << (max(n, len(rows)) - 1).bit_length()))
+    width = size // 8  # bytes in one row of a tile
+    swaps = _swap_masks(size)
+    padded = [row.to_bytes(-(-n // size) * width, "little") for row in rows]
+    pieces = [[] for _ in range(n)]
+    for r0 in range(0, len(rows), size):
+        block = padded[r0:r0 + size]
+        for c0 in range(0, n, size):
+            lo = c0 // 8
+            tile = int.from_bytes(b"".join(row[lo:lo + width] for row in block), "little")
+            for shift, mask in swaps:
+                swap = (tile ^ (tile >> shift)) & mask
+                tile ^= swap | (swap << shift)
+            out = tile.to_bytes(size * width, "little")
+            for k, column in zip(range(0, len(out), width), pieces[c0:c0 + size]):
+                column.append(out[k:k + width])
+    return [int.from_bytes(b"".join(column), "little") for column in pieces]
+
+
+@cache
+def _swap_masks(size):
+    """Per bit k of a tile index, the shift k·(size − 1) that moves tile bit (i, j) to
+    (i + k, j − k), and the mask of the bits whose row has bit k clear and column bit k set."""
+    blank = bytes(size // 8)
+    swaps = []
+    for k in (1 << b for b in range(size.bit_length() - 1)):
+        row = sum(1 << j for j in range(size) if j & k).to_bytes(size // 8, "little")
+        mask = int.from_bytes(b"".join(blank if i & k else row for i in range(size)), "little")
+        swaps.append((k * (size - 1), mask))
+    return tuple(swaps)
 
 
 def _reach(order, arcs):

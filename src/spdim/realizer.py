@@ -32,7 +32,7 @@ from json.encoder import encode_basestring_ascii as _string
 from operator import itemgetter, ne
 
 from .errors import MalformedInstance, NotReversible, ParseError, ReversibilityViolation, VertexNotInDecomposition
-from .poset import bits
+from .poset import bits, transpose
 from .spembed import embed_into_sp
 from .stdecomp import build_st_decomposition
 
@@ -244,13 +244,7 @@ class SignatureRows:
 
     def transposed(self):
         "Per class, the mask of the x of every pair (x, element j), indexed by j."
-        cols = [[0] * len(rows) for rows in self.rows]
-        for k, rows in enumerate(self.rows):
-            col = cols[k]
-            for x, ys in enumerate(rows):
-                for y in bits(ys):
-                    col[y] |= 1 << x
-        return cols
+        return [transpose(rows, len(rows)) for rows in self.rows]
 
     def terminal_pair_conflicts(self):
         """Pairs (x, y) for which some ancestor-or-self of the meeting node has

@@ -304,8 +304,9 @@ def _rebracket(inner, ops, counts):
     return built, prefix[-1:]
 
 
-def _reduce_component(comp, comp_edges, pinned):
-    """Build the composition tree of one connected component, ascending ``comp``.
+def _reduce_component(comp, adjacency, pinned):
+    """Build the composition tree of one connected component, ascending ``comp``, whose
+    neighbours ``adjacency[v]`` gives as ids; every vertex starts with one leaf per neighbour.
 
     The component is reduced by repeatedly suppressing a vertex of degree 2 outside
     ``pinned`` (a series composition of its two incident bundles, merged as a parallel
@@ -319,6 +320,7 @@ def _reduce_component(comp, comp_edges, pinned):
     Nothing is reversed: every bundle runs from its lower id to its higher id.  Suppressing
     ``pick`` between u < w makes the series node u -> w whose left child is the bundle at u;
     a parallel node keeps the bundle already there on the left.  ``_normalized`` orients.
+    No step reads the order in which a vertex's neighbours are stored, so neither does the tree.
 
     Each step takes a minor (a contraction, or the deletion of a pendant after its fill),
     and a graph of minimum degree 3 has treewidth 3 or more: so an unpinned reduction
@@ -328,8 +330,10 @@ def _reduce_component(comp, comp_edges, pinned):
     between the pair its cyclomatic number is at most 2, and a K4 minor needs 3.
     """
     adj = {v: {} for v in comp}
-    for u, v in comp_edges:
-        adj[u][v] = adj[v][u] = SPNode(EDGE, None, None, u, v)
+    for u in comp:
+        for v in adjacency[u]:
+            if u < v:
+                adj[u][v] = adj[v][u] = SPNode(EDGE, None, None, u, v)
     # The least reducible vertex: a min-heap of unpinned ids (comp is sorted, so
     # the list starts as a heap), re-checked when popped and pushed again when
     # its degree drops to 2.
@@ -392,9 +396,9 @@ def embed_into_sp(graph):
         if len(comp) == 1:
             trees.append(edge_node(comp[0], names.make("+c%d" % k)))
             continue
-        comp_edges = [(u, v) for u in comp for v in sorted(adjacency[u]) if u < v]  # index_edges() order
-        pinned = sorted(nsmallest(2, comp, key=degree.__getitem__)) if len(comp_edges) <= len(comp) else ()
-        trees.append(_reduce_component(comp, comp_edges, pinned))
+        sparse = sum(degree[v] for v in comp) <= 2 * len(comp)  # no more edges than vertices
+        pinned = sorted(nsmallest(2, comp, key=degree.__getitem__)) if sparse else ()
+        trees.append(_reduce_component(comp, adjacency, pinned))
     if not trees:
         trees.append(edge_node(names.make("+c0"), names.make("+c1")))
     root = trees[0]

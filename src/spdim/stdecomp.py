@@ -39,15 +39,6 @@ class DecompNode(NamedTuple):
     s: int
     t: int
 
-    @property
-    def middle(self):
-        "The bag member that is neither source nor sink (size-3 bags only)."
-        rest = [v for v in self.bag if v != self.s and v != self.t]
-        if len(self.bag) != 3 or len(rest) != 1:
-            raise PreconditionViolated("node %d has no middle vertex: bag %r, terminals (%r, %r)"
-                                       % (self.id, self.bag, self.s, self.t))
-        return rest[0]
-
 
 class STDecomposition:
     """An s-t tree-decomposition of a two-terminal graph (immutable); ``names[v]``

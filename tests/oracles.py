@@ -425,7 +425,7 @@ class ReferenceClassifier:
         for i, x in enumerate(poset.elements):
             w = decomp.least_node(i)
             node = nodes[w]
-            if len(node.bag) != 3 or node.middle != i:
+            if len(node.bag) != 3 or node.bag[1] != i or i in (node.s, node.t):
                 raise MalformedInstance(
                     "least node of %r does not carry it as its middle vertex" % (x,))
             self.home[x] = w
@@ -666,6 +666,17 @@ def reference_split_bundle(text):
                 and not (len(tokens) == 3 and tokens[1] == "<")):
             return "".join(lines[:k]), "".join(lines[k:])
     return text, None
+
+
+def reference_transpose(rows, n):
+    "The n columns of the bit matrix ``rows``, one bit at a time: what ``spdim.poset.transpose`` must return."
+    from spdim.poset import bits
+
+    cols = [0] * n
+    for x, ys in enumerate(rows):
+        for y in bits(ys):
+            cols[y] |= 1 << x
+    return cols
 
 
 def reference_topological_order(poset, rows):
@@ -927,23 +938,25 @@ def reference_terminal_candidates(graph, comp, comp_edges):
             yield s, t
 
 
-def reference_reduce_component(comp, comp_edges, pinned):
-    """The composition tree of one component, never reducing a vertex of ``pinned``,
-    built step by step through the checked constructors, each bundle oriented (a ``mirror``
-    where two bundles disagree) and the root from the lower terminal: the tree
-    ``spdim.spembed._reduce_component`` builds once ``reference_resolve`` orients it, and
-    the same fills, or the same ``NotTreewidth2`` when it stops with more than two
-    vertices left."""
+def reference_reduce_component(comp, adjacency, pinned):
+    """The composition tree of one component, whose neighbours ``adjacency[v]`` gives, never
+    reducing a vertex of ``pinned``, built step by step through the checked constructors, each
+    bundle oriented (a ``mirror`` where two bundles disagree) and the root from the lower
+    terminal: the tree ``spdim.spembed._reduce_component`` builds once ``reference_resolve``
+    orients it, and the same fills, or the same ``NotTreewidth2`` when it stops with more than
+    two vertices left."""
     from spdim.errors import NotTreewidth2
     from spdim.spembed import edge_node, parallel, series
 
     adj = {v: set() for v in comp}
     bundles = {}  # keyed u * N + v for the bundle joining u < v
     N = comp[-1] + 1
-    for u, v in comp_edges:
-        adj[u].add(v)
-        adj[v].add(u)
-        bundles[u * N + v] = edge_node(u, v)
+    for u in comp:
+        for v in adjacency[u]:
+            if u < v:
+                adj[u].add(v)
+                adj[v].add(u)
+                bundles[u * N + v] = edge_node(u, v)
     fills = []
 
     def put_bundle(u, v, tree):

@@ -128,7 +128,7 @@ def test_criterion_07_structural_validators():
             if v in (emb.source, emb.sink):
                 continue
             node = d.nodes[d.least_node(v)]
-            if len(node.bag) != 3 or node.middle != v:
+            if len(node.bag) != 3 or node.bag[1] != v:
                 ok = False
         rev = d.reverse()
         if not validate_decomposition(rev, host, emb.sink, emb.source):

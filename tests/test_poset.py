@@ -1,3 +1,5 @@
+import math
+import random
 import time
 import tracemalloc
 
@@ -15,7 +17,7 @@ from spdim.errors import (
 )
 from spdim.generators import antichain, chain, forest_poset, kelly, random_tw2_poset, standard_example
 from spdim.graphs import Graph
-from spdim.poset import MAX_N, Poset, bits, dumps, loads
+from spdim.poset import MAX_N, Poset, bits, dumps, loads, transpose
 from spdim.realizer import SignatureRows, decompose_poset, realize_tw2
 
 from oracles import (
@@ -39,6 +41,7 @@ from oracles import (
     reference_loads,
     reference_realizer_violations,
     reference_topological_order,
+    reference_transpose,
     reference_witness_cycle,
     rows_of_pairs,
 )
@@ -506,6 +509,61 @@ class TestTopologicalOrderAgainstReference:
         rows = [full ^ ((1 << (x + 1)) - 1) for x in range(300)]
         assert a._topological_order(rows) == reference_topological_order(a, rows) == list(range(299, -1, -1))
 
+    def test_descending_with_gaps(self):
+        # x waits on x + 2, x + 4, ...: the even elements are placed downward two
+        # apart, then the odd ones, so no new highest bit is the one just below.
+        a = antichain(300)
+        rows = [sum(1 << y for y in range(x + 2, 300, 2)) for x in range(300)]
+        want = list(range(298, -1, -2)) + list(range(299, 0, -2))
+        assert a._topological_order(rows) == reference_topological_order(a, rows) == want
+
+    def test_interleaved(self):
+        # The even elements ascend while the odd ones descend, one heap between them.
+        a = antichain(300)
+        rows = [sum(1 << y for y in range(x % 2, x, 2)) if x % 2 == 0
+                else sum(1 << y for y in range(x + 2, 300, 2)) for x in range(300)]
+        assert a._topological_order(rows) == reference_topological_order(a, rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=120), st.data())
+    def test_mostly_downward_rows(self, n, data):
+        # A target order that runs downward with local jitter, each element
+        # waiting on a random subset of those before it: the midpoint parking
+        # is taken often, and the order must still be Kahn's.
+        jitter = data.draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+        target = sorted(range(n), key=lambda x: jitter[x] - x)
+        rows, before = [0] * n, 0
+        for x in target:
+            rows[x] = before & data.draw(st.integers(min_value=0, max_value=before))
+            before |= 1 << x
+        a = antichain(n)
+        assert a._topological_order(rows) == reference_topological_order(a, rows)
+
+    def test_rechecks_n_log_n_on_antichain_classes(self):
+        # Every recheck of a waiting element is one AND of its mask; a class
+        # forcing placements downward took about n^2/2 of them when every
+        # element parked on its highest unplaced bit (1.49 M at n = 2,000).
+        n = 2000
+        a = antichain(n)
+        classes = [rows for rows in SignatureRows(a, decompose_poset(a)).rows if any(rows)]
+        assert classes
+        for rows in classes:
+            ands = []
+
+            class Mask(int):
+                "An int counting in ``ands`` the ANDs taken of it; an OR keeps counting."
+
+                def __or__(self, other):
+                    return Mask(int(self) | other)
+
+                def __and__(self, other):
+                    ands.append(1)
+                    return int(self) & other
+
+            order = a._topological_order(list(map(Mask, rows)))
+            assert order == a._topological_order(rows)
+            assert len(ands) <= 4 * n * math.log2(n)
+
     def test_dense_class_allocates_nothing_per_pair(self):
         # About two million pairs: successor lists with one entry per pair
         # would take about 16 MB.
@@ -519,6 +577,34 @@ class TestTopologicalOrderAgainstReference:
             tracemalloc.stop()
         assert order == list(a.elements)
         assert peak < 4 * 1024 * 1024
+
+
+class TestTranspose:
+    "The tiled transpose against the per-bit loop."
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=70), st.integers(min_value=0, max_value=3), st.data())
+    def test_small_matrices(self, n, extra, data):
+        # n = 0, n = 1, n not a multiple of 8, and more rows than columns.
+        m = data.draw(st.sampled_from([n, n + extra, max(0, n - extra)]))
+        rows = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=m, max_size=m))
+        assert transpose(rows, n) == reference_transpose(rows, n)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(min_value=1000, max_value=2200), st.integers(min_value=0, max_value=10**6))
+    def test_across_tile_boundaries(self, n, seed):
+        # Several 1,024-bit tiles, n rarely a multiple of the tile size: a few
+        # random bits per row, plus a full first row and a full last column.
+        rng = random.Random(seed)
+        rows = [sum(1 << rng.randrange(n) for _ in range(4)) | 1 << (n - 1) for _ in range(n)]
+        rows[0] = (1 << n) - 1
+        assert transpose(rows, n) == reference_transpose(rows, n)
+
+    @pytest.mark.parametrize("n", [1024, 1025, 2048])
+    def test_tile_multiples_and_one_past(self, n):
+        rng = random.Random(n)
+        rows = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
+        assert transpose(rows, n) == reference_transpose(rows, n)
 
 
 class TestSortAndRowCheck:

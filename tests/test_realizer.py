@@ -62,16 +62,13 @@ class TestSignatureSpace:
                 PairClass(**fields)
 
     def test_checks_survive_optimized_mode(self):
-        # Under python -O every assert is stripped; the field, middle and
-        # tree checks must still raise.
+        # Under python -O every assert is stripped; the field and tree
+        # checks must still raise.
         code = ("from spdim.realizer import PairClass\n"
-                "from spdim.stdecomp import DecompNode, STDecomposition\n"
+                "from spdim.stdecomp import STDecomposition\n"
                 "from spdim.errors import PreconditionViolated\n"
                 "try:\n    PairClass(1, 1)\nexcept ValueError:\n    pass\n"
                 "else:\n    raise SystemExit('PairClass accepted kind 1 without up')\n"
-                "try:\n    DecompNode(0, None, None, None, (0, 1), 0, 1).middle\n"
-                "except PreconditionViolated:\n    pass\n"
-                "else:\n    raise SystemExit('middle of a size-2 bag')\n"
                 "try:\n    STDecomposition([None, 0, None], [None, 2, None], [(0, 1)] * 3, 'ab')\n"
                 "except PreconditionViolated:\n    pass\n"
                 "else:\n    raise SystemExit('child id below its parent id')\n")
@@ -115,7 +112,7 @@ class TestClassification:
         d = rows.decomp
         for x, w in zip(p.elements, rows.home):
             node = d.nodes[w]
-            assert len(node.bag) == 3 and d.names[node.middle] == x
+            assert len(node.bag) == 3 and d.names[node.bag[1]] == x
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=2, max_value=35), st.integers(min_value=0, max_value=10**6))
@@ -312,9 +309,9 @@ class TestRealizePath:
         calls = []
         reduce_component = spembed._reduce_component
 
-        def recorded(comp, comp_edges, pinned):
+        def recorded(comp, adjacency, pinned):
             calls.append(len(pinned))
-            return reduce_component(comp, comp_edges, pinned)
+            return reduce_component(comp, adjacency, pinned)
 
         monkeypatch.setattr(spembed, "_reduce_component", recorded)
         # Each random_tw2 poset is one component with more edges than vertices;

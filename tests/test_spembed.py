@@ -325,10 +325,11 @@ class TestOrientation:
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6),
            st.integers(min_value=0, max_value=2))
     def test_reduction_stores_lower_to_higher(self, n, seed, extra):
-        for comp, comp_edges in components_with_edges(partial_2tree_plus(n, seed, extra)):
+        graph = partial_2tree_plus(n, seed, extra)
+        for comp in nontrivial_components(graph):
             for pinned in [()] + list(combinations(comp, 2)):
                 try:
-                    tree = spembed._reduce_component(comp, comp_edges, pinned)
+                    tree = spembed._reduce_component(comp, graph.adjacency(), pinned)
                 except NotTreewidth2:
                     continue
                 for node in all_nodes(tree):
@@ -477,8 +478,8 @@ class TestEmbedding:
 
 def dropping_middles(reduce):
     "``_reduce_component`` with each tree replaced by one edge between its terminals."
-    def reduce_to_one_edge(comp, comp_edges, pinned):
-        tree = reduce(comp, comp_edges, pinned)
+    def reduce_to_one_edge(comp, adjacency, pinned):
+        tree = reduce(comp, adjacency, pinned)
         return edge_node(tree.source, tree.sink)
     return reduce_to_one_edge
 
@@ -535,8 +536,9 @@ class TestTerminals:
         graphs = [Graph(verts, edges)]
         forest = forest_poset(n, seed).cover_graph()
         graphs += [Graph([forest.vertices[v] for v in comp],
-                         [(forest.vertices[u], forest.vertices[v]) for u, v in comp_edges])
-                   for comp, comp_edges in components_with_edges(forest)]
+                         [(forest.vertices[u], forest.vertices[v]) for u in comp
+                          for v in forest.adjacency()[u] if u < v])
+                   for comp in nontrivial_components(forest)]
         for g in graphs:
             assert len(g.edges) <= len(g.vertices)
             comp = list(g.vertices)
@@ -546,10 +548,7 @@ class TestTerminals:
         # A guard against unbounded work, counted: K_{2,m} with a pendant on
         # every middle vertex, where no two pendants can be terminals together,
         # takes one reduction, which ends on a pair that can.
-        m = 1000
-        mids = ["m%d" % i for i in range(m)]
-        g = Graph(["a", "b"] + mids + ["p%d" % i for i in range(m)],
-                  [(x, mid) for mid in mids for x in "ab"] + [(mid, "p" + mid[1:]) for mid in mids])
+        g = k2m_with_pendants(1000)
         calls = Counter()
         monkeypatch.setattr(spembed, "_reduce_component",
                             counting(calls, "_reduce_component", spembed._reduce_component))
@@ -567,22 +566,25 @@ class TestTerminals:
         pins = []
         reduce_component = spembed._reduce_component
 
-        def recorded(comp, comp_edges, pinned):
+        def recorded(comp, adjacency, pinned):
             pins.append(tuple(pinned))
-            return reduce_component(comp, comp_edges, pinned)
+            return reduce_component(comp, adjacency, pinned)
 
         monkeypatch.setattr(spembed, "_reduce_component", recorded)
         assert terminals_by_name(g) == ("v0", "v19999")
         assert pins == [(0, 19999)]
 
 
-def components_with_edges(graph):
-    "Each component of more than one vertex, with its edges, over ids."
-    edges = graph.index_edges()
-    for comp in graph.components():
-        if len(comp) > 1:
-            comp_set = set(comp)
-            yield comp, [e for e in edges if e[0] in comp_set]
+def k2m_with_pendants(m):
+    "K_{2,m} on a, b and m0..m{m-1}, with a pendant p_i on every middle vertex m_i."
+    mids = ["m%d" % i for i in range(m)]
+    return Graph(["a", "b"] + mids + ["p%d" % i for i in range(m)],
+                 [(x, mid) for mid in mids for x in "ab"] + [(mid, "p" + mid[1:]) for mid in mids])
+
+
+def nontrivial_components(graph):
+    "Each component of more than one vertex, as ascending ids."
+    return [comp for comp in graph.components() if len(comp) > 1]
 
 
 def partial_2tree_plus(n, seed, extra):
@@ -612,24 +614,23 @@ def shape(tree):
     return out[::-1]
 
 
-def fills_of(tree, comp_edges):
-    "A component tree's fill edges, sorted: its leaves, lower id first, whose edge is not in ``comp_edges``."
-    edges = set(comp_edges)
+def fills_of(tree, adjacency):
+    "A component tree's fill edges, sorted: its leaves, lower id first, whose ends ``adjacency`` does not join."
     leaves = (tuple(sorted((n.source, n.sink))) for n in walk_postorder(tree) if n.kind == EDGE)
-    return sorted(e for e in leaves if e not in edges)
+    return sorted((u, v) for u, v in leaves if v not in adjacency[u])
 
 
-def kernel_reduction(comp, comp_edges, pinned):
+def kernel_reduction(comp, adjacency, pinned):
     "``spembed._reduce_component``'s tree and its fills, read off the tree."
-    tree = spembed._reduce_component(comp, comp_edges, pinned)
-    return tree, fills_of(tree, comp_edges)
+    tree = spembed._reduce_component(comp, adjacency, pinned)
+    return tree, fills_of(tree, adjacency)
 
 
-def reduction(reduce, comp, comp_edges, pinned):
+def reduction(reduce, comp, adjacency, pinned):
     """The sorted fills and the shape of the tree ``reduce`` builds, oriented from its root, or the
     message of its refusal; ``reduce`` returns the tree and its fills in any order."""
     try:
-        tree, fills = reduce(comp, comp_edges, pinned)
+        tree, fills = reduce(comp, adjacency, pinned)
     except NotTreewidth2 as exc:
         return str(exc)
     return sorted(fills), shape(reference_resolve(tree))
@@ -640,10 +641,41 @@ class TestReduceComponent:
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6),
            st.integers(min_value=0, max_value=2))
     def test_matches_reference_on_every_pair(self, n, seed, extra):
-        for comp, comp_edges in components_with_edges(partial_2tree_plus(n, seed, extra)):
+        graph = partial_2tree_plus(n, seed, extra)
+        adjacency = graph.adjacency()
+        for comp in nontrivial_components(graph):
             for pinned in [()] + list(combinations(comp, 2)):
-                assert (reduction(kernel_reduction, comp, comp_edges, pinned)
-                        == reduction(reference_reduce_component, comp, comp_edges, pinned)), pinned
+                assert (reduction(kernel_reduction, comp, adjacency, pinned)
+                        == reduction(reference_reduce_component, comp, adjacency, pinned)), pinned
+
+
+class TestNeighbourOrder:
+    """``_reduce_component`` reads each vertex's neighbours as stored, and its tree, so the
+    embedding, must not depend on that order."""
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: random_tw2_poset(300, 1).cover_graph(), id="random_tw2-1"),
+        pytest.param(lambda: random_tw2_poset(300, 2).cover_graph(), id="random_tw2-2"),
+        pytest.param(lambda: forest_poset(300, 1).cover_graph(), id="forest"),
+        pytest.param(lambda: k2m_with_pendants(150), id="k2m-pendants")])
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_columns_ignore_neighbour_order(self, make, order, monkeypatch):
+        graph = make()
+        plain = spembed._checked_preorder(embed_into_sp(graph).sp)
+        reduce_component, rng, calls = spembed._reduce_component, random.Random(5), []
+
+        def permuted(comp, adjacency, pinned):
+            lists = list(adjacency)
+            for v in comp:
+                lists[v] = sorted(adjacency[v], reverse=True)
+                if order == "shuffled":
+                    rng.shuffle(lists[v])
+            calls.append(len(comp))
+            return reduce_component(comp, lists, pinned)
+
+        monkeypatch.setattr(spembed, "_reduce_component", permuted)
+        assert spembed._checked_preorder(embed_into_sp(graph).sp) == plain
+        assert calls
 
 
 BENCH_SHAPES = [("chain", lambda: chain(1500))] + [

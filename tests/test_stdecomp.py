@@ -82,20 +82,9 @@ class TestBuild:
         root = d.nodes[d.root]
         assert set(named(d, root.bag)) == {"a", "b", "c"}
         assert named(d, (root.s, root.t)) == ("a", "c")
-        assert d.names[root.middle] == "b"
+        assert d.names[root.bag[1]] == "b"
         kids = [d.nodes[root.left], d.nodes[root.right]]
         assert {frozenset(named(d, k.bag)) for k in kids} == {frozenset("ab"), frozenset("bc")}
-
-    @pytest.mark.parametrize("bag, s, t", [
-        (("a", "b"), "a", "b"),              # size 2: no middle
-        (("a", "b", "c", "d"), "a", "d"),    # size 4
-        (("a", "b", "c"), "a", "z"),         # sink outside the bag
-        (("a", "b", "c"), "a", "a"),         # source equals sink
-    ])
-    def test_middle_rejects_invalid_fields(self, bag, s, t):
-        idx = "abcdz".index  # vertex ids
-        with pytest.raises(PreconditionViolated):
-            DecompNode(0, None, None, None, tuple(map(idx, bag)), idx(s), idx(t)).middle
 
     def test_four_cycle_shape(self):
         verts = ["v%d" % i for i in range(4)]
@@ -241,7 +230,7 @@ class TestLeastNode:
                 continue
             node = d.nodes[d.least_node(v)]
             assert len(node.bag) == 3
-            assert node.middle == v
+            assert node.bag[1] == v
 
 
 class TestParentsFirstTables:
