@@ -4,18 +4,14 @@ from .errors import (
     BadParameter,
     CycleError,
     Exceeded,
-    InvalidSPTree,
-    MalformedInstance,
     NotReversible,
     NotTreewidth2,
-    PairNotIncomparable,
     ParseError,
     PreconditionViolated,
     ReversibilityViolation,
     SpdimError,
     TooLarge,
     UnknownElement,
-    VertexNotInDecomposition,
 )
 from .exactdim import DimensionResult, dimension_exact
 from .generators import antichain, chain, forest_poset, generate, kelly, random_tw2_poset, standard_example

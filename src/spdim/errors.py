@@ -13,10 +13,6 @@ class CycleError(SpdimError):
     """The input relation contains a directed cycle."""
 
 
-class PairNotIncomparable(SpdimError):
-    pass
-
-
 class NotReversible(SpdimError):
     """Raised when a pair set cannot be reversed by any linear extension.
 
@@ -41,20 +37,8 @@ class NotTreewidth2(SpdimError):
     pass
 
 
-class InvalidSPTree(SpdimError):
-    pass
-
-
-class VertexNotInDecomposition(SpdimError):
-    pass
-
-
 class PreconditionViolated(SpdimError):
-    pass
-
-
-class MalformedInstance(SpdimError):
-    pass
+    """A caller broke a function's precondition; the message names what broke it."""
 
 
 class ReversibilityViolation(SpdimError):

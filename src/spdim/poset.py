@@ -25,8 +25,8 @@ from operator import and_, or_
 from .errors import (
     CycleError,
     NotReversible,
-    PairNotIncomparable,
     ParseError,
+    PreconditionViolated,
     TooLarge,
     UnknownElement,
 )
@@ -224,8 +224,8 @@ class Poset:
             clash = row & (self._above[i] | self._below[i] | 1 << i)
             if clash:
                 j = _low_bit(clash)
-                raise PairNotIncomparable("(%r, %r) is not an incomparable pair"
-                                          % (self.elements[i], self.elements[j]))
+                raise PreconditionViolated("(%r, %r) is not an incomparable pair"
+                                           % (self.elements[i], self.elements[j]))
             if row >> n:
                 raise UnknownElement("row %d names element index %d" % (i, row.bit_length() - 1))
 

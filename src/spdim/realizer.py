@@ -31,7 +31,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii as _string
 from operator import itemgetter, ne
 
-from .errors import MalformedInstance, NotReversible, ParseError, ReversibilityViolation, VertexNotInDecomposition
+from .errors import NotReversible, ParseError, PreconditionViolated, ReversibilityViolation
 from .poset import bits, transpose
 from .spembed import embed_into_sp
 from .stdecomp import build_st_decomposition
@@ -50,7 +50,8 @@ class PairClass:
             ok = self.up in (1, 2) and self.span is None and self.gate is None
         else:
             ok = self.kind == 2 and self.up is None and self.span in (1, 2) and self.gate in (1, 2)
-        if not (ok and self.order in (1, 2)):
+        values = (self.kind, self.order, self.up, self.span, self.gate)  # ints: True == 1 and 1.0 == 1 pass the above
+        if not (ok and self.order in (1, 2) and all(type(v) is int for v in values if v is not None)):
             raise ValueError("invalid signature kind=%r order=%r up=%r span=%r gate=%r"
                              % (self.kind, self.order, self.up, self.span, self.gate))
 
@@ -91,7 +92,7 @@ class SignatureRows:
     pair with signature ``ALL_CLASSES[k]``; ``home[i]`` is element i's least
     node.  The decomposition's vertex id of element i is i, so its first
     names must be the poset's elements.  A node's terminals are its bag's ends.  Only
-    the shape ``build_st_decomposition`` makes is taken, and ``MalformedInstance``
+    the shape ``build_st_decomposition`` makes is taken, and ``PreconditionViolated``
     refuses any other: every element is in some bag, and element i's least node is
     internal with a bag of 3 members whose middle is i, i neither end.  Per-node
     masks (each over element indices):
@@ -114,12 +115,9 @@ class SignatureRows:
         self.decomp = decomp
         n = len(poset)
         if decomp.names[:n] != poset.elements:
-            raise MalformedInstance("the decomposition's first vertices are not the poset's elements")
+            raise PreconditionViolated("the decomposition's first vertices are not the poset's elements")
         bag, left = decomp.bag, decomp.left
-        try:
-            home = list(map(decomp.least_node, range(n)))
-        except VertexNotInDecomposition as exc:
-            raise MalformedInstance(*exc.args) from None
+        home = list(map(decomp.least_node, range(n)))
         # The shape ``build_st_decomposition`` makes, and no other: C-level passes
         # are the whole test, and the loop only names the first offender.
         homes = list(map(bag.__getitem__, home))
@@ -128,7 +126,7 @@ class SignatureRows:
                 and all(map(ne, hs, range(n))) and all(map(ne, ht, range(n)))):
             x = next(x for i, (x, w) in enumerate(zip(poset.elements, home))
                      if left[w] is None or homes[i] != (hs[i], i, ht[i]) or i in (hs[i], ht[i]))
-            raise MalformedInstance("least node of %r is no internal node with it as its middle vertex" % (x,))
+            raise PreconditionViolated("least node of %r is no internal node with it as its middle vertex" % (x,))
         self.home = home
 
         # Per vertex id, its upset and downset masks; 0 for the fresh vertices.
@@ -209,8 +207,8 @@ class SignatureRows:
             x = min(stray)
             y = (stray[x] & -stray[x]).bit_length() - 1
             names = self.poset.elements
-            raise MalformedInstance("meeting bag of (%r, %r) is not split between upset and downset"
-                                    % (names[x], names[y]))
+            raise PreconditionViolated("meeting bag of (%r, %r) is not split between upset and downset"
+                                       % (names[x], names[y]))
         return rows
 
     def census(self):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
-from .errors import InvalidSPTree, NotTreewidth2
+from .errors import NotTreewidth2, PreconditionViolated
 from .graphs import Graph
 
 SERIES = "series"
@@ -68,35 +68,22 @@ class SPNode:
 
 def edge_node(u, v):
     if u == v:
-        raise InvalidSPTree("loop edge %r" % (u,))
+        raise PreconditionViolated("loop edge %r" % (u,))
     return SPNode(EDGE, None, None, u, v)
 
 
 def series(a, b):
     "Series composition: glue a's sink onto b's source."
     if a.sink != b.source:
-        raise InvalidSPTree("series children do not share a terminal")
+        raise PreconditionViolated("series children do not share a terminal")
     return SPNode(SERIES, a, b, a.source, b.sink)
 
 
 def parallel(a, b):
     "Parallel composition: identify both terminals."
     if a.source != b.source or a.sink != b.sink:
-        raise InvalidSPTree("parallel children disagree on terminals")
+        raise PreconditionViolated("parallel children disagree on terminals")
     return SPNode(PARALLEL, a, b, a.source, a.sink)
-
-
-def walk_postorder(root):
-    "Iterative post-order over an SP tree (children before parents)."
-    out = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if node.kind != EDGE:
-            stack.append(node.left)
-            stack.append(node.right)
-    return reversed(out)
 
 
 def sp_tree_violations(root):
@@ -190,8 +177,8 @@ class Embedding:
     def host(self):
         "The graph of the leaf edges of ``sp``, over ``names``; ``graph`` is a subgraph of it."
         names = self.names
-        return Graph(names, ((names[node.source], names[node.sink])
-                             for node in walk_postorder(self.sp) if node.kind == EDGE))
+        left, _, bag = _checked_preorder(self.sp)[0]
+        return Graph(names, ((names[b[0]], names[b[1]]) for b, kid in zip(bag, left) if kid is None))
 
     @cached_property
     def added_edges(self):
@@ -223,7 +210,7 @@ class _Names:
 
 def _normalized(root, names):
     """Orient the tree from its root and re-bracket each maximal series or parallel run;
-    ``InvalidSPTree`` unless every vertex id, an index of ``names``, is in a leaf.
+    ``PreconditionViolated`` unless every vertex id, an index of ``names``, is in a leaf.
 
     The root keeps its terminals, and a flip parity is carried down: a left child whose source,
     or a right child whose sink, is not its parent's flips it, so a tree stored lower id first
@@ -275,7 +262,7 @@ def _normalized(root, names):
                 stack += (left, lp, right, rp) if parity and kind == SERIES else (right, rp, left, lp)
             todo += inner, 3, *reversed(ops)
     if 0 in seen:
-        raise InvalidSPTree("host vertex %r is in no leaf" % (names[seen.index(0)],))
+        raise PreconditionViolated("host vertex %r is in no leaf" % (names[seen.index(0)],))
     return trees[0]
 
 

@@ -24,20 +24,18 @@ from functools import cached_property
 from itertools import chain, islice
 from typing import NamedTuple
 
-from .errors import InvalidSPTree, PreconditionViolated, VertexNotInDecomposition
+from .errors import PreconditionViolated
 from .spembed import _checked_preorder
 
 
 class DecompNode(NamedTuple):
-    "One node: its id, its tree links, its bag of vertex ids, and its source and sink ids."
+    "One node: its id, its tree links, and its bag of vertex ids, which runs from its source to its sink."
 
     id: int
     parent: int | None
     left: int | None
     right: int | None
     bag: tuple
-    s: int
-    t: int
 
 
 class STDecomposition:
@@ -92,8 +90,7 @@ class STDecomposition:
 
     @cached_property
     def nodes(self):
-        return tuple(map(DecompNode, range(len(self.bag)), self.parent, self.left, self.right,
-                         self.bag, (b[0] for b in self.bag), (b[-1] for b in self.bag)))
+        return tuple(map(DecompNode, range(len(self.bag)), self.parent, self.left, self.right, self.bag))
 
     @cached_property
     def _depth(self):
@@ -128,11 +125,11 @@ class STDecomposition:
         return self._depth[u]
 
     def least_node(self, vertex):
-        "The node closest to the root whose bag contains the vertex id."
+        "The node closest to the root whose bag contains the vertex id; ``PreconditionViolated`` if none does."
         if 0 <= vertex < len(self._least) and self._least[vertex] is not None:
             return self._least[vertex]
         name = self.names[vertex] if 0 <= vertex < len(self.names) else vertex
-        raise VertexNotInDecomposition("vertex %r is in no bag" % (name,))
+        raise PreconditionViolated("vertex %r is in no bag" % (name,))
 
     # -- transforms ---------------------------------------------------------
 
@@ -158,11 +155,12 @@ def build_st_decomposition(sp_root, names):
     the size-3 bag (source, shared vertex, sink).  Node ids are assigned in
     pre-order by the walk that checks the tree, and the child and bag columns
     are read off that walk; the constructor reads the parents off the child
-    columns.  Its vertices index ``names``.
+    columns.  Its vertices index ``names``.  A tree that breaks a composition
+    rule raises ``PreconditionViolated`` with the walk's first problem.
     """
     columns, problems = _checked_preorder(sp_root)
     if problems:
-        raise InvalidSPTree("refusing to decompose an invalid composition tree")
+        raise PreconditionViolated(problems[0])
     return STDecomposition(*columns, names)
 
 

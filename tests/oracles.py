@@ -414,7 +414,7 @@ class ReferenceClassifier:
     """
 
     def __init__(self, poset, decomp):
-        from spdim.errors import MalformedInstance
+        from spdim.errors import PreconditionViolated
 
         self.poset = poset
         self.decomp = decomp
@@ -425,8 +425,8 @@ class ReferenceClassifier:
         for i, x in enumerate(poset.elements):
             w = decomp.least_node(i)
             node = nodes[w]
-            if len(node.bag) != 3 or node.bag[1] != i or i in (node.s, node.t):
-                raise MalformedInstance(
+            if len(node.bag) != 3 or node.bag[1] != i or i in (node.bag[0], node.bag[-1]):
+                raise PreconditionViolated(
                     "least node of %r does not carry it as its middle vertex" % (x,))
             self.home[x] = w
         self.bagmask = []
@@ -438,8 +438,8 @@ class ReferenceClassifier:
                 if v < n:  # vertex id v is element v; the rest are fresh
                     mask |= 1 << v
             self.bagmask.append(mask)
-            self.s_idx.append(node.s if node.s < n else None)
-            self.t_idx.append(node.t if node.t < n else None)
+            self.s_idx.append(node.bag[0] if node.bag[0] < n else None)
+            self.t_idx.append(node.bag[-1] if node.bag[-1] < n else None)
         self.up, self.down = poset.closed_masks()
         self.up_spans, self.down_spans = {}, {}
 
@@ -476,14 +476,14 @@ class ReferenceClassifier:
         return out
 
     def classify(self, x, y):
-        from spdim.errors import MalformedInstance
+        from spdim.errors import PreconditionViolated
         from spdim.realizer import PairClass
 
         poset = self.poset
         decomp = self.decomp
         wx, wy = self.home[x], self.home[y]
         if wx == wy:
-            raise MalformedInstance("incomparable elements share a least node")
+            raise PreconditionViolated("incomparable elements share a least node")
         meet = lca(decomp, wx, wy)
         up_mask = self.up[poset.index(x)]
         down_mask = self.down[poset.index(y)]
@@ -506,7 +506,7 @@ class ReferenceClassifier:
             elif t_up and s_down and not (s_up or t_down):
                 gate = 2
             else:
-                raise MalformedInstance(
+                raise PreconditionViolated(
                     "meeting bag of (%r, %r) is not split between upset and downset" % (x, y))
         return PairClass(2, order, span=span, gate=gate)
 
@@ -1006,12 +1006,28 @@ def reference_reduce_component(comp, adjacency, pinned):
     return (tree if tree.source == s else mirror(tree)), fills
 
 
+def walk_postorder(root):
+    """Every node of a composition tree, children before parents and a left subtree before
+    its right sibling, by a stack walk that reads nothing but the kinds and children."""
+    from spdim.spembed import EDGE
+
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if node.kind != EDGE:
+            stack.append(node.left)
+            stack.append(node.right)
+    return reversed(out)
+
+
 def reference_sp_tree_violations(root):
     """The composition rules checked by re-deriving every node's vertex and
     edge sets bottom-up and intersecting the children's sets (quadratic on
     deep trees): ``spdim.spembed.sp_tree_violations`` must report some
     violation exactly when this does."""
-    from spdim.spembed import EDGE, PARALLEL, SERIES, walk_postorder
+    from spdim.spembed import EDGE, PARALLEL, SERIES
 
     problems = []
     derived = {}
@@ -1053,7 +1069,7 @@ def reference_sp_tree_violations(root):
 
 def mirror(root):
     "The same graph with source and sink exchanged at every node, rebuilt node by node."
-    from spdim.spembed import EDGE, SERIES, edge_node, parallel, series, walk_postorder
+    from spdim.spembed import EDGE, SERIES, edge_node, parallel, series
 
     done = {}
     for node in walk_postorder(root):
@@ -1098,19 +1114,16 @@ def reference_resolve(root, names=()):
 def decomposition_of_records(nodes, names):
     """The decomposition whose node k is the ``DecompNode`` record ``nodes[k]``: the records'
     child and bag fields as columns.  The records' parents must be the ones read off the child
-    columns, and each record's ``s`` and ``t`` the first and last members of its bag."""
+    columns."""
     from spdim.stdecomp import STDecomposition
 
-    ids, parents, left, right, bags, sources, sinks = zip(*nodes)
+    ids, parents, left, right, bags = zip(*nodes)
     if ids != tuple(range(len(nodes))):
         raise ValueError("record ids %r are not their positions" % (ids,))
     decomp = STDecomposition(left, right, bags, names)
     if list(parents) != decomp.parent:
         raise ValueError("record parents %r are not the parents %r of the child columns"
                          % (parents, decomp.parent))
-    for nid, (bag, s, t) in enumerate(zip(bags, sources, sinks)):
-        if (s, t) != (bag[0], bag[-1]):
-            raise ValueError("record %d has terminals %r, not the ends of its bag %r" % (nid, (s, t), bag))
     return decomp
 
 
@@ -1155,7 +1168,7 @@ def reference_decomposition(sp_root, names):
     from spdim.spembed import EDGE, SERIES
     from spdim.stdecomp import DecompNode
 
-    fields = []  # per id: [parent, left, right, bag, s, t]
+    fields = []  # per id: [parent, left, right, bag]
     stack = [(sp_root, None, None)]  # (node, parent id, 1 for a left child or 2 for a right one)
     while stack:
         sp, parent, side = stack.pop()
@@ -1163,7 +1176,7 @@ def reference_decomposition(sp_root, names):
         if parent is not None:
             fields[parent][side] = nid
         bag = (sp.source, sp.left.sink, sp.sink) if sp.kind == SERIES else (sp.source, sp.sink)
-        fields.append([parent, None, None, bag, sp.source, sp.sink])
+        fields.append([parent, None, None, bag])
         if sp.kind != EDGE:
             stack += ((sp.right, nid, 2), (sp.left, nid, 1))
     return decomposition_of_records([DecompNode(nid, *f) for nid, f in enumerate(fields)], names)
@@ -1173,7 +1186,7 @@ def reference_reverse(decomp):
     "``STDecomposition.reverse``, one ``DecompNode`` per node."
     from spdim.stdecomp import DecompNode
 
-    return decomposition_of_records([DecompNode(n.id, n.parent, n.right, n.left, tuple(reversed(n.bag)), n.t, n.s)
+    return decomposition_of_records([DecompNode(n.id, n.parent, n.right, n.left, tuple(reversed(n.bag)))
                                      for n in decomp.nodes], decomp.names)
 
 
@@ -1181,7 +1194,7 @@ def reference_swap_size2_children(decomp):
     "``STDecomposition.swap_size2_children``, one ``DecompNode`` per node."
     from spdim.stdecomp import DecompNode
 
-    return decomposition_of_records([DecompNode(n.id, n.parent, n.right, n.left, n.bag, n.s, n.t)
+    return decomposition_of_records([DecompNode(n.id, n.parent, n.right, n.left, n.bag)
                                      if n.left is not None and len(n.bag) == 2 else n
                                      for n in decomp.nodes], decomp.names)
 
@@ -1267,7 +1280,7 @@ def validation_errors(decomp, graph, source, sink):
         if len(node.bag) not in (2, 3):
             problems.append("node %d: bag size %d" % (node.id, len(node.bag)))
             continue
-        if node.s == node.t or node.s not in node.bag or node.t not in node.bag:
+        if node.bag[0] == node.bag[-1]:
             problems.append("node %d: bad source/sink" % node.id)
             continue
         if node.left is None:
@@ -1276,24 +1289,24 @@ def validation_errors(decomp, graph, source, sink):
             continue
         left, right = nodes[node.left], nodes[node.right]
         if len(node.bag) == 2:
-            if not (left.s == right.s == node.s and left.t == right.t == node.t):
+            if not (left.bag[0] == right.bag[0] == node.bag[0] and left.bag[-1] == right.bag[-1] == node.bag[-1]):
                 problems.append("size-2 node %d: children do not inherit terminals" % node.id)
         else:
-            if left.s != node.s or right.t != node.t:
+            if left.bag[0] != node.bag[0] or right.bag[-1] != node.bag[-1]:
                 problems.append("size-3 node %d: outer terminals not passed down" % node.id)
-            if left.t != right.s or left.t not in node.bag:
+            if left.bag[-1] != right.bag[0] or left.bag[-1] not in node.bag:
                 problems.append("size-3 node %d: children do not meet inside the bag" % node.id)
     root = nodes[decomp.root]
     if root.parent is not None:
         problems.append("root has a parent")
-    if (root.s, root.t) != (source, sink):
+    if (root.bag[0], root.bag[-1]) != (source, sink):
         problems.append("root terminals are (%s, %s), expected (%s, %s)"
-                        % (root.s, root.t, source, sink))
+                        % (root.bag[0], root.bag[-1], source, sink))
     for v in covered:
         if v in (source, sink):
             continue
         w = nodes[decomp.least_node(v)]
-        if v in (w.s, w.t):
+        if v in (w.bag[0], w.bag[-1]):
             problems.append("least node of %r uses it as a terminal" % (v,))
     return problems
 
@@ -1334,18 +1347,18 @@ def st_subset_witness(decomp, host, u1, u2, subgraph_vertices):
     H = set(subgraph_vertices)
     if not is_connected_set(host, H):
         raise PreconditionViolated("subgraph is not connected")
-    if decomp.nodes[u1].s not in H or decomp.nodes[u2].t not in H:
+    if decomp.nodes[u1].bag[0] not in H or decomp.nodes[u2].bag[-1] not in H:
         raise PreconditionViolated("subgraph misses a required terminal")
     if is_ancestor(decomp, u1, u2):
         # Deepest node on the path whose source is in the subgraph; the
         # separation property then forces its sink into the subgraph too.
         witness = None
         for v in tree_path(decomp, u1, u2):
-            if decomp.nodes[v].s in H:
+            if decomp.nodes[v].bag[0] in H:
                 witness = v
         assert witness is not None
         node = decomp.nodes[witness]
-        assert node.t in H, "separation property violated"
+        assert node.bag[-1] in H, "separation property violated"
         return witness
     if is_ancestor(decomp, u2, u1):
         return st_subset_witness(decomp.reverse(), host, u2, u1, H)
@@ -1388,7 +1401,7 @@ def decomposition_to_json(decomp):
     names, left = decomp.names, decomp.left
     return [{"id": n.id, "parent": n.parent,
              "side": None if n.parent is None else "left" if left[n.parent] == n.id else "right",
-             "bag": [names[v] for v in n.bag], "s": names[n.s], "t": names[n.t]}
+             "bag": [names[v] for v in n.bag], "s": names[n.bag[0]], "t": names[n.bag[-1]]}
             for n in decomp.nodes]
 
 

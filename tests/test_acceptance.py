@@ -183,9 +183,9 @@ def test_criterion_09_separation_witness_trials():
         else:
             if not (is_ancestor(d, u1, u2) or is_ancestor(d, u2, u1)):
                 continue
-            H = _grow_connected(g, rng, d.nodes[u1].s, d.nodes[u2].t)
+            H = _grow_connected(g, rng, d.nodes[u1].bag[0], d.nodes[u2].bag[-1])
             v = st_subset_witness(d, g, u1, u2, H)
-            if not (v in tree_path(d, u1, u2) and d.nodes[v].s in H and d.nodes[v].t in H):
+            if not (v in tree_path(d, u1, u2) and d.nodes[v].bag[0] in H and d.nodes[v].bag[-1] in H):
                 failures += 1
             wit_trials += 1
     report(9, failures == 0, "%d separation + %d witness trials, %d failures"

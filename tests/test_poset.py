@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from spdim.errors import (
     CycleError,
     NotReversible,
-    PairNotIncomparable,
     ParseError,
+    PreconditionViolated,
     SpdimError,
     TooLarge,
     UnknownElement,
@@ -309,7 +309,7 @@ class TestReversibility:
         assert is_reversible(s2, [("a1", "b1")])
 
     def test_rejects_comparable_pair(self):
-        with pytest.raises(PairNotIncomparable):
+        with pytest.raises(PreconditionViolated, match=r"^\('a1', 'b2'\) is not an incomparable pair$"):
             is_reversible(standard_example(2), [("a1", "b2")])
 
     def test_witness_cycle_is_strict_and_from_input(self):
@@ -415,9 +415,9 @@ class TestExtensionFromRows:
         assert all(union[p.index(x)] >> p.index(y) & 1 for x, y in cycle)
 
     def test_rows_reject_comparable_pair(self):
-        with pytest.raises(PairNotIncomparable):
+        with pytest.raises(PreconditionViolated, match=r"^\('v0', 'v1'\) is not an incomparable pair$"):
             chain(3).linear_extension_reversing(rows=[0b010, 0, 0])
-        with pytest.raises(PairNotIncomparable):
+        with pytest.raises(PreconditionViolated, match=r"^\('v0', 'v0'\) is not an incomparable pair$"):
             chain(3).linear_extension_reversing(rows=[0b001, 0, 0])
 
     def test_pairs_reject_unknown_or_comparable(self):
@@ -427,7 +427,7 @@ class TestExtensionFromRows:
         with pytest.raises(UnknownElement):
             c.linear_extension_reversing(rows_of_pairs(c, [("v0", "z")]))
         for pair in (("v0", "v2"), ("v1", "v1")):
-            with pytest.raises(PairNotIncomparable):
+            with pytest.raises(PreconditionViolated, match=r"^\(%r, %r\) is not an incomparable pair$" % pair):
                 c.linear_extension_reversing(rows_of_pairs(c, [pair]))
 
     def test_rows_reject_bad_shape(self):
@@ -631,7 +631,7 @@ class TestSortAndRowCheck:
         p = Poset("abc", [("a", "b")])
         with pytest.raises(UnknownElement, match="row 1 names element index 7"):
             p.linear_extension_reversing(rows=[0, 1 << 7, 1 << 2])
-        with pytest.raises(PairNotIncomparable, match=r"\('a', 'b'\)"):
+        with pytest.raises(PreconditionViolated, match=r"^\('a', 'b'\) is not an incomparable pair$"):
             p.linear_extension_reversing(rows=[1 << 1, 1 << 7, 0])
 
     def test_incomparable_rows_computed_once_and_shared_with_dual(self):

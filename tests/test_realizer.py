@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdim import realizer, spembed
-from spdim.errors import MalformedInstance, NotTreewidth2, PreconditionViolated
+from spdim.errors import NotTreewidth2, PreconditionViolated
 from spdim.generators import chain, forest_poset, generate, kelly, random_tw2_poset, standard_example
 from spdim.poset import Poset, bits
 from spdim.realizer import (
@@ -57,7 +57,9 @@ class TestSignatureSpace:
                        dict(kind=1, order=3, up=1), dict(kind=1, order=1, up=0),
                        dict(kind=2, order=1, span=1), dict(kind=2, order=1, span=3, gate=1),
                        dict(kind=2, order=0, span=1, gate=1), dict(kind=3, order=1, up=1),
-                       dict(kind=0, order=1, span=1, gate=1)):
+                       dict(kind=0, order=1, span=1, gate=1), dict(kind=1, order=True, up=1),
+                       dict(kind=1, order=1.0, up=2), dict(kind=True, order=1, up=1),
+                       dict(kind=2, order=1, span=2.0, gate=True)):
             with pytest.raises(ValueError):
                 PairClass(**fields)
 
@@ -139,7 +141,7 @@ def _reference_outcome(poset, decomp, pairs):
     for x, y in pairs:
         try:
             out[(x, y)] = classifier.classify(x, y)
-        except MalformedInstance as exc:
+        except PreconditionViolated as exc:
             return str(exc)
     return out
 
@@ -193,7 +195,7 @@ class TestRowsMatchReference:
         mp.setattr(Poset, "incomparable_masks", _all_pairs_incomparable)
         try:
             got = SignatureRows(p, d).classification()
-        except MalformedInstance as exc:
+        except PreconditionViolated as exc:
             got = str(exc)
         finally:
             mp.undo()
@@ -202,10 +204,10 @@ class TestRowsMatchReference:
     def test_least_node_without_middle(self):
         # a's least node is a size-2 leaf: both classifiers refuse it.
         p = Poset("ab", [])
-        d = decomposition_of_records([DecompNode(0, None, None, None, (0, 1), 0, 1)], "ab")
-        with pytest.raises(MalformedInstance, match="middle vertex"):
+        d = decomposition_of_records([DecompNode(0, None, None, None, (0, 1))], "ab")
+        with pytest.raises(PreconditionViolated, match="middle vertex"):
             SignatureRows(p, d)
-        with pytest.raises(MalformedInstance, match="middle vertex"):
+        with pytest.raises(PreconditionViolated, match="middle vertex"):
             ReferenceClassifier(p, d)
 
 
@@ -222,14 +224,14 @@ class TestRowsMatchReference:
         # b is in no bag: the classifier's door refuses it as malformed, naming it,
         # like every other shape it does not take.
         d = STDecomposition([1, None, None], [2, None, None], [(2, 0, 3), (2, 0), (0, 3)], "abst")
-        with pytest.raises(MalformedInstance, match="vertex 'b' is in no bag"):
+        with pytest.raises(PreconditionViolated, match="vertex 'b' is in no bag"):
             SignatureRows(Poset("ab"), d)
 
     def test_decomposition_of_other_elements(self):
         # Element i is vertex id i, so a decomposition whose first vertices
         # are not the poset's elements is refused.
         d = decompose_poset(Poset("xyz", [("x", "y")]))
-        with pytest.raises(MalformedInstance, match="first vertices"):
+        with pytest.raises(PreconditionViolated, match="first vertices"):
             SignatureRows(Poset("abc", [("a", "b")]), d)
 
 
@@ -240,9 +242,9 @@ def test_least_node_repeating_a_terminal(bag, s, t):
     assert (bag[0], bag[-1]) == (s, t)  # a node's terminals are its bag's ends
     p = Poset("a", [])
     d = STDecomposition([1, None, None], [2, None, None], [bag, (0, 1), (0, 1)], "ab")
-    with pytest.raises(MalformedInstance, match="least node of 'a' .* middle vertex"):
+    with pytest.raises(PreconditionViolated, match="least node of 'a' .* middle vertex"):
         SignatureRows(p, d)
-    with pytest.raises((PreconditionViolated, MalformedInstance)):
+    with pytest.raises(PreconditionViolated, match="least node of 'a' does not carry it as its middle vertex"):
         ReferenceClassifier(p, d)
 
 
@@ -255,7 +257,7 @@ def _with_bag(decomp, nid, bag):
 
 class TestDecompositionShape:
     """``SignatureRows`` takes the shape ``build_st_decomposition`` makes and
-    refuses any other with ``MalformedInstance``; the constructor refuses a bag
+    refuses any other with ``PreconditionViolated``; the constructor refuses a bag
     of other than 2 or 3 members before it reaches the classifier."""
 
     def test_home_bag_laid_out_middle_first(self):
@@ -266,12 +268,12 @@ class TestDecompositionShape:
         w = d.least_node(0)
         s, middle, t = d.bag[w]
         assert middle == 0
-        with pytest.raises(MalformedInstance, match="least node of %r .* middle vertex" % (p.elements[0],)):
+        with pytest.raises(PreconditionViolated, match="least node of %r .* middle vertex" % (p.elements[0],)):
             SignatureRows(p, _with_bag(d, w, (0, s, t)))
 
     def test_size_3_leaf_as_a_home(self):
         d = STDecomposition([None], [None], [(1, 0, 2)], "abc")
-        with pytest.raises(MalformedInstance, match="least node of 'a' is no internal node .* middle vertex"):
+        with pytest.raises(PreconditionViolated, match="least node of 'a' is no internal node .* middle vertex"):
             SignatureRows(Poset("a", []), d)
 
     @pytest.mark.parametrize("size", [1, 4])

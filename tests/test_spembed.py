@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdim import spembed
-from spdim.errors import InvalidSPTree, NotTreewidth2
-from spdim.generators import chain, forest_poset, kelly, random_tw2_poset
+from spdim.errors import NotTreewidth2, PreconditionViolated
+from spdim.generators import antichain, chain, forest_poset, kelly, random_tw2_poset
 from spdim.graphs import Graph, dumps_dot
 from spdim.spembed import (
     EDGE,
@@ -24,7 +25,6 @@ from spdim.spembed import (
     parallel,
     series,
     sp_tree_violations,
-    walk_postorder,
 )
 from spdim.stdecomp import build_st_decomposition
 
@@ -40,6 +40,7 @@ from oracles import (
     reference_sp_tree_violations,
     reference_terminal_candidates,
     reference_tw2_with_extra_edge,
+    walk_postorder,
 )
 from test_acceptance import embedding_refused
 
@@ -90,11 +91,15 @@ class TestSPTreeAlgebra:
         assert leaf.source == "a" and leaf.sink == "b"
 
     def test_series_needs_shared_terminal(self):
-        with pytest.raises(InvalidSPTree):
+        with pytest.raises(PreconditionViolated, match="^series children do not share a terminal$"):
             series(edge_node("a", "b"), edge_node("c", "d"))
+        # A series node forged past the constructor: the decomposition build names the walk's first problem.
+        forged = SPNode(SERIES, edge_node(0, 1), edge_node(2, 3), 0, 3)
+        with pytest.raises(PreconditionViolated, match="^node 0: series children do not share a terminal$"):
+            build_st_decomposition(forged, "abcd")
 
     def test_parallel_needs_same_terminals(self):
-        with pytest.raises(InvalidSPTree):
+        with pytest.raises(PreconditionViolated, match="^parallel children disagree on terminals$"):
             parallel(edge_node("a", "b"), edge_node("a", "c"))
 
     def test_parallel_extra_shared_vertex_invalid(self):
@@ -102,7 +107,7 @@ class TestSPTreeAlgebra:
         right = series(edge_node("a", "m"), edge_node("m", "b"))
         bad = parallel(left, right)
         assert sp_tree_violations(bad)
-        with pytest.raises(InvalidSPTree):
+        with pytest.raises(PreconditionViolated, match="^%s$" % re.escape(sp_tree_violations(bad)[0])):
             build_st_decomposition(bad, "amb")
 
     def test_violations_reported_on_forged_node(self):
@@ -216,7 +221,7 @@ class TestLinearValidator:
         names = [str(v) for v in range(1 + max(v for node, _ in preorder_paths(tree)
                                                    for v in (node.source, node.sink)))]
         if got:
-            with pytest.raises(InvalidSPTree):
+            with pytest.raises(PreconditionViolated, match="^%s$" % re.escape(got[0])):
                 build_st_decomposition(tree, names)
         else:
             assert len(build_st_decomposition(tree, names)) == len(preorder_paths(tree))
@@ -461,15 +466,15 @@ class TestEmbedding:
         # A reduction that loses a vertex is caught by the normalising pass,
         # also under python -O, which strips asserts.
         monkeypatch.setattr(spembed, "_reduce_component", dropping_middles(spembed._reduce_component))
-        with pytest.raises(InvalidSPTree, match="host vertex 'b' is in no leaf"):
+        with pytest.raises(PreconditionViolated, match="host vertex 'b' is in no leaf"):
             embed_into_sp(Graph("abc", [("a", "b"), ("b", "c")]))
         code = ("from spdim import spembed\n"
-                "from spdim.errors import InvalidSPTree\n"
+                "from spdim.errors import PreconditionViolated\n"
                 "from spdim.graphs import Graph\n"
                 "from test_spembed import dropping_middles\n"
                 "spembed._reduce_component = dropping_middles(spembed._reduce_component)\n"
                 "try:\n    spembed.embed_into_sp(Graph('abc', [('a', 'b'), ('b', 'c')]))\n"
-                "except InvalidSPTree as exc:\n    print(exc)\n")
+                "except PreconditionViolated as exc:\n    print(exc)\n")
         res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert res.returncode == 0, res.stderr
@@ -720,10 +725,12 @@ class TestAugment:
         source, sink = emb.names[emb.source], emb.names[emb.sink]
         assert source not in ("a", "b") and sink not in ("a", "b")
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=1, max_value=25), st.integers(min_value=0, max_value=10**6))
-    def test_fresh_terminals_and_counts(self, n, seed):
-        g = random_partial_2tree(n, seed)
+    @settings(max_examples=45, deadline=None)
+    @given(st.sampled_from(["random_tw2", "forest", "antichain"]), st.integers(min_value=1, max_value=25),
+           st.integers(min_value=0, max_value=10**6))
+    def test_fresh_terminals_and_counts(self, family, n, seed):
+        # Forests and antichains are disconnected: their hosts hold connector and bridge fills.
+        g = antichain(n).cover_graph() if family == "antichain" else family_graph(family, n, seed)
         emb = embed_into_sp(g)
         base = raw_embedded(g)
         source, sink = emb.names[emb.source], emb.names[emb.sink]
@@ -732,6 +739,9 @@ class TestAugment:
         assert len(emb.host.vertices) == len(base.host.vertices) + 2
         assert len(emb.host.edges) == len(base.host.edges) + 2
         assert sp_tree_violations(emb.sp) == []
+        names = emb.names
+        assert emb.host.edges == {(names[min(u, v)], names[max(u, v)])
+                                  for u, v in leaf_sequence(emb.sp)}
 
 
 class TestGraphText:

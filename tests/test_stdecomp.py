@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdim.errors import PreconditionViolated, VertexNotInDecomposition
+from spdim.errors import PreconditionViolated
 from spdim.generators import chain, random_tw2_poset
 from spdim.graphs import Graph
 from spdim.spembed import Embedding, edge_node, embed_into_sp
@@ -81,7 +81,7 @@ class TestBuild:
         emb, d = path_decomposition()
         root = d.nodes[d.root]
         assert set(named(d, root.bag)) == {"a", "b", "c"}
-        assert named(d, (root.s, root.t)) == ("a", "c")
+        assert named(d, (root.bag[0], root.bag[-1])) == ("a", "c")
         assert d.names[root.bag[1]] == "b"
         kids = [d.nodes[root.left], d.nodes[root.right]]
         assert {frozenset(named(d, k.bag)) for k in kids} == {frozenset("ab"), frozenset("bc")}
@@ -126,45 +126,38 @@ class TestValidateRejections:
     # Vertices are ids: a, b, c are 0, 1, 2.
     def two_node_patch(self, **root_kw):
         g = Graph(range(2), [(0, 1)])
-        base = dict(id=0, parent=None, left=None, right=None, bag=(0, 1), s=0, t=1)
+        base = dict(id=0, parent=None, left=None, right=None, bag=(0, 1))
         base.update(root_kw)
         return decomposition_of_records([DecompNode(**base)], "ab"), g
 
     def test_size3_leaf_rejected(self):
         g = Graph(range(3), [(0, 1), (1, 2)])
-        d = decomposition_of_records([DecompNode(0, None, None, None, (0, 1, 2), 0, 2)], "abc")
+        d = decomposition_of_records([DecompNode(0, None, None, None, (0, 1, 2))], "abc")
         errors = validation_errors(d, g, 0, 2)
         assert any("leaf" in e for e in errors)
 
     def test_swapped_root_terminals_rejected(self):
-        d, g = self.two_node_patch(bag=(1, 0), s=1, t=0)
+        d, g = self.two_node_patch(bag=(1, 0))
         assert not validate_decomposition(d, g, 0, 1)
-
-    @pytest.mark.parametrize("s, t", [(1, 0), (0, 0), (2, 1)])
-    def test_records_must_carry_the_ends_of_their_bags(self, s, t):
-        # A record's terminals are its bag's ends, and the columns store no others:
-        # swapped ends, a repeated one, or a vertex outside the bag is refused.
-        with pytest.raises(ValueError, match=re.escape("record 0 has terminals (%d, %d), not the ends" % (s, t))):
-            self.two_node_patch(s=s, t=t)
 
     def test_missing_edge_coverage(self):
         g = Graph(range(3), [(0, 1), (1, 2)])
-        d = decomposition_of_records([DecompNode(0, None, 1, 2, (0, 1), 0, 1),
-                                      DecompNode(1, 0, None, None, (0, 2), 0, 2),
-                                      DecompNode(2, 0, None, None, (0, 1), 0, 1)], "abc")
+        d = decomposition_of_records([DecompNode(0, None, 1, 2, (0, 1)),
+                                      DecompNode(1, 0, None, None, (0, 2)),
+                                      DecompNode(2, 0, None, None, (0, 1))], "abc")
         # the bag of (b, c) is nowhere
         assert "edge (1, 2) is in no bag" in validation_errors(d, g, 0, 1)
         # A node with one child is no decomposition at all.
         with pytest.raises(PreconditionViolated, match="node 1 is no node's child"):
-            decomposition_of_records([DecompNode(0, None, None, None, (0, 1), 0, 1),
-                                      DecompNode(1, 0, None, None, (0, 2), 0, 2)], "abc")
+            decomposition_of_records([DecompNode(0, None, None, None, (0, 1)),
+                                      DecompNode(1, 0, None, None, (0, 2))], "abc")
 
     def test_records_must_carry_the_parents_of_the_child_columns(self):
         # Node 2 is node 0's child by the child columns, not node 1's as its record says.
         with pytest.raises(ValueError, match="record parents"):
-            decomposition_of_records([DecompNode(0, None, 1, 2, (0, 1), 0, 1),
-                                      DecompNode(1, 0, None, None, (0, 1), 0, 1),
-                                      DecompNode(2, 1, None, None, (0, 1), 0, 1)], "ab")
+            decomposition_of_records([DecompNode(0, None, 1, 2, (0, 1)),
+                                      DecompNode(1, 0, None, None, (0, 1)),
+                                      DecompNode(2, 1, None, None, (0, 1))], "ab")
 
 
 class TestOrderUtilities:
@@ -218,7 +211,7 @@ class TestLeastNode:
 
     def test_missing_vertex(self):
         _, d = path_decomposition()
-        with pytest.raises(VertexNotInDecomposition):
+        with pytest.raises(PreconditionViolated, match="vertex %d is in no bag" % len(d.names)):
             d.least_node(len(d.names))
 
     @settings(max_examples=30, deadline=None)
@@ -243,7 +236,7 @@ class TestParentsFirstTables:
             assert [dd.depth(u) for u in range(len(dd))] == depth
             for v, want in enumerate(least):
                 if want is None:
-                    with pytest.raises(VertexNotInDecomposition):
+                    with pytest.raises(PreconditionViolated, match=re.escape("vertex %r is in no bag" % (dd.names[v],))):
                         dd.least_node(v)
                 else:
                     assert dd.least_node(v) == want
@@ -426,8 +419,7 @@ class TestReverse:
     def test_involution(self):
         _, d = random_decomposition(15, 11)
         again = d.reverse().reverse()
-        assert [(n.bag, n.s, n.t, n.left, n.right) for n in again.nodes] == \
-               [(n.bag, n.s, n.t, n.left, n.right) for n in d.nodes]
+        assert again.nodes == d.nodes
 
     def test_single_node(self):
         d = build_st_decomposition(edge_node(0, 1), "ab")
@@ -513,7 +505,7 @@ class TestSeparationHits:
     def test_edge_off_path_rejected(self):
         emb, d = path_decomposition()
         root = d.nodes[d.root]
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match="edge is not on the tree path"):
             separation_hits(d, id_host(emb), root.left, d.root, (d.root, root.right), ids(d, {"a"}))
 
     def test_single_shared_vertex(self):
@@ -525,7 +517,7 @@ class TestSeparationHits:
     def test_disconnected_subgraph_rejected(self):
         emb, d = path_decomposition()
         root = d.nodes[d.root]
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match="subgraph is not connected"):
             separation_hits(d, id_host(emb), root.left, root.right, (d.root, root.right),
                             ids(d, {"a", "c"}))
 
@@ -566,7 +558,7 @@ class TestSTSubsetWitness:
     def test_incomparable_nodes_rejected(self):
         emb, d = path_decomposition()
         root = d.nodes[d.root]
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match="nodes are not comparable in the tree"):
             st_subset_witness(d, id_host(emb), root.left, root.right, ids(d, {"a", "b", "c"}))
 
     def test_randomized_against_path_scan(self):
@@ -580,13 +572,13 @@ class TestSTSubsetWitness:
                 u1, u2 = rng.choice(ids), rng.choice(ids)
                 if not (is_ancestor(d, u1, u2) or is_ancestor(d, u2, u1)):
                     continue
-                s1, t2 = d.nodes[u1].s, d.nodes[u2].t
+                s1, t2 = d.nodes[u1].bag[0], d.nodes[u2].bag[-1]
                 H = grow_connected_subset(g, rng, s1, [t2])
                 v = st_subset_witness(d, g, u1, u2, H)
                 path = tree_path(d, u1, u2)
                 assert v in path
-                assert d.nodes[v].s in H and d.nodes[v].t in H
-                assert any(d.nodes[w].s in H and d.nodes[w].t in H for w in path)
+                assert d.nodes[v].bag[0] in H and d.nodes[v].bag[-1] in H
+                assert any(d.nodes[w].bag[0] in H and d.nodes[w].bag[-1] in H for w in path)
                 trials += 1
         assert trials > 300
 
