@@ -36,7 +36,6 @@ from .spembed import (
     embed_into_sp,
     parallel,
     series,
-    sp_tree_violations,
 )
 from .stdecomp import (
     DecompNode,

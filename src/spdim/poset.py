@@ -172,10 +172,6 @@ class Poset:
 
     # -- linear extensions and reversibility -------------------------------
 
-    def is_linear_extension(self, order):
-        "True iff the sequence ``order`` lists every element once, each after its whole downset."
-        return self._extension_walk(order, [1 << i for i in range(len(self))], [0] * len(self))
-
     def _extension_walk(self, ext, marks, merged):
         """True iff the sequence ``ext`` is a linear extension; ORs into ``merged[i]`` the mask of the
         elements listed before element i (``marks[i]`` is ``1 << i``).  A wrong length fails first, and
@@ -217,7 +213,7 @@ class Poset:
     def _check_rows(self, rows):
         n = len(self.elements)
         if len(rows) != n:
-            raise ValueError("expected %d rows, got %d" % (n, len(rows)))
+            raise PreconditionViolated("expected %d rows, got %d" % (n, len(rows)))
         if not any(rows) or list(map(and_, rows, self.incomparable_masks())) == rows:
             return
         for i, row in enumerate(rows):  # name the first bad row
@@ -227,7 +223,7 @@ class Poset:
                 raise PreconditionViolated("(%r, %r) is not an incomparable pair"
                                            % (self.elements[i], self.elements[j]))
             if row >> n:
-                raise UnknownElement("row %d names element index %d" % (i, row.bit_length() - 1))
+                raise PreconditionViolated("row %d names element index %d" % (i, row.bit_length() - 1))
 
     def pairs_of_rows(self, rows):
         "The pairs (element i, element j) for every bit j of rows[i], in canonical order."

@@ -52,8 +52,8 @@ class PairClass:
             ok = self.kind == 2 and self.up is None and self.span in (1, 2) and self.gate in (1, 2)
         values = (self.kind, self.order, self.up, self.span, self.gate)  # ints: True == 1 and 1.0 == 1 pass the above
         if not (ok and self.order in (1, 2) and all(type(v) is int for v in values if v is not None)):
-            raise ValueError("invalid signature kind=%r order=%r up=%r span=%r gate=%r"
-                             % (self.kind, self.order, self.up, self.span, self.gate))
+            raise PreconditionViolated("invalid signature kind=%r order=%r up=%r span=%r gate=%r"
+                                       % (self.kind, self.order, self.up, self.span, self.gate))
 
     def __str__(self):
         if self.kind == 1:
@@ -214,13 +214,6 @@ class SignatureRows:
     def census(self):
         "Pair count per class, in ``ALL_CLASSES`` order."
         return [sum(row.bit_count() for row in rows) for rows in self.rows]
-
-    def classification(self):
-        "Signature of every incomparable ordered pair, in canonical pair order; each class row is read once."
-        out = dict.fromkeys(self.poset.incomparable_pairs())
-        for cls, rows in zip(ALL_CLASSES, self.rows):
-            out.update(zip(self.poset.pairs_of_rows(rows), repeat(cls)))
-        return out
 
     def class_of(self, x, y):
         "The class of the pair (element x, element y), or None."

@@ -4,8 +4,8 @@ An ``SPNode`` is one node of a binary composition tree: leaves are single
 edges with a fixed source and sink; internal nodes are series or parallel
 compositions of their children.  A node stores only its shape and its two
 terminals; the subgraph of a node is the set of its leaves' edges, and the
-composition rules are checked by one linear pre-order walk (``sp_tree_violations``)
-whose positions, a parents-first order, become the decomposition's node ids.
+composition rules are checked by one linear pre-order walk, which stops at the first
+broken rule and whose positions, a parents-first order, become the decomposition's node ids.
 
 ``embed_into_sp`` turns any treewidth-<=2 graph into a supergraph that is
 two-terminal series-parallel, together with its composition tree, and ends it
@@ -50,7 +50,7 @@ class SPNode:
     holding its source, so a child may run against what its parent composes.
     The constructors below check only the terminals of the two children;
     whether the children's subgraphs meet exactly where they should is a
-    property of the whole tree, checked by ``sp_tree_violations``.
+    property of the whole tree, checked by the walk of ``build_st_decomposition``.
     """
 
     __slots__ = ("kind", "left", "right", "source", "sink")
@@ -86,27 +86,18 @@ def parallel(a, b):
     return SPNode(PARALLEL, a, b, a.source, a.sink)
 
 
-def sp_tree_violations(root):
-    """Check the composition rules in one top-down pass; node numbers are
-    pre-order positions.
-
-    Under the terminal rules, a subtree's vertices are its two terminals and
-    the shared vertices of the series nodes inside it, and every terminal is
-    an outer terminal or the shared vertex of an ancestor.  The children of
-    every node then meet exactly where they should iff no node has equal
-    terminals, no shared vertex is an outer terminal or shared twice, and no
-    edge lies in two leaves.
-    """
-    return _checked_preorder(root)[1]
-
-
 def _checked_preorder(root):
-    """The walk behind ``sp_tree_violations``, over a flat stack of (node, parent
-    position) pairs.  Node positions are pre-order (parents first, a left child right
-    after its parent); by position, it fills the decomposition columns ``(left, right,
-    bag)`` of ``build_st_decomposition``, each bag running from the node's source to its
-    sink, and returns them with the problems."""
-    problems = []
+    """Check the composition rules in one top-down walk over a flat stack of (node, parent position)
+    pairs; ``PreconditionViolated`` names the first broken rule and its node's position.  Positions
+    are pre-order (parents first, a left child right after its parent); by position, the walk returns
+    the decomposition columns ``(left, right, bag)``, each bag running from the node's source to its sink.
+
+    Under the terminal rules, a subtree's vertices are its two terminals and the shared vertices
+    of the series nodes inside it, and every terminal is an outer terminal or the shared vertex
+    of an ancestor.  The children of every node then meet exactly where they should iff no node
+    has equal terminals, no shared vertex is an outer terminal or shared twice, and no edge lies
+    in two leaves.
+    """
     shared = {root.source, root.sink}
     edges = set()
     left, right, bag = columns = [], [], []
@@ -119,14 +110,14 @@ def _checked_preorder(root):
             right[up] = pos
         s, t = node.source, node.sink
         if s == t:
-            problems.append("node %d: source equals sink" % pos)
+            raise PreconditionViolated("node %d: source equals sink" % pos)
         kind = node.kind
         if kind == EDGE:
             left.append(None)
             bag.append(edge := (s, t))
             edge = edge if s < t else (t, s)
             if edge in edges:
-                problems.append("node %d: edge %r-%r is in two leaves" % (pos, s, t))
+                raise PreconditionViolated("node %d: edge %r-%r is in two leaves" % (pos, s, t))
             edges.add(edge)
             continue
         a, b = node.left, node.right
@@ -134,21 +125,19 @@ def _checked_preorder(root):
         bag.append((s, a.sink, t) if kind == SERIES else (s, t))
         if kind == SERIES:
             if a.sink != b.source:
-                problems.append("node %d: series children do not share a terminal" % pos)
+                raise PreconditionViolated("node %d: series children do not share a terminal" % pos)
             if s != a.source or t != b.sink:
-                problems.append("node %d: series terminals mismatch" % pos)
+                raise PreconditionViolated("node %d: series terminals mismatch" % pos)
             if a.sink in shared:
-                problems.append("node %d: shared vertex %r is an outer terminal or shared twice"
-                                % (pos, a.sink))
+                raise PreconditionViolated("node %d: shared vertex %r is an outer terminal or shared twice"
+                                           % (pos, a.sink))
             shared.add(a.sink)
-        elif kind == PARALLEL:
-            if not (s == a.source == b.source and t == a.sink == b.sink):
-                problems.append("node %d: parallel children disagree on terminals" % pos)
-        else:
-            problems.append("node %d: unknown kind %r" % (pos, kind))
-            continue
+        elif kind != PARALLEL:
+            raise PreconditionViolated("node %d: unknown kind %r" % (pos, kind))
+        elif not (s == a.source == b.source and t == a.sink == b.sink):
+            raise PreconditionViolated("node %d: parallel children disagree on terminals" % pos)
         todo += b, pos, a, pos
-    return columns, problems
+    return columns
 
 
 @dataclass(frozen=True)
@@ -158,26 +147,18 @@ class Embedding:
     The vertices of ``sp`` are ids: ``names[i]`` is the name of vertex i, the graph's own
     vertices first, in their order, then the fresh ones.  ``embed_into_sp`` makes the outer
     terminals last, so ``sp`` runs between the last two names.  The rest is read off these three:
-    the terminals off the root, the fresh vertices off ``names``, the fill edges off the host.
+    the fresh vertices off ``names``, the fill edges off the host.
     """
 
     graph: Graph
     sp: SPNode
     names: tuple
 
-    @property
-    def source(self):
-        return self.sp.source
-
-    @property
-    def sink(self):
-        return self.sp.sink
-
     @cached_property
     def host(self):
-        "The graph of the leaf edges of ``sp``, over ``names``; ``graph`` is a subgraph of it."
+        "The graph of ``sp``'s leaf edges over ``names``, a supergraph of ``graph``; refuses a broken ``sp``."
         names = self.names
-        left, _, bag = _checked_preorder(self.sp)[0]
+        left, _, bag = _checked_preorder(self.sp)
         return Graph(names, ((names[b[0]], names[b[1]]) for b, kid in zip(bag, left) if kid is None))
 
     @cached_property

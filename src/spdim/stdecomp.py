@@ -110,14 +110,6 @@ class STDecomposition:
                 least[v] = nid
         return least
 
-    @property
-    def source(self):
-        return self.bag[0][0]
-
-    @property
-    def sink(self):
-        return self.bag[0][-1]
-
     def __len__(self):
         return len(self.bag)
 
@@ -156,12 +148,9 @@ def build_st_decomposition(sp_root, names):
     pre-order by the walk that checks the tree, and the child and bag columns
     are read off that walk; the constructor reads the parents off the child
     columns.  Its vertices index ``names``.  A tree that breaks a composition
-    rule raises ``PreconditionViolated`` with the walk's first problem.
+    rule raises ``PreconditionViolated`` at the walk's first broken rule.
     """
-    columns, problems = _checked_preorder(sp_root)
-    if problems:
-        raise PreconditionViolated(problems[0])
-    return STDecomposition(*columns, names)
+    return STDecomposition(*_checked_preorder(sp_root), names)
 
 
 # -- JSON export -------------------------------------------------------------

@@ -522,6 +522,13 @@ def reference_classification(poset, decomp):
     return {(x, y): classifier.classify(x, y) for x, y in poset.incomparable_pairs()}
 
 
+def class_rows(poset, classes):
+    "The 12 class rows of a dict from pairs to classes, as ``SignatureRows.rows`` holds them, by ``rows_of_pairs``."
+    from spdim.realizer import ALL_CLASSES
+
+    return [rows_of_pairs(poset, [pair for pair, got in classes.items() if got == cls]) for cls in ALL_CLASSES]
+
+
 def reference_metamorphic_check(poset, decomp, base):
     """The transform checks pair by pair, against the classification dict
     ``base``: the report ``spdim.realizer.metamorphic_check`` must match."""
@@ -1025,8 +1032,8 @@ def walk_postorder(root):
 def reference_sp_tree_violations(root):
     """The composition rules checked by re-deriving every node's vertex and
     edge sets bottom-up and intersecting the children's sets (quadratic on
-    deep trees): ``spdim.spembed.sp_tree_violations`` must report some
-    violation exactly when this does."""
+    deep trees): ``spdim.stdecomp.build_st_decomposition`` must refuse a
+    tree exactly when this finds a violation."""
     from spdim.spembed import EDGE, PARALLEL, SERIES
 
     problems = []

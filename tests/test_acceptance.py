@@ -122,20 +122,20 @@ def test_criterion_07_structural_validators():
         emb = embed_into_sp(p.cover_graph())
         d = build_st_decomposition(emb.sp, emb.names)
         host = id_host(emb)
-        if not validate_decomposition(d, host, emb.source, emb.sink):
+        if not validate_decomposition(d, host, emb.sp.source, emb.sp.sink):
             ok = False
         for v in host.vertices:
-            if v in (emb.source, emb.sink):
+            if v in (emb.sp.source, emb.sp.sink):
                 continue
             node = d.nodes[d.least_node(v)]
             if len(node.bag) != 3 or node.bag[1] != v:
                 ok = False
         rev = d.reverse()
-        if not validate_decomposition(rev, host, emb.sink, emb.source):
+        if not validate_decomposition(rev, host, emb.sp.sink, emb.sp.source):
             ok = False
         if in_order(rev) != list(reversed(in_order(d))):
             ok = False
-        if not validate_decomposition(d.swap_size2_children(), host, emb.source, emb.sink):
+        if not validate_decomposition(d.swap_size2_children(), host, emb.sp.source, emb.sp.sink):
             ok = False
         checked += 1
     report(7, ok, "decomposition validators on %d instances "

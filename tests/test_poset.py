@@ -367,7 +367,7 @@ class TestLinearExtensionReversing:
         s2 = standard_example(2)
         pairs = [("a1", "b1"), ("a1", "a2"), ("b2", "b1")]
         ext = s2.linear_extension_reversing(rows_of_pairs(s2, pairs))
-        assert s2.is_linear_extension(ext)
+        assert reference_is_linear_extension(s2, ext)
         pos = {e: k for k, e in enumerate(ext)}
         for x, y in pairs:
             assert pos[y] < pos[x]
@@ -389,7 +389,7 @@ class TestLinearExtensionReversing:
         if witness is None:
             ext = p.linear_extension_reversing(rows_of_pairs(p, pairs))
             pos = {e: k for k, e in enumerate(ext)}
-            assert p.is_linear_extension(ext)
+            assert reference_is_linear_extension(p, ext)
             assert all(pos[y] < pos[x] for x, y in pairs)
         else:
             assert is_strict_alternating_cycle(p, witness)
@@ -431,9 +431,9 @@ class TestExtensionFromRows:
                 c.linear_extension_reversing(rows_of_pairs(c, [pair]))
 
     def test_rows_reject_bad_shape(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionViolated, match="^expected 2 rows, got 1$"):
             antichain(2).linear_extension_reversing(rows=[0])
-        with pytest.raises(UnknownElement):
+        with pytest.raises(PreconditionViolated, match="^row 0 names element index 2$"):
             antichain(2).linear_extension_reversing(rows=[0b100, 0])
 
 
@@ -629,7 +629,7 @@ class TestSortAndRowCheck:
         # The one-pass check fails on both row sets; the error is the one of
         # the first bad row, as a row-by-row check would give.
         p = Poset("abc", [("a", "b")])
-        with pytest.raises(UnknownElement, match="row 1 names element index 7"):
+        with pytest.raises(PreconditionViolated, match="^row 1 names element index 7$"):
             p.linear_extension_reversing(rows=[0, 1 << 7, 1 << 2])
         with pytest.raises(PreconditionViolated, match=r"^\('a', 'b'\) is not an incomparable pair$"):
             p.linear_extension_reversing(rows=[1 << 1, 1 << 7, 0])
@@ -674,8 +674,6 @@ class TestVerifyRealizer:
         want = reference_realizer_violations(p, exts)
         assert p.realizer_violations(exts) == want
         assert p.verify_realizer(exts) == (not want)
-        for ext in exts:
-            assert p.is_linear_extension(ext) == reference_is_linear_extension(p, ext)
 
     def test_failed_walk_reverses_nothing(self):
         # "a c c" places c after a before the duplicate fails the walk: (c, a) stays unreversed.
@@ -724,7 +722,6 @@ class TestVerifyRealizer:
     ])
     def test_rejects_non_extensions(self, order):
         c = chain(3)
-        assert not c.is_linear_extension(order)
         assert not reference_is_linear_extension(c, order)
         assert c.realizer_violations([list(c.elements), order]) == [
             "order 1 is not a linear extension of the poset"]
@@ -735,7 +732,7 @@ class TestVerifyRealizer:
         names = list(p.elements) + ["zz"]
         order = data.draw(st.lists(st.sampled_from(names), max_size=len(p) + 2))
         for candidate in (order, data.draw(st.permutations(p.elements))):
-            assert p.is_linear_extension(candidate) == reference_is_linear_extension(p, candidate)
+            assert p.realizer_violations([candidate]) == reference_realizer_violations(p, [candidate])
 
     def test_two_antichain(self):
         a = antichain(2)

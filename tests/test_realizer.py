@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -24,6 +25,7 @@ from spdim.stdecomp import DecompNode, STDecomposition
 
 from oracles import (
     ReferenceClassifier,
+    class_rows,
     covers,
     decomposition_of_records,
     is_reversible,
@@ -41,6 +43,12 @@ def rows_for(seed, n):
     return SignatureRows(p, decompose_poset(p))
 
 
+def classes_of(rows):
+    "The class of every incomparable pair by name, read with ``SignatureRows.class_of``."
+    index = rows.poset.index
+    return {(x, y): rows.class_of(index(x), index(y)) for x, y in rows.poset.incomparable_pairs()}
+
+
 class TestSignatureSpace:
     def test_exactly_twelve(self):
         assert len(ALL_CLASSES) == 12
@@ -49,9 +57,9 @@ class TestSignatureSpace:
         assert sum(1 for cls in ALL_CLASSES if cls.kind == 2) == 8
 
     def test_field_domains(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionViolated, match="^invalid signature kind=1 order=1 up=None span=None gate=None$"):
             PairClass(1, 1)  # kind 1 needs the up component
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionViolated, match="^invalid signature kind=2 order=1 up=1 span=None gate=None$"):
             PairClass(2, 1, up=1)
         for fields in (dict(kind=1, order=1, up=1, span=1), dict(kind=1, order=1, up=1, gate=2),
                        dict(kind=1, order=3, up=1), dict(kind=1, order=1, up=0),
@@ -60,7 +68,9 @@ class TestSignatureSpace:
                        dict(kind=0, order=1, span=1, gate=1), dict(kind=1, order=True, up=1),
                        dict(kind=1, order=1.0, up=2), dict(kind=True, order=1, up=1),
                        dict(kind=2, order=1, span=2.0, gate=True)):
-            with pytest.raises(ValueError):
+            want = "invalid signature kind=%r order=%r up=%r span=%r gate=%r" % tuple(
+                map(fields.get, ("kind", "order", "up", "span", "gate")))
+            with pytest.raises(PreconditionViolated, match="^%s$" % re.escape(want)):
                 PairClass(**fields)
 
     def test_checks_survive_optimized_mode(self):
@@ -69,7 +79,7 @@ class TestSignatureSpace:
         code = ("from spdim.realizer import PairClass\n"
                 "from spdim.stdecomp import STDecomposition\n"
                 "from spdim.errors import PreconditionViolated\n"
-                "try:\n    PairClass(1, 1)\nexcept ValueError:\n    pass\n"
+                "try:\n    PairClass(1, 1)\nexcept PreconditionViolated:\n    pass\n"
                 "else:\n    raise SystemExit('PairClass accepted kind 1 without up')\n"
                 "try:\n    STDecomposition([None, 0, None], [None, 2, None], [(0, 1)] * 3, 'ab')\n"
                 "except PreconditionViolated:\n    pass\n"
@@ -89,16 +99,16 @@ class TestClassification:
         # ordered pairs, all of kind 1, worked out by hand on the emitted
         # decomposition (host path +s a b c +c1 +t).
         p = Poset("abc", [("a", "b")])
-        assert SignatureRows(p, decompose_poset(p)).classification() == {
+        assert SignatureRows(p, decompose_poset(p)).rows == class_rows(p, {
             ("a", "c"): PairClass(1, 1, up=2),
             ("b", "c"): PairClass(1, 1, up=2),
             ("c", "a"): PairClass(1, 2, up=1),
             ("c", "b"): PairClass(1, 2, up=1),
-        }
+        })
 
     def test_order_component_antisymmetric(self):
         p = standard_example(3)
-        classification = SignatureRows(p, decompose_poset(p)).classification()
+        classification = classes_of(SignatureRows(p, decompose_poset(p)))
         for (x, y), cls in classification.items():
             assert cls.order == 3 - classification[(y, x)].order
 
@@ -106,7 +116,7 @@ class TestClassification:
         p = standard_example(2)
         rows = SignatureRows(p, decompose_poset(p))
         assert rows.class_of(p.index("a1"), p.index("b2")) is None
-        assert ("a1", "b2") not in rows.classification()
+        assert rows.rows == class_rows(p, reference_classification(p, rows.decomp))  # (a1, b2) in no row
 
     def test_home_nodes_are_middles(self):
         p = random_tw2_poset(20, 3)
@@ -122,8 +132,8 @@ class TestClassification:
         rows = rows_for(seed, n)
         if rows is None:
             return
-        classification = rows.classification()
-        assert set(classification) == set(rows.poset.incomparable_pairs())
+        classification = classes_of(rows)
+        assert None not in classification.values()
         for (x, y), cls in classification.items():
             assert cls.order == 3 - classification[(y, x)].order
 
@@ -135,7 +145,7 @@ def _all_pairs_incomparable(self):
 
 
 def _reference_outcome(poset, decomp, pairs):
-    "The reference's classes of ``pairs``, or the message of its first failure."
+    "The reference's class rows of ``pairs``, or the message of its first failure."
     classifier = ReferenceClassifier(poset, decomp)
     out = {}
     for x, y in pairs:
@@ -143,7 +153,7 @@ def _reference_outcome(poset, decomp, pairs):
             out[(x, y)] = classifier.classify(x, y)
         except PreconditionViolated as exc:
             return str(exc)
-    return out
+    return class_rows(poset, out)
 
 
 class TestRowsMatchReference:
@@ -153,7 +163,7 @@ class TestRowsMatchReference:
         for seed, n in CORPUS:
             p = random_tw2_poset(n, seed)
             rows = SignatureRows(p, decompose_poset(p))
-            assert rows.classification() == reference_classification(p, rows.decomp), (seed, n)
+            assert rows.rows == class_rows(p, reference_classification(p, rows.decomp)), (seed, n)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(["random_tw2", "forest"]), st.integers(min_value=2, max_value=60),
@@ -163,7 +173,7 @@ class TestRowsMatchReference:
         decomp = decompose_poset(p)
         for d in (decomp, decomp.reverse(), decomp.swap_size2_children()):
             for q in (p, p.dual()):
-                assert SignatureRows(q, d).classification() == reference_classification(q, d)
+                assert SignatureRows(q, d).rows == class_rows(q, reference_classification(q, d))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6),
@@ -174,7 +184,7 @@ class TestRowsMatchReference:
         q = forest_poset(n, seed_b) if seed_b % 2 else random_tw2_poset(n, seed_b)
         d = decompose_poset(random_tw2_poset(n, seed_a))
         rows = SignatureRows(q, d)
-        assert rows.classification() == reference_classification(q, d)
+        assert rows.rows == class_rows(q, reference_classification(q, d))
         ref = ReferenceClassifier(q, d)
         got = {(q.elements[x], q.elements[y])
                for x, ys in rows.terminal_pair_conflicts() for y in bits(ys)}
@@ -194,7 +204,7 @@ class TestRowsMatchReference:
         mp = pytest.MonkeyPatch()
         mp.setattr(Poset, "incomparable_masks", _all_pairs_incomparable)
         try:
-            got = SignatureRows(p, d).classification()
+            got = SignatureRows(p, d).rows
         except PreconditionViolated as exc:
             got = str(exc)
         finally:
@@ -282,9 +292,10 @@ class TestDecompositionShape:
         # member: no decomposition holds it, so the classifier never reads one.
         p = random_tw2_poset(12, 3)
         d = decompose_poset(p)
+        outer = d.bag[0][0], d.bag[0][-1]
         nid = next(k for k, (bag, left) in enumerate(zip(d.bag, d.left))
-                   if left is not None and len(bag) == 2 and not {d.source, d.sink} & set(bag))
-        bag = d.bag[nid] + (d.source, d.sink) if size == 4 else d.bag[nid][:1]
+                   if left is not None and len(bag) == 2 and not set(outer) & set(bag))
+        bag = d.bag[nid] + outer if size == 4 else d.bag[nid][:1]
         with pytest.raises(PreconditionViolated, match="node %d has a bag of size %d, not 2 or 3" % (nid, size)):
             _with_bag(d, nid, bag)
 
@@ -489,8 +500,8 @@ class TestMetamorphic:
         # mirrored pair in the dual poset under the same decomposition.
         p = Poset("abc", [("a", "b")])
         rows = SignatureRows(p, decompose_poset(p))
-        dual_cls = SignatureRows(p.dual(), rows.decomp).classification()
-        assert rows.classification()[("a", "c")] == PairClass(1, 1, up=2)
+        dual_cls = classes_of(SignatureRows(p.dual(), rows.decomp))
+        assert classes_of(rows)[("a", "c")] == PairClass(1, 1, up=2)
         assert dual_cls[("c", "a")] == PairClass(1, 2, up=1)
 
     @settings(max_examples=30, deadline=None)

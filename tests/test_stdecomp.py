@@ -75,7 +75,7 @@ class TestBuild:
         _, d = raw_decomposition(Graph("ab", [("a", "b")]))
         assert len(d) == 1
         assert named(d, d.nodes[0].bag) == ("a", "b")
-        assert named(d, (d.source, d.sink)) == ("a", "b")
+        assert named(d, (d.bag[0][0], d.bag[0][-1])) == ("a", "b")
 
     def test_path_bags(self):
         emb, d = path_decomposition()
@@ -93,7 +93,7 @@ class TestBuild:
         root = d.nodes[d.root]
         assert len(root.bag) == 2
         assert len(d) == len(emb.host.edges) * 2 - 1  # one leaf per host edge
-        assert validate_decomposition(d, id_host(emb), emb.source, emb.sink)
+        assert validate_decomposition(d, id_host(emb), emb.sp.source, emb.sp.sink)
 
     def test_node_count_matches_sp_tree(self):
         emb, d = random_decomposition(18, 5)
@@ -119,7 +119,7 @@ class TestBuild:
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=10**6))
     def test_build_validates(self, n, seed):
         emb, d = random_decomposition(n, seed)
-        assert validate_decomposition(d, id_host(emb), emb.source, emb.sink)
+        assert validate_decomposition(d, id_host(emb), emb.sp.source, emb.sp.sink)
 
 
 class TestValidateRejections:
@@ -202,8 +202,8 @@ class TestOrderUtilities:
 class TestLeastNode:
     def test_root_terminal(self):
         emb, d = random_decomposition(10, 4)
-        assert d.least_node(emb.source) == d.root
-        assert d.least_node(emb.sink) == d.root
+        assert d.least_node(emb.sp.source) == d.root
+        assert d.least_node(emb.sp.sink) == d.root
 
     def test_path_middle_vertex(self):
         _, d = path_decomposition()
@@ -219,7 +219,7 @@ class TestLeastNode:
     def test_nonterminal_least_node_is_middle(self, n, seed):
         emb, d = random_decomposition(n, seed)
         for v in range(len(emb.names)):
-            if v in (emb.source, emb.sink):
+            if v in (emb.sp.source, emb.sp.sink):
                 continue
             node = d.nodes[d.least_node(v)]
             assert len(node.bag) == 3
@@ -395,8 +395,7 @@ class TestColumns:
             for got, want in ((d, ref), (d.reverse(), reference_reverse(ref)),
                               (d.swap_size2_children(), reference_swap_size2_children(ref))):
                 assert got.nodes == want.nodes, (seed, n)
-                assert (got.root, got.names, got.source, got.sink) == \
-                       (want.root, want.names, want.source, want.sink)
+                assert (got.root, got.names) == (want.root, want.names)
                 depth, least = reference_depths_and_least(want)
                 assert [got.depth(u) for u in range(len(got))] == depth
                 assert [got.least_node(v) for v in range(len(got.names))] == least
@@ -424,7 +423,7 @@ class TestReverse:
     def test_single_node(self):
         d = build_st_decomposition(edge_node(0, 1), "ab")
         r = d.reverse()
-        assert named(r, (r.source, r.sink)) == ("b", "a")
+        assert named(r, (r.bag[0][0], r.bag[0][-1])) == ("b", "a")
 
     def test_in_order_exactly_reversed(self):
         _, d = random_decomposition(20, 2)
@@ -434,7 +433,7 @@ class TestReverse:
     @given(st.integers(min_value=2, max_value=25), st.integers(min_value=0, max_value=10**6))
     def test_reversed_validates_for_swapped_terminals(self, n, seed):
         emb, d = random_decomposition(n, seed)
-        assert validate_decomposition(d.reverse(), id_host(emb), emb.sink, emb.source)
+        assert validate_decomposition(d.reverse(), id_host(emb), emb.sp.sink, emb.sp.source)
 
 
 class TestSwapSize2:
@@ -461,7 +460,7 @@ class TestSwapSize2:
     @given(st.integers(min_value=2, max_value=25), st.integers(min_value=0, max_value=10**6))
     def test_swap_still_validates_same_terminals(self, n, seed):
         emb, d = random_decomposition(n, seed)
-        assert validate_decomposition(d.swap_size2_children(), id_host(emb), emb.source, emb.sink)
+        assert validate_decomposition(d.swap_size2_children(), id_host(emb), emb.sp.source, emb.sp.sink)
 
 
 def grow_connected_subset(graph, rng, start, must_include=()):
