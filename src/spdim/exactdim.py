@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from .errors import BadParameter, Exceeded, TooLarge
 from .poset import bits
 
+SEARCH_BUDGET = 10**6  # placement attempts, over every part count tried, before ``TooLarge``
+
 
 @dataclass
 class DimensionResult:
@@ -32,7 +34,8 @@ def dimension_exact(poset, max_d=12, cap=60):
 
     ``cap`` guards the search, counting incomparable ordered pairs; ``max_d``
     bounds the number of parts tried (``Exceeded`` when the true dimension is
-    larger).  ``BadParameter`` if ``max_d`` is below 1 or ``cap`` below 0.
+    larger).  A search that makes more than ``SEARCH_BUDGET`` placement attempts
+    stops with ``TooLarge``.  ``BadParameter`` if ``max_d`` is below 1 or ``cap`` below 0.
     """
     if max_d < 1 or cap < 0:
         raise BadParameter("need max_d >= 1 and cap >= 0, got max_d = %d, cap = %d" % (max_d, cap))
@@ -53,8 +56,9 @@ def dimension_exact(poset, max_d=12, cap=60):
         raise Exceeded(max_d)
 
     names = poset.elements
+    spent = 0
     for d in range(lower, max_d + 1):
-        assignment = _search(len(poset), inc, order, up, d)
+        assignment, spent = _search(len(poset), inc, order, up, d, spent)
         if assignment is not None:
             parts = [[] for _ in range(max(assignment) + 1)]
             rows = [[0] * len(poset) for _ in parts]
@@ -101,8 +105,9 @@ def _index_pairs(poset):
     return [(i, j) for i, row in enumerate(poset.incomparable_masks()) for j in bits(row)]
 
 
-def _search(n, inc, order, base_reach, d):
-    """Backtracking part assignment over index pairs; returns pair-index -> part or None.
+def _search(n, inc, order, base_reach, d, spent):
+    """Backtracking part assignment over index pairs; returns pair-index -> part or None, and
+    ``spent`` plus the placement attempts made, raising ``TooLarge`` once that passes ``SEARCH_BUDGET``.
 
     One level per pair of ``order``, kept on an explicit stack rather than
     the interpreter's, so that the depth is bounded by the pair count alone.
@@ -132,7 +137,7 @@ def _search(n, inc, order, base_reach, d):
             limit = len(reaches) + 1 if len(reaches) < d else len(reaches)
         if part == limit:  # no part takes pair k: undo the last placement
             if not stack:
-                return None
+                return None, spent
             part, undo, limit = stack.pop()
             assignment[order[len(stack)]] = None
             for u, row in undo:
@@ -140,6 +145,9 @@ def _search(n, inc, order, base_reach, d):
         else:
             if part == len(reaches):
                 reaches.append(list(base_reach))
+            spent += 1
+            if spent > SEARCH_BUDGET:
+                raise TooLarge("the search passed its budget of %d placement attempts" % SEARCH_BUDGET)
             undo = place(reaches[part], *inc[k])
             if undo is not None:
                 assignment[k] = part
@@ -149,5 +157,5 @@ def _search(n, inc, order, base_reach, d):
         if part == len(reaches) - 1 and part not in assignment:
             reaches.pop()
         part += 1
-    return assignment
+    return assignment, spent
 

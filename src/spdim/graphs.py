@@ -2,8 +2,8 @@
 
 Vertex order is the declaration order and doubles as the canonical order for
 all deterministic tie-breaking; a vertex's position is its id, which
-``adjacency``, ``index_edges`` and ``components`` use.  Edges are stored as
-tuples (u, v) with u before v canonically.
+``adjacency``, ``index_edges`` and ``components`` use.  A graph stores only its
+adjacency; ``edges`` derives from it tuples (u, v) with u before v canonically.
 """
 
 from .errors import UnknownElement
@@ -20,7 +20,6 @@ class Graph:
                 raise UnknownElement("duplicate vertex %r" % (v,))
             index[v] = len(index)
         adj = [set() for _ in vertices]
-        normalized = set()
         for u, v in edges:
             if u not in index:
                 raise UnknownElement("unknown vertex %r" % (u,))
@@ -29,14 +28,11 @@ class Graph:
             if u == v:
                 raise UnknownElement("loop edge at %r" % (u,))
             i, j = index[u], index[v]
-            if i > j:
-                u, v = v, u
-            normalized.add((u, v))
             adj[i].add(j)
             adj[j].add(i)
         self.vertices = vertices
         self._index = index
-        self._edges = frozenset(normalized)
+        self._edges = None
         self._adj = adj
 
     @classmethod

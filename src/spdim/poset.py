@@ -49,7 +49,7 @@ class Poset:
     taken; ``loads`` refuses text of more than ``MAX_N`` elements.
     """
 
-    __slots__ = ("elements", "_index", "_above", "_below", "_cover_up", "_cover_down", "_inc")
+    __slots__ = ("elements", "_index", "_above", "_below", "_cover_up", "_inc")
 
     def __init__(self, elements, relations=()):
         elements = tuple(elements)
@@ -92,13 +92,12 @@ class Poset:
             raise CycleError("relation has a directed cycle through %r" % (elements[_on_cycle(succ)],))
         # Upsets are final in reverse topological order, downsets in topological order.
         above, cover_up = _reach(reversed(order), succ)
-        below, cover_down = _reach(order, pred)
+        below, _ = _reach(order, pred)
         self.elements = elements
         self._index = index
         self._above = tuple(above)
         self._below = tuple(below)
         self._cover_up = tuple(cover_up)
-        self._cover_down = tuple(cover_down)
         self._inc = None
         return self
 
@@ -163,11 +162,12 @@ class Poset:
         return sum(map(int.bit_count, self.incomparable_masks()))
 
     def dual(self):
-        "The poset with all comparabilities reversed; same cover graph.  Its rows are this poset's, swapped."
+        """The poset with all comparabilities reversed; same cover graph.  Its reachability rows are
+        this poset's, swapped, and its upper covers are this poset's lower ones, by ``transpose``."""
         p = Poset.__new__(Poset)
         p.elements, p._index, p._inc = self.elements, self._index, self._inc  # incomparability is self-dual
         p._above, p._below = self._below, self._above
-        p._cover_up, p._cover_down = self._cover_down, self._cover_up
+        p._cover_up = tuple(transpose(self._cover_up, len(self.elements)))
         return p
 
     # -- linear extensions and reversibility -------------------------------

@@ -306,6 +306,10 @@ def _reduce_component(comp, adjacency, pinned):
     # the list starts as a heap), re-checked when popped and pushed again when
     # its degree drops to 2.
     ready = [v for v in comp if len(adj[v]) <= 2 and v not in pinned]
+    # A pendant's fill partner is the least other neighbour of its neighbour u: read off a
+    # min-heap of u's neighbour ids, made at u's first pendant fill, that drops removed ids
+    # and the pendant when they reach the top and takes both ends of every new bundle.
+    partners = {}
     while len(adj) > 2:
         while ready:
             pick = heappop(ready)
@@ -316,7 +320,12 @@ def _reduce_component(comp, adjacency, pinned):
         nb = adj.pop(pick)
         if len(nb) == 1:
             (u,) = nb
-            w = min(w for w in adj[u] if w != pick)
+            near = partners.get(u)
+            if near is None:
+                near = partners[u] = sorted(adj[u])
+            while near[0] == pick or near[0] not in adj[u]:
+                heappop(near)
+            w = near[0]
             nb[w] = adj[w][pick] = SPNode(EDGE, None, None, *((pick, w) if pick < w else (w, pick)))
         (u, left), (w, right) = nb.items()
         if u > w:
@@ -327,6 +336,10 @@ def _reduce_component(comp, adjacency, pinned):
         old = at_u.get(w)
         if old is None:  # u and w keep their degrees
             at_u[w] = at_w[u] = tree
+            if u in partners:
+                heappush(partners[u], w)
+            if w in partners:
+                heappush(partners[w], u)
             continue
         at_u[w] = at_w[u] = SPNode(PARALLEL, old, tree, u, w)
         for v in (u, w):  # one fewer neighbour: reducible now if down to 2

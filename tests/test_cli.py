@@ -11,7 +11,7 @@ from click.testing import CliRunner
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdim import generators, poset as posetio, realizer
+from spdim import exactdim, generators, poset as posetio, realizer
 from spdim.cli import _split_bundle, main
 from spdim.generators import MAX_N, random_tw2_poset, standard_example
 from spdim.poset import dumps as dumps_poset
@@ -71,6 +71,13 @@ class TestDim:
         res = run(["dim", "--cap", "100000"], stdin=gen_text("antichain", 33))
         assert res.exit_code == 0
         assert res.output.strip() == "2"
+
+    def test_search_past_its_budget_exits_2(self, monkeypatch):
+        monkeypatch.setattr(exactdim, "SEARCH_BUDGET", 10)
+        res = run(["dim"], stdin=gen_text("standard_example", 3))
+        assert res.exit_code == 2
+        assert res.stderr == "error: the search passed its budget of 10 placement attempts\n"
+        assert res.stdout == ""
 
     @pytest.mark.parametrize("family", ["chain", "standard_example"])
     @pytest.mark.parametrize("bound", [["--max-d", "0"], ["--max-d", "-3"], ["--cap", "-1"]])

@@ -61,6 +61,23 @@ class TestDimension:
         with pytest.raises(TooLarge):
             dimension_exact(antichain(10), cap=10)
 
+    def test_search_stops_past_its_budget(self, monkeypatch):
+        # The search may make exactly SEARCH_BUDGET placement attempts; one more is refused.
+        p, search, spent = standard_example(4), exactdim._search, []
+
+        def recorded(*args):
+            assignment, used = search(*args)
+            spent.append(used)
+            return assignment, used
+
+        monkeypatch.setattr(exactdim, "_search", recorded)
+        assert dimension_exact(p, cap=100).dimension == 4
+        monkeypatch.setattr(exactdim, "SEARCH_BUDGET", spent[-1])
+        assert dimension_exact(p, cap=100).dimension == 4
+        monkeypatch.setattr(exactdim, "SEARCH_BUDGET", spent[-1] - 1)
+        with pytest.raises(TooLarge, match="budget of %d placement attempts" % (spent[-1] - 1)):
+            dimension_exact(p, cap=100)
+
     @pytest.mark.parametrize("poset", [chain(3), antichain(3)], ids=["chain", "antichain"])
     @pytest.mark.parametrize("bounds", [{"max_d": 0}, {"max_d": -3}, {"cap": -1}])
     def test_impossible_bounds_refused(self, poset, bounds):

@@ -796,12 +796,21 @@ class TestDual:
     @pytest.mark.parametrize("p", [random_tw2_poset(300, 4), forest_poset(300, 2), kelly(3)],
                              ids=["random_tw2", "forest", "kelly"])
     def test_covers_reversed_and_rows_restored(self, p):
-        # dual() swaps the cover rows kept from the closure instead of transposing them.
+        # dual() transposes the upper covers, the only cover rows a poset keeps.
         index = p.index
         reversed_covers = sorted(((y, x) for x, y in covers(p)), key=lambda c: (index(c[0]), index(c[1])))
         assert reversed_covers and covers(p.dual()) == reversed_covers
         assert p.dual().dual() == p
         assert closure_rows(p.dual().dual()) == closure_rows(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_posets(max_n=12), st.integers(1, 40).map(chain), st.integers(1, 40).map(antichain)))
+    def test_text_holds_covers_reversed(self, p):
+        header, *lines = dumps(p).splitlines()
+        dual_header, *dual_lines = dumps(p.dual()).splitlines()
+        assert dual_header == header
+        assert sorted(dual_lines) == sorted("%s < %s" % tuple(line.split(" < ")[::-1]) for line in lines)
+        assert p.dual().dual()._cover_up == p._cover_up
 
 
 class TestCoverGraph:

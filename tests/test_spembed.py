@@ -1,3 +1,4 @@
+import builtins
 import math
 import os
 import random
@@ -567,6 +568,18 @@ class TestTerminals:
         assert reference_sp_tree_violations(emb.sp) == []
         assert g.edges <= emb.host.edges
 
+    def test_star_pendant_fills_take_linear_work(self, monkeypatch):
+        # A guard against unbounded work, counted: every leaf of a star is filled to the
+        # hub's least other neighbour, which a scan of the hub's neighbours made quadratic.
+        m = 3000
+        work = Counter()
+        for name in ("min", "sorted"):
+            monkeypatch.setattr(spembed, name, reading(work, name, getattr(builtins, name)), raising=False)
+        monkeypatch.setattr(spembed, "heappop", counting(work, "heappop", spembed.heappop))
+        emb = embed_into_sp(star(m))
+        assert sum(work.values()) <= 10 * m, work
+        assert reference_sp_tree_violations(emb.sp) == []
+
     def test_long_path_ends_without_reduction(self, monkeypatch):
         # A guard against extra work that does not depend on timing: a path has
         # no more edges than vertices, so one reduction, pinned at its ends,
@@ -592,6 +605,23 @@ def k2m_with_pendants(m):
                  [(x, mid) for mid in mids for x in "ab"] + [(mid, "p" + mid[1:]) for mid in mids])
 
 
+def star(m):
+    "K_{1,m}: a hub h with leaves l0..l{m-1}."
+    leaves = ["l%d" % i for i in range(m)]
+    return Graph(["h"] + leaves, [("h", leaf) for leaf in leaves])
+
+
+def hub_with_pendant_paths(k, length):
+    """A hub h with a leaf l and k paths q<i>_0..q<i>_<length-1> hanging from it, each with a leaf r<i>
+    of the hub numbered after q<i>_0: reduced unpinned, q<i>_0 goes first and joins the hub to
+    q<i>_1, the least other neighbour the hub has when r<i> is filled."""
+    paths = [["q%d_%d" % (i, j) for j in range(length)] for i in range(k)]
+    vertices = ["h", "l"] + [v for i, path in enumerate(paths) for v in [path[0], "r%d" % i] + path[1:]]
+    edges = [("h", "l")] + [e for i, path in enumerate(paths)
+                            for e in [("h", "r%d" % i), ("h", path[0])] + list(zip(path, path[1:]))]
+    return Graph(vertices, edges)
+
+
 def nontrivial_components(graph):
     "Each component of more than one vertex, as ascending ids."
     return [comp for comp in graph.components() if len(comp) > 1]
@@ -611,6 +641,15 @@ def counting(calls, name, function):
     def counted(*args, **kwargs):
         calls[name] += 1
         return function(*args, **kwargs)
+    return counted
+
+
+def reading(work, name, function):
+    "``function`` of one iterable, or of its arguments, counting the items it reads in ``work[name]``."
+    def counted(*args, **kwargs):
+        items = list(args[0] if len(args) == 1 else args)
+        work[name] += len(items)
+        return function(items, **kwargs)
     return counted
 
 
@@ -658,6 +697,17 @@ class TestReduceComponent:
                 assert (reduction(kernel_reduction, comp, adjacency, pinned)
                         == reduction(reference_reduce_component, comp, adjacency, pinned)), pinned
 
+    @pytest.mark.parametrize("make", [pytest.param(lambda: star(200), id="star"),
+                                      pytest.param(lambda: hub_with_pendant_paths(20, 4), id="hub-pendant-paths")])
+    def test_matches_reference_on_hubs(self, make):
+        # Many pendant fills partner the hub, whose neighbours change by removals and series joins.
+        graph = make()
+        adjacency = graph.adjacency()
+        (comp,) = nontrivial_components(graph)
+        for pinned in [(), (0, comp[-1])] + random.Random(0).sample(list(combinations(comp, 2)), 20):
+            assert (reduction(kernel_reduction, comp, adjacency, pinned)
+                    == reduction(reference_reduce_component, comp, adjacency, pinned)), pinned
+
 
 class TestNeighbourOrder:
     """``_reduce_component`` reads each vertex's neighbours as stored, and its tree, so the
@@ -667,7 +717,9 @@ class TestNeighbourOrder:
         pytest.param(lambda: random_tw2_poset(300, 1).cover_graph(), id="random_tw2-1"),
         pytest.param(lambda: random_tw2_poset(300, 2).cover_graph(), id="random_tw2-2"),
         pytest.param(lambda: forest_poset(300, 1).cover_graph(), id="forest"),
-        pytest.param(lambda: k2m_with_pendants(150), id="k2m-pendants")])
+        pytest.param(lambda: k2m_with_pendants(150), id="k2m-pendants"),
+        pytest.param(lambda: star(300), id="star"),
+        pytest.param(lambda: hub_with_pendant_paths(30, 4), id="hub-pendant-paths")])
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     def test_columns_ignore_neighbour_order(self, make, order, monkeypatch):
         graph = make()
@@ -747,6 +799,15 @@ class TestAugment:
         names = emb.names
         assert emb.host.edges == {(names[min(u, v)], names[max(u, v)])
                                   for u, v in leaf_sequence(emb.sp)}
+
+
+class TestGraphEdges:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)).filter(lambda e: e[0] != e[1]), max_size=40))
+    def test_edges_merge_duplicates_and_orientations(self, pairs):
+        names = ["v%d" % i for i in range(12)]
+        g = Graph(names, [(names[i], names[j]) for i, j in pairs])
+        assert g.edges == {(names[min(e)], names[max(e)]) for e in pairs}
 
 
 class TestGraphText:
