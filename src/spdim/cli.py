@@ -14,7 +14,7 @@ import json
 import os
 import re
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 import click
 
@@ -273,7 +273,8 @@ def _batch_one(task):
         elif not p.verify_realizer(r.orders()):
             out["error"] = "realizer does not verify"
         elif oracle_cap and p.incomparable_count() <= oracle_cap:
-            out["dimension"] = exactdim.dimension_exact(p, cap=oracle_cap).dimension
+            with suppress(TooLarge):  # past the search budget: skipped, like an instance over the cap
+                out["dimension"] = exactdim.dimension_exact(p, cap=oracle_cap).dimension
     except ReversibilityViolation as exc:
         out["error"] = str(exc)
         out["witness"] = _witness_lines(exc)

@@ -152,10 +152,23 @@ class Poset:
     def incomparable_masks(self):
         "Per element index i, the bitmask of the elements incomparable to element i; a shared tuple."
         if self._inc is None:
-            full = (1 << len(self.elements)) - 1
-            self._inc = tuple([full ^ (above | below | 1 << i)
-                               for i, (above, below) in enumerate(zip(self._above, self._below))])
+            if self._chain_sizes() is not None:  # a chain: no pass over the rows
+                self._inc = (0,) * len(self.elements)
+            else:
+                full = (1 << len(self.elements)) - 1
+                self._inc = tuple([full ^ (above | below | 1 << i)
+                                   for i, (above, below) in enumerate(zip(self._above, self._below))])
         return self._inc
+
+    def _chain_sizes(self):
+        """The downset sizes if every two elements are comparable, else None.  Most other posets fail
+        the first test, that element 0 is comparable to all; the second counts the comparable pairs
+        in one popcount pass over the downsets, n(n - 1)/2 on a chain."""
+        n = len(self.elements)
+        if n > 1 and (self._above[0] | self._below[0]).bit_count() != n - 1:
+            return None
+        sizes = list(map(int.bit_count, self._below))
+        return sizes if sum(sizes) == n * (n - 1) // 2 else None
 
     def incomparable_count(self):
         "Number of ordered incomparable pairs, by popcount."
@@ -189,8 +202,12 @@ class Poset:
         return before.bit_count() == len(marks)
 
     def canonical_extension(self):
-        "The linear extension picked by canonical-order tie-breaking."
-        return self.linear_extension_reversing([0] * len(self.elements))
+        """The linear extension picked by canonical-order tie-breaking.  A chain has only one, its
+        elements by downset size, so it is sorted on them, not built by the class sort."""
+        sizes = self._chain_sizes()
+        if sizes is None:
+            return self.linear_extension_reversing([0] * len(self.elements))
+        return [self.elements[i] for i in sorted(range(len(sizes)), key=sizes.__getitem__)]
 
     def linear_extension_reversing(self, rows):
         """A linear extension placing y before x for every pair (x, y) of ``rows``.

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from spdim import exactdim, generators, poset as posetio, realizer
 from spdim.cli import _split_bundle, main
+from spdim.errors import TooLarge
 from spdim.generators import MAX_N, random_tw2_poset, standard_example
 from spdim.poset import dumps as dumps_poset
 from spdim.realizer import ALL_CLASSES, SignatureRows, dumps_realizer, realize_tw2
@@ -423,6 +424,29 @@ class TestBatch:
         assert res.exit_code == 0
         assert "instances: 8  failures: 0" in res.output
         assert "max exact dimension observed:" in res.output
+
+    def test_oracle_refusal_skips_the_instance(self, monkeypatch):
+        # At a budget of 40 attempts the oracle refuses four of these eight
+        # instances; like one over the cap, each is skipped, not failed.
+        refused = []
+        dimension_exact = exactdim.dimension_exact
+
+        def spy(*args, **kwargs):
+            try:
+                return dimension_exact(*args, **kwargs)
+            except TooLarge as exc:
+                refused.append(str(exc))
+                raise
+
+        monkeypatch.setattr(exactdim, "SEARCH_BUDGET", 40)
+        monkeypatch.setattr(exactdim, "dimension_exact", spy)
+        res = run(["batch", "--family", "random_tw2", "--n", "8", "--count", "8",
+                   "--seed", "3", "--oracle-cap", "60"])
+        assert refused == ["the search passed its budget of 40 placement attempts"] * 4
+        assert res.exit_code == 0
+        assert "instances: 8  failures: 0" in res.stdout
+        assert "max exact dimension observed: 2" in res.stdout
+        assert res.stderr == ""
 
     def test_batch_jobs(self):
         res = run(["batch", "--family", "random_tw2", "--n", "10", "--count", "6",

@@ -15,6 +15,7 @@ from spdim.errors import (
     TooLarge,
     UnknownElement,
 )
+from spdim.exactdim import dimension_exact
 from spdim.generators import antichain, chain, forest_poset, kelly, random_tw2_poset, standard_example
 from spdim.graphs import Graph
 from spdim.poset import MAX_N, Poset, bits, dumps, loads, transpose
@@ -649,6 +650,57 @@ class TestIncomparableMasks:
         pairs = p.incomparable_pairs()
         assert p.pairs_of_rows(p.incomparable_masks()) == pairs
         assert p.incomparable_count() == len(pairs)
+
+
+@st.composite
+def shuffled_chains(draw, max_n=12):
+    "Chains whose elements are declared in a random order, so downset size is not the index."
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    names = ["e%d" % i for i in range(n)]
+    ranked = draw(st.permutations(names))
+    return Poset(names, zip(ranked, ranked[1:]))
+
+
+def assert_chain_path_agrees(p):
+    """The incomparable rows equal ``full ^ (above | below | 1 << i)``, and the canonical
+    extension equals the class sort's with no pair to reverse, the heap path."""
+    full = (1 << len(p)) - 1
+    assert p.incomparable_masks() == tuple(full ^ (above | below | 1 << i)
+                                           for i, (above, below) in enumerate(zip(p._above, p._below)))
+    assert p.canonical_extension() == p.linear_extension_reversing([0] * len(p))
+
+
+class TestChainRecognition:
+    # A poset with no incomparable pair is told from its downset sizes; its rows
+    # are n zeros and its one extension is a sort on the sizes.
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(small_posets(max_n=8), shuffled_chains(), shuffled_chains().map(Poset.dual),
+                     tw2_posets(max_n=20)))
+    def test_matches_full_pass_and_heap_sort(self, p):
+        assert_chain_path_agrees(p)
+
+    @pytest.mark.parametrize("p", [
+        Poset([]), Poset(["a"]), Poset("ab"), Poset("ab", [("a", "b")]), Poset("ab", [("b", "a")]),
+        Poset("abc", [("a", "b"), ("a", "c")]), Poset("abc", [("c", "a"), ("b", "a")]),
+        chain(2), chain(2000), chain(2000).dual(), antichain(300), standard_example(6),
+        random_tw2_poset(300, 3), forest_poset(300, 2),
+    ], ids=["empty", "one", "two-incomparable", "two-comparable", "two-declared-downward",
+            "bottom-below-two", "two-below-top", "chain-2", "chain-2000", "chain-2000-dual",
+            "antichain-300", "standard-example-6", "random_tw2-300", "forest-300"])
+    def test_families_and_edge_cases(self, p):
+        assert_chain_path_agrees(p)
+
+    def test_chain_needs_no_class_sort(self, monkeypatch):
+        def no_sort(self, rows):
+            raise AssertionError("the class sort ran on a chain")
+
+        monkeypatch.setattr(Poset, "_topological_order", no_sort)
+        c = chain(500)
+        realizer = realize_tw2(c)
+        assert realizer.orders() == [c.elements]
+        assert c.verify_realizer(realizer.orders())
+        result = dimension_exact(chain(50))
+        assert result.dimension == 1 and result.witness == [list(chain(50).elements)]
 
 
 class TestVerifyRealizer:
