@@ -272,8 +272,8 @@ def _batch_one(task):
             out["error"] = "more than 12 extensions"
         elif not p.verify_realizer(r.orders()):
             out["error"] = "realizer does not verify"
-        elif oracle_cap and p.incomparable_count() <= oracle_cap:
-            with suppress(TooLarge):  # past the search budget: skipped, like an instance over the cap
+        elif oracle_cap:
+            with suppress(TooLarge):  # over the cap or past the search budget: skipped
                 out["dimension"] = exactdim.dimension_exact(p, cap=oracle_cap).dimension
     except ReversibilityViolation as exc:
         out["error"] = str(exc)

@@ -215,6 +215,20 @@ def one_class(monkeypatch):
 
 
 @pytest.fixture
+def one_violation(monkeypatch):
+    "Have the metamorphic check report one violation."
+    violation = realizer.Violation("dual", ("a1", "b1"), "kind=1", "kind=2")
+    monkeypatch.setattr("spdim.cli.metamorphic_check", lambda rows: [violation])
+
+
+@pytest.fixture
+def canonical_realizer(monkeypatch):
+    "Realize every poset by its canonical extension alone, which does not verify unless it is a chain."
+    monkeypatch.setattr("spdim.cli.realize_tw2",
+                        lambda p: realizer.Realizer(((None, p.canonical_extension()),)))
+
+
+@pytest.fixture
 def max_n_3(monkeypatch):
     "Let ``loads`` take at most 3 elements, so that no test builds a large poset."
     monkeypatch.setattr(posetio, "MAX_N", 3)
@@ -361,6 +375,8 @@ ERROR_CONTRACT = {
                               2, "", "error: line 2: unknown element 'b'\n"),
     "classify-treewidth-3": (["classify"], KELLY_3, None, 2, "", TW3),
     "check-claims-treewidth-3": (["check-claims"], KELLY_3, None, 2, "", TW3),
+    "check-claims-violation": (["check-claims"], STANDARD_2, "one_violation", 1, "",
+                               "violation: dual: pair ('a1', 'b1') expected kind=1, got kind=2\n"),
     "verify-no-json": (["verify"], "elements: a b\na < b\n", None,
                        2, "", "error: line 1: no realizer JSON found on stdin (use --realizer)\n"),
     "verify-syntax-error": (["verify"], "elements: a b c\na < b\n[not json\n", None,
@@ -369,6 +385,9 @@ ERROR_CONTRACT = {
                             "error: line 3: realizer entry 0 needs a signature and a string list extension\n"),
     "verify-empty-realizer": (["verify"], "elements: a b c\na < b\nb < c\n[]\n", None,
                               1, "", "violation: realizer has no extensions\n"),
+    "verify-13-extensions": (["verify"], "elements: v0 v1\n" + json.dumps(
+        [{"signature": None, "extension": [["v0", "v1"], ["v1", "v0"]][k % 2]} for k in range(13)]) + "\n",
+        None, 1, "", "violation: realizer uses 13 extensions (more than 12)\n"),
     "verify-poset-error": (["verify"], "elements: a\nb < a\n[]\n", None,
                            2, "", "error: line 2: unknown element 'b'\n"),
     "batch-count": (["batch", "--n", "5", "--count", "0"], None, None,
@@ -386,6 +405,12 @@ ERROR_CONTRACT = {
                                 "".join("failed seed %d: %s" % (seed, NOT_REVERSIBLE)
                                         + "".join("  " + line + "\n" for line in WITNESS.splitlines())
                                         for seed in (0, 1))),
+    "batch-realizer-does-not-verify": (["batch", "--family", "standard_example", "--n", "2", "--count", "1",
+                                        "--jobs", "1"], None, "canonical_realizer", 1,
+                                       "instances: 1  failures: 1  max extensions: 1\n",
+                                       "failed seed 0: realizer does not verify\n"),
+    "batch-treewidth-3": (["batch", "--family", "kelly", "--n", "3", "--count", "1", "--jobs", "1"], None, None,
+                          1, "instances: 1  failures: 1  max extensions: 0\n", "failed seed 0: input graph has treewidth greater than 2\n"),
 }
 
 
@@ -446,6 +471,17 @@ class TestBatch:
         assert res.exit_code == 0
         assert "instances: 8  failures: 0" in res.stdout
         assert "max exact dimension observed: 2" in res.stdout
+        assert res.stderr == ""
+
+    def test_oracle_cap_refuses_before_any_pair_is_listed(self, monkeypatch):
+        def no_listing(poset):
+            raise AssertionError("the pairs were listed before the cap was checked")
+
+        monkeypatch.setattr(exactdim, "_index_pairs", no_listing)
+        res = run(["batch", "--family", "antichain", "--n", "100", "--count", "1", "--oracle-cap", "60"])
+        assert res.exit_code == 0, res.stderr
+        assert res.stdout.startswith("instances: 1  failures: 0  max extensions: ")
+        assert "max exact dimension" not in res.stdout
         assert res.stderr == ""
 
     def test_batch_jobs(self):

@@ -61,6 +61,21 @@ class TestDimension:
         with pytest.raises(TooLarge):
             dimension_exact(antichain(10), cap=10)
 
+    def test_cap_refuses_before_any_pair_is_listed(self, monkeypatch):
+        def no_listing(poset):
+            raise AssertionError("the pairs were listed before the cap was checked")
+
+        monkeypatch.setattr(exactdim, "_index_pairs", no_listing)
+        with pytest.raises(TooLarge, match="9900 incomparable pairs exceed the cap of 60"):
+            dimension_exact(antichain(100), cap=60)
+
+    def test_exceeded_after_a_failed_search(self):
+        # The clique bound is 2 and the dimension 3: the search for 2 parts fails.
+        p = random_tw2_poset(10, 5)
+        assert dimension_exact(p, cap=100).dimension == 3
+        with pytest.raises(Exceeded, match="dimension exceeds 2"):
+            dimension_exact(p, max_d=2, cap=100)
+
     def test_search_stops_past_its_budget(self, monkeypatch):
         # The search may make exactly SEARCH_BUDGET placement attempts; one more is refused.
         p, search, spent = standard_example(4), exactdim._search, []
@@ -147,14 +162,17 @@ class TestConflictRows:
         else:
             p = random_tw2_poset(n, data.draw(st.integers(min_value=0, max_value=10**6)))
         inc = exactdim._index_pairs(p)
+        if data.draw(st.booleans()):
+            # Only the pairs (x, y) with x before y: an element may come first
+            # and never second, as in a set of critical pairs.
+            inc = [(x, y) for x, y in inc if x < y]
         up, down = p.closed_masks()
         want = reference_conflict_rows(inc, up)
-        above, below = exactdim._conflict_masks(inc, up, down, range(len(inc)))
+        above, below = exactdim._conflict_masks(inc, up, down)
         assert [above[x] & below[y] for x, y in inc] == want
-        order = sorted(range(len(inc)), key=lambda k: (-want[k].bit_count(), k))
-        rank = {k: r for r, k in enumerate(order)}
-        masks = exactdim._conflict_masks(inc, up, down, [rank[k] for k in range(len(inc))])
-        assert exactdim._greedy_clique([inc[k] for k in order], *masks) == reference_greedy_clique(want)
+        ranked = [inc[k] for k in sorted(range(len(inc)), key=lambda k: (-want[k].bit_count(), k))]
+        masks = exactdim._conflict_masks(ranked, up, down)
+        assert exactdim._greedy_clique(ranked, *masks) == reference_greedy_clique(want)
 
     @pytest.mark.parametrize("make", [lambda: kelly(3), lambda: standard_example(5), lambda: antichain(40)],
                              ids=["kelly-3", "standard-5", "antichain-40"])
@@ -162,7 +180,7 @@ class TestConflictRows:
         p = make()
         inc = exactdim._index_pairs(p)
         up, down = p.closed_masks()
-        above, below = exactdim._conflict_masks(inc, up, down, range(len(inc)))
+        above, below = exactdim._conflict_masks(inc, up, down)
         assert [above[x] & below[y] for x, y in inc] == reference_conflict_rows(inc, up)
 
     def test_antichain_60_without_a_loop_over_pairs_of_pairs(self):

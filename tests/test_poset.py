@@ -182,6 +182,10 @@ class TestConstruction:
         with pytest.raises(UnknownElement):
             Poset("ab", [("a", "z")])
 
+    def test_duplicate_element(self):
+        with pytest.raises(UnknownElement, match="duplicate element 'a'"):
+            Poset(["a", "a"])
+
     def test_transitive_input_absorbed(self):
         p = Poset("abc", [("a", "b"), ("b", "c"), ("a", "c")])
         assert cover_edges(p) == frozenset({("a", "b"), ("b", "c")})

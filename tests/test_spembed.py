@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdim import spembed
-from spdim.errors import NotTreewidth2, PreconditionViolated
+from spdim.errors import NotTreewidth2, PreconditionViolated, UnknownElement
 from spdim.generators import antichain, chain, forest_poset, kelly, random_tw2_poset
 from spdim.graphs import Graph, dumps_dot
 from spdim.spembed import (
@@ -808,6 +808,22 @@ class TestGraphEdges:
         names = ["v%d" % i for i in range(12)]
         g = Graph(names, [(names[i], names[j]) for i, j in pairs])
         assert g.edges == {(names[min(e)], names[max(e)]) for e in pairs}
+
+
+class TestGraphRefusals:
+    @pytest.mark.parametrize("vertices, edges, message", [
+        ("aba", [], "duplicate vertex 'a'"),
+        ("ab", [("z", "b")], "unknown vertex 'z'"),
+        ("ab", [("a", "z")], "unknown vertex 'z'"),
+        ("ab", [("a", "a")], "loop edge at 'a'"),
+    ], ids=["duplicate-vertex", "unknown-first-end", "unknown-second-end", "loop-edge"])
+    def test_bad_graph_is_refused(self, vertices, edges, message):
+        with pytest.raises(UnknownElement, match=message):
+            Graph(vertices, edges)
+
+    def test_index_of_an_unknown_vertex(self):
+        with pytest.raises(UnknownElement, match="unknown vertex 'z'"):
+            Graph("ab", [("a", "b")]).index("z")
 
 
 class TestGraphText:
